@@ -17,7 +17,8 @@ from . import convexity, homology, obstruction, plmaps, symgroup
 from .complexes import Complex, full_simplex
 from .deleted_product import (cell_dim, configured_cell_cap, deleted_product,
                               puzzle_reachable)
-from .errors import CapExceeded, SearchInvariantViolated, TvlabError
+from .errors import (CapExceeded, InputError, SearchInvariantViolated,
+                     TvlabError)
 
 SAFE_INT = 2**53
 
@@ -53,6 +54,8 @@ def emit(report, config, out=None):
 def load_complex(args) -> Complex:
     if getattr(args, "complex", None):
         return Complex.from_json_file(args.complex)
+    if args.n is None:
+        raise InputError("give the complex as --n or --complex")
     return full_simplex(args.n)
 
 
@@ -83,7 +86,7 @@ def cmd_dp_stats(args):
 def cmd_dp_homology(args):
     K = load_complex(args)
     dp = deleted_product(K, args.r)
-    rep = homology.dp_homology(dp, args.mod if args.mod else "Z")
+    rep = homology.dp_homology(dp, args.mod if args.mod is not None else "Z")
     table = {
         str(d): {"rank": rep.ranks[d], "torsion": rep.torsion.get(d, [])}
         for d in sorted(rep.ranks)

@@ -1,17 +1,18 @@
 """Exact integer linear algebra and cellular homology.
 
-Smith normal form with unimodular transforms, a faster transform-free
-diagonalization for large sparse boundary matrices, homology over the
-integers and prime fields, homological connectivity, and integer linear
-system solving with infeasibility certificates.
+Smith normal form with unimodular transforms; homology over the integers
+and prime fields from sparse boundary matrices, through one sparse
+elimination on unit pivots that serves both rings (over Z a small dense
+leftover block goes to the Smith normal form); homological connectivity;
+and integer linear system solving with infeasibility certificates.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import gcd
 
-from .errors import (EmptyComplex, NotAChainComplex, ShapeError)
+from .errors import EmptyComplex, NotAChainComplex, NotPrime, ShapeError
+from .symgroup import is_prime
 
 
 @dataclass
@@ -38,13 +39,6 @@ class IntMatrix:
     @classmethod
     def zeros(cls, m, n) -> "IntMatrix":
         return cls(m, n, [[0] * n for _ in range(m)])
-
-    @classmethod
-    def from_sparse(cls, m, n, sparse: dict) -> "IntMatrix":
-        M = cls.zeros(m, n)
-        for (i, j), v in sparse.items():
-            M.entries[i][j] = v
-        return M
 
     def mul(self, other: "IntMatrix") -> "IntMatrix":
         if self.cols != other.rows:
@@ -148,86 +142,77 @@ def smith_normal_form(M: IntMatrix):
     return (IntMatrix(m, m, U), IntMatrix(m, n, D), IntMatrix(n, n, V))
 
 
-def smith_diagonal(sparse: dict, m: int, n: int) -> list:
-    """Diagonal of the Smith normal form of a sparse matrix, no transforms.
+def _eliminate(sparse: dict, p=None):
+    """Sparse elimination on unit pivots, sweeping the columns in order.
 
-    Optimized for boundary matrices: eliminates with +-1 pivots first
-    (choosing low fill by a Markowitz-style count), falls back to the dense
-    routine on whatever small block remains, then fixes the divisibility
-    chain with gcd/lcm passes.
+    In each column the pivot is a unit entry in the shortest row that holds
+    one: +-1 over Z, any nonzero entry over GF(p) (entries reduced mod p).
+    Each pivot removes its row and column and leaves the Schur complement,
+    so the Smith normal form of the input is one 1 per pivot followed by
+    that of the rows left.  Over GF(p) every nonzero entry is a unit and no
+    row is left.  Returns (number of pivots, {row: {col: entry}} left).
     """
     rows = {}
     cols = {}
     for (i, j), v in sparse.items():
+        if p:
+            v %= p
         if v:
             rows.setdefault(i, {})[j] = v
-            cols.setdefault(j, {})[i] = v
-    diag = []
-    while True:
-        pivot = None
-        best = None
-        for i, row in rows.items():
-            for j, v in row.items():
-                if abs(v) == 1:
-                    score = (len(row) - 1) * (len(cols[j]) - 1)
-                    if best is None or score < best:
-                        best = score
-                        pivot = (i, j)
-                        if score == 0:
-                            break
-            if best == 0:
-                break
-        if pivot is None:
-            break
-        pi, pj = pivot
-        pv = rows[pi][pj]
-        diag.append(1)
+            cols.setdefault(j, set()).add(i)
+    pivots = 0
+    for j in sorted(cols):
+        units = [i for i in cols[j] if p or rows[i][j] in (1, -1)]
+        if not units:
+            continue
+        pivots += 1
+        pi = min(units, key=lambda i: len(rows[i]))
         prow = rows.pop(pi)
-        del cols[pj][pi]
-        for j in prow:
-            if j != pj:
-                del cols[j][pi]
-        pcol = cols.pop(pj)
-        for i in pcol:
-            del rows[i][pj]
-        # rows[i] -= (rows[i][pj]/pv) * prow  for each i that had a pj entry
-        for i, v in pcol.items():
-            f = v * pv  # v / pv since pv is +-1
+        pv = prow.pop(j)
+        inv = pow(pv, -1, p) if p else pv  # over Z, pv = +-1 is its own inverse
+        for c in prow:
+            cols[c].discard(pi)
+        others = cols.pop(j)
+        others.discard(pi)
+        for i in others:
             row = rows[i]
-            for j, w in prow.items():
-                if j == pj:
-                    continue
-                nv = row.get(j, 0) - f * w
+            f = row.pop(j) * inv
+            for c, w in prow.items():
+                nv = row.get(c, 0) - f * w
+                if p:
+                    nv %= p
                 if nv:
-                    row[j] = nv
-                    cols[j][i] = nv
-                else:
-                    if j in row:
-                        del row[j]
-                        del cols[j][i]
-    # leftover block to dense SNF
-    live_rows = sorted(i for i, row in rows.items() if row)
-    live_cols = sorted({j for i in live_rows for j in rows[i]})
-    if live_rows:
-        ri = {i: a for a, i in enumerate(live_rows)}
-        ci = {j: b for b, j in enumerate(live_cols)}
-        block = [[0] * len(live_cols) for _ in live_rows]
-        for i in live_rows:
-            for j, v in rows[i].items():
-                block[ri[i]][ci[j]] = v
+                    row[c] = nv
+                    cols[c].add(i)
+                elif c in row:
+                    del row[c]
+                    cols[c].discard(i)
+            if not row:
+                del rows[i]
+    return pivots, rows
+
+
+def smith_diagonal(sparse: dict, m: int, n: int) -> list:
+    """Diagonal of the Smith normal form of a sparse matrix, no transforms.
+
+    One 1 per unit pivot of the sparse elimination, then the nonzero
+    diagonal of the dense Smith normal form of the block left over (a
+    divisibility chain, which the leading 1s divide), then zeros.
+    """
+    units, left = _eliminate(sparse)
+    diag = [1] * units
+    if left:
+        live_cols = sorted({j for row in left.values() for j in row})
+        at = {j: b for b, j in enumerate(live_cols)}
+        block = []
+        for row in left.values():
+            dense = [0] * len(live_cols)
+            for j, v in row.items():
+                dense[at[j]] = v
+            block.append(dense)
         _, D, _ = smith_normal_form(IntMatrix.from_rows(block))
-        for t in range(min(D.rows, D.cols)):
-            if D.entries[t][t]:
-                diag.append(abs(D.entries[t][t]))
-    # pad with zeros to full length and fix the divisibility chain
-    diag.sort()
-    for a in range(len(diag)):
-        for b in range(a + 1, len(diag)):
-            g = gcd(diag[a], diag[b])
-            diag[b] = diag[a] * diag[b] // g
-            diag[a] = g
-    diag += [0] * (min(m, n) - len(diag))
-    return diag
+        diag += [D.entries[t][t] for t in range(min(D.rows, D.cols)) if D.entries[t][t]]
+    return diag + [0] * (min(m, n) - len(diag))
 
 
 @dataclass
@@ -243,33 +228,7 @@ class HomologyReport:
 
 
 def _rank_mod_p(sparse: dict, m: int, n: int, p: int) -> int:
-    rows = {}
-    for (i, j), v in sparse.items():
-        v %= p
-        if v:
-            rows.setdefault(i, {})[j] = v
-    rank = 0
-    used_cols = set()
-    for i in list(rows):
-        row = rows[i]
-        pj = next((j for j in row if j not in used_cols), None)
-        if pj is None:
-            continue
-        inv = pow(row[pj], -1, p)
-        row = {j: (v * inv) % p for j, v in row.items()}
-        rows[i] = row
-        used_cols.add(pj)
-        rank += 1
-        for k, other in rows.items():
-            if k != i and pj in other:
-                f = other[pj]
-                for j, v in row.items():
-                    nv = (other.get(j, 0) - f * v) % p
-                    if nv:
-                        other[j] = nv
-                    elif j in other:
-                        del other[j]
-    return rank
+    return _eliminate(sparse, p)[0]
 
 
 def homology(boundaries: list, shapes: list, coefficients="Z") -> HomologyReport:
@@ -278,6 +237,13 @@ def homology(boundaries: list, shapes: list, coefficients="Z") -> HomologyReport
     boundaries[d] maps dimension d to d-1 (d >= 1), as {(row, col): entry};
     shapes[d] is the number of d-cells.  coefficients is "Z" or a prime p.
     """
+    if coefficients == "Z":
+        tag = "Z"
+    else:
+        p = int(coefficients)
+        if not is_prime(p):
+            raise NotPrime("homology coefficients must be Z or a prime field, got %d" % p)
+        tag = "GF(%d)" % p
     top = len(shapes) - 1
     # chain-complex sanity: boundary composition is zero
     for d in range(2, top + 1):
@@ -291,29 +257,19 @@ def homology(boundaries: list, shapes: list, coefficients="Z") -> HomologyReport
         if any(comp.values()):
             raise NotAChainComplex("boundary squared is nonzero in dim %d" % d)
 
-    if coefficients == "Z":
-        diag = {0: []}
-        for d in range(1, top + 1):
-            diag[d] = smith_diagonal(boundaries[d], shapes[d - 1], shapes[d])
-        ranks = {}
-        torsion = {}
-        for d in range(top + 1):
-            r_in = len([x for x in diag.get(d + 1, []) if x])
-            r_out = len([x for x in diag[d] if x]) if d >= 1 else 0
-            ranks[d] = shapes[d] - r_out - r_in
-            tors = [x for x in diag.get(d + 1, []) if x > 1]
-            torsion[d] = sorted(tors)
-        return HomologyReport("Z", ranks, torsion)
-
-    p = int(coefficients)
-    ranks = {}
-    r = {0: 0}
+    # diag[d]: Smith diagonal of boundary d (over GF(p), one 1 per rank)
+    diag = {0: [], top + 1: []}
     for d in range(1, top + 1):
-        r[d] = _rank_mod_p(boundaries[d], shapes[d - 1], shapes[d], p)
-    r[top + 1] = 0
+        if tag == "Z":
+            diag[d] = smith_diagonal(boundaries[d], shapes[d - 1], shapes[d])
+        else:
+            diag[d] = [1] * _rank_mod_p(boundaries[d], shapes[d - 1], shapes[d], p)
+    ranks = {}
+    torsion = {}
     for d in range(top + 1):
-        ranks[d] = shapes[d] - r[d] - r[d + 1]
-    return HomologyReport("GF(%d)" % p, ranks, {d: [] for d in range(top + 1)})
+        ranks[d] = shapes[d] - sum(1 for x in diag[d] if x) - sum(1 for x in diag[d + 1] if x)
+        torsion[d] = [x for x in diag[d + 1] if x > 1]
+    return HomologyReport(tag, ranks, torsion)
 
 
 def dp_homology(dp, coefficients="Z") -> HomologyReport:

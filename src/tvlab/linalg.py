@@ -7,14 +7,6 @@ from fractions import Fraction
 from .errors import ShapeError
 
 
-def frac_matrix(rows) -> list:
-    return [[Fraction(x) for x in row] for row in rows]
-
-
-def mat_vec(A, v):
-    return [sum(a * x for a, x in zip(row, v)) for row in A]
-
-
 def rref(A):
     """Reduced row echelon form; returns (R, pivot_columns)."""
     R = [[Fraction(x) for x in row] for row in A]
@@ -42,21 +34,6 @@ def rref(A):
 
 def rank(A) -> int:
     return len(rref(A)[1])
-
-
-def solve(A, b):
-    """One exact solution of A x = b, or None if inconsistent."""
-    if len(A) != len(b):
-        raise ShapeError("rows of A must match length of b")
-    n = len(A[0]) if A else 0
-    aug = [row[:] + [Fraction(bi)] for row, bi in zip(A, b)]
-    R, pivots = rref(aug)
-    if n in pivots:
-        return None
-    x = [Fraction(0)] * n
-    for i, c in enumerate(pivots):
-        x[c] = R[i][n]
-    return x
 
 
 def nullspace(A):

@@ -178,6 +178,29 @@ def test_malformed_map_exit_2(tmp_path, capsys):
     assert code == 2
 
 
+@pytest.mark.parametrize("mod", ["0", "1", "4", "-3"])
+def test_dp_homology_non_prime_mod_exit_2(capsys, mod):
+    code = cli.run(["dp", "homology", "--n", "3", "--r", "2", "--mod", mod])
+    err = capsys.readouterr().err
+    assert code == 2
+    assert "Traceback" not in err
+    assert json.loads(err)["kind"] == "input"
+
+
+@pytest.mark.parametrize("argv", [
+    ["dp", "stats", "--r", "3"],
+    ["dp", "homology", "--r", "3"],
+    ["dp", "connectivity", "--r", "3"],
+    ["puzzle", "--r", "2", "--from", "[[0],[1]]", "--to", "[[2],[3]]"],
+])
+def test_missing_complex_exit_2(capsys, argv):
+    code = cli.run(argv)
+    err = capsys.readouterr().err
+    assert code == 2
+    assert "Traceback" not in err
+    assert json.loads(err)["kind"] == "input"
+
+
 def test_cap_exceeded_exit_3(monkeypatch, capsys):
     monkeypatch.setenv("TVLAB_CELL_CAP", "10")
     code, rep = run_cli(capsys, ["dp", "stats", "--n", "4", "--r", "2"])

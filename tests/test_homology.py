@@ -7,8 +7,9 @@ import pytest
 from tvlab.complexes import full_simplex
 from tvlab.deleted_product import deleted_product
 from tvlab.errors import EmptyComplex, NotAChainComplex, ShapeError
-from tvlab.homology import (IntMatrix, dp_homology, homological_connectivity,
-                            homology, smith_diagonal, smith_normal_form,
+from tvlab.homology import (IntMatrix, _eliminate, _rank_mod_p, dp_homology,
+                            homological_connectivity, homology,
+                            smith_diagonal, smith_normal_form,
                             solve_integer_system)
 from tvlab.linalg import det
 
@@ -58,16 +59,45 @@ def test_snf_large_matrix():
 
 def test_sparse_diagonal_matches_dense():
     rng = random.Random(99)
-    for trial in range(20):
-        m = rng.randint(1, 10)
-        n = rng.randint(1, 10)
-        rows = [[rng.choice([0, 0, 0, 1, -1, 2, -3]) for _ in range(n)]
-                for _ in range(m)]
+    leftover_blocks = 0
+    for trial in range(120):
+        m = rng.randint(1, 10 if trial < 20 else 24)
+        n = rng.randint(1, 10 if trial < 20 else 24)
+        # the later trials have few units, so that the sparse elimination
+        # leaves a dense block behind
+        pool = ([0, 0, 0, 1, -1, 2, -3] if trial < 20 else
+                [0] * 6 + [2, -2, 3, 4, -6, 1])
+        rows = [[rng.choice(pool) for _ in range(n)] for _ in range(m)]
         sparse = {(i, j): rows[i][j] for i in range(m) for j in range(n)
                   if rows[i][j]}
         _, D, _ = smith_normal_form(IntMatrix.from_rows(rows))
         dense_diag = [abs(D.entries[t][t]) for t in range(min(m, n))]
         assert smith_diagonal(sparse, m, n) == dense_diag
+        leftover_blocks += bool(_eliminate(sparse)[1])
+    assert leftover_blocks >= 50
+
+
+@pytest.mark.parametrize("p", [2, 3, 5])
+def test_rank_mod_p_matches_sympy(p):
+    sympy = pytest.importorskip("sympy")
+    from sympy.polys.matrices import DomainMatrix
+    rng = random.Random(p)
+    for trial in range(60):
+        m = rng.randint(1, 20)
+        n = rng.randint(1, 20)
+        rows = [[rng.choice([0, 0, 0, 1, -1, 2, 3, -5, 10]) for _ in range(n)]
+                for _ in range(m)]
+        sparse = {(i, j): rows[i][j] for i in range(m) for j in range(n)
+                  if rows[i][j]}
+        expected = DomainMatrix.from_list(rows, sympy.ZZ).convert_to(sympy.GF(p)).rank()
+        assert _rank_mod_p(sparse, m, n, p) == expected
+
+
+def test_delta6_r3_integral_homology():
+    # the top Betti number is fixed by the Euler characteristic: 126 - 1
+    rep = dp_homology(deleted_product(full_simplex(6), 3))
+    assert rep.ranks == {0: 1, 1: 0, 2: 0, 3: 0, 4: 125}
+    assert all(not t for t in rep.torsion.values())
 
 
 def test_hexagon_homology():
