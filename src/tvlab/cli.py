@@ -60,9 +60,13 @@ def load_complex(args) -> Complex:
 
 
 def load_points(path):
+    if path is None:
+        raise InputError("give the points as --points or --random")
     with open(path) as fh:
         data = json.load(fh)
-    return [[Fraction(x) for x in p] for p in data["points"]]
+    if not isinstance(data, dict) or "points" not in data:
+        raise InputError("points file needs a \"points\" list")
+    return data["points"]
 
 
 def config_of(args) -> dict:
@@ -84,9 +88,10 @@ def cmd_dp_stats(args):
 
 
 def cmd_dp_homology(args):
-    K = load_complex(args)
-    dp = deleted_product(K, args.r)
-    rep = homology.dp_homology(dp, args.mod if args.mod is not None else "Z")
+    coefficients = args.mod if args.mod is not None else "Z"
+    homology.coefficient_tag(coefficients)  # reject a bad modulus before any cell is built
+    dp = deleted_product(load_complex(args), args.r)
+    rep = homology.dp_homology(dp, coefficients)
     table = {
         str(d): {"rank": rep.ranks[d], "torsion": rep.torsion.get(d, [])}
         for d in sorted(rep.ranks)

@@ -30,10 +30,6 @@ def make_simplex(vertices: Iterable[int]) -> Simplex:
     return s
 
 
-def simplex_dim(s: Simplex) -> int:
-    return len(s) - 1
-
-
 class OrientedSimplex(NamedTuple):
     simplex: Simplex
     sign: int  # +1 or -1, relative to increasing vertex order

@@ -1,9 +1,9 @@
 """Exact-rational convex geometry: Radon and Tverberg partitions.
 
-Everything runs over fractions.Fraction.  Feasibility of common points of
-convex hulls is decided by a phase-one simplex with Bland's rule, so every
-positive answer comes with exact barycentric certificates and every answer
-is deterministic.
+Inputs and answers are exact rationals (fractions.Fraction).  Feasibility
+of common points of convex hulls is decided by a phase-one simplex with
+Bland's rule on an integer tableau, so every positive answer comes with
+exact barycentric certificates and every answer is deterministic.
 """
 
 from __future__ import annotations
@@ -11,75 +11,65 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import accumulate, combinations
+from math import lcm
 
 from . import linalg
-from .errors import SearchInvariantViolated, WrongCardinality
+from .errors import (InputError, InvalidMultiplicity, SearchInvariantViolated,
+                     WrongCardinality)
 
 
 def lp_feasible(A, b):
-    """Find x >= 0 with A x = b (all Fractions), or None.
+    """Find x >= 0 with A x = b (rationals), or None.
 
-    Phase-one simplex with Bland's anticycling rule on an explicit tableau.
+    Phase-one simplex with Bland's anticycling rule on an integer tableau.
+    A and b are scaled by the lcm L of all their denominators and the
+    artificial columns stay the identity; that scales the phase-one
+    objective by L and keeps every sign and ratio comparison, so the pivot
+    sequence and x are those of the rational tableau.  The tableau holds D
+    times the rational one, D > 0 the last pivot (see linalg.pivot).
     """
     m = len(A)
     n = len(A[0]) if m else 0
-    # rows with negative right-hand side are negated so artificials start feasible
+    rows = [[x if isinstance(x, (int, Fraction)) else Fraction(x) for x in (*row, bi)]
+            for row, bi in zip(A, b)]
+    L = lcm(*(x.denominator for row in rows for x in row))
     T = []
-    rhs = []
-    for row, bi in zip(A, b):
-        bi = Fraction(bi)
-        if bi < 0:
-            T.append([-Fraction(x) for x in row])
-            rhs.append(-bi)
-        else:
-            T.append([Fraction(x) for x in row])
-            rhs.append(bi)
-    # columns n..n+m-1 are artificial variables
-    for i in range(m):
-        T[i] += [Fraction(int(i == j)) for j in range(m)]
+    for i, row in enumerate(rows):
+        # rows with negative right-hand side are negated so artificials start feasible
+        s = -L if row[-1] < 0 else L
+        ints = [x.numerator * (s // x.denominator) for x in row]
+        T.append(ints[:n] + [int(i == j) for j in range(m)] + ints[n:])
+    # last row: reduced costs of the artificial basis for the phase-one
+    # objective (minimize the sum of artificials), then the objective value
+    obj = [sum(col) for col in zip(*T)] or [0]
+    obj[n:n + m] = [0] * m
+    T.append(obj)
     basis = list(range(n, n + m))
-    # phase-one objective: minimize the sum of artificials
-    cost = [Fraction(0)] * (n + m)
-    for j in range(n, n + m):
-        cost[j] = Fraction(1)
-    # reduced costs z_j - c_j relative to the artificial basis
-    red = [sum(T[i][j] for i in range(m)) - cost[j] for j in range(n + m)]
-    obj = sum(rhs)
-
+    D = 1
     while True:
-        enter = next((j for j in range(n + m) if red[j] > 0), None)
+        enter = next((j for j in range(n + m) if T[m][j] > 0), None)
         if enter is None:
             break
         leave = None
-        best = None
         for i in range(m):
-            if T[i][enter] > 0:
-                ratio = rhs[i] / T[i][enter]
-                if best is None or ratio < best or (ratio == best and basis[i] < basis[leave]):
-                    best = ratio
-                    leave = i
+            a = T[i][enter]
+            # ratio test by cross-multiplying; ties go to the smaller basis index
+            if a > 0 and (leave is None or (T[i][-1] * T[leave][enter], basis[i])
+                          < (T[leave][-1] * a, basis[leave])):
+                leave = i
         if leave is None:
             break  # unbounded phase-one objective cannot happen; defensive
-        piv = T[leave][enter]
-        T[leave] = [x / piv for x in T[leave]]
-        rhs[leave] /= piv
-        for i in range(m):
-            if i != leave and T[i][enter] != 0:
-                f = T[i][enter]
-                T[i] = [x - f * y for x, y in zip(T[i], T[leave])]
-                rhs[i] -= f * rhs[leave]
-        f = red[enter]
-        red = [x - f * y for x, y in zip(red, T[leave])]
-        obj -= f * rhs[leave]
+        D = linalg.pivot(T, leave, enter, D)
         basis[leave] = enter
 
-    if obj != 0:
+    if T[m][-1] != 0:
         return None
     x = [Fraction(0)] * n
     for i, bvar in enumerate(basis):
         if bvar < n:
-            x[bvar] = rhs[i]
-        elif rhs[i] != 0:  # artificial stuck in basis at nonzero level
+            x[bvar] = Fraction(T[i][-1], D)
+        elif T[i][-1] != 0:  # artificial stuck in basis at nonzero level
             return None
     return x
 
@@ -110,7 +100,41 @@ class TverbergPartition:
 
 
 def as_points(points):
-    return [tuple(Fraction(x) for x in p) for p in points]
+    """The points as tuples of Fractions; raises InputError unless there is
+    at least one point and all have the same number of coordinates."""
+    try:
+        pts = [tuple(x if isinstance(x, Fraction) else Fraction(x) for x in p) for p in points]
+    except (TypeError, ValueError, ZeroDivisionError) as exc:
+        raise InputError("bad point coordinates: %s" % exc) from exc
+    if not pts or any(len(p) != len(pts[0]) for p in pts):
+        raise InputError("need at least one point, all of the same dimension")
+    return pts
+
+
+def common_point_system(groups):
+    """The linear system "the convex combinations of the groups agree".
+
+    One barycentric unknown per point, group after group.  The rows say,
+    coordinate by coordinate, that group g's combination minus group 0's is
+    0 (g >= 1), then that each group's coefficients sum to 1.  Returns
+    (A, b, offsets), group g's unknowns being offsets[g]:offsets[g + 1].
+    This row order fixes the pivot path of lp_feasible.
+    """
+    d = len(groups[0][0])
+    offsets = [0, *accumulate(len(g) for g in groups)]
+    A = []
+    for g in range(1, len(groups)):
+        for a in range(d):
+            row = [0] * offsets[-1]
+            row[:offsets[1]] = [-p[a] for p in groups[0]]
+            row[offsets[g]:offsets[g + 1]] = [p[a] for p in groups[g]]
+            A.append(row)
+    for g in range(len(groups)):
+        row = [0] * offsets[-1]
+        row[offsets[g]:offsets[g + 1]] = [1] * len(groups[g])
+        A.append(row)
+    b = [0] * (len(A) - len(groups)) + [1] * len(groups)
+    return A, b, offsets
 
 
 def hulls_intersect(groups):
@@ -121,34 +145,14 @@ def hulls_intersect(groups):
     """
     groups = [as_points(g) for g in groups]
     d = len(groups[0][0])
-    sizes = [len(g) for g in groups]
-    offsets = [sum(sizes[:i]) for i in range(len(groups))]
-    nvars = sum(sizes)
-    A = []
-    b = []
-    # image of group g equals image of group 0, coordinate by coordinate
-    for g in range(1, len(groups)):
-        for a in range(d):
-            row = [Fraction(0)] * nvars
-            for i, p in enumerate(groups[0]):
-                row[offsets[0] + i] = -p[a]
-            for i, p in enumerate(groups[g]):
-                row[offsets[g] + i] = p[a]
-            A.append(row)
-            b.append(Fraction(0))
-    for g in range(len(groups)):
-        row = [Fraction(0)] * nvars
-        for i in range(sizes[g]):
-            row[offsets[g] + i] = Fraction(1)
-        A.append(row)
-        b.append(Fraction(1))
+    if any(len(g[0]) != d for g in groups):
+        raise InputError("all groups need points of the same dimension")
+    A, b, offsets = common_point_system(groups)
     x = lp_feasible(A, b)
     if x is None:
         return None
-    certs = [x[offsets[g]: offsets[g] + sizes[g]] for g in range(len(groups))]
-    witness = tuple(
-        sum(c * p[a] for c, p in zip(certs[0], groups[0])) for a in range(d)
-    )
+    certs = [x[offsets[g]: offsets[g + 1]] for g in range(len(groups))]
+    witness = tuple(sum(c * p[a] for c, p in zip(certs[0], groups[0])) for a in range(d))
     return witness, certs
 
 
@@ -174,52 +178,51 @@ def radon_partition(points) -> TverbergPartition:
     return part
 
 
-def _set_partitions(n, r):
-    """All partitions of 0..n-1 into exactly r non-empty unlabelled parts."""
-    codes = [0] * n
+def canonical_partitions(n, r):
+    """The partitions of 0..n-1 into r non-empty parts, in canonical order.
 
-    def rec(i, used):
-        if i == n:
-            if used == r:
-                parts = [[] for _ in range(r)]
-                for j, cj in enumerate(codes):
-                    parts[cj].append(j)
-                yield tuple(tuple(p) for p in parts)
+    Each partition lists its parts largest first, equal sizes in
+    lexicographic order.  Partitions come by size signature, ascending (the
+    most balanced first), then lexicographically, generated in that order.
+    """
+    def signatures(total, k, top):
+        # non-increasing k-tuples of positive parts <= top summing to total, ascending
+        if k == 0:
+            yield ()
             return
-        if used + (n - i) < r:
+        for s in range(-(-total // k), min(top, total - k + 1) + 1):
+            for tail in signatures(total - s, k - 1, s):
+                yield (s,) + tail
+
+    def fill(sizes, left, prev):
+        if not sizes:
+            yield ()
             return
-        for c in range(min(used + 1, r)):
-            codes[i] = c
-            used2 = used + (1 if c == used else 0)
-            yield from rec(i + 1, used2)
+        for part in combinations(left, sizes[0]):
+            if len(prev) == sizes[0] and part <= prev:
+                continue
+            rest = [i for i in left if i not in part]
+            for tail in fill(sizes[1:], rest, part):
+                yield (part,) + tail
 
-    yield from rec(0, 0)
-
-
-def partition_sort_key(parts):
-    """Deterministic search order: part-size signature first, then the
-    partition itself, with parts listed largest-first."""
-    ordered = tuple(sorted(parts, key=lambda p: (-len(p), p)))
-    sizes = tuple(len(p) for p in ordered)
-    return (sizes, ordered)
+    for sizes in signatures(n, r, n):
+        yield from fill(sizes, range(n), ())
 
 
 def tverberg_search(points, r) -> TverbergPartition:
     """First certified r-part partition in the canonical enumeration order.
 
-    Requires exactly (d+1)(r-1)+1 points; by Tverberg's theorem a valid
-    partition always exists, so search exhaustion signals a bug.
+    Requires r >= 2 and exactly (d+1)(r-1)+1 points; by Tverberg's theorem
+    a valid partition always exists, so search exhaustion signals a bug.
     """
+    if r < 2:
+        raise InvalidMultiplicity("a Tverberg partition needs r >= 2 parts, got %d" % r)
     pts = as_points(points)
     d = len(pts[0])
     want = (d + 1) * (r - 1) + 1
     if len(pts) != want:
         raise WrongCardinality("need (d+1)(r-1)+1 = %d points, got %d" % (want, len(pts)))
-    candidates = sorted(
-        {tuple(sorted(parts, key=lambda p: (-len(p), p))) for parts in _set_partitions(len(pts), r)},
-        key=partition_sort_key,
-    )
-    for parts in candidates:
+    for parts in canonical_partitions(len(pts), r):
         res = hulls_intersect([[pts[i] for i in part] for part in parts])
         if res is not None:
             witness, certs = res
@@ -232,8 +235,6 @@ def tverberg_search(points, r) -> TverbergPartition:
 
 def general_position_check(points, d) -> bool:
     """True iff every subset of at most d+1 points is affinely independent."""
-    from itertools import combinations
-
     pts = as_points(points)
     k = min(len(pts), d + 1)
     for sub in combinations(range(len(pts)), k):

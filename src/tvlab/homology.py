@@ -231,19 +231,23 @@ def _rank_mod_p(sparse: dict, m: int, n: int, p: int) -> int:
     return _eliminate(sparse, p)[0]
 
 
+def coefficient_tag(coefficients) -> str:
+    """"Z", or "GF(p)" for a prime p; raises NotPrime for anything else."""
+    if coefficients == "Z":
+        return "Z"
+    p = int(coefficients)
+    if not is_prime(p):
+        raise NotPrime("homology coefficients must be Z or a prime field, got %d" % p)
+    return "GF(%d)" % p
+
+
 def homology(boundaries: list, shapes: list, coefficients="Z") -> HomologyReport:
     """Cellular homology from sparse boundary matrices.
 
     boundaries[d] maps dimension d to d-1 (d >= 1), as {(row, col): entry};
     shapes[d] is the number of d-cells.  coefficients is "Z" or a prime p.
     """
-    if coefficients == "Z":
-        tag = "Z"
-    else:
-        p = int(coefficients)
-        if not is_prime(p):
-            raise NotPrime("homology coefficients must be Z or a prime field, got %d" % p)
-        tag = "GF(%d)" % p
+    tag = coefficient_tag(coefficients)
     top = len(shapes) - 1
     # chain-complex sanity: boundary composition is zero
     for d in range(2, top + 1):
@@ -263,7 +267,7 @@ def homology(boundaries: list, shapes: list, coefficients="Z") -> HomologyReport
         if tag == "Z":
             diag[d] = smith_diagonal(boundaries[d], shapes[d - 1], shapes[d])
         else:
-            diag[d] = [1] * _rank_mod_p(boundaries[d], shapes[d - 1], shapes[d], p)
+            diag[d] = [1] * _rank_mod_p(boundaries[d], shapes[d - 1], shapes[d], int(coefficients))
     ranks = {}
     torsion = {}
     for d in range(top + 1):

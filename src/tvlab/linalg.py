@@ -1,35 +1,67 @@
-"""Exact linear algebra over the rationals (lists of Fraction rows)."""
+"""Exact linear algebra over the rationals, eliminated over the integers.
+
+Matrices are lists of rows of rationals.  Each row is cleared of
+denominators once; elimination then runs on Python ints with the
+integer-preserving pivot step of Bareiss (1968) in Edmonds's Gauss-Jordan
+form (1967), and results are divided back into Fractions at the end.
+"""
 
 from __future__ import annotations
 
 from fractions import Fraction
+from math import lcm
 
 from .errors import ShapeError
 
 
+def pivot(T, r, c, D) -> int:
+    """Integer-preserving Gauss-Jordan pivot on T[r][c]; returns the next D.
+
+    T holds D times a rational tableau, D the previous pivot (1 at the
+    start).  Every other row becomes (row * p - row[c] * T[r]) // D with
+    p = T[r][c]; the division is exact, because the entries are minors of
+    the starting matrix.  T then holds p times the pivoted tableau.
+    """
+    prow = T[r]
+    p = prow[c]
+    for i, row in enumerate(T):
+        f = row[c]
+        if i != r and (f or p != D):
+            T[i] = [(x * p - f * y) // D for x, y in zip(row, prow)]
+    return p
+
+
+def _gauss_jordan(A):
+    """Integer Gauss-Jordan elimination of A, each row cleared of
+    denominators first.  Returns (T, pivot columns, D, sign, scale): T / D
+    is the reduced row echelon form of A, and a square A of full rank has
+    determinant sign * D / scale."""
+    T = []
+    scale = 1
+    for row in A:
+        row = [Fraction(x) for x in row]
+        L = lcm(*(x.denominator for x in row))
+        T.append([x.numerator * (L // x.denominator) for x in row])
+        scale *= L
+    pivots = []
+    D = sign = 1
+    for c in range(len(T[0]) if T else 0):
+        r = len(pivots)
+        i = next((i for i in range(r, len(T)) if T[i][c]), None)
+        if i is None:
+            continue
+        if i != r:
+            T[r], T[i] = T[i], T[r]
+            sign = -sign
+        D = pivot(T, r, c, D)
+        pivots.append(c)
+    return T, pivots, D, sign, scale
+
+
 def rref(A):
     """Reduced row echelon form; returns (R, pivot_columns)."""
-    R = [[Fraction(x) for x in row] for row in A]
-    m = len(R)
-    n = len(R[0]) if m else 0
-    pivots = []
-    r = 0
-    for c in range(n):
-        pivot = next((i for i in range(r, m) if R[i][c] != 0), None)
-        if pivot is None:
-            continue
-        R[r], R[pivot] = R[pivot], R[r]
-        inv = R[r][c]
-        R[r] = [x / inv for x in R[r]]
-        for i in range(m):
-            if i != r and R[i][c] != 0:
-                f = R[i][c]
-                R[i] = [x - f * y for x, y in zip(R[i], R[r])]
-        pivots.append(c)
-        r += 1
-        if r == m:
-            break
-    return R, pivots
+    T, pivots, D = _gauss_jordan(A)[:3]
+    return [[Fraction(x, D) for x in row] for row in T], pivots
 
 
 def rank(A) -> int:
@@ -40,9 +72,8 @@ def nullspace(A):
     """Basis of the kernel of A as a list of Fraction vectors."""
     n = len(A[0]) if A else 0
     R, pivots = rref(A)
-    free = [c for c in range(n) if c not in pivots]
     basis = []
-    for fc in free:
+    for fc in (c for c in range(n) if c not in pivots):
         v = [Fraction(0)] * n
         v[fc] = Fraction(1)
         for i, pc in enumerate(pivots):
@@ -52,27 +83,12 @@ def nullspace(A):
 
 
 def det(A) -> Fraction:
-    """Exact determinant by fraction-free-ish Gaussian elimination."""
+    """Exact determinant, from the last pivot of the integer elimination."""
     n = len(A)
     if any(len(row) != n for row in A):
         raise ShapeError("determinant needs a square matrix")
-    M = [[Fraction(x) for x in row] for row in A]
-    sign = 1
-    d = Fraction(1)
-    for c in range(n):
-        pivot = next((i for i in range(c, n) if M[i][c] != 0), None)
-        if pivot is None:
-            return Fraction(0)
-        if pivot != c:
-            M[c], M[pivot] = M[pivot], M[c]
-            sign = -sign
-        d *= M[c][c]
-        inv = M[c][c]
-        for i in range(c + 1, n):
-            if M[i][c] != 0:
-                f = M[i][c] / inv
-                M[i] = [x - f * y for x, y in zip(M[i], M[c])]
-    return sign * d
+    _, pivots, D, sign, scale = _gauss_jordan(A)
+    return Fraction(sign * D, scale) if len(pivots) == n else Fraction(0)
 
 
 def det_sign(A) -> int:

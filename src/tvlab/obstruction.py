@@ -21,7 +21,7 @@ from dataclasses import dataclass
 from math import factorial, gcd
 
 from .deleted_product import DeletedProductComplex, act_on_cell
-from .errors import DegreeError, NotEquivariant
+from .errors import DegreeError, InvalidMultiplicity, NotEquivariant
 from .homology import IntMatrix, solve_integer_system
 from .symgroup import (PermGroup, compose, inverse, invariant_block_split,
                        invariant_matrix_point, is_prime, is_transitive,
@@ -229,6 +229,8 @@ def ozaydin_report(r: int) -> OzaydinReport:
     """Sylow-subgroup table and the gcd test behind the r-fold vanishing
     argument: the argument applies exactly when the indices r!/p^{alpha_p}
     over non-transitive primes have gcd 1, i.e. when r is not a prime power."""
+    if r < 2:
+        raise InvalidMultiplicity("need r >= 2, got %d" % r)
     rows = []
     indices = []
     for p in range(2, r + 1):

@@ -122,6 +122,17 @@ def positive_normal_frame(points, d):
     return normal
 
 
+def _unique_solution(A, b, degenerate):
+    """The solution of A x = b: None if there is none, NotGeneric if many."""
+    n = len(A[0])
+    R, pivots = linalg.rref([row + [bi] for row, bi in zip(A, b)])
+    if n in pivots:
+        return None
+    if len(pivots) < n:
+        raise NotGeneric(degenerate)
+    return [R[i][n] for i in range(n)]
+
+
 def tuple_r_fold_point(f: PLMap, simplices, r):
     """The strictly interior common image point of one disjoint r-tuple.
 
@@ -130,48 +141,17 @@ def tuple_r_fold_point(f: PLMap, simplices, r):
     Raises NotGeneric on under-determined systems or boundary solutions.
     """
     d = f.ambient_dim
-    m = len(simplices[0]) - 1
-    sizes = [len(s) for s in simplices]
-    offsets = [sum(sizes[:i]) for i in range(r)]
-    nvars = sum(sizes)
-    A = []
-    b = []
-    for i in range(r - 1):
-        pi = f.image_points(simplices[i])
-        pj = f.image_points(simplices[i + 1])
-        for a in range(d):
-            row = [Fraction(0)] * nvars
-            for t, p in enumerate(pi):
-                row[offsets[i] + t] = p[a]
-            for t, p in enumerate(pj):
-                row[offsets[i + 1] + t] -= p[a]
-            A.append(row)
-            b.append(Fraction(0))
-    for i in range(r):
-        row = [Fraction(0)] * nvars
-        for t in range(sizes[i]):
-            row[offsets[i] + t] = Fraction(1)
-        A.append(row)
-        b.append(Fraction(1))
-
-    aug = [row + [bi] for row, bi in zip(A, b)]
-    R, pivots = linalg.rref(aug)
-    if nvars in pivots:
+    A, b, offsets = convexity.common_point_system([f.image_points(s) for s in simplices])
+    x = _unique_solution(A, b, "under-determined intersection system")
+    if x is None:
         return None  # inconsistent: the image planes do not meet
-    if len(pivots) < nvars:
-        raise NotGeneric("under-determined intersection system")
-    x = [Fraction(0)] * nvars
-    for i, c in enumerate(pivots):
-        x[c] = R[i][nvars]
     if any(v == 0 for v in x):
         raise NotGeneric("intersection on a simplex boundary")
     if any(v < 0 for v in x):
         return None
-    bary = tuple(tuple(x[offsets[i] + t] for t in range(sizes[i])) for i in range(r))
+    bary = tuple(tuple(x[offsets[i]:offsets[i + 1]]) for i in range(r))
     pts = f.image_points(simplices[0])
-    ambient = tuple(
-        sum(c * p[a] for c, p in zip(bary[0], pts)) for a in range(d)
-    )
+    ambient = tuple(sum(c * p[a] for c, p in zip(bary[0], pts)) for a in range(d))
     frames = []
     for s in simplices:
         frames.extend(positive_normal_frame(f.image_points(s), d))
@@ -298,15 +278,9 @@ def coned_extension_oracle(f: PLMap, simplices, r, apexes=None, seed=0) -> int:
                 A.append([Fmat[i * d + a][j] - Fmat[(i + 1) * d + a][j]
                           for j in range(n)])
                 b.append(Fconst[(i + 1) * d + a] - Fconst[i * d + a])
-        aug = [row + [bi] for row, bi in zip(A, b)]
-        R, pivots = linalg.rref(aug)
-        if n in pivots:
+        u = _unique_solution(A, b, "coned extension meets the diagonal non-transversally")
+        if u is None:
             continue  # this piece's affine extension misses the diagonal
-        if len(pivots) < n:
-            raise NotGeneric("coned extension meets the diagonal non-transversally")
-        u = [Fraction(0)] * n
-        for i, c in enumerate(pivots):
-            u[c] = R[i][n]
         g_u = sum(gj * uj for gj, uj in zip(grad, u)) + const
         t = 1 - g_u / gc
         if t <= 0 or t >= 1:

@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import permutations
 
-from .errors import DiagonalInput, NoSplit, NotPrime
+from .errors import DiagonalInput, InputError, NoSplit, NotPrime
 
 
 def identity_perm(r):
@@ -134,6 +134,8 @@ def sylow_tree_subgroup(r, p) -> PermGroup:
     block cyclically by p^{t-1}.  The generator count is Legendre's sum, and
     the generated group has order p^{alpha_p}.
     """
+    if r < 1:
+        raise InputError("need r >= 1 for the symmetric group on 0..r-1, got %d" % r)
     if not is_prime(p):
         raise NotPrime("%d is not prime" % p)
     if p > r:

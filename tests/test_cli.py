@@ -187,6 +187,46 @@ def test_dp_homology_non_prime_mod_exit_2(capsys, mod):
     assert json.loads(err)["kind"] == "input"
 
 
+def test_bad_mod_rejected_before_any_cell_is_built(monkeypatch, capsys):
+    def no_cells(*args, **kwargs):
+        raise AssertionError("deleted_product called before the modulus was checked")
+
+    monkeypatch.setattr(cli, "deleted_product", no_cells)
+    code = cli.run(["dp", "homology", "--n", "7", "--r", "3", "--mod", "4"])
+    err = capsys.readouterr().err
+    assert code == 2
+    assert json.loads(err)["kind"] == "input"
+
+
+HEXAGON_MIXED = [["2", "0"], ["1", "2"], ["-1", "2"], ["-2", "0", "5"],
+                 ["-1", "-2"], ["1", "-2"], ["0", "0"]]
+
+
+@pytest.mark.parametrize("argv,points", [
+    (["tverberg", "search", "--random", "2", "--r", "0"], None),
+    (["tverberg", "search", "--random", "2", "--r", "1"], None),
+    (["radon", "--points", "{points}"], []),
+    (["radon", "--points", "{points}"], [["0", "0"], ["1"], ["0", "1"], ["1", "1"]]),
+    (["radon", "--points", "{points}"], [1, 2, 3]),
+    (["tverberg", "search", "--points", "{points}", "--r", "3"], HEXAGON_MIXED),
+    (["tverberg", "search", "--r", "3"], None),
+    (["radon"], None),
+    (["sylow", "--r", "0", "--p", "2"], None),
+    (["ozaydin", "report", "--r", "1"], None),
+], ids=["tverberg-r0", "tverberg-r1", "radon-empty", "radon-ragged",
+        "radon-not-points", "tverberg-mixed-dimension", "tverberg-no-points",
+        "radon-no-points", "sylow-r0", "ozaydin-r1"])
+def test_bad_input_exit_2(tmp_path, capsys, argv, points):
+    if points is not None:
+        path = write_json(tmp_path / "pts.json", {"d": 2, "points": points})
+        argv = [path if a == "{points}" else a for a in argv]
+    code = cli.run(argv)
+    err = capsys.readouterr().err
+    assert code == 2
+    assert "Traceback" not in err
+    assert json.loads(err)["kind"] == "input"
+
+
 @pytest.mark.parametrize("argv", [
     ["dp", "stats", "--r", "3"],
     ["dp", "homology", "--r", "3"],
