@@ -1,10 +1,11 @@
-"""Finite abstract simplicial complexes and elementary simplex algebra.
+"""Finite abstract simplicial complexes: skeleta of simplices and joins.
 
 A simplex is a tuple of strictly increasing non-negative vertex ids.  A
 complex stores the full face-closed set of its simplices; maximal-simplex
 input is closed under faces on ingestion.  The increasing vertex order of a
 simplex is its +1 orientation, which removes orientation ambiguity from all
-downstream sign computations.
+downstream sign computations (the signed facets of deleted-product cells
+are in tvlab.deleted_product).
 """
 
 from __future__ import annotations
@@ -12,7 +13,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 from itertools import combinations
-from typing import Iterable, NamedTuple
+from typing import Iterable
 
 from .errors import InputError, InvalidSkeleton
 
@@ -28,11 +29,6 @@ def make_simplex(vertices: Iterable[int]) -> Simplex:
     if any(a >= b for a, b in zip(s, s[1:])):
         raise InputError("vertices must be strictly increasing: %r" % (s,))
     return s
-
-
-class OrientedSimplex(NamedTuple):
-    simplex: Simplex
-    sign: int  # +1 or -1, relative to increasing vertex order
 
 
 @dataclass(frozen=True)
@@ -146,18 +142,6 @@ def join(K: Complex, L: Complex) -> Complex:
         for t in ls:
             out.add(s + t)
     return Complex(K.num_vertices + L.num_vertices, frozenset(out))
-
-
-def boundary_chain(s: OrientedSimplex) -> list:
-    """Alternating-sign facets of an oriented simplex; empty for dim 0."""
-    verts, sign = s.simplex, s.sign
-    if len(verts) == 1:
-        return []
-    out = []
-    for j in range(len(verts)):
-        facet = verts[:j] + verts[j + 1:]
-        out.append(OrientedSimplex(facet, sign * (-1) ** j))
-    return out
 
 
 def are_disjoint(a: Simplex, b: Simplex) -> bool:

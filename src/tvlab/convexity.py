@@ -233,9 +233,11 @@ def tverberg_search(points, r) -> TverbergPartition:
     raise SearchInvariantViolated("no Tverberg partition found; implementation bug")
 
 
-def general_position_check(points, d) -> bool:
-    """True iff every subset of at most d+1 points is affinely independent."""
+def general_position_check(points) -> bool:
+    """True iff every subset of at most d+1 of the points in R^d is
+    affinely independent."""
     pts = as_points(points)
+    d = len(pts[0])
     k = min(len(pts), d + 1)
     for sub in combinations(range(len(pts)), k):
         base = pts[sub[0]]

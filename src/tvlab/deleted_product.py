@@ -4,7 +4,8 @@ A cell is an ordered r-tuple of pairwise vertex-disjoint non-empty simplices
 of the base complex; its dimension is the sum of the factor dimensions.  The
 boundary operator carries the Koszul sign (-1)^{d_1+...+d_{i-1}} on the i-th
 factor, and the symmetric group permutes factors with the Koszul sign of
-permuting graded slots.
+permuting graded slots: the sign of the permutation restricted to the
+odd-dimensional factors.
 """
 
 from __future__ import annotations
@@ -13,8 +14,9 @@ import os
 from collections import deque
 from math import comb
 
-from .complexes import Complex, OrientedSimplex, boundary_chain
+from .complexes import Complex
 from .errors import CapExceeded, InvalidMultiplicity, UnknownCell
+from .symgroup import sign
 
 DEFAULT_CELL_CAP = 5 * 10**6
 
@@ -33,25 +35,28 @@ def configured_cell_cap() -> int:
 def full_simplex_cell_count(N: int, r: int) -> int:
     """Total cells of the r-fold deleted product of the N-simplex.
 
-    Ordered r-tuples of disjoint non-empty vertex subsets of an (N+1)-set:
-    sum over compositions via the closed sum of multinomials, computed as
-    r! * S(N+1 chosen into r labelled non-empty blocks plus leftovers) --
-    here just counted directly as sum over sizes.
+    A cell labels each of the N+1 vertices with one of the r factors or with
+    "unused", every factor label being used; by inclusion-exclusion over the
+    j factors left empty that is sum_j (-1)^j C(r, j) (r+1-j)^(N+1).
     """
-    total = 0
+    if r > N + 1:
+        return 0
+    return sum((-1) ** j * comb(r, j) * (r + 1 - j) ** (N + 1) for j in range(r + 1))
 
-    def rec(remaining_vertices, factors_left, acc):
-        nonlocal total
-        if factors_left == 0:
-            total += acc
-            return
-        # each remaining factor needs at least 1 vertex
-        for size in range(1, remaining_vertices - (factors_left - 1) + 1):
-            rec(remaining_vertices - size, factors_left - 1,
-                acc * comb(remaining_vertices, size))
 
-    rec(N + 1, r, 1)
-    return total
+def check_full_simplex_cap(N: int, r: int, cap: int = None) -> None:
+    """Raise CapExceeded, before anything is built, when the N-simplex's
+    2^(N+1)-1 faces or its r-fold deleted product exceed the cell cap."""
+    if r < 2:
+        raise InvalidMultiplicity("deleted product needs r >= 2, got %d" % r)
+    if cap is None:
+        cap = configured_cell_cap()
+    # past the bit length of the cap, 2^(N+1)-1 > cap without computing it
+    if N + 1 > cap.bit_length() or 2 ** (N + 1) - 1 > cap:
+        raise CapExceeded("the %d-simplex has more faces than the cell cap %d" % (N, cap))
+    n = full_simplex_cell_count(N, r)
+    if n > cap:
+        raise CapExceeded("deleted product would have %d cells (cap %d)" % (n, cap))
 
 
 class DeletedProductComplex:
@@ -85,16 +90,17 @@ class DeletedProductComplex:
         return cell in self.index_by_dim.get(d, {})
 
     def cell_boundary(self, cell: ProductCell) -> list:
-        """Signed facets [(facet_cell, sign)] with the Koszul convention."""
+        """Signed facets [(facet_cell, sign)] with the Koszul convention:
+        dropping vertex j of factor i has sign (-1)^(j + d_1 + ... + d_{i-1})."""
         out = []
         shift = 0
         for i, s in enumerate(cell):
-            d_i = len(s) - 1
-            koszul = (-1) ** shift
-            for facet in boundary_chain(OrientedSimplex(s, +1)):
-                new = cell[:i] + (facet.simplex,) + cell[i + 1:]
-                out.append((new, koszul * facet.sign))
-            shift += d_i
+            if len(s) > 1:
+                head, tail = cell[:i], cell[i + 1:]
+                for j in range(len(s)):
+                    out.append((head + (s[:j] + s[j + 1:],) + tail,
+                                -1 if (shift + j) % 2 else 1))
+            shift += len(s) - 1
         return out
 
     def boundary_matrix(self, d: int) -> dict:
@@ -108,9 +114,9 @@ class DeletedProductComplex:
         mat = {}
         rows = self.index_by_dim.get(d - 1, {})
         for j, cell in enumerate(self.cells_by_dim.get(d, ())):
-            for facet, sign in self.cell_boundary(cell):
+            for facet, eps in self.cell_boundary(cell):
                 i = rows[facet]
-                mat[(i, j)] = mat.get((i, j), 0) + sign
+                mat[(i, j)] = mat.get((i, j), 0) + eps
         mat = {k: v for k, v in mat.items() if v}
         self._boundaries[d] = mat
         return mat
@@ -120,12 +126,18 @@ def deleted_product(K: Complex, r: int, cap: int = None) -> DeletedProductComple
     """Build the r-fold simplicial deleted product of K.
 
     Refuses construction when the total cell count would exceed the cap
-    (default 5e6, overridable by argument or the TVLAB_CELL_CAP variable).
+    (default 5e6, overridable by argument or the TVLAB_CELL_CAP variable);
+    for a full simplex base that is decided by check_full_simplex_cap
+    before any cell is enumerated.
     """
     if r < 2:
         raise InvalidMultiplicity("deleted product needs r >= 2, got %d" % r)
     if cap is None:
         cap = configured_cell_cap()
+    n = len(K.simplices)
+    # a full simplex; the bit length test keeps 2^num_vertices small
+    if n.bit_length() == K.num_vertices and n == 2 ** K.num_vertices - 1:
+        check_full_simplex_cap(K.num_vertices - 1, r, cap)
 
     simplices = sorted(K.simplices, key=lambda s: (len(s), s))
     masks = []
@@ -134,12 +146,6 @@ def deleted_product(K: Complex, r: int, cap: int = None) -> DeletedProductComple
         for v in s:
             m |= 1 << v
         masks.append((m, s))
-
-    # preflight for the full simplex case where a closed count is available
-    if len(K.simplices) == 2 ** K.num_vertices - 1:
-        n = full_simplex_cell_count(K.num_vertices - 1, r)
-        if n > cap:
-            raise CapExceeded("deleted product would have %d cells (cap %d)" % (n, cap))
 
     cells_by_dim = {}
     count = 0
@@ -164,64 +170,26 @@ def deleted_product(K: Complex, r: int, cap: int = None) -> DeletedProductComple
 
 
 def koszul_action_sign(omega: tuple, dims: tuple) -> int:
-    """Sign of permuting graded factors: product of (-1)^{d_i d_j} over
-    inversions of omega (0-based: slot i receives factor omega_inv[i])."""
-    r = len(omega)
-    sign = 1
-    for a in range(r):
-        for b in range(a + 1, r):
-            if omega[a] > omega[b] and dims[a] % 2 and dims[b] % 2:
-                sign = -sign
-    return sign
+    """Sign of permuting graded factors: (-1)^{d_i d_j} over the inversions
+    of omega, that is the sign of omega restricted to the odd-dimensional
+    factors (0-based: slot i receives factor omega_inv[i])."""
+    return sign([w for w, d in zip(omega, dims) if d % 2])
 
 
 def act_on_cell(omega: tuple, cell: ProductCell):
     """Apply a 0-based permutation to a cell; returns (new_cell, sign).
 
     Slot i of the image holds factor omega^{-1}(i), so omega moves the
-    factor in slot j to slot omega(j).
+    factor in slot j to slot omega(j).  The sign is koszul_action_sign,
+    collected in the same pass.
     """
-    r = len(omega)
-    new = [None] * r
-    for j in range(r):
-        new[omega[j]] = cell[j]
-    dims = tuple(len(s) - 1 for s in cell)
-    return tuple(new), koszul_action_sign(omega, dims)
-
-
-class CellAction:
-    """Signed cell permutation induced by one element of the symmetric group."""
-
-    def __init__(self, dp: DeletedProductComplex, omega: tuple):
-        if sorted(omega) != list(range(dp.r)):
-            raise InvalidMultiplicity("permutation must be on 0..r-1")
-        self.dp = dp
-        self.omega = omega
-
-    def apply(self, cell: ProductCell):
-        return act_on_cell(self.omega, cell)
-
-    def matrix(self, d: int) -> dict:
-        """Signed permutation matrix on d-cells: {(row, col): sign}."""
-        idx = self.dp.index_by_dim.get(d, {})
-        out = {}
-        for j, cell in enumerate(self.dp.cells_by_dim.get(d, ())):
-            new, sign = self.apply(cell)
-            out[(idx[new], j)] = sign
-        return out
-
-    def is_free(self) -> bool:
-        if self.omega == tuple(range(self.dp.r)):
-            return False
-        for cs in self.dp.cells_by_dim.values():
-            for cell in cs:
-                if self.apply(cell)[0] == cell:
-                    return False
-        return True
-
-
-def group_action(dp: DeletedProductComplex, omega) -> CellAction:
-    return CellAction(dp, tuple(omega))
+    new = [None] * len(omega)
+    odd = []  # omega restricted to the odd-dimensional factors
+    for w, s in zip(omega, cell):
+        new[w] = s
+        if not len(s) % 2:
+            odd.append(w)
+    return tuple(new), sign(odd)
 
 
 def puzzle_reachable(dp: DeletedProductComplex, start: ProductCell, goal: ProductCell):

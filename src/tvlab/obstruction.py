@@ -10,6 +10,11 @@ the parity of the ambient dimension of the underlying intersection problem
 (twist = k*r when the domain dimension is k(r-1)).  For top-dimensional
 cells this composite sign reduces to sgn(omega)^k.
 
+Orbits come from one table per (group, degree): orbit_table maps every cell
+to its orbit's least cell and the unique group element carrying that cell to
+it.  The same table serves the symmetric group and its Sylow subgroups, for
+locating cells, coboundary assembly, restriction and transfer.
+
 The obstruction decision solves delta c = v over the integers on the top
 two degrees, returning either an explicitly re-verified certificate cochain
 or a Smith-normal-form infeasibility witness.
@@ -17,11 +22,11 @@ or a Smith-normal-form infeasibility witness.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from math import factorial, gcd
 
 from .deleted_product import DeletedProductComplex, act_on_cell
-from .errors import DegreeError, InvalidMultiplicity, NotEquivariant
+from .errors import DegreeError, InvalidMultiplicity, NotEquivariant, UnknownCell
 from .homology import IntMatrix, solve_integer_system
 from .symgroup import (PermGroup, compose, inverse, invariant_block_split,
                        invariant_matrix_point, is_prime, is_transitive,
@@ -36,18 +41,29 @@ def chi(omega, cell, twist) -> int:
     return s * kappa
 
 
+def orbit_table(dp: DeletedProductComplex, group: PermGroup, degree: int) -> dict:
+    """{cell: (rep, omega)} over the degree-cells, with omega . rep = cell.
+
+    Cells are visited in sorted order, so the first cell met in an orbit is
+    its least cell, rep.  The action is free, so omega is unique.
+    """
+    elements = group.elements()
+    table = {}
+    for cell in dp.cells_by_dim.get(degree, ()):
+        if cell not in table:
+            for omega in elements:
+                table[act_on_cell(omega, cell)[0]] = (cell, omega)
+    return table
+
+
+def _reps(table: dict) -> list:
+    """The orbit representatives of an orbit table, in sorted order."""
+    return [cell for cell, (rep, _) in table.items() if cell == rep]
+
+
 def orbit_reps(dp: DeletedProductComplex, group: PermGroup, degree: int) -> list:
     """Lexicographically minimal representative per group orbit of cells."""
-    elements = group.elements()
-    seen = set()
-    reps = []
-    for cell in dp.cells_by_dim.get(degree, ()):
-        if cell in seen:
-            continue
-        reps.append(cell)
-        for omega in elements:
-            seen.add(act_on_cell(omega, cell)[0])
-    return reps
+    return _reps(orbit_table(dp, group, degree))
 
 
 @dataclass
@@ -59,19 +75,22 @@ class EquivariantCochain:
     degree: int
     twist: int
     values: dict  # orbit representative cell -> integer
+    _orbits: dict = field(default=None, repr=False, compare=False)
+
+    def orbits(self) -> dict:
+        """The orbit table of the group on the degree-cells, built once."""
+        if self._orbits is None:
+            self._orbits = orbit_table(self.dp, self.group, self.degree)
+        return self._orbits
 
     def locate(self, cell):
-        """(representative, omega) with omega . representative = cell.
-
-        The action is free, so omega is unique.
-        """
-        best = None
-        for omega in self.group.elements():
-            img, _ = act_on_cell(omega, cell)
-            if best is None or img < best[0]:
-                best = (img, omega)
-        rep, omega_to_rep = best
-        return rep, inverse(omega_to_rep)
+        """(representative, omega) with omega . representative = cell."""
+        table = self.orbits()
+        try:
+            return table[cell]
+        except KeyError:
+            raise UnknownCell("not a %d-cell of this deleted product: %r"
+                              % (self.degree, cell)) from None
 
     def value(self, cell) -> int:
         rep, omega = self.locate(cell)
@@ -81,31 +100,30 @@ class EquivariantCochain:
         return not any(self.values.values())
 
 
+def _default_twist(dp: DeletedProductComplex) -> int:
+    return dp.base.dim * dp.r // (dp.r - 1)
+
+
 def cocycle_from_table(dp: DeletedProductComplex, table: dict, twist=None) -> EquivariantCochain:
     """Top-degree equivariant cochain from an intersection table.
 
     Table keys are tuples of pairwise disjoint top simplices; the canonical
     (sorted) key is the orbit representative.  Keys that repeat an orbit
-    must agree with the twisted-equivariance extension.
+    must agree with the twisted-equivariance extension, and a key that is
+    not a top cell raises UnknownCell.
     """
-    r = dp.r
     if twist is None:
-        m = dp.base.dim
-        twist = m * r // (r - 1)
-    group = symmetric_group(r)
-    top = dp.dim
-    reps = orbit_reps(dp, group, top)
-    out = EquivariantCochain(dp, group, top, twist, {})
+        twist = _default_twist(dp)
+    out = EquivariantCochain(dp, symmetric_group(dp.r), dp.dim, twist, {})
     assigned = {}
     for key, val in table.items():
-        cell = tuple(key)
-        rep, omega = out.locate(cell)
+        rep, omega = out.locate(tuple(key))
         # val = chi(omega, rep) * c(rep), and chi is its own inverse
         rep_val = chi(omega, rep, twist) * val
         if rep in assigned and assigned[rep] != rep_val:
             raise NotEquivariant("table conflicts with the twisted action")
         assigned[rep] = rep_val
-    out.values = {rep: assigned.get(rep, 0) for rep in reps}
+    out.values = {rep: assigned.get(rep, 0) for rep in _reps(out.orbits())}
     return out
 
 
@@ -116,20 +134,18 @@ def coboundary_matrix(dp: DeletedProductComplex, twist=None):
     multiplicity of facet orbit j in the boundary of top representative i,
     with all twisted-equivariance signs folded in.
     """
-    r = dp.r
     if twist is None:
-        m = dp.base.dim
-        twist = m * r // (r - 1)
-    group = symmetric_group(r)
+        twist = _default_twist(dp)
+    group = symmetric_group(dp.r)
     top = dp.dim
     top_reps = orbit_reps(dp, group, top)
-    facet_reps = orbit_reps(dp, group, top - 1) if top >= 1 else []
-    helper = EquivariantCochain(dp, group, top - 1, twist, {})
+    facets = orbit_table(dp, group, top - 1) if top >= 1 else {}
+    facet_reps = _reps(facets)
     col = {rep: j for j, rep in enumerate(facet_reps)}
     entries = [[0] * len(facet_reps) for _ in top_reps]
     for i, cell in enumerate(top_reps):
         for facet, eps in dp.cell_boundary(cell):
-            rep, omega = helper.locate(facet)
+            rep, omega = facets[facet]
             entries[i][col[rep]] += eps * chi(omega, rep, twist)
     return IntMatrix.from_rows(entries) if top_reps else IntMatrix.zeros(0, 0), top_reps, facet_reps
 
@@ -164,9 +180,9 @@ def is_null_cohomologous(v: EquivariantCochain, dp: DeletedProductComplex) -> Nu
 
 def restrict_to_subgroup(c: EquivariantCochain, G: PermGroup) -> EquivariantCochain:
     """Same cochain, re-indexed over the finer orbits of a subgroup."""
-    reps = orbit_reps(c.dp, G, c.degree)
-    values = {rep: c.value(rep) for rep in reps}
-    return EquivariantCochain(c.dp, G, c.degree, c.twist, values)
+    table = orbit_table(c.dp, G, c.degree)
+    values = {rep: c.value(rep) for rep in _reps(table)}
+    return EquivariantCochain(c.dp, G, c.degree, c.twist, values, table)
 
 
 def coset_representatives(G: PermGroup, r: int) -> list:
@@ -190,17 +206,17 @@ def transfer(x: EquivariantCochain, r: int) -> EquivariantCochain:
     t(x)(e) = sum_i chi(f_i, f_i^{-1} e) * x(f_i^{-1} e); composing with
     restriction multiplies by the index s.
     """
-    reps = coset_representatives(x.group, r)
+    cosets = coset_representatives(x.group, r)
     full = symmetric_group(r)
-    out_reps = orbit_reps(x.dp, full, x.degree)
+    table = orbit_table(x.dp, full, x.degree)
     values = {}
-    for cell in out_reps:
+    for cell in _reps(table):
         total = 0
-        for f in reps:
+        for f in cosets:
             pre, _ = act_on_cell(inverse(f), cell)
             total += chi(f, pre, x.twist) * x.value(pre)
         values[cell] = total
-    return EquivariantCochain(x.dp, full, x.degree, x.twist, values)
+    return EquivariantCochain(x.dp, full, x.degree, x.twist, values, table)
 
 
 @dataclass

@@ -35,13 +35,12 @@ def inverse(a):
 
 
 def sign(omega) -> int:
-    """Parity of a permutation via inversion count."""
-    inv = sum(
-        1
-        for i in range(len(omega))
-        for j in range(i + 1, len(omega))
-        if omega[i] > omega[j]
-    )
+    """Parity of the inversion count of a sequence of distinct integers;
+    for a permutation, its sign."""
+    inv = 0
+    for i, a in enumerate(omega):
+        for b in omega[i + 1:]:
+            inv += a > b
     return -1 if inv % 2 else 1
 
 
@@ -153,11 +152,11 @@ def sylow_tree_subgroup(r, p) -> PermGroup:
     return PermGroup(r, gens)
 
 
-def is_transitive(G: PermGroup, r=None) -> bool:
+def is_transitive(G: PermGroup) -> bool:
     return len(G.orbits()) == 1
 
 
-def invariant_block_split(G: PermGroup, r=None):
+def invariant_block_split(G: PermGroup):
     """A split (k, r-k) into invariant index sets, from the orbit of 0."""
     orbits = G.orbits()
     if len(orbits) == 1:

@@ -213,9 +213,17 @@ HEXAGON_MIXED = [["2", "0"], ["1", "2"], ["-1", "2"], ["-2", "0", "5"],
     (["radon"], None),
     (["sylow", "--r", "0", "--p", "2"], None),
     (["ozaydin", "report", "--r", "1"], None),
+    (["puzzle", "--n", "3", "--r", "2", "--from", "5", "--to", "[[2],[3]]"], None),
+    (["puzzle", "--n", "3", "--r", "2", "--from", "[5]", "--to", "[[2],[3]]"], None),
+    (["puzzle", "--n", "3", "--r", "2", "--from", "null", "--to", "[[2],[3]]"], None),
+    (["puzzle", "--n", "3", "--r", "2", "--from", "[[0],[1]]", "--to", "[[2.0],[3]]"], None),
+    (["puzzle", "--n", "3", "--r", "2", "--from", "[[0],[1]]", "--to", "[[2],[3]"], None),
+    (["puzzle", "--n", "3", "--r", "2", "--from", "[" * 5000 + "]" * 5000, "--to", "[[2],[3]]"], None),
 ], ids=["tverberg-r0", "tverberg-r1", "radon-empty", "radon-ragged",
         "radon-not-points", "tverberg-mixed-dimension", "tverberg-no-points",
-        "radon-no-points", "sylow-r0", "ozaydin-r1"])
+        "radon-no-points", "sylow-r0", "ozaydin-r1", "puzzle-from-int",
+        "puzzle-from-flat", "puzzle-from-null", "puzzle-to-float",
+        "puzzle-to-not-json", "puzzle-from-deep"])
 def test_bad_input_exit_2(tmp_path, capsys, argv, points):
     if points is not None:
         path = write_json(tmp_path / "pts.json", {"d": 2, "points": points})
@@ -246,6 +254,22 @@ def test_cap_exceeded_exit_3(monkeypatch, capsys):
     code, rep = run_cli(capsys, ["dp", "stats", "--n", "4", "--r", "2"])
     assert code == 3
     assert rep["kind"] == "cap"
+
+
+@pytest.mark.parametrize("r", ["2", "40"])
+@pytest.mark.parametrize("argv", [
+    ["dp", "stats"], ["dp", "homology"], ["dp", "connectivity"],
+    ["puzzle", "--from", "[[0],[1]]", "--to", "[[2],[3]]"],
+], ids=["stats", "homology", "connectivity", "puzzle"])
+def test_cap_checked_before_the_base_simplex_is_built(monkeypatch, capsys, argv, r):
+    def no_base(n):
+        raise AssertionError("the %d-simplex was built before the cap was checked" % n)
+
+    monkeypatch.setattr(cli, "full_simplex", no_base)
+    code = cli.run(argv + ["--n", "30", "--r", r])
+    err = capsys.readouterr().err
+    assert code == 3
+    assert json.loads(err)["kind"] == "cap"
 
 
 def test_jsonable_conventions():

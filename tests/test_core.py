@@ -4,9 +4,8 @@ import json
 
 import pytest
 
-from tvlab.complexes import (Complex, OrientedSimplex, boundary_chain,
-                             are_disjoint, full_simplex, join, make_simplex,
-                             simplex_skeleton)
+from tvlab.complexes import (Complex, are_disjoint, full_simplex, join,
+                             make_simplex, simplex_skeleton)
 from tvlab.errors import InputError, InvalidSkeleton
 
 
@@ -61,31 +60,6 @@ def test_join_of_two_points_is_segment():
     pt = Complex.from_maximal(1, [[0]])
     J = join(pt, pt)
     assert sorted(J.simplices) == [(0,), (0, 1), (1,)]
-
-
-def test_boundary_chain_signs():
-    chain = boundary_chain(OrientedSimplex((0, 1, 2), +1))
-    assert chain == [
-        OrientedSimplex((1, 2), +1),
-        OrientedSimplex((0, 2), -1),
-        OrientedSimplex((0, 1), +1),
-    ]
-    assert boundary_chain(OrientedSimplex((3,), +1)) == []
-    # orientation reversal negates the boundary
-    neg = boundary_chain(OrientedSimplex((0, 1, 2), -1))
-    assert [(s.simplex, s.sign) for s in neg] == [
-        (s.simplex, -s.sign) for s in chain
-    ]
-
-
-def test_boundary_squared_vanishes():
-    # d(d(sigma)) cancels pairwise for a few simplices
-    for verts in [(0, 1, 2), (0, 1, 2, 3), (1, 3, 4, 6, 7)]:
-        acc = {}
-        for face in boundary_chain(OrientedSimplex(verts, +1)):
-            for sub in boundary_chain(face):
-                acc[sub.simplex] = acc.get(sub.simplex, 0) + sub.sign
-        assert all(v == 0 for v in acc.values())
 
 
 def test_are_disjoint():

@@ -5,11 +5,18 @@ from math import comb, factorial
 import pytest
 
 from tvlab.complexes import Complex, full_simplex, simplex_skeleton
-from tvlab.deleted_product import (CellAction, act_on_cell, cell_dim,
-                                   deleted_product, full_simplex_cell_count,
-                                   group_action, koszul_action_sign,
+from tvlab.deleted_product import (act_on_cell, cell_dim,
+                                   check_full_simplex_cap, deleted_product,
+                                   full_simplex_cell_count, koszul_action_sign,
                                    puzzle_reachable)
 from tvlab.errors import CapExceeded, InvalidMultiplicity, UnknownCell
+from tvlab.symgroup import compose
+
+try:
+    from hypothesis import given, strategies as st
+except ImportError:  # hypothesis is a test extra
+    given = None
+needs_hypothesis = pytest.mark.skipif(given is None, reason="needs hypothesis")
 
 
 def brute_force_cells(K, r):
@@ -106,6 +113,43 @@ def test_total_count_formula_matches():
         assert dp.total_cells() == full_simplex_cell_count(N, r)
 
 
+def composition_cell_count(N, r):
+    """The cell count summed over the factor sizes, one composition at a
+    time: the recursion that the closed form replaced."""
+    total = 0
+
+    def rec(remaining_vertices, factors_left, acc):
+        nonlocal total
+        if factors_left == 0:
+            total += acc
+            return
+        for size in range(1, remaining_vertices - (factors_left - 1) + 1):
+            rec(remaining_vertices - size, factors_left - 1,
+                acc * comb(remaining_vertices, size))
+
+    rec(N + 1, r, 1)
+    return total
+
+
+def test_cell_count_closed_form_matches_composition_sum():
+    for N in range(12):
+        for r in range(1, 14):
+            assert full_simplex_cell_count(N, r) == composition_cell_count(N, r), (N, r)
+
+
+def test_cap_checked_without_building():
+    check_full_simplex_cap(5, 3, cap=full_simplex_cell_count(5, 3))
+    with pytest.raises(CapExceeded):
+        check_full_simplex_cap(5, 3, cap=full_simplex_cell_count(5, 3) - 1)
+    # the base alone: Delta_30 has 2^31 - 1 faces, and its 40-fold deleted
+    # product has none
+    for N, r in [(30, 2), (30, 40), (10**9, 2), (10**9, 10**9)]:
+        with pytest.raises(CapExceeded):
+            check_full_simplex_cap(N, r)
+    with pytest.raises(InvalidMultiplicity):
+        check_full_simplex_cap(3, 1)
+
+
 def test_delta_3_cubed_graph():
     dp = deleted_product(full_simplex(3), 3)
     assert dp.f_vector() == [24, 36]
@@ -140,11 +184,107 @@ def test_koszul_action_sign():
     assert koszul_action_sign((0, 1), (1, 1)) == 1
 
 
+def pairwise_koszul_sign(omega, dims):
+    """(-1)^{d_a d_b} over the inversions of omega, pair by pair: the loop
+    that the restricted permutation sign replaced."""
+    r = len(omega)
+    sign = 1
+    for a in range(r):
+        for b in range(a + 1, r):
+            if omega[a] > omega[b] and dims[a] % 2 and dims[b] % 2:
+                sign = -sign
+    return sign
+
+
+def test_koszul_sign_matches_pairwise_loop():
+    from itertools import permutations, product
+
+    for r in range(1, 6):
+        for omega in permutations(range(r)):
+            for dims in product(range(3), repeat=r):
+                assert koszul_action_sign(omega, dims) == pairwise_koszul_sign(omega, dims)
+
+
+def test_cell_boundary_signs():
+    dp = deleted_product(full_simplex(3), 2)
+    assert dp.cell_boundary(((0, 1, 2), (3,))) == [
+        (((1, 2), (3,)), 1), (((0, 2), (3,)), -1), (((0, 1), (3,)), 1)]
+    assert dp.cell_boundary(((3,), (0, 1, 2))) == [
+        (((3,), (1, 2)), 1), (((3,), (0, 2)), -1), (((3,), (0, 1)), 1)]
+    # the second factor's facets carry (-1)^{d_1}
+    assert dp.cell_boundary(((0, 1), (2, 3))) == [
+        (((1,), (2, 3)), 1), (((0,), (2, 3)), -1),
+        (((0, 1), (3,)), -1), (((0, 1), (2,)), 1)]
+    assert dp.cell_boundary(((0,), (3,))) == []
+
+
+if given is not None:
+    @st.composite
+    def cells(draw, r):
+        """An r-tuple of disjoint simplices with 1 to 3 vertices each."""
+        sizes = draw(st.lists(st.integers(1, 3), min_size=r, max_size=r))
+        verts = draw(st.permutations(range(sum(sizes) + 2)))
+        out, k = [], 0
+        for n in sizes:
+            out.append(tuple(sorted(verts[k:k + n])))
+            k += n
+        return tuple(out)
+
+    def action_cases():
+        return st.integers(2, 5).flatmap(lambda r: st.tuples(
+            st.permutations(range(r)), st.permutations(range(r)), cells(r)))
+
+
+def old_cell_boundary(cell):
+    """Signed facets through per-simplex alternating chains: the loop that
+    the direct facet construction replaced."""
+    out = []
+    shift = 0
+    for i, s in enumerate(cell):
+        for j in range(len(s) if len(s) > 1 else 0):
+            out.append((cell[:i] + (s[:j] + s[j + 1:],) + cell[i + 1:],
+                        (-1) ** shift * (-1) ** j))
+        shift += len(s) - 1
+    return out
+
+
+@needs_hypothesis
+def test_cell_boundary_matches_chain_loop_and_squares_to_zero():
+    dp = deleted_product(full_simplex(2), 2)  # cell_boundary looks up no cell
+
+    @given(st.integers(1, 4).flatmap(cells))
+    def check(cell):
+        assert dp.cell_boundary(cell) == old_cell_boundary(cell)
+        acc = {}
+        for f, s in dp.cell_boundary(cell):
+            for g, t in dp.cell_boundary(f):
+                acc[g] = acc.get(g, 0) + s * t
+        assert not any(acc.values())
+
+    check()
+
+
+@needs_hypothesis
+def test_act_on_cell_matches_pairwise_loop_and_is_an_action():
+    @given(action_cases())
+    def check(case):
+        a, b, cell = tuple(case[0]), tuple(case[1]), case[2]
+        dims = tuple(len(s) - 1 for s in cell)
+        img, s = act_on_cell(a, cell)
+        assert s == pairwise_koszul_sign(a, dims)
+        assert all(img[a[j]] == cell[j] for j in range(len(a)))
+        c1, s1 = act_on_cell(b, cell)
+        c2, s2 = act_on_cell(a, c1)
+        c3, s3 = act_on_cell(compose(a, b), cell)
+        assert c2 == c3 and s3 == s1 * s2
+
+    check()
+
+
 def test_action_is_homomorphism_with_signs():
     dp = deleted_product(full_simplex(4), 3)
     cells = dp.cells_by_dim[2][:40]
     perms = [(1, 0, 2), (0, 2, 1), (2, 0, 1), (1, 2, 0)]
-    from tvlab.symgroup import compose
 
     for a in perms:
         for b in perms:
@@ -158,12 +298,12 @@ def test_action_is_homomorphism_with_signs():
 def test_action_free_and_commutes():
     dp = deleted_product(full_simplex(4), 3)
     for omega in [(1, 0, 2), (1, 2, 0), (2, 1, 0)]:
-        action = group_action(dp, omega)
-        assert action.is_free()
+        for cs in dp.cells_by_dim.values():
+            assert all(act_on_cell(omega, cell)[0] != cell for cell in cs)
         # boundary-of-action equals action-of-boundary, cell by cell
         for d in range(1, dp.dim + 1):
             for cell in dp.cells_by_dim[d]:
-                img, kc = action.apply(cell)
+                img, kc = act_on_cell(omega, cell)
                 lhs = {f: kc * s for f, s in dp.cell_boundary(img)}
                 rhs = {}
                 for f, s in dp.cell_boundary(cell):
@@ -174,11 +314,9 @@ def test_action_free_and_commutes():
 
 def test_identity_action_trivial():
     dp = deleted_product(full_simplex(2), 2)
-    action = group_action(dp, (0, 1))
     for cell in dp.cells_by_dim[1]:
-        img, s = action.apply(cell)
+        img, s = act_on_cell((0, 1), cell)
         assert img == cell and s == 1
-    assert not action.is_free()  # identity fixes everything
 
 
 def test_cap_exceeded():
@@ -187,6 +325,12 @@ def test_cap_exceeded():
     K = simplex_skeleton(4, 1)
     with pytest.raises(CapExceeded):
         deleted_product(K, 2, cap=10)
+
+
+def test_many_unused_vertex_ids():
+    # 2^num_vertices is never formed for a base that cannot be a full simplex
+    K = Complex.from_maximal(10**12, [[0, 1], [2, 3]])
+    assert deleted_product(K, 2).f_vector() == [12, 8, 2]
 
 
 def test_puzzle_hexagon():

@@ -109,13 +109,16 @@ def test_tverberg_deterministic():
 
 
 def test_general_position():
-    assert not general_position_check([(0, 0), (1, 0), (2, 0)], 2)
-    assert general_position_check([(0, 0), (1, 0), (1, 1), (0, 1)], 2)
+    assert not general_position_check([(0, 0), (1, 0), (2, 0)])
+    assert general_position_check([(0, 0), (1, 0), (1, 1), (0, 1)])
     # standard basis vertices of a simplex
     basis = [tuple(int(i == j) for j in range(3)) for i in range(3)]
-    assert general_position_check(basis, 3)
+    assert general_position_check(basis)
     # repeated point
-    assert not general_position_check([(0, 0), (0, 0), (1, 1)], 2)
+    assert not general_position_check([(0, 0), (0, 0), (1, 1)])
+    # the dimension comes from the points: two distinct points in the plane
+    assert general_position_check([(0, 0), (1, 0)]) is True
+    assert general_position_check([(0, 0), (0, 0)]) is False
 
 
 def test_tverberg_and_radon_reject_bad_input():

@@ -2,19 +2,25 @@
 and the prime-power arithmetic report."""
 
 import random
+from functools import lru_cache
 
 import pytest
 
-from tvlab.complexes import Complex, simplex_skeleton
-from tvlab.deleted_product import deleted_product
-from tvlab.errors import DegreeError, NotEquivariant
+from tvlab.complexes import Complex, full_simplex, simplex_skeleton
+from tvlab.deleted_product import act_on_cell, deleted_product
+from tvlab.errors import DegreeError, NotEquivariant, UnknownCell
 from tvlab.obstruction import (EquivariantCochain, chi, cocycle_from_table,
                                coboundary_matrix, coset_representatives,
-                               is_null_cohomologous, orbit_reps,
+                               is_null_cohomologous, orbit_reps, orbit_table,
                                ozaydin_report, restrict_to_subgroup, transfer)
 from tvlab.plmaps import PLMap, intersection_cocycle, perturbed
-from tvlab.symgroup import (sylow_tree_subgroup, symmetric_group,
-                            trivial_group)
+from tvlab.symgroup import (inverse, is_prime, sylow_tree_subgroup,
+                            symmetric_group, trivial_group)
+
+try:
+    from hypothesis import given, settings, strategies as st
+except ImportError:  # hypothesis is a test extra
+    given = None
 
 PENTAGON = [(0, 2), (2, 1), (1, -2), (-1, -2), (-2, 1)]
 SQUARE = [(0, 0), (1, 0), (1, 1), (0, 1)]
@@ -43,6 +49,95 @@ def test_orbit_counts_two_disjoint_edges():
     dp = deleted_product(K, 2)
     assert len(orbit_reps(dp, symmetric_group(2), 2)) == 1
     assert len(orbit_reps(dp, symmetric_group(2), 1)) == 4
+
+
+def scan_orbit_reps(dp, group, degree):
+    """Orbit representatives by marking every image of each new cell: the
+    pass that orbit_reps made before the orbit table."""
+    seen = set()
+    reps = []
+    for cell in dp.cells_by_dim.get(degree, ()):
+        if cell in seen:
+            continue
+        reps.append(cell)
+        for omega in group.elements():
+            seen.add(act_on_cell(omega, cell)[0])
+    return reps
+
+
+def scan_locate(group, cell):
+    """(rep, omega) with omega . rep = cell by scanning all |G| images of
+    the cell for the least: the per-call search that the table replaced."""
+    best = None
+    for omega in group.elements():
+        img, _ = act_on_cell(omega, cell)
+        if best is None or img < best[0]:
+            best = (img, omega)
+    rep, omega_to_rep = best
+    return rep, inverse(omega_to_rep)
+
+
+COLORED333 = [(a, b, c) for a in range(3) for b in range(3, 6) for c in range(6, 9)]
+
+
+def base_complex(name):
+    """"deltaN", its 2-skeleton "deltaN/2", or "colored333"."""
+    if name == "colored333":
+        return Complex.from_maximal(9, COLORED333)
+    N = int(name[len("delta"):].split("/")[0])
+    return simplex_skeleton(N, 2) if name.endswith("/2") else full_simplex(N)
+
+
+GROUPS_UP_TO_5 = [(r, p) for r in range(2, 6)
+                  for p in [None] + [q for q in range(2, r + 1) if is_prime(q)]]
+
+
+@pytest.mark.skipif(given is None, reason="needs hypothesis")
+@pytest.mark.parametrize("r,p", GROUPS_UP_TO_5)
+def test_orbit_table_matches_scan(r, p):
+    """Sigma_r (p None) and every tree Sylow subgroup for r <= 5, on
+    Delta_4..Delta_6, their 2-skeleta and the colored complex [3]*[3]*[3]
+    (r <= 4: its r = 5 product has 941,760 cells)."""
+    names = ["delta%d%s" % (N, sk) for N in (4, 5, 6) for sk in ("", "/2")]
+    names += ["colored333"] if r <= 4 else []
+    group = symmetric_group(r) if p is None else sylow_tree_subgroup(r, p)
+
+    @lru_cache(maxsize=None)
+    def product(name):
+        return deleted_product(base_complex(name), r)
+
+    @lru_cache(maxsize=None)
+    def results(name, degree):
+        """orbit_table, orbit_reps and the scanned representatives, once
+        per drawn complex and degree."""
+        dp = product(name)
+        return (orbit_table(dp, group, degree), orbit_reps(dp, group, degree),
+                scan_orbit_reps(dp, group, degree))
+
+    @settings(max_examples=8)
+    @given(st.sampled_from(names), st.integers(0, 20),
+           st.lists(st.integers(0, 10**6), min_size=1, max_size=20))
+    def check(name, degree, picks):
+        dp = product(name)
+        degree %= dp.dim + 1
+        table, reps, scanned = results(name, degree)
+        cells = dp.cells_by_dim[degree]
+        assert sorted(table) == cells
+        assert reps == scanned
+        for k in picks:
+            cell = cells[k % len(cells)]
+            rep, omega = table[cell]
+            assert (rep, omega) == scan_locate(group, cell)
+            assert act_on_cell(omega, rep)[0] == cell
+
+    check()
+
+
+def test_cocycle_from_table_rejects_unknown_cells():
+    _, dp, _ = k5_setup()
+    for key in [((0, 1), (2,)), ((0, 1), (1, 2)), ((0, 1), (5, 6)), ((1, 0), (2, 3))]:
+        with pytest.raises(UnknownCell):
+            cocycle_from_table(dp, {key: 1})
 
 
 def test_coboundary_matrix_shape():
