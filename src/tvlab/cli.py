@@ -19,7 +19,7 @@ from .deleted_product import (cell_dim, check_full_simplex_cap,
                               configured_cell_cap, deleted_product,
                               puzzle_reachable)
 from .errors import (CapExceeded, InputError, SearchInvariantViolated,
-                     TvlabError)
+                     TvlabError, read_json)
 
 SAFE_INT = 2**53
 
@@ -63,10 +63,7 @@ def load_complex(args) -> Complex:
 
 def parse_cell(text) -> tuple:
     """A cell given as JSON, a list of lists of integer vertex ids."""
-    try:
-        cell = json.loads(text)
-    except RecursionError:
-        raise InputError("a cell is a list of integer lists, nested too deeply") from None
+    cell = read_json("cell", text=text)
     if not (isinstance(cell, list) and all(
             isinstance(s, list) and all(type(v) is int for v in s) for s in cell)):
         raise InputError("a cell is a list of integer lists, got %s" % text)
@@ -76,8 +73,7 @@ def parse_cell(text) -> tuple:
 def load_points(path):
     if path is None:
         raise InputError("give the points as --points or --random")
-    with open(path) as fh:
-        data = json.load(fh)
+    data = read_json("points %s" % path, path)
     if not isinstance(data, dict) or "points" not in data:
         raise InputError("points file needs a \"points\" list")
     return data["points"]
@@ -384,7 +380,7 @@ def run(argv) -> int:
     except SearchInvariantViolated as exc:
         print(json.dumps({"error": str(exc), "kind": "invariant"}), file=sys.stderr)
         return 4
-    except (TvlabError, OSError, json.JSONDecodeError, ValueError) as exc:
+    except (TvlabError, OSError, ValueError) as exc:
         print(json.dumps({"error": str(exc), "kind": "input"}), file=sys.stderr)
         return 2
 

@@ -10,12 +10,11 @@ are in tvlab.deleted_product).
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 from itertools import combinations
 from typing import Iterable
 
-from .errors import InputError, InvalidSkeleton
+from .errors import InputError, InvalidSkeleton, read_json
 
 Simplex = tuple  # tuple[int, ...], strictly increasing
 
@@ -104,12 +103,7 @@ class Complex:
 
     @classmethod
     def from_json_file(cls, path: str) -> "Complex":
-        try:
-            with open(path) as fh:
-                data = json.load(fh)
-        except (OSError, json.JSONDecodeError) as exc:
-            raise InputError("cannot read complex %s: %s" % (path, exc)) from exc
-        return cls.from_json_dict(data)
+        return cls.from_json_dict(read_json("complex %s" % path, path))
 
 
 def full_simplex(N: int) -> Complex:

@@ -1,4 +1,7 @@
-"""Exception types shared across the toolkit."""
+"""Exception types shared across the toolkit, and the one reader of JSON
+input, which reports every way the input can fail to decode as InputError."""
+
+import json
 
 
 class TvlabError(Exception):
@@ -62,8 +65,26 @@ class DiagonalInput(TvlabError):
 
 
 class NotEquivariant(TvlabError):
-    """Cochain table values contradict twisted equivariance on an orbit."""
+    """Cochain table values contradict twisted equivariance on an orbit, or
+    a certificate of the obstruction decision fails its re-verification."""
 
 
 class DegreeError(TvlabError):
     """Cochain degree does not match the expected degree."""
+
+
+def read_json(what: str, path=None, text=None):
+    """Decode JSON given as text, or else read from the file at path.
+
+    An unreadable file, malformed JSON and JSON nested too deeply for the
+    decoder all raise InputError, naming what was being read.
+    """
+    try:
+        if text is None:
+            with open(path) as fh:
+                text = fh.read()
+        return json.loads(text)
+    except RecursionError:
+        raise InputError("cannot read %s: nested too deeply" % what) from None
+    except (OSError, ValueError) as exc:
+        raise InputError("cannot read %s: %s" % (what, exc)) from exc

@@ -4,14 +4,19 @@ Smith normal form with unimodular transforms; homology over the integers
 and prime fields from sparse boundary matrices, through one sparse
 elimination on unit pivots that serves both rings (over Z a small dense
 leftover block goes to the Smith normal form); homological connectivity;
-and integer linear system solving with infeasibility certificates.
+and integer linear system solving on the same elimination: the right-hand
+side is carried along as a column that is never a pivot, the leftover
+block is solved by the dense Smith normal form, and the logged pivot rows
+are back-substituted.  An infeasibility certificate is re-verified through
+the combination of equations behind it before it is returned.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .errors import EmptyComplex, NotAChainComplex, NotPrime, ShapeError
+from .errors import (EmptyComplex, NotAChainComplex, NotEquivariant, NotPrime,
+                     ShapeError)
 from .symgroup import is_prime
 
 
@@ -142,7 +147,7 @@ def smith_normal_form(M: IntMatrix):
     return (IntMatrix(m, m, U), IntMatrix(m, n, D), IntMatrix(n, n, V))
 
 
-def _eliminate(sparse: dict, p=None):
+def _eliminate(sparse: dict, p=None, carry=None, log=None):
     """Sparse elimination on unit pivots, sweeping the columns in order.
 
     In each column the pivot is a unit entry in the shortest row that holds
@@ -151,6 +156,12 @@ def _eliminate(sparse: dict, p=None):
     so the Smith normal form of the input is one 1 per pivot followed by
     that of the rows left.  Over GF(p) every nonzero entry is a unit and no
     row is left.  Returns (number of pivots, {row: {col: entry}} left).
+
+    Column ``carry`` (a right-hand side) is eliminated along but never
+    chosen as a pivot.  A ``log`` list receives one (row, col, pivot, pivot
+    row, [(row, multiplier), ...]) per pivot, in order: the pivot row is
+    {col: entry} of its other entries at that step, and each listed row had
+    multiplier times the pivot row subtracted from it.
     """
     rows = {}
     cols = {}
@@ -162,6 +173,8 @@ def _eliminate(sparse: dict, p=None):
             cols.setdefault(j, set()).add(i)
     pivots = 0
     for j in sorted(cols):
+        if j == carry:
+            continue
         units = [i for i in cols[j] if p or rows[i][j] in (1, -1)]
         if not units:
             continue
@@ -174,6 +187,8 @@ def _eliminate(sparse: dict, p=None):
             cols[c].discard(pi)
         others = cols.pop(j)
         others.discard(pi)
+        if log is not None:
+            log.append((pi, j, pv, prow, [(i, rows[i][j] * inv) for i in others]))
         for i in others:
             row = rows[i]
             f = row.pop(j) * inv
@@ -192,6 +207,23 @@ def _eliminate(sparse: dict, p=None):
     return pivots, rows
 
 
+def _dense_block(left: dict, carry=None):
+    """The rows left by _eliminate as a dense matrix over their live columns.
+
+    Returns (row ids, column ids, IntMatrix), rows and columns in increasing
+    order; the carried column is not part of the block.
+    """
+    row_ids = sorted(left)
+    col_ids = sorted({j for row in left.values() for j in row if j != carry})
+    at = {j: b for b, j in enumerate(col_ids)}
+    block = IntMatrix.zeros(len(row_ids), len(col_ids))
+    for dense, i in zip(block.entries, row_ids):
+        for j, v in left[i].items():
+            if j != carry:
+                dense[at[j]] = v
+    return row_ids, col_ids, block
+
+
 def smith_diagonal(sparse: dict, m: int, n: int) -> list:
     """Diagonal of the Smith normal form of a sparse matrix, no transforms.
 
@@ -202,15 +234,7 @@ def smith_diagonal(sparse: dict, m: int, n: int) -> list:
     units, left = _eliminate(sparse)
     diag = [1] * units
     if left:
-        live_cols = sorted({j for row in left.values() for j in row})
-        at = {j: b for b, j in enumerate(live_cols)}
-        block = []
-        for row in left.values():
-            dense = [0] * len(live_cols)
-            for j, v in row.items():
-                dense[at[j]] = v
-            block.append(dense)
-        _, D, _ = smith_normal_form(IntMatrix.from_rows(block))
+        _, D, _ = smith_normal_form(_dense_block(left)[2])
         diag += [D.entries[t][t] for t in range(min(D.rows, D.cols)) if D.entries[t][t]]
     return diag + [0] * (min(m, n) - len(diag))
 
@@ -307,15 +331,14 @@ def homological_connectivity(dp) -> int:
             return j
 
 
-def solve_integer_system(A: IntMatrix, b: list):
-    """Integer solution of A x = b, or an infeasibility certificate.
+def _snf_solve(A: IntMatrix, b: list):
+    """Dense Smith-normal-form solve of A x = b.
 
-    Returns (x, None) on success or (None, certificate) where the
-    certificate names the violated SNF coordinate: either a diagonal
-    divisibility failure or a nonzero transformed coordinate beyond the rank.
+    Returns (x, None, None) or (None, witness, u): the witness names the
+    violated coordinate t of U b, and u, row t of U, combines the equations
+    into one that A satisfies and b violates (modulo the diagonal entry d_t,
+    or exactly beyond the rank).
     """
-    if A.rows != len(b):
-        raise ShapeError("b has length %d, A has %d rows" % (len(b), A.rows))
     U, D, V = smith_normal_form(A)
     c = U.mat_vec(b)
     y = [0] * A.cols
@@ -324,10 +347,71 @@ def solve_integer_system(A: IntMatrix, b: list):
         if d:
             if c[t] % d:
                 return None, {"kind": "divisibility", "index": t,
-                              "diagonal": d, "coordinate": c[t]}
+                              "diagonal": d, "coordinate": c[t]}, U.entries[t]
             y[t] = c[t] // d
     for t in range(A.rows):
         if (t >= A.cols or D.entries[t][t] == 0) and c[t]:
-            return None, {"kind": "rank", "index": t, "coordinate": c[t]}
-    x = V.mat_vec(y)
+            return None, {"kind": "rank", "index": t, "coordinate": c[t]}, U.entries[t]
+    return V.mat_vec(y), None, None
+
+
+def solve_integer_system(A: IntMatrix, b: list):
+    """Integer solution of A x = b, or an infeasibility certificate.
+
+    b rides along as a carried column of the sparse unit-pivot elimination;
+    the block left over is solved by the dense Smith normal form, and the
+    pivot rows are back-substituted in reverse (columns without a pivot
+    are 0).  Returns (x, None) on success or (None, certificate) where the
+    certificate names the violated SNF coordinate: either a diagonal
+    divisibility failure or a nonzero transformed coordinate beyond the
+    rank, indexed after the unit pivots.  Before it is returned, the
+    certificate is re-verified: the combination u of the equations behind
+    it has u A = 0 and u b != 0 modulo the diagonal entry (exactly for a
+    rank certificate), or NotEquivariant is raised.
+    """
+    if A.rows != len(b):
+        raise ShapeError("b has length %d, A has %d rows" % (len(b), A.rows))
+    carry = A.cols
+    sparse = {(i, j): v for i, row in enumerate(A.entries) for j, v in enumerate(row) if v}
+    sparse.update(((i, carry), v) for i, v in enumerate(b) if v)
+    log = []
+    units, left = _eliminate(sparse, carry=carry, log=log)
+    x = [0] * A.cols
+    if left:
+        row_ids, col_ids, block = _dense_block(left, carry)
+        y, witness, u_block = _snf_solve(block, [left[i].get(carry, 0) for i in row_ids])
+        if witness is not None:
+            witness["index"] += units
+            u = _equation_combination(dict(zip(row_ids, u_block)), log)
+            _check_witness(sparse, carry, u, witness.get("diagonal", 0))
+            return None, witness
+        for j, yj in zip(col_ids, y):
+            x[j] = yj
+    for _, j, pv, prow, _ in reversed(log):
+        rest = sum(w * x[c] for c, w in prow.items() if c != carry)
+        x[j] = pv * (prow.get(carry, 0) - rest)  # pv = +-1 is its own inverse
     return x, None
+
+
+def _equation_combination(u: dict, log: list) -> dict:
+    """Coefficients over the original rows of the combination u of the rows
+    left by the elimination; the log is read in reverse, and each pivot row
+    gets minus the u-weighted sum of its multipliers."""
+    for pi, _, _, _, multipliers in reversed(log):
+        u[pi] = -sum(u.get(i, 0) * f for i, f in multipliers)
+    return {i: ui for i, ui in u.items() if ui}
+
+
+def _check_witness(sparse: dict, carry: int, u: dict, d: int) -> None:
+    """u A = 0 and u b != 0 modulo d (exactly for d = 0), or raise."""
+    uA = {}
+    for (i, j), v in sparse.items():
+        if i in u:
+            uA[j] = uA.get(j, 0) + u[i] * v
+    ub = uA.pop(carry, 0)
+    if d:
+        ok = ub % d and not any(s % d for s in uA.values())
+    else:
+        ok = ub and not any(uA.values())
+    if not ok:
+        raise NotEquivariant("infeasibility witness failed re-verification")

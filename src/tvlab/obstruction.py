@@ -16,8 +16,11 @@ it.  The same table serves the symmetric group and its Sylow subgroups, for
 locating cells, coboundary assembly, restriction and transfer.
 
 The obstruction decision solves delta c = v over the integers on the top
-two degrees, returning either an explicitly re-verified certificate cochain
-or a Smith-normal-form infeasibility witness.
+two degrees with the sparse unit-pivot solve of tvlab.homology (a dense
+Smith normal form only on the block left after the +-1 pivots), returning
+either a certificate cochain re-verified against the coboundary matrix or
+a Smith-normal-form infeasibility witness, itself re-verified through the
+combination of top-orbit equations that it stands for.
 """
 
 from __future__ import annotations

@@ -15,7 +15,6 @@ diagonal, piece by affine piece.
 
 from __future__ import annotations
 
-import json
 import random
 from dataclasses import dataclass
 from fractions import Fraction
@@ -23,7 +22,7 @@ from itertools import combinations
 
 from . import convexity, linalg
 from .complexes import Complex, are_disjoint, full_simplex
-from .errors import InputError, NotGeneric
+from .errors import InputError, NotGeneric, read_json
 
 
 @dataclass(frozen=True)
@@ -68,12 +67,7 @@ class PLMap:
 
     @classmethod
     def from_json_file(cls, path: str) -> "PLMap":
-        try:
-            with open(path) as fh:
-                data = json.load(fh)
-        except (OSError, json.JSONDecodeError) as exc:
-            raise InputError("cannot read PL map %s: %s" % (path, exc)) from exc
-        return cls.from_json_dict(data)
+        return cls.from_json_dict(read_json("PL map %s" % path, path))
 
 
 @dataclass

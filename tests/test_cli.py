@@ -219,15 +219,24 @@ HEXAGON_MIXED = [["2", "0"], ["1", "2"], ["-1", "2"], ["-2", "0", "5"],
     (["puzzle", "--n", "3", "--r", "2", "--from", "[[0],[1]]", "--to", "[[2.0],[3]]"], None),
     (["puzzle", "--n", "3", "--r", "2", "--from", "[[0],[1]]", "--to", "[[2],[3]"], None),
     (["puzzle", "--n", "3", "--r", "2", "--from", "[" * 5000 + "]" * 5000, "--to", "[[2],[3]]"], None),
+    (["radon", "--points", "{deep}"], None),
+    (["vk", "obstruction", "--map", "{deep}", "--r", "2"], None),
+    (["plmap", "almost", "--map", "{deep}", "--r", "2"], None),
+    (["dp", "stats", "--complex", "{deep}", "--r", "2"], None),
 ], ids=["tverberg-r0", "tverberg-r1", "radon-empty", "radon-ragged",
         "radon-not-points", "tverberg-mixed-dimension", "tverberg-no-points",
         "radon-no-points", "sylow-r0", "ozaydin-r1", "puzzle-from-int",
         "puzzle-from-flat", "puzzle-from-null", "puzzle-to-float",
-        "puzzle-to-not-json", "puzzle-from-deep"])
+        "puzzle-to-not-json", "puzzle-from-deep", "radon-points-deep",
+        "vk-map-deep", "plmap-almost-map-deep", "dp-stats-complex-deep"])
 def test_bad_input_exit_2(tmp_path, capsys, argv, points):
     if points is not None:
         path = write_json(tmp_path / "pts.json", {"d": 2, "points": points})
         argv = [path if a == "{points}" else a for a in argv]
+    if "{deep}" in argv:  # too deeply nested for the JSON decoder
+        deep = tmp_path / "deep.json"
+        deep.write_text("[" * 5000 + "]" * 5000)
+        argv = [str(deep) if a == "{deep}" else a for a in argv]
     code = cli.run(argv)
     err = capsys.readouterr().err
     assert code == 2

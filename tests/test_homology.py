@@ -1,17 +1,25 @@
 """Tests for Smith normal form, homology, and integer system solving."""
 
 import random
+from collections import Counter
 
 import pytest
 
+from tvlab import homology as homology_module
 from tvlab.complexes import full_simplex
 from tvlab.deleted_product import deleted_product
-from tvlab.errors import EmptyComplex, NotAChainComplex, ShapeError
-from tvlab.homology import (IntMatrix, _eliminate, _rank_mod_p, dp_homology,
-                            homological_connectivity, homology,
+from tvlab.errors import (EmptyComplex, NotAChainComplex, NotEquivariant,
+                          ShapeError)
+from tvlab.homology import (IntMatrix, _eliminate, _rank_mod_p, _snf_solve,
+                            dp_homology, homological_connectivity, homology,
                             smith_diagonal, smith_normal_form,
                             solve_integer_system)
 from tvlab.linalg import det
+
+try:
+    from hypothesis import given, settings, strategies as st
+except ImportError:  # hypothesis is a test extra
+    given = None
 
 
 def check_snf(M):
@@ -193,3 +201,93 @@ def test_solve_integer_system_random():
         b = A.mat_vec(x0)
         x, cert = solve_integer_system(A, b)
         assert cert is None and A.mat_vec(x) == b
+
+
+def test_solve_integer_system_leftover_block():
+    # no unit in column 0: the block [[2, 0], [0, 3]] is left after the
+    # pivot on the 1 of the last row
+    A = IntMatrix.from_rows([[2, 0, 0], [0, 3, 1], [0, 0, 1]])
+    x, cert = solve_integer_system(A, [4, 7, 1])
+    assert cert is None and x == [2, 2, 1]
+    x, cert = solve_integer_system(A, [3, 7, 1])
+    assert x is None
+    assert cert == {"kind": "divisibility", "index": 2, "diagonal": 6, "coordinate": 21}
+
+
+def test_witness_that_fails_its_recheck_raises(monkeypatch):
+    monkeypatch.setattr(homology_module, "_equation_combination", lambda u, log: {})
+    with pytest.raises(NotEquivariant):
+        solve_integer_system(IntMatrix.from_rows([[2]]), [1])
+
+
+def sparse_systems():
+    """(rows, b): small integer matrices with few units, so that the unit
+    pivots leave a dense block, and right-hand sides in the image, moved off
+    it by a small vector, or drawn freely."""
+    pool = [0] * 6 + [2, -2, 3, 4, -6, 1, -1]
+
+    def vec(k):
+        return st.lists(st.integers(-4, 4), min_size=k, max_size=k)
+
+    def system(shape):
+        m, n = shape
+        matrix = st.lists(st.lists(st.sampled_from(pool), min_size=n, max_size=n),
+                          min_size=m, max_size=m)
+        # "moved" is drawn twice as often: it gives most divisibility witnesses
+        return st.tuples(matrix, vec(n), vec(m), st.sampled_from(["image", "moved", "moved", "free"]))
+
+    def rhs(case):
+        rows, x0, e, how = case
+        image = IntMatrix.from_rows(rows).mat_vec(x0)
+        b = {"image": image, "moved": [a + b for a, b in zip(image, e)], "free": e}[how]
+        return rows, b
+
+    return st.tuples(st.integers(1, 12), st.integers(1, 12)).flatmap(system).map(rhs)
+
+
+@pytest.mark.skipif(given is None, reason="needs hypothesis")
+def test_sparse_solve_matches_dense_solve(monkeypatch):
+    seen = Counter()
+    checked = []
+    real_check = homology_module._check_witness
+
+    def check_witness(sparse, carry, u, d):
+        checked.append((u, d))
+        real_check(sparse, carry, u, d)
+
+    monkeypatch.setattr(homology_module, "_check_witness", check_witness)
+
+    @settings(max_examples=300)
+    @given(sparse_systems())
+    def check(case):
+        rows, b = case
+        A = IntMatrix.from_rows(rows)
+        sparse = {(i, j): v for i, row in enumerate(rows) for j, v in enumerate(row) if v}
+        del checked[:]
+        x, cert = solve_integer_system(A, b)
+        dense_x, _, _ = _snf_solve(A, b)
+        assert (x is None) == (dense_x is None)
+        seen["leftover"] += bool(_eliminate(sparse)[1])
+        if x is not None:
+            seen["solved"] += 1
+            assert A.mat_vec(x) == b
+            return
+        seen[cert["kind"]] += 1
+        # the combination u behind the witness, checked densely here
+        [(u, d)] = checked
+        assert d == cert.get("diagonal", 0)
+        uA = [sum(u.get(i, 0) * A.entries[i][j] for i in range(A.rows)) for j in range(A.cols)]
+        ub = sum(u.get(i, 0) * bi for i, bi in enumerate(b))
+        if d:
+            assert ub % d and all(s % d == 0 for s in uA)
+        else:
+            assert ub and not any(uA)
+        diag = smith_diagonal(sparse, A.rows, A.cols)
+        if cert["kind"] == "divisibility":
+            assert diag[cert["index"]] == cert["diagonal"] > 1
+        else:
+            assert cert["index"] >= sum(1 for t in diag if t)
+
+    check()
+    assert seen["leftover"] >= 150 and seen["solved"] >= 100
+    assert seen["divisibility"] >= 30 and seen["rank"] >= 30

@@ -7,8 +7,10 @@ from functools import lru_cache
 import pytest
 
 from tvlab.complexes import Complex, full_simplex, simplex_skeleton
+from tvlab.convexity import random_rational_points
 from tvlab.deleted_product import act_on_cell, deleted_product
 from tvlab.errors import DegreeError, NotEquivariant, UnknownCell
+from tvlab.homology import smith_diagonal
 from tvlab.obstruction import (EquivariantCochain, chi, cocycle_from_table,
                                coboundary_matrix, coset_representatives,
                                is_null_cohomologous, orbit_reps, orbit_table,
@@ -220,6 +222,43 @@ def test_vertex_move_difference_is_null_cohomologous():
     res = is_null_cohomologous(diff, dp)
     assert res.trivial
 
+
+
+def generic_skeleton_map(N, d, seed):
+    K = simplex_skeleton(N, 2)
+    return PLMap.build(K, d, random_rational_points(K.num_vertices, d, seed))
+
+
+def test_delta8_r3_in_r3_trivial_with_certificate():
+    # a 280 x 2520 system: out of reach of the dense Smith normal form
+    f = generic_skeleton_map(8, 3, repr(("d8", 2)))
+    dp = deleted_product(f.domain, 3)
+    v = cocycle_from_table(dp, intersection_cocycle(f, 3))
+    assert not v.is_zero()
+    res = is_null_cohomologous(v, dp)
+    assert res.trivial
+    A, top_reps, facet_reps = coboundary_matrix(dp, v.twist)
+    assert (A.rows, A.cols) == (280, 2520)
+    image = A.mat_vec([res.certificate.values.get(rep, 0) for rep in facet_reps])
+    assert image == [v.values.get(rep, 0) for rep in top_reps]
+
+
+@pytest.mark.parametrize("N,units", [(6, 69), (7, 245)])
+def test_van_kampen_flores_witness_pinned(N, units):
+    f = generic_skeleton_map(N, 4, repr(("d%d" % N, 2)))
+    dp = deleted_product(f.domain, 2)
+    v = cocycle_from_table(dp, intersection_cocycle(f, 2))
+    res = is_null_cohomologous(v, dp)
+    assert not res.trivial
+    witness = res.infeasibility
+    assert (witness["kind"], witness["index"], witness["diagonal"]) == ("divisibility", units, 2)
+    assert witness["coordinate"] % 2
+    # the index counts the unit invariant factors of the coboundary, and the
+    # diagonal is its one Z/2 factor
+    A, _, _ = coboundary_matrix(dp, v.twist)
+    sparse = {(i, j): a for i, row in enumerate(A.entries) for j, a in enumerate(row) if a}
+    diag = smith_diagonal(sparse, A.rows, A.cols)
+    assert diag.count(1) == units and [t for t in diag if t > 1] == [2]
 
 def test_restriction_to_full_group_is_identity():
     _, dp, v = k5_setup()

@@ -1,0 +1,57 @@
+"""The benchmark tracer (perfbench/spans.py) wraps library functions by name.
+
+Installing it here makes a rename or removal of any wrapped name fail the
+test suite, not only the traced benchmark run.
+"""
+
+import importlib.util
+import sys
+from pathlib import Path
+
+import tvlab.cli  # noqa: F401  (imports every module the tracer patches)
+from tvlab import homology, obstruction
+from tvlab.homology import IntMatrix
+
+SPANS = Path(__file__).resolve().parent.parent / "perfbench" / "spans.py"
+
+
+def load_spans():
+    spec = importlib.util.spec_from_file_location("perfbench_spans", SPANS)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def target(module_name, attr):
+    owner = sys.modules["tvlab." + module_name]
+    if "." in attr:
+        cls_name, attr = attr.split(".")
+        owner = getattr(owner, cls_name)
+    return vars(owner)[attr]
+
+
+def test_tracer_installs_on_every_target_and_uninstalls():
+    spans = load_spans()
+    originals = {(m, a): target(m, a) for m, a, _, _ in spans.TARGETS}
+    solve, snf = homology.solve_integer_system, homology.smith_normal_form
+    tracer = spans.Tracer()
+    tracer.install()
+    try:
+        for (m, a), orig in originals.items():
+            assert target(m, a).__wrapped__ is orig, "%s.%s is not wrapped" % (m, a)
+        # names bound by "from .homology import ..." are wrapped as well
+        assert obstruction.solve_integer_system.__wrapped__ is solve
+        with tracer.query(0):
+            # a block with no unit entry reaches the dense Smith normal form
+            obstruction.solve_integer_system(IntMatrix.from_rows([[2, 4], [6, 8]]), [2, 6])
+        names = [span[0] for span in tracer.spans]
+        assert names.count("homology.solve_integer_system") == 1
+        assert names.count("homology.smith_normal_form") == 1
+    finally:
+        tracer.uninstall()
+    for (m, a), orig in originals.items():
+        assert target(m, a) is orig
+    assert obstruction.solve_integer_system is solve and homology.smith_normal_form is snf
+    metrics = spans.layer_metrics(tracer.spans, tracer.counts)
+    assert metrics["homology.snf_entries"] == 4
+    assert metrics["homology.solve_s"] >= metrics["homology.snf_s"] > 0
