@@ -18,8 +18,8 @@ from .complexes import Complex, full_simplex
 from .deleted_product import (cell_dim, check_full_simplex_cap,
                               configured_cell_cap, deleted_product,
                               puzzle_reachable)
-from .errors import (CapExceeded, InputError, SearchInvariantViolated,
-                     TvlabError, read_json)
+from .errors import (CapExceeded, InputError, InvalidMultiplicity,
+                     SearchInvariantViolated, TvlabError, read_json)
 
 SAFE_INT = 2**53
 
@@ -79,6 +79,12 @@ def load_points(path):
     return data["points"]
 
 
+def check_count(value, flag):
+    """Reject a negative repetition count."""
+    if value is not None and value < 0:
+        raise InputError("%s needs a count >= 0, got %d" % (flag, value))
+
+
 def config_of(args) -> dict:
     skip = {"func", "out"}
     return {k: v for k, v in sorted(vars(args).items()) if k not in skip and v is not None}
@@ -128,6 +134,7 @@ def partition_report(part):
 
 def cmd_radon(args):
     cfg = config_of(args)
+    check_count(args.random, "--random")
     if args.random:
         for i in range(args.random):
             pts = convexity.random_rational_points(args.d + 2, args.d, (args.seed, i).__repr__())
@@ -141,6 +148,9 @@ def cmd_radon(args):
 
 def cmd_tverberg(args):
     cfg = config_of(args)
+    check_count(args.random, "--random")
+    if args.r < 2:
+        raise InvalidMultiplicity("a Tverberg partition needs r >= 2 parts, got %d" % args.r)
     if args.random:
         npts = (args.d + 1) * (args.r - 1) + 1
         found = 0
@@ -171,6 +181,7 @@ def cmd_plmap_rfold(args):
 
 
 def cmd_plmap_cocycle(args):
+    check_count(args.fuzz_oracle, "--fuzz-oracle")
     f = plmaps.PLMap.from_json_file(args.map)
     cfg = config_of(args)
     table = plmaps.intersection_cocycle(f, args.r)

@@ -23,6 +23,8 @@ def make_simplex(vertices: Iterable[int]) -> Simplex:
     s = tuple(vertices)
     if not s:
         raise InputError("simplex must be non-empty")
+    if any(type(v) is not int for v in s):
+        raise InputError("vertex ids must be integers: %r" % (s,))
     if any(v < 0 for v in s):
         raise InputError("vertex ids must be non-negative")
     if any(a >= b for a, b in zip(s, s[1:])):
@@ -75,6 +77,12 @@ class Complex:
                 out.append(s)
         return sorted(out)
 
+    def is_full_simplex(self) -> bool:
+        """True iff every non-empty set of vertices is a simplex."""
+        n = len(self.simplices)
+        # the bit length test keeps 2^num_vertices small
+        return n.bit_length() == self.num_vertices and n == 2 ** self.num_vertices - 1
+
     def has_simplex(self, s: Simplex) -> bool:
         return tuple(s) in self.simplices
 
@@ -95,11 +103,9 @@ class Complex:
     @classmethod
     def from_json_dict(cls, data: dict) -> "Complex":
         try:
-            n = int(data["num_vertices"])
-            maximal = data["maximal_simplices"]
-        except (KeyError, TypeError, ValueError) as exc:
+            return cls.from_maximal(int(data["num_vertices"]), data["maximal_simplices"])
+        except (KeyError, TypeError, ValueError, OverflowError) as exc:
             raise InputError("bad complex JSON: %s" % exc) from exc
-        return cls.from_maximal(n, maximal)
 
     @classmethod
     def from_json_file(cls, path: str) -> "Complex":

@@ -104,7 +104,7 @@ def as_points(points):
     at least one point and all have the same number of coordinates."""
     try:
         pts = [tuple(x if isinstance(x, Fraction) else Fraction(x) for x in p) for p in points]
-    except (TypeError, ValueError, ZeroDivisionError) as exc:
+    except (TypeError, ValueError, ZeroDivisionError, OverflowError) as exc:
         raise InputError("bad point coordinates: %s" % exc) from exc
     if not pts or any(len(p) != len(pts[0]) for p in pts):
         raise InputError("need at least one point, all of the same dimension")

@@ -44,6 +44,16 @@ def full_simplex_cell_count(N: int, r: int) -> int:
     return sum((-1) ** j * comb(r, j) * (r + 1 - j) ** (N + 1) for j in range(r + 1))
 
 
+def check_simplex_faces(N: int, cap: int = None) -> None:
+    """Raise CapExceeded, before anything is built, when the N-simplex's
+    2^(N+1)-1 faces exceed the cell cap."""
+    if cap is None:
+        cap = configured_cell_cap()
+    # past the bit length of the cap, 2^(N+1)-1 > cap without computing it
+    if N + 1 > cap.bit_length() or 2 ** (N + 1) - 1 > cap:
+        raise CapExceeded("the %d-simplex has more faces than the cell cap %d" % (N, cap))
+
+
 def check_full_simplex_cap(N: int, r: int, cap: int = None) -> None:
     """Raise CapExceeded, before anything is built, when the N-simplex's
     2^(N+1)-1 faces or its r-fold deleted product exceed the cell cap."""
@@ -51,9 +61,7 @@ def check_full_simplex_cap(N: int, r: int, cap: int = None) -> None:
         raise InvalidMultiplicity("deleted product needs r >= 2, got %d" % r)
     if cap is None:
         cap = configured_cell_cap()
-    # past the bit length of the cap, 2^(N+1)-1 > cap without computing it
-    if N + 1 > cap.bit_length() or 2 ** (N + 1) - 1 > cap:
-        raise CapExceeded("the %d-simplex has more faces than the cell cap %d" % (N, cap))
+    check_simplex_faces(N, cap)
     n = full_simplex_cell_count(N, r)
     if n > cap:
         raise CapExceeded("deleted product would have %d cells (cap %d)" % (n, cap))
@@ -66,9 +74,7 @@ class DeletedProductComplex:
         self.base = base
         self.r = r
         self.cells_by_dim = {d: sorted(cs) for d, cs in cells_by_dim.items() if cs}
-        self.index_by_dim = {
-            d: {c: i for i, c in enumerate(cs)} for d, cs in self.cells_by_dim.items()
-        }
+        self._indices = {}
         self._boundaries = {}
 
     @property
@@ -85,9 +91,16 @@ class DeletedProductComplex:
     def total_cells(self) -> int:
         return sum(len(cs) for cs in self.cells_by_dim.values())
 
+    def cell_index(self, d: int) -> dict:
+        """{cell: position} over the d-cells in sorted order, built on first use."""
+        index = self._indices.get(d)
+        if index is None:
+            index = {c: i for i, c in enumerate(self.cells_by_dim.get(d, ()))}
+            self._indices[d] = index
+        return index
+
     def has_cell(self, cell: ProductCell) -> bool:
-        d = cell_dim(cell)
-        return cell in self.index_by_dim.get(d, {})
+        return cell in self.cell_index(cell_dim(cell))
 
     def cell_boundary(self, cell: ProductCell) -> list:
         """Signed facets [(facet_cell, sign)] with the Koszul convention:
@@ -112,7 +125,7 @@ class DeletedProductComplex:
         if d in self._boundaries:
             return self._boundaries[d]
         mat = {}
-        rows = self.index_by_dim.get(d - 1, {})
+        rows = self.cell_index(d - 1)
         for j, cell in enumerate(self.cells_by_dim.get(d, ())):
             for facet, eps in self.cell_boundary(cell):
                 i = rows[facet]
@@ -134,10 +147,10 @@ def deleted_product(K: Complex, r: int, cap: int = None) -> DeletedProductComple
         raise InvalidMultiplicity("deleted product needs r >= 2, got %d" % r)
     if cap is None:
         cap = configured_cell_cap()
-    n = len(K.simplices)
-    # a full simplex; the bit length test keeps 2^num_vertices small
-    if n.bit_length() == K.num_vertices and n == 2 ** K.num_vertices - 1:
+    if K.is_full_simplex():
         check_full_simplex_cap(K.num_vertices - 1, r, cap)
+    if r > K.num_vertices:  # r disjoint non-empty simplices need r vertices
+        return DeletedProductComplex(K, r, {})
 
     simplices = sorted(K.simplices, key=lambda s: (len(s), s))
     masks = []

@@ -31,11 +31,9 @@ def pivot(T, r, c, D) -> int:
     return p
 
 
-def _gauss_jordan(A):
-    """Integer Gauss-Jordan elimination of A, each row cleared of
-    denominators first.  Returns (T, pivot columns, D, sign, scale): T / D
-    is the reduced row echelon form of A, and a square A of full rank has
-    determinant sign * D / scale."""
+def integer_rows(A):
+    """Each row of A times the lcm of its denominators; returns (T, scale),
+    scale the product of the row multipliers."""
     T = []
     scale = 1
     for row in A:
@@ -43,6 +41,16 @@ def _gauss_jordan(A):
         L = lcm(*(x.denominator for x in row))
         T.append([x.numerator * (L // x.denominator) for x in row])
         scale *= L
+    return T, scale
+
+
+def gauss_jordan(T):
+    """Integer Gauss-Jordan elimination of the integer matrix T, in place.
+
+    Returns (pivot columns, D, sign): T / D is then the reduced row echelon
+    form of the starting T, and a square T of full rank had determinant
+    sign * D.
+    """
     pivots = []
     D = sign = 1
     for c in range(len(T[0]) if T else 0):
@@ -55,12 +63,13 @@ def _gauss_jordan(A):
             sign = -sign
         D = pivot(T, r, c, D)
         pivots.append(c)
-    return T, pivots, D, sign, scale
+    return pivots, D, sign
 
 
 def rref(A):
     """Reduced row echelon form; returns (R, pivot_columns)."""
-    T, pivots, D = _gauss_jordan(A)[:3]
+    T = integer_rows(A)[0]
+    pivots, D, _ = gauss_jordan(T)
     return [[Fraction(x, D) for x in row] for row in T], pivots
 
 
@@ -87,7 +96,8 @@ def det(A) -> Fraction:
     n = len(A)
     if any(len(row) != n for row in A):
         raise ShapeError("determinant needs a square matrix")
-    _, pivots, D, sign, scale = _gauss_jordan(A)
+    T, scale = integer_rows(A)
+    pivots, D, sign = gauss_jordan(T)
     return Fraction(sign * D, scale) if len(pivots) == n else Fraction(0)
 
 

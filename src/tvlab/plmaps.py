@@ -7,6 +7,13 @@ convention: orient each simplex by increasing vertex order, take the
 positively oriented normal k-frame of each image plane, stack the r frames
 and read off the determinant sign.
 
+The intersection cocycle enumerates the disjoint tuples of top simplices
+once, from vertex bitmasks, and solves every tuple's common-point system
+on the map's images scaled once to integers (a positive uniform scaling
+moves no solution).  The solve decides from the integer numerators and
+their common denominator; Fractions, normal frames and the determinant
+sign are computed only for the tuples whose images meet.
+
 The coned-extension oracle recomputes the same number independently: it
 extends the r-fold product map over the product polytope by coning from
 the barycenter to a generic apex and counts signed crossings of the
@@ -18,11 +25,13 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import combinations
+from functools import cached_property
+from math import lcm
 
 from . import convexity, linalg
-from .complexes import Complex, are_disjoint, full_simplex
-from .errors import InputError, NotGeneric, read_json
+from .complexes import Complex, full_simplex
+from .deleted_product import check_simplex_faces
+from .errors import InputError, InvalidMultiplicity, NotGeneric, read_json
 
 
 @dataclass(frozen=True)
@@ -48,6 +57,17 @@ class PLMap:
     def image_points(self, simplex):
         return [self.images[v] for v in simplex]
 
+    @cached_property
+    def integer_images(self) -> tuple:
+        """The images times the lcm of all their denominators, as ints.
+
+        A positive uniform scaling leaves the barycentric solution of every
+        common-point system, its pivots and every orientation unchanged.
+        """
+        images = [[Fraction(x) for x in p] for p in self.images]
+        L = lcm(*(x.denominator for p in images for x in p))
+        return tuple(tuple(x.numerator * (L // x.denominator) for x in p) for p in images)
+
     def to_json_dict(self) -> dict:
         return {
             "complex": self.domain.to_json_dict(),
@@ -61,7 +81,7 @@ class PLMap:
             dom = Complex.from_json_dict(data["complex"])
             d = int(data["d"])
             images = [[Fraction(x) for x in p] for p in data["images"]]
-        except (KeyError, TypeError, ValueError) as exc:
+        except (KeyError, TypeError, ValueError, ZeroDivisionError, OverflowError) as exc:
             raise InputError("bad PL map JSON: %s" % exc) from exc
         return cls.build(dom, d, images)
 
@@ -91,11 +111,29 @@ def split_dimensions(m, d, r):
 
 
 def disjoint_tuples(simplices, r):
-    """Unordered r-tuples of pairwise vertex-disjoint simplices, sorted."""
+    """Unordered r-tuples of pairwise vertex-disjoint simplices, sorted.
+
+    The order is that of itertools.combinations over the sorted simplices.
+    A simplex that meets the vertex mask of those already chosen is skipped
+    together with every extension through it, so only disjoint prefixes
+    are ever built.
+    """
+    simplices = sorted(simplices)
+    masks = [sum(1 << v for v in s) for s in simplices]
     out = []
-    for combo in combinations(sorted(simplices), r):
-        if all(are_disjoint(a, b) for a, b in combinations(combo, 2)):
-            out.append(combo)
+    chosen = []
+
+    def extend(start, used):
+        if len(chosen) == r:
+            out.append(tuple(chosen))
+            return
+        for i in range(start, len(simplices)):
+            if not masks[i] & used:
+                chosen.append(simplices[i])
+                extend(i + 1, used | masks[i])
+                chosen.pop()
+
+    extend(0, 0)
     return out
 
 
@@ -116,33 +154,44 @@ def positive_normal_frame(points, d):
     return normal
 
 
-def _unique_solution(A, b, degenerate):
-    """The solution of A x = b: None if there is none, NotGeneric if many."""
-    n = len(A[0])
-    R, pivots = linalg.rref([row + [bi] for row, bi in zip(A, b)])
+def _unique_solution(T, degenerate):
+    """The solution of the integer system T = [A | b], eliminated in place.
+
+    Returns (numerators, D) with D > 0 and x_i = numerators[i] / D; None if
+    there is no solution, NotGeneric if there are many.
+    """
+    n = len(T[0]) - 1
+    pivots, D, _ = linalg.gauss_jordan(T)
     if n in pivots:
         return None
     if len(pivots) < n:
         raise NotGeneric(degenerate)
-    return [R[i][n] for i in range(n)]
+    if D < 0:
+        return [-T[i][n] for i in range(n)], -D
+    return [T[i][n] for i in range(n)], D
 
 
 def tuple_r_fold_point(f: PLMap, simplices, r):
     """The strictly interior common image point of one disjoint r-tuple.
 
     Solves the square system equating the r affine images with barycentric
-    unknowns.  Returns an RFoldPoint, or None if the images miss each other.
-    Raises NotGeneric on under-determined systems or boundary solutions.
+    unknowns, on the map's integer images.  Returns an RFoldPoint, or None if
+    the images miss each other.  Raises NotGeneric on under-determined
+    systems or boundary solutions.
     """
     d = f.ambient_dim
-    A, b, offsets = convexity.common_point_system([f.image_points(s) for s in simplices])
-    x = _unique_solution(A, b, "under-determined intersection system")
-    if x is None:
+    ints = f.integer_images
+    A, b, offsets = convexity.common_point_system([[ints[v] for v in s] for s in simplices])
+    sol = _unique_solution([row + [bi] for row, bi in zip(A, b)],
+                           "under-determined intersection system")
+    if sol is None:
         return None  # inconsistent: the image planes do not meet
-    if any(v == 0 for v in x):
+    nums, D = sol
+    if 0 in nums:
         raise NotGeneric("intersection on a simplex boundary")
-    if any(v < 0 for v in x):
+    if any(v < 0 for v in nums):
         return None
+    x = [Fraction(v, D) for v in nums]
     bary = tuple(tuple(x[offsets[i]:offsets[i + 1]]) for i in range(r))
     pts = f.image_points(simplices[0])
     ambient = tuple(sum(c * p[a] for c, p in zip(bary[0], pts)) for a in range(d))
@@ -155,27 +204,25 @@ def tuple_r_fold_point(f: PLMap, simplices, r):
     return RFoldPoint(tuple(simplices), bary, ambient, sgn)
 
 
-def global_r_fold_points(f: PLMap, r: int) -> list:
-    """All r-fold points among pairwise disjoint top simplices."""
+def _top_tuples(f: PLMap, r: int) -> list:
+    """The disjoint r-tuples of top simplices, once the dimensions fit."""
     m = f.domain.dim
     split_dimensions(m, f.ambient_dim, r)
-    tops = f.domain.simplices_of_dim(m)
-    out = []
-    for combo in disjoint_tuples(tops, r):
-        pt = tuple_r_fold_point(f, combo, r)
-        if pt is not None:
-            out.append(pt)
-    return out
+    return disjoint_tuples(f.domain.simplices_of_dim(m), r)
+
+
+def global_r_fold_points(f: PLMap, r: int) -> list:
+    """All r-fold points among pairwise disjoint top simplices."""
+    points = (tuple_r_fold_point(f, combo, r) for combo in _top_tuples(f, r))
+    return [pt for pt in points if pt is not None]
 
 
 def intersection_cocycle(f: PLMap, r: int) -> dict:
     """Signed r-fold point count per disjoint top-simplex tuple."""
-    m = f.domain.dim
-    split_dimensions(m, f.ambient_dim, r)
-    tops = f.domain.simplices_of_dim(m)
-    table = {combo: 0 for combo in disjoint_tuples(tops, r)}
-    for pt in global_r_fold_points(f, r):
-        table[pt.simplices] += pt.sign
+    table = {}
+    for combo in _top_tuples(f, r):
+        pt = tuple_r_fold_point(f, combo, r)
+        table[combo] = 0 if pt is None else pt.sign
     return table
 
 
@@ -272,9 +319,11 @@ def coned_extension_oracle(f: PLMap, simplices, r, apexes=None, seed=0) -> int:
                 A.append([Fmat[i * d + a][j] - Fmat[(i + 1) * d + a][j]
                           for j in range(n)])
                 b.append(Fconst[(i + 1) * d + a] - Fconst[i * d + a])
-        u = _unique_solution(A, b, "coned extension meets the diagonal non-transversally")
-        if u is None:
+        T = linalg.integer_rows([row + [bi] for row, bi in zip(A, b)])[0]
+        sol = _unique_solution(T, "coned extension meets the diagonal non-transversally")
+        if sol is None:
             continue  # this piece's affine extension misses the diagonal
+        u = [Fraction(v, sol[1]) for v in sol[0]]
         g_u = sum(gj * uj for gj, uj in zip(grad, u)) + const
         t = 1 - g_u / gc
         if t <= 0 or t >= 1:
@@ -314,6 +363,8 @@ def is_almost_r_embedding(f: PLMap, r: int) -> bool:
     Decided by exact LP feasibility of the common-point system, so mixed
     and degenerate dimension counts are handled uniformly.
     """
+    if r < 2:
+        raise InvalidMultiplicity("an almost r-embedding needs r >= 2, got %d" % r)
     simplices = sorted(f.domain.simplices, key=lambda s: (len(s), s))
     for combo in disjoint_tuples(simplices, r):
         groups = [f.image_points(s) for s in combo]
@@ -330,8 +381,9 @@ def join_extension(f: PLMap, r: int) -> PLMap:
     on r-1 more vertices, one ambient dimension up.
     """
     N = f.domain.num_vertices - 1
-    if len(f.domain.simplices) != 2 ** (N + 1) - 1:
+    if not f.domain.is_full_simplex():
         raise InputError("join extension needs the full simplex as domain")
+    check_simplex_faces(N + r - 1)
     images = [p + (Fraction(0),) for p in f.images]
     new_pt = tuple([Fraction(0)] * f.ambient_dim) + (Fraction(1),)
     images += [new_pt] * (r - 1)
@@ -355,7 +407,7 @@ def constraint_lift(f: PLMap, s: int) -> ConstraintLift:
     the s-skeleton.
     """
     N = f.domain.num_vertices - 1
-    if len(f.domain.simplices) != 2 ** (N + 1) - 1:
+    if not f.domain.is_full_simplex():
         raise InputError("constraint lift needs the full simplex as domain")
     if not 0 <= s < N:
         raise InputError("need 0 <= s < N")

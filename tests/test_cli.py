@@ -223,16 +223,32 @@ HEXAGON_MIXED = [["2", "0"], ["1", "2"], ["-1", "2"], ["-2", "0", "5"],
     (["vk", "obstruction", "--map", "{deep}", "--r", "2"], None),
     (["plmap", "almost", "--map", "{deep}", "--r", "2"], None),
     (["dp", "stats", "--complex", "{deep}", "--r", "2"], None),
+    (["plmap", "almost", "--map", "{k4}", "--r", "0"], None),
+    (["plmap", "almost", "--map", "{k4}", "--r", "1"], None),
+    (["radon", "--random", "-1"], None),
+    (["tverberg", "search", "--random", "-1", "--r", "3"], None),
+    (["plmap", "cocycle", "--map", "{k4}", "--r", "2", "--fuzz-oracle", "-1"], None),
+    (["vk", "obstruction", "--map", "{zero-den}", "--r", "2"], None),
+    (["plmap", "rfold", "--map", "{zero-den}", "--r", "2"], None),
 ], ids=["tverberg-r0", "tverberg-r1", "radon-empty", "radon-ragged",
         "radon-not-points", "tverberg-mixed-dimension", "tverberg-no-points",
         "radon-no-points", "sylow-r0", "ozaydin-r1", "puzzle-from-int",
         "puzzle-from-flat", "puzzle-from-null", "puzzle-to-float",
         "puzzle-to-not-json", "puzzle-from-deep", "radon-points-deep",
-        "vk-map-deep", "plmap-almost-map-deep", "dp-stats-complex-deep"])
+        "vk-map-deep", "plmap-almost-map-deep", "dp-stats-complex-deep",
+        "plmap-almost-r0", "plmap-almost-r1", "radon-random-negative",
+        "tverberg-random-negative", "cocycle-fuzz-negative",
+        "vk-map-zero-denominator", "plmap-rfold-map-zero-denominator"])
 def test_bad_input_exit_2(tmp_path, capsys, argv, points):
     if points is not None:
         path = write_json(tmp_path / "pts.json", {"d": 2, "points": points})
         argv = [path if a == "{points}" else a for a in argv]
+    if "{k4}" in argv or "{zero-den}" in argv:
+        k4 = k4_square_map(tmp_path)
+        data = json.loads((tmp_path / "k4.json").read_text())
+        data["images"][0] = ["1/0", "0"]
+        zero_den = write_json(tmp_path / "zero-den.json", data)
+        argv = [{"{k4}": k4, "{zero-den}": zero_den}.get(a, a) for a in argv]
     if "{deep}" in argv:  # too deeply nested for the JSON decoder
         deep = tmp_path / "deep.json"
         deep.write_text("[" * 5000 + "]" * 5000)
@@ -279,6 +295,15 @@ def test_cap_checked_before_the_base_simplex_is_built(monkeypatch, capsys, argv,
     err = capsys.readouterr().err
     assert code == 3
     assert json.loads(err)["kind"] == "cap"
+
+
+def test_construct_join_checks_the_face_cap(tmp_path, capsys):
+    tri = {"complex": {"num_vertices": 3, "maximal_simplices": [[0, 1, 2]]},
+           "d": 2, "images": [["0", "0"], ["1", "0"], ["0", "1"]]}
+    path = write_json(tmp_path / "tri.json", tri)
+    for r in (str(2**64), "30"):
+        code, rep = run_cli(capsys, ["construct", "join", "--map", path, "--r", r])
+        assert code == 3 and rep["kind"] == "cap"
 
 
 def test_jsonable_conventions():

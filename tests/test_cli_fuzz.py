@@ -1,0 +1,171 @@
+"""Random argv for every subcommand: the CLI exits 0, 2, 3 or 4, never with
+a traceback, and never accepts a multiplicity r < 2 or a negative count.
+
+Integers are drawn small, zero, negative and huge.  Huge values go to the
+arguments whose size is checked before any work: --n (the cell cap), the
+--r of maps and of the deleted product, --skeleton, --mod and --p (huge but
+composite, so the primality test is quick) and the --r of construct join
+(the face cap).  Arguments that only set how much
+work is done (--random, --fuzz-oracle, --d, the --r of tverberg, sylow and
+ozaydin) are drawn from small ranges, since a large value there is a long
+but legitimate run.  Input files are valid, missing, malformed, deeply
+nested, or carry "1/0" and 1e400 as coordinates.
+"""
+
+import io
+import json
+from contextlib import redirect_stderr, redirect_stdout
+
+import pytest
+
+from tvlab import cli
+from tvlab.complexes import simplex_skeleton
+
+hypothesis = pytest.importorskip("hypothesis")
+st = hypothesis.strategies
+
+K4 = simplex_skeleton(3, 1).to_json_dict()
+TRIANGLES = {"num_vertices": 9, "maximal_simplices": [[0, 1, 2], [3, 4, 5], [6, 7, 8]]}
+TRIANGLE_IMAGES = [["2", "0", "0"], ["-1", "1", "0"], ["-1", "-1", "0"],
+                   ["0", "2", "0"], ["0", "-1", "1"], ["0", "-1", "-1"],
+                   ["1", "0", "2"], ["1", "0", "-1"], ["-2", "0", "-1"]]
+SQUARE = [["0", "0"], ["1", "0"], ["1", "1"], ["0", "1"]]
+HEXAGON = [["2", "0"], ["1", "2"], ["-1", "2"], ["-2", "0"],
+           ["-1", "-2"], ["1", "-2"], ["0", "0"]]
+
+# file name -> contents (a JSON value, or raw text under "text:")
+FILES = {
+    "square.json": {"complex": K4, "d": 2, "images": SQUARE},
+    "triangles.json": {"complex": TRIANGLES, "d": 3, "images": TRIANGLE_IMAGES},
+    "simplex.json": {"complex": {"num_vertices": 3, "maximal_simplices": [[0, 1, 2]]},
+                     "d": 2, "images": [["0", "0"], ["1", "0"], ["0", "1"]]},
+    "touching.json": {"complex": {"num_vertices": 4, "maximal_simplices": [[0, 1], [2, 3]]},
+                      "d": 2, "images": [["0", "0"], ["2", "2"], ["1", "1"], ["3", "0"]]},
+    "zero-den.json": {"complex": K4, "d": 2, "images": [["1/0", "0"]] + SQUARE[1:]},
+    "inf.json": "text:" + json.dumps({"complex": K4, "d": 2, "images": SQUARE})
+                .replace('"1", "1"', '1e400, "1"'),
+    "no-images.json": {"complex": K4, "d": 2},
+    "bad-d.json": {"complex": K4, "d": "two", "images": SQUARE},
+    "float-vertex.json": {"complex": {"num_vertices": 4, "maximal_simplices": [[0.5, 1]]},
+                          "d": 2, "images": SQUARE},
+    "many-vertices.json": {"complex": {"num_vertices": 10**12, "maximal_simplices": [[0]]},
+                           "d": 1, "images": [["0"]]},
+    "k4.json": K4,
+    "complex-zero-den.json": {"num_vertices": "1/0", "maximal_simplices": [[0]]},
+    "hexagon.json": {"d": 2, "points": HEXAGON},
+    "points-zero-den.json": {"d": 2, "points": [["1/0", "0"]] + HEXAGON[1:]},
+    "points-inf.json": "text:" + json.dumps({"d": 2, "points": HEXAGON})
+                       .replace('"-2", "0"', '1e400, "0"'),
+    "list.json": [1, 2, 3],
+    "not-json.json": "text:{not json",
+    "empty.json": "text:",
+    "deep.json": "text:" + "[" * 5000 + "]" * 5000,
+}
+MAPS = ["square.json", "triangles.json", "simplex.json", "touching.json", "zero-den.json",
+        "inf.json", "no-images.json", "bad-d.json", "float-vertex.json",
+        "many-vertices.json", "list.json", "not-json.json", "empty.json", "deep.json",
+        "missing.json"]
+COMPLEXES = ["k4.json", "complex-zero-den.json", "float-vertex.json", "list.json",
+             "not-json.json", "deep.json", "missing.json"]
+POINTS = ["hexagon.json", "points-zero-den.json", "points-inf.json", "square.json",
+          "list.json", "not-json.json", "empty.json", "missing.json"]
+CELLS = ["[[0],[1]]", "[[2],[3]]", "[[0,1],[2]]", "[[0],[0]]", "[]", "[[1/0]]", "5",
+         "null", "[[2.0],[3]]", "[" * 3000 + "]" * 3000]
+
+HUGE = st.sampled_from([2**64, -(2**64), 10**30])
+SMALL = st.integers(-3, 6)
+ANY = st.one_of(SMALL, HUGE)
+MULTIPLICITY = ("dp", "tverberg", "plmap", "vk", "ozaydin", "puzzle")
+
+
+@st.composite
+def argv(draw):
+    """One command line: the subcommand, then its options in drawn order,
+    each dropped now and then."""
+    def file(names):
+        return "{%s}" % draw(st.sampled_from(names))
+
+    command = draw(st.sampled_from([
+        "dp stats", "dp homology", "dp connectivity", "radon", "tverberg search",
+        "plmap rfold", "plmap cocycle", "plmap almost", "vk obstruction", "sylow",
+        "ozaydin report", "puzzle", "construct join", "construct constraint"]))
+    head = command.split()[0]
+    opts = {"--seed": draw(ANY)}
+    if head in ("dp", "puzzle"):
+        if draw(st.booleans()):
+            opts["--n"] = draw(st.one_of(st.integers(-3, 5), HUGE))
+        else:
+            opts["--complex"] = file(COMPLEXES)
+        opts["--r"] = draw(st.one_of(st.integers(-3, 4), HUGE))
+    if command == "dp homology" and draw(st.booleans()):
+        opts["--mod"] = draw(ANY)
+    if head == "puzzle":
+        opts["--from"] = draw(st.sampled_from(CELLS))
+        opts["--to"] = draw(st.sampled_from(CELLS))
+    if head in ("radon", "tverberg"):
+        if draw(st.booleans()):
+            opts["--random"] = draw(st.integers(-3, 2))
+            opts["--d"] = draw(st.integers(-3, 2))
+        else:
+            opts["--points"] = file(POINTS)
+    if head == "tverberg":
+        opts["--r"] = draw(st.integers(-3, 3))
+    if head in ("plmap", "vk", "construct"):
+        opts["--map"] = file(MAPS)
+    if head in ("plmap", "vk") or command == "construct join":
+        opts["--r"] = draw(ANY)
+    if command == "plmap cocycle" and draw(st.booleans()):
+        opts["--fuzz-oracle"] = draw(st.integers(-3, 3))
+    if command == "construct constraint":
+        opts["--skeleton"] = draw(ANY)
+    if head == "sylow":
+        opts["--r"] = draw(st.integers(-3, 8))
+        opts["--p"] = draw(ANY)
+    if head == "ozaydin":
+        opts["--r"] = draw(st.integers(-3, 9))
+    flags = []
+    if head in ("vk", "sylow") and draw(st.booleans()):
+        flags.append("--certificate" if head == "vk" else "--elements")
+    items = draw(st.permutations(sorted(opts.items())))
+    out = command.split()
+    for key, value in items:
+        if draw(st.integers(0, 15)):  # drop an option one time in 16
+            out += [key, str(value)]
+    return out + flags
+
+
+def run_argv(args):
+    out, err = io.StringIO(), io.StringIO()
+    with redirect_stdout(out), redirect_stderr(err):
+        try:
+            code = cli.run(args)
+        except SystemExit as exc:  # argparse rejects the command line
+            code = exc.code
+    return code, err.getvalue()
+
+
+@pytest.fixture(scope="module")
+def files(tmp_path_factory):
+    root = tmp_path_factory.mktemp("fuzz")
+    for name, content in FILES.items():
+        text = content[5:] if isinstance(content, str) else json.dumps(content)
+        (root / name).write_text(text)
+    return {"{%s}" % name: str(root / name) for name in [*FILES, "missing.json"]}
+
+
+def test_cli_fuzz_exit_codes(files):
+    @hypothesis.settings(max_examples=400)
+    @hypothesis.given(argv())
+    def check(args):
+        args = [files.get(a, a) for a in args]
+        code, err = run_argv(args)
+        assert code in (0, 2, 3, 4), (args, code, err)
+        assert "Traceback" not in err, (args, err)
+        opts = dict(zip(args, args[1:]))
+        for flag in ("--random", "--fuzz-oracle"):
+            if flag in opts and int(opts[flag]) < 0:
+                assert code == 2, (args, code)
+        if args[0] in MULTIPLICITY and "--r" in opts and int(opts["--r"]) < 2:
+            assert code == 2, (args, code)
+
+    check()
