@@ -135,7 +135,7 @@ def partition_report(part):
 def cmd_radon(args):
     cfg = config_of(args)
     check_count(args.random, "--random")
-    if args.random:
+    if args.random is not None:
         for i in range(args.random):
             pts = convexity.random_rational_points(args.d + 2, args.d, (args.seed, i).__repr__())
             convexity.radon_partition(pts)  # raises SearchInvariantViolated unless verified
@@ -151,7 +151,7 @@ def cmd_tverberg(args):
     check_count(args.random, "--random")
     if args.r < 2:
         raise InvalidMultiplicity("a Tverberg partition needs r >= 2 parts, got %d" % args.r)
-    if args.random:
+    if args.random is not None:
         npts = (args.d + 1) * (args.r - 1) + 1
         found = 0
         for i in range(args.random):
@@ -186,12 +186,11 @@ def cmd_plmap_cocycle(args):
     cfg = config_of(args)
     table = plmaps.intersection_cocycle(f, args.r)
     if args.fuzz_oracle:
-        nonzero = [key for key, v in table.items() if v]
+        keys = [key for key, v in table.items() if v] or sorted(table)
         checked = 0
         agreements = 0
-        keys = sorted(table)
-        for i in range(args.fuzz_oracle):
-            key = (nonzero or keys)[i % len(nonzero or keys)]
+        for i in range(args.fuzz_oracle if keys else 0):  # no disjoint tuple: nothing to check
+            key = keys[i % len(keys)]
             o = plmaps.coned_extension_oracle(f, key, args.r, seed=(args.seed, i).__repr__())
             checked += 1
             if o == table[key]:

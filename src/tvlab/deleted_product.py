@@ -179,6 +179,7 @@ def deleted_product(K: Complex, r: int, cap: int = None) -> DeletedProductComple
             rec(i + 1, used | m, dim + len(s) - 1)
 
     rec(0, 0, 0)
+    del rec  # rec refers to itself: left alone, the cycle holds every cell until a full gc pass
     return DeletedProductComplex(K, r, cells_by_dim)
 
 

@@ -1,14 +1,14 @@
 """Exact integer linear algebra and cellular homology.
 
-Smith normal form with unimodular transforms; homology over the integers
-and prime fields from sparse boundary matrices, through one sparse
-elimination on unit pivots that serves both rings (over Z a small dense
-leftover block goes to the Smith normal form); homological connectivity;
-and integer linear system solving on the same elimination: the right-hand
-side is carried along as a column that is never a pivot, the leftover
-block is solved by the dense Smith normal form, and the logged pivot rows
-are back-substituted.  An infeasibility certificate is re-verified through
-the combination of equations behind it before it is returned.
+Matrices are sparse {(row, col): entry} dicts, or an IntMatrix of that and
+a shape.  Homology over the integers and prime fields goes through one
+sparse elimination on unit pivots that serves both rings (over Z a small
+leftover block goes to the Smith normal form, the one dense computation);
+homological connectivity; and integer linear system solving on the same
+elimination: the right-hand side is carried along as a column that is never
+a pivot, the leftover block is solved by the Smith normal form, and the
+logged pivot rows are back-substituted.  An infeasibility certificate is
+re-verified through the combination of equations behind it.
 """
 
 from __future__ import annotations
@@ -22,11 +22,12 @@ from .symgroup import is_prime
 
 @dataclass
 class IntMatrix:
-    """Dense arbitrary-precision integer matrix (list of row lists)."""
+    """Sparse arbitrary-precision integer matrix: its shape and its nonzero
+    entries {(i, j): v}."""
 
     rows: int
     cols: int
-    entries: list
+    entries: dict
 
     @classmethod
     def from_rows(cls, rows) -> "IntMatrix":
@@ -35,39 +36,30 @@ class IntMatrix:
         n = len(rows[0]) if m else 0
         if any(len(row) != n for row in rows):
             raise ShapeError("ragged rows")
-        return cls(m, n, rows)
-
-    @classmethod
-    def identity(cls, n) -> "IntMatrix":
-        return cls(n, n, [[int(i == j) for j in range(n)] for i in range(n)])
-
-    @classmethod
-    def zeros(cls, m, n) -> "IntMatrix":
-        return cls(m, n, [[0] * n for _ in range(m)])
-
-    def mul(self, other: "IntMatrix") -> "IntMatrix":
-        if self.cols != other.rows:
-            raise ShapeError("matrix product shape mismatch")
-        a, b = self.entries, other.entries
-        out = [[sum(a[i][k] * b[k][j] for k in range(self.cols))
-                for j in range(other.cols)] for i in range(self.rows)]
-        return IntMatrix(self.rows, other.cols, out)
+        return cls(m, n, {(i, j): v for i, row in enumerate(rows) for j, v in enumerate(row) if v})
 
     def mat_vec(self, v):
         if self.cols != len(v):
             raise ShapeError("vector length mismatch")
-        return [sum(r * x for r, x in zip(row, v)) for row in self.entries]
+        out = [0] * self.rows
+        for (i, j), a in self.entries.items():
+            out[i] += a * v[j]
+        return out
 
 
 def smith_normal_form(M: IntMatrix):
     """Return (U, D, V) with U*M*V = D diagonal, d_1 | d_2 | ..., U,V unimodular.
 
-    Pivot choice: minimal nonzero absolute value, to limit entry growth.
+    The one dense computation: M is densified here, and U, D and V come back
+    as lists of rows.  Pivot choice: minimal nonzero absolute value, to
+    limit entry growth.
     """
     m, n = M.rows, M.cols
-    D = [row[:] for row in M.entries]
-    U = IntMatrix.identity(m).entries
-    V = IntMatrix.identity(n).entries
+    D = [[0] * n for _ in range(m)]
+    for (i, j), v in M.entries.items():
+        D[i][j] = v
+    U = [[int(i == j) for j in range(m)] for i in range(m)]
+    V = [[int(i == j) for j in range(n)] for i in range(n)]
 
     def row_op(i, k, q):  # row_i -= q * row_k, in D and U
         D[i] = [a - q * b for a, b in zip(D[i], D[k])]
@@ -144,7 +136,7 @@ def smith_normal_form(M: IntMatrix):
             D[t] = [-a for a in D[t]]
             U[t] = [-a for a in U[t]]
         t += 1
-    return (IntMatrix(m, m, U), IntMatrix(m, n, D), IntMatrix(n, n, V))
+    return U, D, V
 
 
 def _eliminate(sparse: dict, p=None, carry=None, log=None):
@@ -207,8 +199,8 @@ def _eliminate(sparse: dict, p=None, carry=None, log=None):
     return pivots, rows
 
 
-def _dense_block(left: dict, carry=None):
-    """The rows left by _eliminate as a dense matrix over their live columns.
+def _leftover_block(left: dict, carry=None):
+    """The rows left by _eliminate, renumbered over their live columns.
 
     Returns (row ids, column ids, IntMatrix), rows and columns in increasing
     order; the carried column is not part of the block.
@@ -216,12 +208,9 @@ def _dense_block(left: dict, carry=None):
     row_ids = sorted(left)
     col_ids = sorted({j for row in left.values() for j in row if j != carry})
     at = {j: b for b, j in enumerate(col_ids)}
-    block = IntMatrix.zeros(len(row_ids), len(col_ids))
-    for dense, i in zip(block.entries, row_ids):
-        for j, v in left[i].items():
-            if j != carry:
-                dense[at[j]] = v
-    return row_ids, col_ids, block
+    entries = {(a, at[j]): v for a, i in enumerate(row_ids)
+               for j, v in left[i].items() if j != carry}
+    return row_ids, col_ids, IntMatrix(len(row_ids), len(col_ids), entries)
 
 
 def smith_diagonal(sparse: dict, m: int, n: int) -> list:
@@ -234,8 +223,8 @@ def smith_diagonal(sparse: dict, m: int, n: int) -> list:
     units, left = _eliminate(sparse)
     diag = [1] * units
     if left:
-        _, D, _ = smith_normal_form(_dense_block(left)[2])
-        diag += [D.entries[t][t] for t in range(min(D.rows, D.cols)) if D.entries[t][t]]
+        _, D, _ = smith_normal_form(_leftover_block(left)[2])
+        diag += [row[t] for t, row in enumerate(D) if t < len(row) and row[t]]
     return diag + [0] * (min(m, n) - len(diag))
 
 
@@ -340,19 +329,19 @@ def _snf_solve(A: IntMatrix, b: list):
     or exactly beyond the rank).
     """
     U, D, V = smith_normal_form(A)
-    c = U.mat_vec(b)
+    c = [sum(u * x for u, x in zip(row, b)) for row in U]
     y = [0] * A.cols
     for t in range(min(A.rows, A.cols)):
-        d = D.entries[t][t]
+        d = D[t][t]
         if d:
             if c[t] % d:
                 return None, {"kind": "divisibility", "index": t,
-                              "diagonal": d, "coordinate": c[t]}, U.entries[t]
+                              "diagonal": d, "coordinate": c[t]}, U[t]
             y[t] = c[t] // d
     for t in range(A.rows):
-        if (t >= A.cols or D.entries[t][t] == 0) and c[t]:
-            return None, {"kind": "rank", "index": t, "coordinate": c[t]}, U.entries[t]
-    return V.mat_vec(y), None, None
+        if (t >= A.cols or D[t][t] == 0) and c[t]:
+            return None, {"kind": "rank", "index": t, "coordinate": c[t]}, U[t]
+    return [sum(v * x for v, x in zip(row, y)) for row in V], None, None
 
 
 def solve_integer_system(A: IntMatrix, b: list):
@@ -372,13 +361,13 @@ def solve_integer_system(A: IntMatrix, b: list):
     if A.rows != len(b):
         raise ShapeError("b has length %d, A has %d rows" % (len(b), A.rows))
     carry = A.cols
-    sparse = {(i, j): v for i, row in enumerate(A.entries) for j, v in enumerate(row) if v}
+    sparse = dict(A.entries)
     sparse.update(((i, carry), v) for i, v in enumerate(b) if v)
     log = []
     units, left = _eliminate(sparse, carry=carry, log=log)
     x = [0] * A.cols
     if left:
-        row_ids, col_ids, block = _dense_block(left, carry)
+        row_ids, col_ids, block = _leftover_block(left, carry)
         y, witness, u_block = _snf_solve(block, [left[i].get(carry, 0) for i in row_ids])
         if witness is not None:
             witness["index"] += units

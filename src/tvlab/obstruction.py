@@ -16,11 +16,11 @@ it.  The same table serves the symmetric group and its Sylow subgroups, for
 locating cells, coboundary assembly, restriction and transfer.
 
 The obstruction decision solves delta c = v over the integers on the top
-two degrees with the sparse unit-pivot solve of tvlab.homology (a dense
-Smith normal form only on the block left after the +-1 pivots), returning
-either a certificate cochain re-verified against the coboundary matrix or
-a Smith-normal-form infeasibility witness, itself re-verified through the
-combination of top-orbit equations that it stands for.
+two degrees: the sparse coboundary goes to the unit-pivot solve of
+tvlab.homology (a dense Smith normal form only on the block left after the
++-1 pivots), which returns either a certificate cochain, re-verified here
+against the coboundary, or a Smith-normal-form infeasibility witness,
+re-verified through the combination of top-orbit equations behind it.
 """
 
 from __future__ import annotations
@@ -135,7 +135,8 @@ def coboundary_matrix(dp: DeletedProductComplex, twist=None):
 
     Returns (IntMatrix, top_reps, facet_reps); entry (i, j) is the signed
     multiplicity of facet orbit j in the boundary of top representative i,
-    with all twisted-equivariance signs folded in.
+    with all twisted-equivariance signs folded in.  The nonzero entries are
+    kept in row-major order, in which the elimination breaks pivot ties.
     """
     if twist is None:
         twist = _default_twist(dp)
@@ -145,12 +146,14 @@ def coboundary_matrix(dp: DeletedProductComplex, twist=None):
     facets = orbit_table(dp, group, top - 1) if top >= 1 else {}
     facet_reps = _reps(facets)
     col = {rep: j for j, rep in enumerate(facet_reps)}
-    entries = [[0] * len(facet_reps) for _ in top_reps]
+    entries = {}
     for i, cell in enumerate(top_reps):
         for facet, eps in dp.cell_boundary(cell):
             rep, omega = facets[facet]
-            entries[i][col[rep]] += eps * chi(omega, rep, twist)
-    return IntMatrix.from_rows(entries) if top_reps else IntMatrix.zeros(0, 0), top_reps, facet_reps
+            key = (i, col[rep])
+            entries[key] = entries.get(key, 0) + eps * chi(omega, rep, twist)
+    entries = {key: v for key, v in sorted(entries.items()) if v}
+    return IntMatrix(len(top_reps), len(facet_reps), entries), top_reps, facet_reps
 
 
 @dataclass

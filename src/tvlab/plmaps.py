@@ -134,6 +134,7 @@ def disjoint_tuples(simplices, r):
                 chosen.pop()
 
     extend(0, 0)
+    del extend  # the self-referring closure would keep out alive until a full gc pass
     return out
 
 

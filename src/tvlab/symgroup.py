@@ -44,14 +44,35 @@ def sign(omega) -> int:
     return -1 if inv % 2 else 1
 
 
+# Miller-Rabin on the primes up to 41 as bases is exact below this bound
+# (Sorenson and Webster 2016).
+PRIME_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+MILLER_RABIN_BOUND = 3317044064679887385961981
+
+
 def is_prime(p) -> bool:
+    """Deterministic Miller-Rabin; raises InputError at or above the bound
+    where the fixed bases are proven exact."""
     if p < 2:
         return False
-    f = 2
-    while f * f <= p:
-        if p % f == 0:
+    if p >= MILLER_RABIN_BOUND:
+        raise InputError("primality is decided only below %d, got %d" % (MILLER_RABIN_BOUND, p))
+    if p in PRIME_BASES:
+        return True
+    d, s = p - 1, 0
+    while d % 2 == 0:
+        d //= 2
+        s += 1
+    for a in PRIME_BASES:
+        x = pow(a, d, p)
+        if x in (1, p - 1):
+            continue
+        for _ in range(s - 1):
+            x = x * x % p
+            if x == p - 1:
+                break
+        else:
             return False
-        f += 1
     return True
 
 

@@ -2,6 +2,7 @@
 shapes, determinism of reports under a fixed configuration."""
 
 import json
+import time
 
 import pytest
 
@@ -114,6 +115,35 @@ def test_plmap_cocycle_fuzz_oracle(tmp_path, capsys):
                                  "--fuzz-oracle", "3"])
     assert code == 0
     assert rep["checked"] == rep["oracle_agreements"] == 3
+
+
+def test_plmap_cocycle_fuzz_oracle_without_disjoint_tuples(tmp_path, capsys):
+    # one edge has no pair of disjoint edges, so there is nothing to check
+    path = write_json(tmp_path / "edge.json", {
+        "complex": {"num_vertices": 2, "maximal_simplices": [[0, 1]]},
+        "d": 2, "images": [["0", "0"], ["1", "0"]]})
+    code, rep = run_cli(capsys, ["plmap", "cocycle", "--map", path, "--r", "2",
+                                 "--fuzz-oracle", "3"])
+    assert code == 0
+    assert rep["checked"] == rep["oracle_agreements"] == 0
+
+
+@pytest.mark.parametrize("argv", [["radon", "--random", "0"],
+                                  ["tverberg", "search", "--random", "0", "--r", "3"]],
+                         ids=["radon", "tverberg"])
+def test_random_zero_runs_no_instance(capsys, argv):
+    code, rep = run_cli(capsys, argv)
+    assert code == 0
+    assert rep["instances"] == 0
+
+
+def test_dp_homology_mod_large_prime(capsys):
+    start = time.perf_counter()
+    code, rep = run_cli(capsys, ["dp", "homology", "--n", "3", "--r", "2",
+                                 "--mod", str(2**61 - 1)])
+    assert time.perf_counter() - start < 1
+    assert code == 0
+    assert rep["coefficients"] == "GF(2305843009213693951)"
 
 
 def test_plmap_almost(tmp_path, capsys):

@@ -3,9 +3,10 @@ a traceback, and never accepts a multiplicity r < 2 or a negative count.
 
 Integers are drawn small, zero, negative and huge.  Huge values go to the
 arguments whose size is checked before any work: --n (the cell cap), the
---r of maps and of the deleted product, --skeleton, --mod and --p (huge but
-composite, so the primality test is quick) and the --r of construct join
-(the face cap).  Arguments that only set how much
+--r of maps and of the deleted product, --skeleton, --mod and --p (the
+primality test is quick: 2^61 - 1 is prime, and 10^30 is past the bound of
+the deterministic test and rejected) and the --r of construct join (the
+face cap).  Arguments that only set how much
 work is done (--random, --fuzz-oracle, --d, the --r of tverberg, sylow and
 ozaydin) are drawn from small ranges, since a large value there is a long
 but legitimate run.  Input files are valid, missing, malformed, deeply
@@ -72,7 +73,7 @@ POINTS = ["hexagon.json", "points-zero-den.json", "points-inf.json", "square.jso
 CELLS = ["[[0],[1]]", "[[2],[3]]", "[[0,1],[2]]", "[[0],[0]]", "[]", "[[1/0]]", "5",
          "null", "[[2.0],[3]]", "[" * 3000 + "]" * 3000]
 
-HUGE = st.sampled_from([2**64, -(2**64), 10**30])
+HUGE = st.sampled_from([2**64, -(2**64), 10**30, 2**61 - 1])
 SMALL = st.integers(-3, 6)
 ANY = st.one_of(SMALL, HUGE)
 MULTIPLICITY = ("dp", "tverberg", "plmap", "vk", "ozaydin", "puzzle")

@@ -1,5 +1,6 @@
 """Tests for the r-fold deleted product construction."""
 
+import gc
 from math import comb, factorial
 
 import pytest
@@ -10,6 +11,7 @@ from tvlab.deleted_product import (act_on_cell, cell_dim,
                                    full_simplex_cell_count, koszul_action_sign,
                                    puzzle_reachable)
 from tvlab.errors import CapExceeded, InvalidMultiplicity, UnknownCell
+from tvlab.plmaps import disjoint_tuples
 from tvlab.symgroup import compose
 
 try:
@@ -373,3 +375,17 @@ def test_disconnected_deleted_product():
     # cells: ordered pairs of disjoint simplices
     assert all(len(set(c[0]) & set(c[1])) == 0
                for cs in dp.cells_by_dim.values() for c in cs)
+
+
+def test_enumerations_leave_no_reference_cycle():
+    # a cycle would keep every cell alive until a full gc pass, so memory
+    # grew from one deleted product to the next
+    gc.collect()
+    gc.disable()
+    try:
+        dp = deleted_product(simplex_skeleton(6, 2), 3)
+        disjoint_tuples(dp.base.simplices_of_dim(2), 3)
+        del dp
+        assert gc.collect() == 0
+    finally:
+        gc.enable()

@@ -148,6 +148,38 @@ def test_coboundary_matrix_shape():
     assert (A.rows, A.cols) == (15, 30)
 
 
+def dense_coboundary(dp, twist):
+    """The coboundary as a list of rows, assembled entry by entry as
+    coboundary_matrix did before it stored only nonzero entries."""
+    group = symmetric_group(dp.r)
+    facets = orbit_table(dp, group, dp.dim - 1)
+    col = {rep: j for j, rep in enumerate(orbit_reps(dp, group, dp.dim - 1))}
+    rows = []
+    for cell in orbit_reps(dp, group, dp.dim):
+        row = [0] * len(col)
+        for facet, eps in dp.cell_boundary(cell):
+            rep, omega = facets[facet]
+            row[col[rep]] += eps * chi(omega, rep, twist)
+        rows.append(row)
+    return rows
+
+
+@pytest.mark.parametrize("domain,d,r", [("k5", 2, 2), ("colored333", 3, 3), ("delta6/2", 4, 2)])
+def test_sparse_coboundary_matches_dense_assembly(domain, d, r):
+    K = simplex_skeleton(4, 1) if domain == "k5" else base_complex(domain)
+    f = PLMap.build(K, d, random_rational_points(K.num_vertices, d, repr(("cob", domain))))
+    dp = deleted_product(f.domain, r)
+    twist = cocycle_from_table(dp, {}).twist
+    A, top_reps, facet_reps = coboundary_matrix(dp, twist)
+    rows = dense_coboundary(dp, twist)
+    assert (A.rows, A.cols) == (len(rows), len(facet_reps)) == (len(top_reps), len(rows[0]))
+    # the nonzeros in the order of the old dense-to-sparse scan: the
+    # elimination breaks pivot ties in this order, so witnesses depend on it
+    nonzeros = {(i, j): v for i, row in enumerate(rows) for j, v in enumerate(row) if v}
+    assert A.entries == nonzeros
+    assert list(A.entries) == sorted(A.entries)
+
+
 def test_cocycle_from_table_zero_and_consistency():
     _, dp, _ = k5_setup()
     zero = cocycle_from_table(dp, {})
@@ -192,8 +224,10 @@ def test_k5_mod2_invariant():
     # over disjoint pairs is an invariant; for K_5 it is 1
     _, dp, v = k5_setup()
     A, _, _ = coboundary_matrix(dp)
-    for j in range(A.cols):
-        assert sum(A.entries[i][j] for i in range(A.rows)) % 2 == 0
+    column_sums = [0] * A.cols
+    for (_, j), a in A.entries.items():
+        column_sums[j] += a
+    assert all(s % 2 == 0 for s in column_sums)
     assert sum(abs(x) for x in v.values.values()) % 2 == 1
 
 
@@ -256,8 +290,7 @@ def test_van_kampen_flores_witness_pinned(N, units):
     # the index counts the unit invariant factors of the coboundary, and the
     # diagonal is its one Z/2 factor
     A, _, _ = coboundary_matrix(dp, v.twist)
-    sparse = {(i, j): a for i, row in enumerate(A.entries) for j, a in enumerate(row) if a}
-    diag = smith_diagonal(sparse, A.rows, A.cols)
+    diag = smith_diagonal(A.entries, A.rows, A.cols)
     assert diag.count(1) == units and [t for t in diag if t > 1] == [2]
 
 def test_restriction_to_full_group_is_identity():

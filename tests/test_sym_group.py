@@ -4,10 +4,11 @@ from fractions import Fraction
 
 import pytest
 
-from tvlab.errors import DiagonalInput, NoSplit, NotPrime
-from tvlab.symgroup import (MatrixSpherePoint, all_permutations, compose,
-                            identity_perm, invariant_block_split,
-                            invariant_matrix_point, inverse, is_transitive,
+from tvlab.errors import DiagonalInput, InputError, NoSplit, NotPrime
+from tvlab.symgroup import (MILLER_RABIN_BOUND, MatrixSpherePoint,
+                            all_permutations, compose, identity_perm,
+                            invariant_block_split, invariant_matrix_point,
+                            inverse, is_prime, is_transitive,
                             p_order_in_factorial, pi_projection, sign,
                             sylow_tree_subgroup, symmetric_group,
                             trivial_group)
@@ -30,6 +31,27 @@ def test_sign_multiplicative():
     for a in perms[::5]:
         for b in perms[::7]:
             assert sign(compose(a, b)) == sign(a) * sign(b)
+
+
+def trial_division(n):
+    return n >= 2 and all(n % f for f in range(2, int(n**0.5) + 1))
+
+
+def test_is_prime_matches_trial_division():
+    assert [n for n in range(-3, 20000) if is_prime(n) != trial_division(n)] == []
+
+
+def test_is_prime_pseudoprimes_and_bound():
+    # a Carmichael number, and strong pseudoprimes to the prime bases up
+    # to 7 and up to 31: Miller-Rabin on fewer bases calls them prime
+    assert 3215031751 == 151 * 751 * 28351
+    assert 3825123056546413051 == 149491 * 747451 * 34233211
+    for n in (561, 3215031751, 3825123056546413051):
+        assert not is_prime(n)
+    assert is_prime(2**31 - 1) and is_prime(2**61 - 1)
+    for n in (MILLER_RABIN_BOUND, MILLER_RABIN_BOUND + 2, 10**30):
+        with pytest.raises(InputError, match=str(MILLER_RABIN_BOUND)):
+            is_prime(n)
 
 
 def test_p_order_in_factorial():
