@@ -12,6 +12,7 @@ import argparse
 import json
 import sys
 from fractions import Fraction
+from functools import cache
 
 from . import convexity, homology, obstruction, plmaps, symgroup
 from .complexes import Complex, full_simplex
@@ -233,14 +234,18 @@ def cmd_vk_obstruction(args):
 
 def cmd_sylow(args):
     G = symgroup.sylow_tree_subgroup(args.r, args.p)
+    alpha = symgroup.p_order_in_factorial(args.r, args.p)
+    order = args.p ** alpha  # Legendre's formula, without listing the group
     report = {
-        "order": G.order(),
-        "alpha": symgroup.p_order_in_factorial(args.r, args.p),
+        "order": order,
+        "alpha": alpha,
         "generators": [list(g) for g in G.generators],
         "transitive": symgroup.is_transitive(G),
         "orbits": [list(o) for o in G.orbits()],
     }
     if args.elements:
+        if order > configured_cell_cap():
+            raise CapExceeded("the group has %d elements (cap %d)" % (order, configured_cell_cap()))
         report["elements"] = sorted([list(g) for g in G.elements()])
     emit(report, config_of(args), args.out)
     return 0
@@ -379,10 +384,12 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+_shared_parser = cache(build_parser)  # built once per process, reused by every run
+
+
 def run(argv) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _shared_parser().parse_args(argv)
         return args.func(args)
     except CapExceeded as exc:
         print(json.dumps({"error": str(exc), "kind": "cap"}), file=sys.stderr)

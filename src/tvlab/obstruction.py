@@ -29,7 +29,7 @@ from dataclasses import dataclass, field
 from math import factorial, gcd
 
 from .deleted_product import DeletedProductComplex, act_on_cell
-from .errors import DegreeError, InvalidMultiplicity, NotEquivariant, UnknownCell
+from .errors import DegreeError, InputError, InvalidMultiplicity, NotEquivariant, UnknownCell
 from .homology import IntMatrix, solve_integer_system
 from .symgroup import (PermGroup, compose, inverse, invariant_block_split,
                        invariant_matrix_point, is_prime, is_transitive,
@@ -166,10 +166,16 @@ class NullCohomologyResult:
 
 
 def is_null_cohomologous(v: EquivariantCochain, dp: DeletedProductComplex) -> NullCohomologyResult:
-    """Decide integer solvability of delta c = v on the top two degrees."""
+    """Decide integer solvability of delta c = v on the top two degrees.
+
+    The coboundary is that of the full symmetric group, so v must be over it.
+    """
     if v.degree != dp.dim:
         raise DegreeError("cochain degree %d is not the top dimension %d"
                           % (v.degree, dp.dim))
+    if (v.group.degree, v.group.order()) != (dp.r, factorial(dp.r)):
+        raise InputError("the decision is over the full symmetric group on %d letters; "
+                         "got a group of order %d" % (dp.r, v.group.order()))
     A, top_reps, facet_reps = coboundary_matrix(dp, v.twist)
     b = [v.values.get(rep, 0) for rep in top_reps]
     x, witness = solve_integer_system(A, b)

@@ -5,14 +5,17 @@ computations reduce to exact rational linear algebra.  The intersection
 sign of r pairwise disjoint top simplices follows the stacked-normal-frame
 convention: orient each simplex by increasing vertex order, take the
 positively oriented normal k-frame of each image plane, stack the r frames
-and read off the determinant sign.
+and read off the determinant sign.  That is the sign of det A for the
+square common-point system A x = b in the row order of
+convexity.common_point_system.  A unique solution makes A nonsingular, so
+the image simplices are nondegenerate and their normal frames span R^d.
 
 The intersection cocycle enumerates the disjoint tuples of top simplices
 once, from vertex bitmasks, and solves every tuple's common-point system
 on the map's images scaled once to integers (a positive uniform scaling
-moves no solution).  The solve decides from the integer numerators and
-their common denominator; Fractions, normal frames and the determinant
-sign are computed only for the tuples whose images meet.
+changes neither the solution nor the sign of det A).  One integer
+elimination per tuple gives the solution and, from its last pivot, det A;
+Fractions are made only for the tuples whose images meet.
 
 The coned-extension oracle recomputes the same number independently: it
 extends the r-fold product map over the product polytope by coning from
@@ -156,29 +159,31 @@ def positive_normal_frame(points, d):
 
 
 def _unique_solution(T, degenerate):
-    """The solution of the integer system T = [A | b], eliminated in place.
+    """The solution of the square integer system T = [A | b], eliminated in place.
 
-    Returns (numerators, D) with D > 0 and x_i = numerators[i] / D; None if
-    there is no solution, NotGeneric if there are many.
+    Returns (numerators, D, sign) with D > 0, x_i = numerators[i] / D and
+    det A = sign * D; None if there is no solution, NotGeneric if there are
+    many.
     """
     n = len(T[0]) - 1
-    pivots, D, _ = linalg.gauss_jordan(T)
+    pivots, D, sign = linalg.gauss_jordan(T)
     if n in pivots:
         return None
     if len(pivots) < n:
         raise NotGeneric(degenerate)
     if D < 0:
-        return [-T[i][n] for i in range(n)], -D
-    return [T[i][n] for i in range(n)], D
+        return [-T[i][n] for i in range(n)], -D, -sign
+    return [T[i][n] for i in range(n)], D, sign
 
 
 def tuple_r_fold_point(f: PLMap, simplices, r):
     """The strictly interior common image point of one disjoint r-tuple.
 
     Solves the square system equating the r affine images with barycentric
-    unknowns, on the map's integer images.  Returns an RFoldPoint, or None if
-    the images miss each other.  Raises NotGeneric on under-determined
-    systems or boundary solutions.
+    unknowns, on the map's integer images, by one integer elimination; the
+    sign of the point is the sign of the system's determinant.  Returns an
+    RFoldPoint, or None if the images miss each other.  Raises NotGeneric
+    on under-determined systems or boundary solutions.
     """
     d = f.ambient_dim
     ints = f.integer_images
@@ -187,7 +192,7 @@ def tuple_r_fold_point(f: PLMap, simplices, r):
                            "under-determined intersection system")
     if sol is None:
         return None  # inconsistent: the image planes do not meet
-    nums, D = sol
+    nums, D, sgn = sol
     if 0 in nums:
         raise NotGeneric("intersection on a simplex boundary")
     if any(v < 0 for v in nums):
@@ -196,12 +201,6 @@ def tuple_r_fold_point(f: PLMap, simplices, r):
     bary = tuple(tuple(x[offsets[i]:offsets[i + 1]]) for i in range(r))
     pts = f.image_points(simplices[0])
     ambient = tuple(sum(c * p[a] for c, p in zip(bary[0], pts)) for a in range(d))
-    frames = []
-    for s in simplices:
-        frames.extend(positive_normal_frame(f.image_points(s), d))
-    sgn = linalg.det_sign(frames)
-    if sgn == 0:
-        raise NotGeneric("parallel-degenerate image planes")
     return RFoldPoint(tuple(simplices), bary, ambient, sgn)
 
 
@@ -236,18 +235,12 @@ def orientation_pairing_sign(k, r) -> int:
 def default_apexes(f: PLMap, simplices, r, seed=0):
     """Deterministic generic apex tuple for the coned extension."""
     rng = random.Random((seed, tuple(simplices)).__repr__())
-    coords = [x for s in simplices for p in f.image_points(s) for x in p]
+    pts = [p for s in simplices for p in f.image_points(s)]
+    coords = [x for p in pts for x in p]
     spread = max(coords) - min(coords) if coords else Fraction(1)
     if spread == 0:
         spread = Fraction(1)
-    center = [Fraction(0)] * f.ambient_dim
-    npts = 0
-    for s in simplices:
-        for p in f.image_points(s):
-            for a in range(f.ambient_dim):
-                center[a] += p[a]
-            npts += 1
-    center = [x / npts for x in center]
+    center = [Fraction(sum(p[a] for p in pts), len(pts)) for a in range(f.ambient_dim)]
     return [
         tuple(
             center[a] + spread * Fraction(rng.randint(-2**20, 2**20), 2**18)
@@ -302,9 +295,9 @@ def coned_extension_oracle(f: PLMap, simplices, r, apexes=None, seed=0) -> int:
 
     gc = Fraction(1, m + 1)  # every facet functional takes this value at the center
     total = 0
+    drift = [lc - a for lc, a in zip(Lc, apex)]
     for grad, const in facets:
         # F(u) = apex + t(u) (Lc - apex) + L(u) - Lc,  t(u) = 1 - g(u)/g(c)
-        drift = [lc - a for lc, a in zip(Lc, apex)]
         Fmat = [row[:] for row in Lmat]
         Fconst = []
         for a in range(rd):
@@ -332,7 +325,6 @@ def coned_extension_oracle(f: PLMap, simplices, r, apexes=None, seed=0) -> int:
                 raise NotGeneric("diagonal crossing on a piece boundary")
             continue
         x = [cu + (uu - cu) / t for cu, uu in zip(center_u, u)]
-        ok = True
         for grad2, const2 in facets:
             if grad2 is grad:
                 continue
@@ -340,21 +332,14 @@ def coned_extension_oracle(f: PLMap, simplices, r, apexes=None, seed=0) -> int:
             if val == 0:
                 raise NotGeneric("diagonal crossing on a piece boundary")
             if val < 0:
-                ok = False
-                break
-        if not ok:
-            continue
-        # crossing sign: differential columns paired with diagonal directions
-        cols = []
-        for j in range(n):
-            cols.append([Fmat[a][j] for a in range(rd)])
-        for l in range(d):
-            cols.append([Fraction(int(a % d == l)) for a in range(rd)])
-        M = [[cols[j][a] for j in range(rd)] for a in range(rd)]
-        sgn = linalg.det_sign(M)
-        if sgn == 0:
-            raise NotGeneric("degenerate diagonal crossing")
-        total += sgn
+                break  # the crossing lies outside this piece
+        else:
+            # crossing sign: differential columns paired with diagonal directions
+            M = [Fmat[a] + [Fraction(int(a % d == l)) for l in range(d)] for a in range(rd)]
+            sgn = linalg.det_sign(M)
+            if sgn == 0:
+                raise NotGeneric("degenerate diagonal crossing")
+            total += sgn
     return orientation_pairing_sign(k, r) * total
 
 

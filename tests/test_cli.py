@@ -161,6 +161,44 @@ def test_sylow_report(capsys):
     assert len(rep["elements"]) == 8
 
 
+def test_sylow_order_is_p_to_the_alpha(capsys):
+    for r in range(1, 9):
+        for p in (2, 3, 5, 7):
+            code, rep = run_cli(capsys, ["sylow", "--r", str(r), "--p", str(p), "--elements"])
+            assert code == 0
+            assert rep["order"] == p ** rep["alpha"] == len(rep["elements"])
+
+
+def refuse_to_list(monkeypatch):
+    def elements(self):
+        raise AssertionError("the group was enumerated")
+    monkeypatch.setattr(cli.symgroup.PermGroup, "elements", elements)
+
+
+def test_sylow_order_without_listing_the_group(capsys, monkeypatch):
+    refuse_to_list(monkeypatch)
+    code, rep = run_cli(capsys, ["sylow", "--r", "30", "--p", "2"])
+    assert code == 0
+    assert (rep["order"], rep["alpha"]) == (2 ** 26, 26)
+
+
+def test_sylow_elements_over_the_cap_exit_3_before_listing(capsys, monkeypatch):
+    refuse_to_list(monkeypatch)
+    code, rep = run_cli(capsys, ["sylow", "--r", "30", "--p", "2", "--elements"])
+    assert (code, rep["kind"]) == (3, "cap")
+    monkeypatch.setenv("TVLAB_CELL_CAP", "100")
+    code, rep = run_cli(capsys, ["sylow", "--r", "8", "--p", "2", "--elements"])
+    assert (code, rep["kind"]) == (3, "cap")
+
+
+def test_run_reuses_one_parser(capsys, monkeypatch):
+    built = []
+    monkeypatch.setattr(cli, "build_parser", lambda: built.append(1))
+    for argv in (["sylow", "--r", "4", "--p", "2"], ["ozaydin", "report", "--r", "6"]):
+        assert run_cli(capsys, argv)[0] == 0
+    assert built == []
+
+
 def test_ozaydin_report(capsys):
     code, rep = run_cli(capsys, ["ozaydin", "report", "--r", "6"])
     assert code == 0

@@ -9,7 +9,7 @@ import pytest
 from tvlab.complexes import Complex, full_simplex, simplex_skeleton
 from tvlab.convexity import random_rational_points
 from tvlab.deleted_product import act_on_cell, deleted_product
-from tvlab.errors import DegreeError, NotEquivariant, UnknownCell
+from tvlab.errors import DegreeError, NotEquivariant, TvlabError, UnknownCell
 from tvlab.homology import smith_diagonal
 from tvlab.obstruction import (EquivariantCochain, chi, cocycle_from_table,
                                coboundary_matrix, coset_representatives,
@@ -243,6 +243,19 @@ def test_degree_error():
     bad = EquivariantCochain(dp, v.group, 1, v.twist, {})
     with pytest.raises(DegreeError):
         is_null_cohomologous(bad, dp)
+
+
+def test_decision_refuses_a_cochain_over_a_subgroup():
+    # the decision solves against the Sigma_3 coboundary; over P_2 its
+    # "certificate" missed delta c = w on 4 of the 108 P_2-orbits
+    K = Complex.from_maximal(9, COLORED333)
+    f = PLMap.build(K, 3, random_rational_points(9, 3, repr(("g", 1))))
+    dp = deleted_product(K, 3)
+    v = cocycle_from_table(dp, intersection_cocycle(f, 3))
+    assert is_null_cohomologous(v, dp).trivial
+    for G in (sylow_tree_subgroup(3, 2), sylow_tree_subgroup(3, 3), trivial_group(3)):
+        with pytest.raises(TvlabError):
+            is_null_cohomologous(restrict_to_subgroup(v, G), dp)
 
 
 def test_vertex_move_difference_is_null_cohomologous():

@@ -1,20 +1,23 @@
 """The r-fold solve on integer images and the mask enumeration of disjoint
 tuples, each against a test-side reference: a plain Fraction elimination
-of the common-point system on the original images, and the filtered
-itertools.combinations enumeration."""
+of the common-point system on the original images, with the sign from
+stacked normal frames, and the filtered itertools.combinations
+enumeration."""
 
+import random
 from collections import Counter
 from fractions import Fraction
 from itertools import combinations
 
 import pytest
 
-from tvlab.complexes import Complex, are_disjoint
-from tvlab.convexity import common_point_system
+from tvlab import linalg, plmaps
+from tvlab.complexes import Complex, are_disjoint, simplex_skeleton
+from tvlab.convexity import common_point_system, random_rational_points
 from tvlab.errors import NotGeneric
 from tvlab.linalg import det_sign
 from tvlab.plmaps import (PLMap, RFoldPoint, coned_extension_oracle, disjoint_tuples,
-                          positive_normal_frame, tuple_r_fold_point)
+                          intersection_cocycle, positive_normal_frame, tuple_r_fold_point)
 
 pytest.importorskip("hypothesis")
 from hypothesis import given, settings, strategies as st  # noqa: E402
@@ -147,6 +150,58 @@ def test_coned_oracle_on_a_negative_pivot_product():
     f = PLMap.build(K, 3, imgs)
     key = ((0, 1, 2), (3, 4, 5), (6, 7, 8))
     assert coned_extension_oracle(f, key, 3) == tuple_r_fold_point(f, key, 3).sign
+
+
+def hit_tuple(k, r, rng):
+    """r disjoint k(r-1)-simplices in R^{kr}, each translated so that an
+    interior point of it (positive integer barycentric weights) lands on the
+    origin: the origin is then an r-fold point, unless the draw is
+    degenerate."""
+    m, d = k * (r - 1), k * r
+    images = []
+    for _ in range(r):
+        pts = [[rng.randint(-99, 99) for _ in range(d)] for _ in range(m + 1)]
+        w = [rng.randint(1, 9) for _ in range(m + 1)]
+        centre = [Fraction(sum(wj * p[a] for wj, p in zip(w, pts)), sum(w)) for a in range(d)]
+        images += [[p[a] - centre[a] for a in range(d)] for p in pts]
+    simplices = tuple(tuple(range(i * (m + 1), (i + 1) * (m + 1))) for i in range(r))
+    return PLMap.build(Complex.from_maximal(r * (m + 1), simplices), d, images), simplices
+
+
+@pytest.mark.parametrize("k,r,count", [(1, 2, 30), (2, 2, 30), (3, 2, 20), (1, 3, 30),
+                                       (2, 3, 6), (1, 4, 6)])
+def test_sign_is_the_determinant_sign_of_the_solve(k, r, count):
+    rng = random.Random(repr(("hit", k, r)))
+    signs = Counter()
+    for _ in range(count):
+        f, simplices = hit_tuple(k, r, rng)
+        pt = tuple_r_fold_point(f, simplices, r)
+        assert pt == reference_r_fold_point(f, simplices, r, Counter())
+        assert pt.ambient == (0,) * (k * r)
+        assert coned_extension_oracle(f, simplices, r) == pt.sign
+        signs[pt.sign] += 1
+    assert set(signs) == {-1, 1}, signs
+
+
+def test_cocycle_builds_no_frame_and_no_second_determinant(monkeypatch):
+    colored = Complex.from_maximal(9, [(a, b, c) for a in range(3)
+                                       for b in range(3, 6) for c in range(6, 9)])
+    cases = [(PLMap.build(simplex_skeleton(4, 1), 2, random_rational_points(5, 2, "k5")), 2),
+             (PLMap.build(colored, 3, random_rational_points(9, 3, repr(("g", 1)))), 3)]
+    want = []
+    for f, r in cases:
+        top = f.domain.simplices_of_dim(f.domain.dim)
+        points = {key: reference_r_fold_point(f, key, r, Counter())
+                  for key in disjoint_tuples(top, r)}
+        want.append({key: 0 if pt is None else pt.sign for key, pt in points.items()})
+        assert any(want[-1].values())
+
+    def refuse(*args):
+        raise AssertionError("the r-fold solve computed a second orientation")
+
+    monkeypatch.setattr(plmaps, "positive_normal_frame", refuse)
+    monkeypatch.setattr(linalg, "det_sign", refuse)
+    assert [intersection_cocycle(f, r) for f, r in cases] == want
 
 
 @st.composite
