@@ -15,9 +15,8 @@ from fractions import Fraction
 from functools import cache
 
 from . import convexity, homology, obstruction, plmaps, symgroup
-from .complexes import Complex, full_simplex
-from .deleted_product import (cell_dim, check_full_simplex_cap,
-                              configured_cell_cap, deleted_product,
+from .complexes import Complex, configured_cell_cap, full_simplex
+from .deleted_product import (cell_dim, check_full_simplex_cap, deleted_product,
                               puzzle_reachable)
 from .errors import (CapExceeded, InputError, InvalidMultiplicity,
                      SearchInvariantViolated, TvlabError, read_json)
@@ -55,11 +54,19 @@ def emit(report, config, out=None):
 
 def load_complex(args) -> Complex:
     if getattr(args, "complex", None):
+        if args.r < 2:  # before the file is read and closed under faces
+            raise InvalidMultiplicity("deleted product needs r >= 2, got %d" % args.r)
         return Complex.from_json_file(args.complex)
     if args.n is None:
         raise InputError("give the complex as --n or --complex")
     check_full_simplex_cap(args.n, args.r)  # before the 2^(n+1)-1 faces exist
     return full_simplex(args.n)
+
+
+def load_map(args) -> plmaps.PLMap:
+    if args.r < 2:  # before the file is read and its domain closed under faces
+        raise InvalidMultiplicity("r-fold intersections need r >= 2, got %d" % args.r)
+    return plmaps.PLMap.from_json_file(args.map)
 
 
 def parse_cell(text) -> tuple:
@@ -167,7 +174,7 @@ def cmd_tverberg(args):
 
 
 def cmd_plmap_rfold(args):
-    f = plmaps.PLMap.from_json_file(args.map)
+    f = load_map(args)
     points = plmaps.global_r_fold_points(f, args.r)
     emit({
         "count": len(points),
@@ -183,7 +190,7 @@ def cmd_plmap_rfold(args):
 
 def cmd_plmap_cocycle(args):
     check_count(args.fuzz_oracle, "--fuzz-oracle")
-    f = plmaps.PLMap.from_json_file(args.map)
+    f = load_map(args)
     cfg = config_of(args)
     table = plmaps.intersection_cocycle(f, args.r)
     if args.fuzz_oracle:
@@ -207,14 +214,14 @@ def cmd_plmap_cocycle(args):
 
 
 def cmd_plmap_almost(args):
-    f = plmaps.PLMap.from_json_file(args.map)
+    f = load_map(args)
     emit({"almost_r_embedding": plmaps.is_almost_r_embedding(f, args.r)},
          config_of(args), args.out)
     return 0
 
 
 def cmd_vk_obstruction(args):
-    f = plmaps.PLMap.from_json_file(args.map)
+    f = load_map(args)
     table = plmaps.intersection_cocycle(f, args.r)
     dp = deleted_product(f.domain, args.r)
     v = obstruction.cocycle_from_table(dp, table)
@@ -233,8 +240,12 @@ def cmd_vk_obstruction(args):
 
 
 def cmd_sylow(args):
-    G = symgroup.sylow_tree_subgroup(args.r, args.p)
     alpha = symgroup.p_order_in_factorial(args.r, args.p)
+    cap = configured_cell_cap()
+    listed = args.r * (alpha + 1)  # alpha generators and the orbits, r points each
+    if listed > cap:
+        raise CapExceeded("the report would list %d points (cap %d)" % (listed, cap))
+    G = symgroup.sylow_tree_subgroup(args.r, args.p)
     order = args.p ** alpha  # Legendre's formula, without listing the group
     report = {
         "order": order,
@@ -244,8 +255,8 @@ def cmd_sylow(args):
         "orbits": [list(o) for o in G.orbits()],
     }
     if args.elements:
-        if order > configured_cell_cap():
-            raise CapExceeded("the group has %d elements (cap %d)" % (order, configured_cell_cap()))
+        if order > cap:
+            raise CapExceeded("the group has %d elements (cap %d)" % (order, cap))
         report["elements"] = sorted([list(g) for g in G.elements()])
     emit(report, config_of(args), args.out)
     return 0

@@ -10,13 +10,31 @@ are in tvlab.deleted_product).
 
 from __future__ import annotations
 
+import os
 from dataclasses import dataclass
 from itertools import combinations
 from typing import Iterable
 
-from .errors import InputError, InvalidSkeleton, read_json
+from .errors import CapExceeded, InputError, InvalidSkeleton, read_json
 
 Simplex = tuple  # tuple[int, ...], strictly increasing
+
+DEFAULT_CELL_CAP = 5 * 10**6
+
+
+def configured_cell_cap() -> int:
+    raw = os.environ.get("TVLAB_CELL_CAP")
+    return int(raw) if raw else DEFAULT_CELL_CAP
+
+
+def check_simplex_faces(N: int, cap: int = None) -> None:
+    """Raise CapExceeded, before anything is built, when the N-simplex's
+    2^(N+1)-1 faces exceed the cell cap."""
+    if cap is None:
+        cap = configured_cell_cap()
+    # past the bit length of the cap, 2^(N+1)-1 > cap without computing it
+    if N + 1 > cap.bit_length() or 2 ** (N + 1) - 1 > cap:
+        raise CapExceeded("the %d-simplex has more faces than the cell cap %d" % (N, cap))
 
 
 def make_simplex(vertices: Iterable[int]) -> Simplex:
@@ -46,20 +64,23 @@ class Complex:
 
     @classmethod
     def from_maximal(cls, num_vertices: int, maximal: Iterable[Iterable[int]]) -> "Complex":
+        """Close the given simplices under faces, within the cell cap."""
+        cap = configured_cell_cap()
         closed = set()
         for m in maximal:
             s = make_simplex(sorted(m))
             if s[-1] >= num_vertices:
                 raise InputError("vertex id %d out of range" % s[-1])
+            check_simplex_faces(len(s) - 1, cap)
             for k in range(1, len(s) + 1):
                 closed.update(combinations(s, k))
+            if len(closed) > cap:
+                raise CapExceeded("the complex has more faces than the cell cap %d" % cap)
         return cls(num_vertices, frozenset(closed))
 
     @property
     def dim(self) -> int:
-        if not self.simplices:
-            return -1
-        return max(len(s) for s in self.simplices) - 1
+        return max(map(len, self.simplices), default=0) - 1
 
     def simplices_of_dim(self, k: int) -> list:
         return sorted(s for s in self.simplices if len(s) == k + 1)
@@ -70,12 +91,13 @@ class Complex:
             counts[len(s) - 1] += 1
         return counts
 
+    def _facets(self) -> set:
+        """Every codimension-one face of every simplex."""
+        return {s[:j] + s[j + 1:] for s in self.simplices if len(s) > 1 for j in range(len(s))}
+
     def maximal_simplices(self) -> list:
-        out = []
-        for s in self.simplices:
-            if not any(s != t and set(s) <= set(t) for t in self.simplices):
-                out.append(s)
-        return sorted(out)
+        """The faces that are no face's facet, sorted."""
+        return sorted(self.simplices - self._facets())
 
     def is_full_simplex(self) -> bool:
         """True iff every non-empty set of vertices is a simplex."""
@@ -87,12 +109,7 @@ class Complex:
         return tuple(s) in self.simplices
 
     def is_face_closed(self) -> bool:
-        for s in self.simplices:
-            if len(s) > 1:
-                for f in combinations(s, len(s) - 1):
-                    if f not in self.simplices:
-                        return False
-        return True
+        return self._facets() <= self.simplices
 
     def to_json_dict(self) -> dict:
         return {

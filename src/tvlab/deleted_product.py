@@ -10,26 +10,18 @@ odd-dimensional factors.
 
 from __future__ import annotations
 
-import os
 from collections import deque
 from math import comb
 
-from .complexes import Complex
+from .complexes import Complex, check_simplex_faces, configured_cell_cap
 from .errors import CapExceeded, InvalidMultiplicity, UnknownCell
 from .symgroup import sign
-
-DEFAULT_CELL_CAP = 5 * 10**6
 
 ProductCell = tuple  # tuple of Simplex, pairwise disjoint
 
 
 def cell_dim(cell: ProductCell) -> int:
     return sum(len(s) - 1 for s in cell)
-
-
-def configured_cell_cap() -> int:
-    raw = os.environ.get("TVLAB_CELL_CAP")
-    return int(raw) if raw else DEFAULT_CELL_CAP
 
 
 def full_simplex_cell_count(N: int, r: int) -> int:
@@ -42,16 +34,6 @@ def full_simplex_cell_count(N: int, r: int) -> int:
     if r > N + 1:
         return 0
     return sum((-1) ** j * comb(r, j) * (r + 1 - j) ** (N + 1) for j in range(r + 1))
-
-
-def check_simplex_faces(N: int, cap: int = None) -> None:
-    """Raise CapExceeded, before anything is built, when the N-simplex's
-    2^(N+1)-1 faces exceed the cell cap."""
-    if cap is None:
-        cap = configured_cell_cap()
-    # past the bit length of the cap, 2^(N+1)-1 > cap without computing it
-    if N + 1 > cap.bit_length() or 2 ** (N + 1) - 1 > cap:
-        raise CapExceeded("the %d-simplex has more faces than the cell cap %d" % (N, cap))
 
 
 def check_full_simplex_cap(N: int, r: int, cap: int = None) -> None:
@@ -152,13 +134,8 @@ def deleted_product(K: Complex, r: int, cap: int = None) -> DeletedProductComple
     if r > K.num_vertices:  # r disjoint non-empty simplices need r vertices
         return DeletedProductComplex(K, r, {})
 
-    simplices = sorted(K.simplices, key=lambda s: (len(s), s))
-    masks = []
-    for s in simplices:
-        m = 0
-        for v in s:
-            m |= 1 << v
-        masks.append((m, s))
+    # in lexicographic order, so each degree's cells come out already sorted
+    masks = [(sum(1 << v for v in s), s) for s in sorted(K.simplices)]
 
     cells_by_dim = {}
     count = 0

@@ -29,12 +29,13 @@ import random
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
+from itertools import permutations
 from math import lcm
 
 from . import convexity, linalg
-from .complexes import Complex, full_simplex
-from .deleted_product import check_simplex_faces
-from .errors import InputError, InvalidMultiplicity, NotGeneric, read_json
+from .complexes import Complex, check_simplex_faces, configured_cell_cap, full_simplex
+from .deleted_product import full_simplex_cell_count
+from .errors import CapExceeded, InputError, InvalidMultiplicity, NotGeneric, read_json
 
 
 @dataclass(frozen=True)
@@ -351,8 +352,7 @@ def is_almost_r_embedding(f: PLMap, r: int) -> bool:
     """
     if r < 2:
         raise InvalidMultiplicity("an almost r-embedding needs r >= 2, got %d" % r)
-    simplices = sorted(f.domain.simplices, key=lambda s: (len(s), s))
-    for combo in disjoint_tuples(simplices, r):
+    for combo in disjoint_tuples(f.domain.simplices, r):
         groups = [f.image_points(s) for s in combo]
         if convexity.hulls_intersect(groups) is not None:
             return False
@@ -390,37 +390,30 @@ def constraint_lift(f: PLMap, s: int) -> ConstraintLift:
     On the barycentric subdivision of the full simplex, the vertex sitting
     at the barycenter of a face sigma gets the extra coordinate
     max(0, dim sigma - s), so the zero set of the new coordinate is exactly
-    the s-skeleton.
+    the s-skeleton.  The subdivision's maximal simplices are the full flags
+    of faces, one per vertex ordering p, whose k-th face holds p[:k].  A
+    chain of k faces is, by its successive differences, a cell of the
+    k-fold deleted product of Delta_N; those counts give the subdivision's
+    size, checked against the cell cap before any flag is built.
     """
     N = f.domain.num_vertices - 1
     if not f.domain.is_full_simplex():
         raise InputError("constraint lift needs the full simplex as domain")
     if not 0 <= s < N:
         raise InputError("need 0 <= s < N")
+    cap = configured_cell_cap()
+    size = sum(full_simplex_cell_count(N, k) for k in range(1, N + 2))
+    if size > cap:
+        raise CapExceeded("the subdivided %d-simplex has %d simplices (cap %d)" % (N, size, cap))
     faces = sorted(f.domain.simplices, key=lambda t: (len(t), t))
     index = {t: i for i, t in enumerate(faces)}
-    # flags (chains of faces) are the simplices of the subdivision
-    maximal = []
-
-    def chains(face, chain):
-        chain = chain + [index[face]]
-        if len(face) == N + 1:
-            maximal.append(chain)
-            return
-        for sup in faces:
-            if len(sup) == len(face) + 1 and set(face) < set(sup):
-                chains(sup, chain)
-
-    for v in range(N + 1):
-        chains((v,), [])
+    maximal = [[index[tuple(sorted(p[:k]))] for k in range(1, N + 2)]
+               for p in permutations(range(N + 1))]
     subdiv = Complex.from_maximal(len(faces), maximal)
     images = []
     for t in faces:
-        bary = tuple(
-            sum(f.images[v][a] for v in t) / len(t) for a in range(f.ambient_dim)
-        )
-        height = Fraction(max(0, len(t) - 1 - s))
-        images.append(bary + (height,))
+        bary = tuple(sum(f.images[v][a] for v in t) / len(t) for a in range(f.ambient_dim))
+        images.append(bary + (Fraction(max(0, len(t) - 1 - s)),))
     return ConstraintLift(PLMap(subdiv, f.ambient_dim + 1, tuple(images)), faces)
 
 

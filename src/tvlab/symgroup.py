@@ -115,10 +115,11 @@ class PermGroup:
         return len(self.elements())
 
     def orbits(self) -> list:
-        pending = set(range(self.degree))
+        seen = set()
         out = []
-        while pending:
-            start = min(pending)
+        for start in range(self.degree):
+            if start in seen:
+                continue
             orbit = {start}
             queue = deque([start])
             while queue:
@@ -129,7 +130,7 @@ class PermGroup:
                         orbit.add(w)
                         queue.append(w)
             out.append(tuple(sorted(orbit)))
-            pending -= orbit
+            seen |= orbit
         return out
 
 

@@ -6,7 +6,7 @@ import time
 
 import pytest
 
-from tvlab import cli
+from tvlab import cli, plmaps
 from tvlab.complexes import simplex_skeleton
 
 
@@ -382,3 +382,71 @@ def test_jsonable_conventions():
     assert cli.jsonable(-(2**53) - 1) == str(-(2**53) - 1)
     assert cli.jsonable(2**52) == 2**52
     assert cli.jsonable({1: (True, None)}) == {"1": [True, None]}
+
+
+WIDE = {"num_vertices": 40, "maximal_simplices": [list(range(40))]}
+
+
+@pytest.mark.parametrize("argv", [
+    ["dp", "stats", "--complex", "{complex}"],
+    ["plmap", "almost", "--map", "{map}"],
+], ids=["dp-stats", "plmap-almost"])
+def test_a_wide_simplex_in_a_file_exits_3_before_closing(tmp_path, capsys, argv):
+    paths = {"{complex}": write_json(tmp_path / "wide.json", WIDE),
+             "{map}": write_json(tmp_path / "wide-map.json",
+                                 {"complex": WIDE, "d": 1, "images": [["0"]] * 40})}
+    argv = [paths.get(a, a) for a in argv]
+    code, rep = run_cli(capsys, argv + ["--r", "2"])
+    assert (code, rep["kind"]) == (3, "cap")
+    code, rep = run_cli(capsys, argv + ["--r", "1"])  # a bad r is refused before the file
+    assert (code, rep["kind"]) == (2, "input")
+
+
+def full_simplex_map(tmp_path, N):
+    f = plmaps.PLMap.build(simplex_skeleton(N, N), N, [[int(i == j) for j in range(N)]
+                                                        for i in range(N + 1)])
+    return write_json(tmp_path / ("delta%d.json" % N), f.to_json_dict())
+
+
+def test_constraint_lift_over_the_cap_exits_3_before_any_flag(tmp_path, capsys, monkeypatch):
+    def no_flags(*args):
+        raise AssertionError("a flag was built before the cap was checked")
+
+    monkeypatch.setattr(plmaps, "permutations", no_flags)
+    path = full_simplex_map(tmp_path, 8)  # 14,174,521 simplices in the subdivision
+    code, rep = run_cli(capsys, ["construct", "constraint", "--map", path, "--skeleton", "2"])
+    assert (code, rep["kind"]) == (3, "cap")
+    monkeypatch.setenv("TVLAB_CELL_CAP", "148")  # the subdivided 3-simplex has 149
+    path = full_simplex_map(tmp_path, 3)
+    code, rep = run_cli(capsys, ["construct", "constraint", "--map", path, "--skeleton", "1"])
+    assert (code, rep["kind"]) == (3, "cap")
+
+
+def test_construct_constraint_on_delta5_is_fast(tmp_path, capsys):
+    path = full_simplex_map(tmp_path, 5)
+    start = time.perf_counter()
+    code, rep = run_cli(capsys, ["construct", "constraint", "--map", path, "--skeleton", "2"])
+    assert code == 0
+    assert len(rep["map"]["complex"]["maximal_simplices"]) == 720  # 6! full flags
+    assert time.perf_counter() - start < 1.0
+
+
+def test_sylow_report_size_checked_before_the_group_is_built(capsys, monkeypatch):
+    def no_group(r, p):
+        raise AssertionError("the Sylow subgroup was built")
+
+    monkeypatch.setattr(cli.symgroup, "sylow_tree_subgroup", no_group)
+    code, rep = run_cli(capsys, ["sylow", "--r", "10000", "--p", "2"])
+    assert (code, rep["kind"]) == (3, "cap")
+    monkeypatch.setenv("TVLAB_CELL_CAP", "100")  # no generator, but 200 orbit points
+    code, rep = run_cli(capsys, ["sylow", "--r", "200", "--p", "211"])
+    assert (code, rep["kind"]) == (3, "cap")
+
+
+def test_sylow_orbits_in_linear_time(capsys):
+    start = time.perf_counter()
+    code, rep = run_cli(capsys, ["sylow", "--r", "100000", "--p", "100003"])
+    assert code == 0
+    assert rep["generators"] == [] and len(rep["orbits"]) == 100000
+    assert rep["orbits"][-1] == [99999]
+    assert time.perf_counter() - start < 10.0

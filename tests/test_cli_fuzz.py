@@ -5,12 +5,14 @@ Integers are drawn small, zero, negative and huge.  Huge values go to the
 arguments whose size is checked before any work: --n (the cell cap), the
 --r of maps and of the deleted product, --skeleton, --mod and --p (the
 primality test is quick: 2^61 - 1 is prime, and 10^30 is past the bound of
-the deterministic test and rejected) and the --r of construct join (the
-face cap).  Arguments that only set how much
-work is done (--random, --fuzz-oracle, --d, the --r of tverberg, sylow and
-ozaydin) are drawn from small ranges, since a large value there is a long
-but legitimate run.  Input files are valid, missing, malformed, deeply
-nested, or carry "1/0" and 1e400 as coordinates.
+the deterministic test and rejected), the --r of construct join (the face
+cap) and the --r of sylow (the report's size against the cell cap).
+Arguments that only set how much work is done (--random, --fuzz-oracle,
+--d, the --r of tverberg and ozaydin) are drawn from small ranges, since a
+large value there is a long but legitimate run.  Input files are valid,
+missing, malformed, deeply nested, carry "1/0" and 1e400 as coordinates,
+or hold one 40-vertex simplex, whose 2^40 - 1 faces the face cap refuses
+to close.
 """
 
 import io
@@ -33,6 +35,7 @@ TRIANGLE_IMAGES = [["2", "0", "0"], ["-1", "1", "0"], ["-1", "-1", "0"],
 SQUARE = [["0", "0"], ["1", "0"], ["1", "1"], ["0", "1"]]
 HEXAGON = [["2", "0"], ["1", "2"], ["-1", "2"], ["-2", "0"],
            ["-1", "-2"], ["1", "-2"], ["0", "0"]]
+WIDE = {"num_vertices": 40, "maximal_simplices": [list(range(40))]}
 
 # file name -> contents (a JSON value, or raw text under "text:")
 FILES = {
@@ -52,6 +55,8 @@ FILES = {
     "many-vertices.json": {"complex": {"num_vertices": 10**12, "maximal_simplices": [[0]]},
                            "d": 1, "images": [["0"]]},
     "k4.json": K4,
+    # read as a complex and as a map: both hold the one 40-vertex simplex
+    "wide-simplex.json": {**WIDE, "complex": WIDE, "d": 1, "images": [["0"]] * 40},
     "complex-zero-den.json": {"num_vertices": "1/0", "maximal_simplices": [[0]]},
     "hexagon.json": {"d": 2, "points": HEXAGON},
     "points-zero-den.json": {"d": 2, "points": [["1/0", "0"]] + HEXAGON[1:]},
@@ -64,10 +69,10 @@ FILES = {
 }
 MAPS = ["square.json", "triangles.json", "simplex.json", "touching.json", "zero-den.json",
         "inf.json", "no-images.json", "bad-d.json", "float-vertex.json",
-        "many-vertices.json", "list.json", "not-json.json", "empty.json", "deep.json",
-        "missing.json"]
-COMPLEXES = ["k4.json", "complex-zero-den.json", "float-vertex.json", "list.json",
-             "not-json.json", "deep.json", "missing.json"]
+        "many-vertices.json", "wide-simplex.json", "list.json", "not-json.json", "empty.json",
+        "deep.json", "missing.json"]
+COMPLEXES = ["k4.json", "complex-zero-den.json", "float-vertex.json", "wide-simplex.json",
+             "list.json", "not-json.json", "deep.json", "missing.json"]
 POINTS = ["hexagon.json", "points-zero-den.json", "points-inf.json", "square.json",
           "list.json", "not-json.json", "empty.json", "missing.json"]
 CELLS = ["[[0],[1]]", "[[2],[3]]", "[[0,1],[2]]", "[[0],[0]]", "[]", "[[1/0]]", "5",
@@ -120,7 +125,7 @@ def argv(draw):
     if command == "construct constraint":
         opts["--skeleton"] = draw(ANY)
     if head == "sylow":
-        opts["--r"] = draw(st.integers(-3, 8))
+        opts["--r"] = draw(st.one_of(st.integers(-3, 8), HUGE))
         opts["--p"] = draw(ANY)
     if head == "ozaydin":
         opts["--r"] = draw(st.integers(-3, 9))

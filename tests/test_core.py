@@ -6,7 +6,13 @@ import pytest
 
 from tvlab.complexes import (Complex, are_disjoint, full_simplex, join,
                              make_simplex, simplex_skeleton)
-from tvlab.errors import InputError, InvalidSkeleton
+from tvlab.errors import CapExceeded, InputError, InvalidSkeleton
+from tvlab.plmaps import PLMap, constraint_lift
+
+try:
+    from hypothesis import given, strategies as st
+except ImportError:  # hypothesis is a test extra
+    given = None
 
 
 def test_make_simplex_validation():
@@ -86,3 +92,38 @@ def test_json_roundtrip(tmp_path):
 def test_vertex_range_enforced():
     with pytest.raises(InputError):
         Complex.from_maximal(2, [[0, 2]])
+
+
+def pairwise_maximal(K):
+    """Reference: the faces contained in no other face, by pairwise scan."""
+    return sorted(s for s in K.simplices
+                  if not any(s != t and set(s) <= set(t) for t in K.simplices))
+
+
+@pytest.mark.skipif(given is None, reason="needs hypothesis")
+def test_maximal_simplices_match_the_pairwise_scan():
+    faces = st.sets(st.integers(0, 7), min_size=1, max_size=8)
+
+    @given(st.lists(faces, min_size=1, max_size=6))
+    def check(maximal):
+        K = Complex.from_maximal(8, maximal)
+        assert K.maximal_simplices() == pairwise_maximal(K)
+        assert Complex.from_maximal(8, K.maximal_simplices()) == K
+
+    check()
+
+
+def test_maximal_simplices_of_subdivided_simplices():
+    for N in (2, 3, 4):
+        f = PLMap.build(full_simplex(N), 1, [(v,) for v in range(N + 1)])
+        K = constraint_lift(f, 0).map.domain
+        assert K.maximal_simplices() == pairwise_maximal(K)
+
+
+def test_face_closure_is_capped(monkeypatch):
+    with pytest.raises(CapExceeded):  # 2^40 - 1 faces, refused before closing
+        Complex.from_maximal(40, [range(40)])
+    monkeypatch.setenv("TVLAB_CELL_CAP", "20")
+    assert len(Complex.from_maximal(8, [[0, 1, 2, 3], [4, 5]]).simplices) == 18
+    with pytest.raises(CapExceeded):  # each simplex fits, together they do not
+        Complex.from_maximal(8, [[0, 1, 2, 3], [4, 5, 6]])

@@ -227,3 +227,36 @@ def test_plmap_json_roundtrip(tmp_path):
     path.write_text(json.dumps(f.to_json_dict()))
     g = PLMap.from_json_file(str(path))
     assert g == f
+
+
+def chains_lift(f, s):
+    """Reference: the subdivision's flags by recursive search over all faces."""
+    N = f.domain.num_vertices - 1
+    faces = sorted(f.domain.simplices, key=lambda t: (len(t), t))
+    index = {t: i for i, t in enumerate(faces)}
+    maximal = []
+
+    def chains(face, chain):
+        chain = chain + [index[face]]
+        if len(face) == N + 1:
+            maximal.append(chain)
+            return
+        for sup in faces:
+            if len(sup) == len(face) + 1 and set(face) < set(sup):
+                chains(sup, chain)
+
+    for v in range(N + 1):
+        chains((v,), [])
+    images = [tuple(sum(f.images[v][a] for v in t) / len(t) for a in range(f.ambient_dim))
+              + (Fraction(max(0, len(t) - 1 - s)),) for t in faces]
+    return Complex.from_maximal(len(faces), maximal).simplices, tuple(images), faces
+
+
+def test_constraint_lift_matches_the_recursive_chain_search():
+    for N in range(1, 5):
+        f = PLMap.build(full_simplex(N), 2, [(v, v * v - 1) for v in range(N + 1)])
+        for s in range(N):
+            lift = constraint_lift(f, s)
+            want = chains_lift(f, s)
+            assert (lift.map.domain.simplices, lift.map.images, lift.vertex_faces) == want
+            assert lift.map.ambient_dim == 3
