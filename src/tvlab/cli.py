@@ -93,6 +93,15 @@ def check_count(value, flag):
         raise InputError("%s needs a count >= 0, got %d" % (flag, value))
 
 
+def random_points(n, d, seed):
+    """convexity.random_rational_points, refused with CapExceeded before the
+    first draw when its n*d coordinates exceed the cell cap."""
+    cap = configured_cell_cap()
+    if max(n, 0) * max(d, 0) > cap:
+        raise CapExceeded("%d random points in R^%d exceed the cell cap %d" % (n, d, cap))
+    return convexity.random_rational_points(n, d, seed)
+
+
 def config_of(args) -> dict:
     skip = {"func", "out"}
     return {k: v for k, v in sorted(vars(args).items()) if k not in skip and v is not None}
@@ -145,7 +154,7 @@ def cmd_radon(args):
     check_count(args.random, "--random")
     if args.random is not None:
         for i in range(args.random):
-            pts = convexity.random_rational_points(args.d + 2, args.d, (args.seed, i).__repr__())
+            pts = random_points(args.d + 2, args.d, (args.seed, i).__repr__())
             convexity.radon_partition(pts)  # raises SearchInvariantViolated unless verified
         emit({"instances": args.random, "certified": args.random}, cfg, args.out)
         return 0
@@ -163,7 +172,7 @@ def cmd_tverberg(args):
         npts = (args.d + 1) * (args.r - 1) + 1
         found = 0
         for i in range(args.random):
-            pts = convexity.random_rational_points(npts, args.d, (args.seed, i).__repr__())
+            pts = random_points(npts, args.d, (args.seed, i).__repr__())
             convexity.tverberg_search(pts, args.r)
             found += 1
         emit({"instances": args.random, "found": found}, cfg, args.out)

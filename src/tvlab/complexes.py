@@ -27,11 +27,10 @@ def configured_cell_cap() -> int:
     return int(raw) if raw else DEFAULT_CELL_CAP
 
 
-def check_simplex_faces(N: int, cap: int = None) -> None:
+def check_simplex_faces(N: int) -> None:
     """Raise CapExceeded, before anything is built, when the N-simplex's
     2^(N+1)-1 faces exceed the cell cap."""
-    if cap is None:
-        cap = configured_cell_cap()
+    cap = configured_cell_cap()
     # past the bit length of the cap, 2^(N+1)-1 > cap without computing it
     if N + 1 > cap.bit_length() or 2 ** (N + 1) - 1 > cap:
         raise CapExceeded("the %d-simplex has more faces than the cell cap %d" % (N, cap))
@@ -71,7 +70,7 @@ class Complex:
             s = make_simplex(sorted(m))
             if s[-1] >= num_vertices:
                 raise InputError("vertex id %d out of range" % s[-1])
-            check_simplex_faces(len(s) - 1, cap)
+            check_simplex_faces(len(s) - 1)
             for k in range(1, len(s) + 1):
                 closed.update(combinations(s, k))
             if len(closed) > cap:

@@ -15,7 +15,7 @@ from math import comb
 
 from .complexes import Complex, check_simplex_faces, configured_cell_cap
 from .errors import CapExceeded, InvalidMultiplicity, UnknownCell
-from .symgroup import sign
+from .symgroup import PermGroup, sign
 
 ProductCell = tuple  # tuple of Simplex, pairwise disjoint
 
@@ -36,14 +36,13 @@ def full_simplex_cell_count(N: int, r: int) -> int:
     return sum((-1) ** j * comb(r, j) * (r + 1 - j) ** (N + 1) for j in range(r + 1))
 
 
-def check_full_simplex_cap(N: int, r: int, cap: int = None) -> None:
+def check_full_simplex_cap(N: int, r: int) -> None:
     """Raise CapExceeded, before anything is built, when the N-simplex's
     2^(N+1)-1 faces or its r-fold deleted product exceed the cell cap."""
     if r < 2:
         raise InvalidMultiplicity("deleted product needs r >= 2, got %d" % r)
-    if cap is None:
-        cap = configured_cell_cap()
-    check_simplex_faces(N, cap)
+    check_simplex_faces(N)
+    cap = configured_cell_cap()
     n = full_simplex_cell_count(N, r)
     if n > cap:
         raise CapExceeded("deleted product would have %d cells (cap %d)" % (n, cap))
@@ -58,6 +57,7 @@ class DeletedProductComplex:
         self.cells_by_dim = {d: sorted(cs) for d, cs in cells_by_dim.items() if cs}
         self._indices = {}
         self._boundaries = {}
+        self._orbits = {}
 
     @property
     def dim(self) -> int:
@@ -116,21 +116,39 @@ class DeletedProductComplex:
         self._boundaries[d] = mat
         return mat
 
+    def orbit_table(self, group: PermGroup, degree: int) -> dict:
+        """{cell: (rep, omega)} over the degree-cells, with omega . rep = cell.
 
-def deleted_product(K: Complex, r: int, cap: int = None) -> DeletedProductComplex:
+        Cells are visited in sorted order, so the first cell met in an orbit
+        is its least cell, rep.  The action is free, so omega is unique.
+        Built on first use and kept per (group generators, degree).
+        """
+        key = (tuple(group.generators), degree)
+        table = self._orbits.get(key)
+        if table is None:
+            elements = group.elements()
+            table = {}
+            for cell in self.cells_by_dim.get(degree, ()):
+                if cell not in table:
+                    for omega in elements:
+                        table[act_on_cell(omega, cell)[0]] = (cell, omega)
+            self._orbits[key] = table
+        return table
+
+
+def deleted_product(K: Complex, r: int) -> DeletedProductComplex:
     """Build the r-fold simplicial deleted product of K.
 
     Refuses construction when the total cell count would exceed the cap
-    (default 5e6, overridable by argument or the TVLAB_CELL_CAP variable);
-    for a full simplex base that is decided by check_full_simplex_cap
-    before any cell is enumerated.
+    (default 5e6, overridable by the TVLAB_CELL_CAP variable); for a full
+    simplex base that is decided by check_full_simplex_cap before any cell
+    is enumerated.
     """
     if r < 2:
         raise InvalidMultiplicity("deleted product needs r >= 2, got %d" % r)
-    if cap is None:
-        cap = configured_cell_cap()
     if K.is_full_simplex():
-        check_full_simplex_cap(K.num_vertices - 1, r, cap)
+        check_full_simplex_cap(K.num_vertices - 1, r)
+    cap = configured_cell_cap()
     if r > K.num_vertices:  # r disjoint non-empty simplices need r vertices
         return DeletedProductComplex(K, r, {})
 

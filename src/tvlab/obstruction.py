@@ -10,9 +10,10 @@ the parity of the ambient dimension of the underlying intersection problem
 (twist = k*r when the domain dimension is k(r-1)).  For top-dimensional
 cells this composite sign reduces to sgn(omega)^k.
 
-Orbits come from one table per (group, degree): orbit_table maps every cell
-to its orbit's least cell and the unique group element carrying that cell to
-it.  The same table serves the symmetric group and its Sylow subgroups, for
+Orbits come from one table per (complex, group, degree), held by the
+complex (DeletedProductComplex.orbit_table): it maps every cell to its
+orbit's least cell and the unique group element carrying that cell to it.
+The same table serves the symmetric group and its Sylow subgroups, for
 locating cells, coboundary assembly, restriction and transfer.
 
 The obstruction decision solves delta c = v over the integers on the top
@@ -25,16 +26,17 @@ re-verified through the combination of top-orbit equations behind it.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from math import factorial, gcd
+import sys
+from dataclasses import dataclass
+from math import factorial, log10, prod
 
+from .complexes import configured_cell_cap
 from .deleted_product import DeletedProductComplex, act_on_cell
-from .errors import DegreeError, InputError, InvalidMultiplicity, NotEquivariant, UnknownCell
+from .errors import (CapExceeded, DegreeError, InputError, InvalidMultiplicity,
+                     NotEquivariant, UnknownCell)
 from .homology import IntMatrix, solve_integer_system
-from .symgroup import (PermGroup, compose, inverse, invariant_block_split,
-                       invariant_matrix_point, is_prime, is_transitive,
-                       p_order_in_factorial, sign, sylow_tree_subgroup,
-                       symmetric_group)
+from .symgroup import (PermGroup, compose, inverse, is_prime, p_order_in_factorial,
+                       sign, symmetric_group)
 
 
 def chi(omega, cell, twist) -> int:
@@ -44,29 +46,9 @@ def chi(omega, cell, twist) -> int:
     return s * kappa
 
 
-def orbit_table(dp: DeletedProductComplex, group: PermGroup, degree: int) -> dict:
-    """{cell: (rep, omega)} over the degree-cells, with omega . rep = cell.
-
-    Cells are visited in sorted order, so the first cell met in an orbit is
-    its least cell, rep.  The action is free, so omega is unique.
-    """
-    elements = group.elements()
-    table = {}
-    for cell in dp.cells_by_dim.get(degree, ()):
-        if cell not in table:
-            for omega in elements:
-                table[act_on_cell(omega, cell)[0]] = (cell, omega)
-    return table
-
-
-def _reps(table: dict) -> list:
-    """The orbit representatives of an orbit table, in sorted order."""
-    return [cell for cell, (rep, _) in table.items() if cell == rep]
-
-
 def orbit_reps(dp: DeletedProductComplex, group: PermGroup, degree: int) -> list:
     """Lexicographically minimal representative per group orbit of cells."""
-    return _reps(orbit_table(dp, group, degree))
+    return [cell for cell, (rep, _) in dp.orbit_table(group, degree).items() if cell == rep]
 
 
 @dataclass
@@ -78,19 +60,11 @@ class EquivariantCochain:
     degree: int
     twist: int
     values: dict  # orbit representative cell -> integer
-    _orbits: dict = field(default=None, repr=False, compare=False)
-
-    def orbits(self) -> dict:
-        """The orbit table of the group on the degree-cells, built once."""
-        if self._orbits is None:
-            self._orbits = orbit_table(self.dp, self.group, self.degree)
-        return self._orbits
 
     def locate(self, cell):
         """(representative, omega) with omega . representative = cell."""
-        table = self.orbits()
         try:
-            return table[cell]
+            return self.dp.orbit_table(self.group, self.degree)[cell]
         except KeyError:
             raise UnknownCell("not a %d-cell of this deleted product: %r"
                               % (self.degree, cell)) from None
@@ -126,7 +100,7 @@ def cocycle_from_table(dp: DeletedProductComplex, table: dict, twist=None) -> Eq
         if rep in assigned and assigned[rep] != rep_val:
             raise NotEquivariant("table conflicts with the twisted action")
         assigned[rep] = rep_val
-    out.values = {rep: assigned.get(rep, 0) for rep in _reps(out.orbits())}
+    out.values = {rep: assigned.get(rep, 0) for rep in orbit_reps(dp, out.group, dp.dim)}
     return out
 
 
@@ -143,8 +117,8 @@ def coboundary_matrix(dp: DeletedProductComplex, twist=None):
     group = symmetric_group(dp.r)
     top = dp.dim
     top_reps = orbit_reps(dp, group, top)
-    facets = orbit_table(dp, group, top - 1) if top >= 1 else {}
-    facet_reps = _reps(facets)
+    facets = dp.orbit_table(group, top - 1)
+    facet_reps = orbit_reps(dp, group, top - 1)
     col = {rep: j for j, rep in enumerate(facet_reps)}
     entries = {}
     for i, cell in enumerate(top_reps):
@@ -192,9 +166,8 @@ def is_null_cohomologous(v: EquivariantCochain, dp: DeletedProductComplex) -> Nu
 
 def restrict_to_subgroup(c: EquivariantCochain, G: PermGroup) -> EquivariantCochain:
     """Same cochain, re-indexed over the finer orbits of a subgroup."""
-    table = orbit_table(c.dp, G, c.degree)
-    values = {rep: c.value(rep) for rep in _reps(table)}
-    return EquivariantCochain(c.dp, G, c.degree, c.twist, values, table)
+    values = {rep: c.value(rep) for rep in orbit_reps(c.dp, G, c.degree)}
+    return EquivariantCochain(c.dp, G, c.degree, c.twist, values)
 
 
 def coset_representatives(G: PermGroup, r: int) -> list:
@@ -220,15 +193,14 @@ def transfer(x: EquivariantCochain, r: int) -> EquivariantCochain:
     """
     cosets = coset_representatives(x.group, r)
     full = symmetric_group(r)
-    table = orbit_table(x.dp, full, x.degree)
     values = {}
-    for cell in _reps(table):
+    for cell in orbit_reps(x.dp, full, x.degree):
         total = 0
         for f in cosets:
             pre, _ = act_on_cell(inverse(f), cell)
             total += chi(f, pre, x.twist) * x.value(pre)
         values[cell] = total
-    return EquivariantCochain(x.dp, full, x.degree, x.twist, values, table)
+    return EquivariantCochain(x.dp, full, x.degree, x.twist, values)
 
 
 @dataclass
@@ -242,48 +214,45 @@ class OzaydinReport:
     argument_applies: bool
 
 
-def _is_prime_power(r) -> bool:
-    for p in range(2, r + 1):
-        if is_prime(p):
-            q = p
-            while q < r:
-                q *= p
-            if q == r:
-                return True
-    return False
-
-
 def ozaydin_report(r: int) -> OzaydinReport:
     """Sylow-subgroup table and the gcd test behind the r-fold vanishing
-    argument: the argument applies exactly when the indices r!/p^{alpha_p}
-    over non-transitive primes have gcd 1, i.e. when r is not a prime power."""
+    argument, read off r's base-p expansions.
+
+    With p^K the largest power of p at most r, the tree Sylow p-subgroup's
+    orbit of 0 is [0, p^K): it is transitive exactly when p^K = r, and
+    otherwise fixes the split (p^K, r - p^K) and its matrix point.  The gcd
+    of the indices r!/p^alpha_p over non-transitive p is the product of
+    q^alpha_q over transitive q (0 if all are): 1 unless r is a prime power.
+    Raises CapExceeded, before any row is built, when r exceeds the cell cap
+    or a Sylow order p^alpha_p (the gcd is 0, 1 or one of them) has more
+    decimal digits than int-to-str conversion allows.
+    """
     if r < 2:
         raise InvalidMultiplicity("need r >= 2, got %d" % r)
-    rows = []
-    indices = []
+    cap = configured_cell_cap()
+    if r > cap:
+        raise CapExceeded("the report would list the primes up to %d (cap %d)" % (r, cap))
+    limit = sys.get_int_max_str_digits()
+    expansions = []  # (p, alpha_p, p^K)
     for p in range(2, r + 1):
         if not is_prime(p):
             continue
         alpha = p_order_in_factorial(r, p)
-        G = sylow_tree_subgroup(r, p)
-        transitive = is_transitive(G)
-        if transitive:
-            split = None
-            inv_point = None
-        else:
-            split = invariant_block_split(G)
-            inv_point = invariant_matrix_point(split[0], r, 1)
-            indices.append(factorial(r) // p**alpha)
-        rows.append({
-            "p": p,
-            "alpha": alpha,
-            "sylow_order": p**alpha,
-            "transitive": transitive,
-            "split": split,
-            "invariant_point_exists": inv_point is not None,
-        })
-    relation_gcd = 0
-    for idx in indices:
-        relation_gcd = gcd(relation_gcd, idx)
-    pp = _is_prime_power(r)
-    return OzaydinReport(r, rows, relation_gcd, pp, relation_gcd == 1)
+        if limit and alpha * log10(p) >= limit:  # p^alpha is never a power of 10
+            raise CapExceeded("the Sylow order %d^%d has more than %d digits"
+                              % (p, alpha, limit))
+        top = p
+        while top * p <= r:
+            top *= p
+        expansions.append((p, alpha, top))
+    rows = [{
+        "p": p,
+        "alpha": alpha,
+        "sylow_order": p**alpha,
+        "transitive": top == r,
+        "split": None if top == r else (top, r - top),
+        "invariant_point_exists": top != r,
+    } for p, alpha, top in expansions]
+    transitive_orders = [p**alpha for p, alpha, top in expansions if top == r]
+    relation_gcd = prod(transitive_orders) if len(transitive_orders) < len(expansions) else 0
+    return OzaydinReport(r, rows, relation_gcd, bool(transitive_orders), relation_gcd == 1)

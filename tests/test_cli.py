@@ -450,3 +450,41 @@ def test_sylow_orbits_in_linear_time(capsys):
     assert rep["generators"] == [] and len(rep["orbits"]) == 100000
     assert rep["orbits"][-1] == [99999]
     assert time.perf_counter() - start < 10.0
+
+
+def test_ozaydin_report_without_building_a_group(capsys, monkeypatch):
+    def no_group(r, p):
+        raise AssertionError("a Sylow subgroup was built")
+
+    monkeypatch.setattr(cli.symgroup, "sylow_tree_subgroup", no_group)
+    start = time.perf_counter()
+    code, rep = run_cli(capsys, ["ozaydin", "report", "--r", "3000"])
+    assert time.perf_counter() - start < 1.0
+    assert code == 0 and len(rep["rows"]) == 430  # the primes up to 3000
+    assert rep["relation_gcd"] == 1 and rep["argument_applies"] is True
+
+
+def test_ozaydin_report_size_checked_before_any_row(capsys, monkeypatch):
+    # 2^16383, the gcd at r = 2^14, has 4,932 digits; at r = 14,296 the
+    # Sylow order 2^14287 is the first to pass 4,300
+    for r, code in [(16384, 3), (14295, 0), (14296, 3), (10**30, 3)]:
+        assert run_cli(capsys, ["ozaydin", "report", "--r", str(r)])[0] == code, r
+    monkeypatch.setenv("TVLAB_CELL_CAP", "100")
+    code, rep = run_cli(capsys, ["ozaydin", "report", "--r", "101"])
+    assert (code, rep["kind"]) == (3, "cap")
+    assert run_cli(capsys, ["ozaydin", "report", "--r", "100"])[0] == 0
+
+
+@pytest.mark.parametrize("argv", [
+    ["radon", "--random", "1", "--d", "1000000"],
+    ["tverberg", "search", "--random", "1", "--d", "10000", "--r", "1000"],
+])
+def test_random_points_over_the_cap_exit_3_before_drawing(capsys, monkeypatch, argv):
+    def no_points(n, d, seed):
+        raise AssertionError("random points were drawn")
+
+    monkeypatch.setattr(cli.convexity, "random_rational_points", no_points)
+    code, rep = run_cli(capsys, argv)
+    assert (code, rep["kind"]) == (3, "cap")
+    argv[argv.index("--random") + 1] = "0"
+    assert run_cli(capsys, argv)[0] == 0

@@ -6,10 +6,12 @@ arguments whose size is checked before any work: --n (the cell cap), the
 --r of maps and of the deleted product, --skeleton, --mod and --p (the
 primality test is quick: 2^61 - 1 is prime, and 10^30 is past the bound of
 the deterministic test and rejected), the --r of construct join (the face
-cap) and the --r of sylow (the report's size against the cell cap).
-Arguments that only set how much work is done (--random, --fuzz-oracle,
---d, the --r of tverberg and ozaydin) are drawn from small ranges, since a
-large value there is a long but legitimate run.  Input files are valid,
+cap), the --r of sylow (the report's size against the cell cap), the --r of
+ozaydin (the cell cap and the digits of the Sylow orders) and, with
+--random, --d (the random coordinates against the cell cap).  Arguments
+that only set how much work is done (--random, --fuzz-oracle, the --r of
+tverberg) are drawn from small ranges, since a large value there is a long
+but legitimate run.  Input files are valid,
 missing, malformed, deeply nested, carry "1/0" and 1e400 as coordinates,
 or hold one 40-vertex simplex, whose 2^40 - 1 faces the face cap refuses
 to close.
@@ -111,7 +113,7 @@ def argv(draw):
     if head in ("radon", "tverberg"):
         if draw(st.booleans()):
             opts["--random"] = draw(st.integers(-3, 2))
-            opts["--d"] = draw(st.integers(-3, 2))
+            opts["--d"] = draw(st.one_of(st.integers(-3, 2), HUGE))
         else:
             opts["--points"] = file(POINTS)
     if head == "tverberg":
@@ -128,7 +130,7 @@ def argv(draw):
         opts["--r"] = draw(st.one_of(st.integers(-3, 8), HUGE))
         opts["--p"] = draw(ANY)
     if head == "ozaydin":
-        opts["--r"] = draw(st.integers(-3, 9))
+        opts["--r"] = draw(st.one_of(st.integers(-3, 9), HUGE))
     flags = []
     if head in ("vk", "sylow") and draw(st.booleans()):
         flags.append("--certificate" if head == "vk" else "--elements")

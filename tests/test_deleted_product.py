@@ -139,10 +139,12 @@ def test_cell_count_closed_form_matches_composition_sum():
             assert full_simplex_cell_count(N, r) == composition_cell_count(N, r), (N, r)
 
 
-def test_cap_checked_without_building():
-    check_full_simplex_cap(5, 3, cap=full_simplex_cell_count(5, 3))
+def test_cap_checked_without_building(monkeypatch):
+    monkeypatch.setenv("TVLAB_CELL_CAP", str(full_simplex_cell_count(5, 3)))
+    check_full_simplex_cap(5, 3)
+    monkeypatch.setenv("TVLAB_CELL_CAP", str(full_simplex_cell_count(5, 3) - 1))
     with pytest.raises(CapExceeded):
-        check_full_simplex_cap(5, 3, cap=full_simplex_cell_count(5, 3) - 1)
+        check_full_simplex_cap(5, 3)
     # the base alone: Delta_30 has 2^31 - 1 faces, and its 40-fold deleted
     # product has none
     for N, r in [(30, 2), (30, 40), (10**9, 2), (10**9, 10**9)]:
@@ -321,12 +323,14 @@ def test_identity_action_trivial():
         assert img == cell and s == 1
 
 
-def test_cap_exceeded():
+def test_cap_exceeded(monkeypatch):
+    monkeypatch.setenv("TVLAB_CELL_CAP", "100")
     with pytest.raises(CapExceeded):
-        deleted_product(full_simplex(5), 3, cap=100)
+        deleted_product(full_simplex(5), 3)
     K = simplex_skeleton(4, 1)
+    monkeypatch.setenv("TVLAB_CELL_CAP", "10")
     with pytest.raises(CapExceeded):
-        deleted_product(K, 2, cap=10)
+        deleted_product(K, 2)
 
 
 def test_many_unused_vertex_ids():

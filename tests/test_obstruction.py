@@ -3,6 +3,7 @@ and the prime-power arithmetic report."""
 
 import random
 from functools import lru_cache
+from math import factorial, gcd
 
 import pytest
 
@@ -13,11 +14,13 @@ from tvlab.errors import DegreeError, NotEquivariant, TvlabError, UnknownCell
 from tvlab.homology import smith_diagonal
 from tvlab.obstruction import (EquivariantCochain, chi, cocycle_from_table,
                                coboundary_matrix, coset_representatives,
-                               is_null_cohomologous, orbit_reps, orbit_table,
+                               is_null_cohomologous, orbit_reps,
                                ozaydin_report, restrict_to_subgroup, transfer)
 from tvlab.plmaps import PLMap, intersection_cocycle, perturbed
-from tvlab.symgroup import (inverse, is_prime, sylow_tree_subgroup,
-                            symmetric_group, trivial_group)
+from tvlab import deleted_product as deleted_product_module
+from tvlab.symgroup import (invariant_block_split, invariant_matrix_point, inverse,
+                            is_prime, is_transitive, p_order_in_factorial,
+                            sylow_tree_subgroup, symmetric_group, trivial_group)
 
 try:
     from hypothesis import given, settings, strategies as st
@@ -113,7 +116,7 @@ def test_orbit_table_matches_scan(r, p):
         """orbit_table, orbit_reps and the scanned representatives, once
         per drawn complex and degree."""
         dp = product(name)
-        return (orbit_table(dp, group, degree), orbit_reps(dp, group, degree),
+        return (dp.orbit_table(group, degree), orbit_reps(dp, group, degree),
                 scan_orbit_reps(dp, group, degree))
 
     @settings(max_examples=8)
@@ -152,7 +155,7 @@ def dense_coboundary(dp, twist):
     """The coboundary as a list of rows, assembled entry by entry as
     coboundary_matrix did before it stored only nonzero entries."""
     group = symmetric_group(dp.r)
-    facets = orbit_table(dp, group, dp.dim - 1)
+    facets = dp.orbit_table(group, dp.dim - 1)
     col = {rep: j for j, rep in enumerate(orbit_reps(dp, group, dp.dim - 1))}
     rows = []
     for cell in orbit_reps(dp, group, dp.dim):
@@ -396,6 +399,53 @@ def test_ozaydin_prime_powers():
         assert not rep.argument_applies
     assert ozaydin_report(4).relation_gcd == 8
     assert ozaydin_report(3).relation_gcd == 3
+
+
+def group_ozaydin_report(r):
+    """(rows, relation_gcd) from the tree Sylow subgroups themselves: the
+    orbit of 0 gives transitivity and the split, the invariant matrix point
+    is built, and the gcd is taken over the factorial quotients."""
+    rows, indices = [], []
+    for p in filter(is_prime, range(2, r + 1)):
+        alpha = p_order_in_factorial(r, p)
+        G = sylow_tree_subgroup(r, p)
+        transitive = is_transitive(G)
+        split = None if transitive else invariant_block_split(G)
+        point = None if transitive else invariant_matrix_point(split[0], r, 1)
+        if not transitive:
+            indices.append(factorial(r) // p**alpha)
+        rows.append({"p": p, "alpha": alpha, "sylow_order": p**alpha,
+                     "transitive": transitive, "split": split,
+                     "invariant_point_exists": point is not None})
+    return rows, gcd(*indices)
+
+
+def test_ozaydin_arithmetic_matches_the_sylow_subgroups():
+    for r in range(2, 121):
+        rows, relation_gcd = group_ozaydin_report(r)
+        rep = ozaydin_report(r)
+        assert (rep.r, rep.rows, rep.relation_gcd) == (r, rows, relation_gcd), r
+        assert rep.is_prime_power == any(row["transitive"] for row in rows)
+        assert rep.argument_applies == (relation_gcd == 1)
+
+
+def test_orbit_tables_built_once_per_complex_group_and_degree(monkeypatch):
+    _, dp, v = k5_setup()
+
+    def calls():
+        A, top_reps, facet_reps = coboundary_matrix(dp)
+        down = restrict_to_subgroup(v, trivial_group(2))
+        up = transfer(down, 2)
+        return A.entries, top_reps, facet_reps, down.values, up.values
+
+    first = calls()
+
+    def no_table(omega, cell):
+        raise AssertionError("an orbit table was built again")
+
+    monkeypatch.setattr(deleted_product_module, "act_on_cell", no_table)
+    assert calls() == first
+    assert dp.orbit_table(symmetric_group(2), 1) is dp.orbit_table(sylow_tree_subgroup(2, 2), 1)
 
 
 def test_relation_gcd_iff_not_prime_power():
