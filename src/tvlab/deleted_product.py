@@ -5,7 +5,8 @@ of the base complex; its dimension is the sum of the factor dimensions.  The
 boundary operator carries the Koszul sign (-1)^{d_1+...+d_{i-1}} on the i-th
 factor, and the symmetric group permutes factors with the Koszul sign of
 permuting graded slots: the sign of the permutation restricted to the
-odd-dimensional factors.
+odd-dimensional factors.  The action is free, and the complex keeps no
+orbit data: obstruction.locate finds a cell's orbit from the cell alone.
 """
 
 from __future__ import annotations
@@ -15,7 +16,7 @@ from math import comb
 
 from .complexes import Complex, check_simplex_faces, configured_cell_cap
 from .errors import CapExceeded, InvalidMultiplicity, UnknownCell
-from .symgroup import PermGroup, sign
+from .symgroup import sign
 
 ProductCell = tuple  # tuple of Simplex, pairwise disjoint
 
@@ -57,7 +58,6 @@ class DeletedProductComplex:
         self.cells_by_dim = {d: sorted(cs) for d, cs in cells_by_dim.items() if cs}
         self._indices = {}
         self._boundaries = {}
-        self._orbits = {}
 
     @property
     def dim(self) -> int:
@@ -115,25 +115,6 @@ class DeletedProductComplex:
         mat = {k: v for k, v in mat.items() if v}
         self._boundaries[d] = mat
         return mat
-
-    def orbit_table(self, group: PermGroup, degree: int) -> dict:
-        """{cell: (rep, omega)} over the degree-cells, with omega . rep = cell.
-
-        Cells are visited in sorted order, so the first cell met in an orbit
-        is its least cell, rep.  The action is free, so omega is unique.
-        Built on first use and kept per (group generators, degree).
-        """
-        key = (tuple(group.generators), degree)
-        table = self._orbits.get(key)
-        if table is None:
-            elements = group.elements()
-            table = {}
-            for cell in self.cells_by_dim.get(degree, ()):
-                if cell not in table:
-                    for omega in elements:
-                        table[act_on_cell(omega, cell)[0]] = (cell, omega)
-            self._orbits[key] = table
-        return table
 
 
 def deleted_product(K: Complex, r: int) -> DeletedProductComplex:

@@ -240,7 +240,7 @@ class HomologyReport:
         return self.ranks.get(d, 0)
 
 
-def _rank_mod_p(sparse: dict, m: int, n: int, p: int) -> int:
+def _rank_mod_p(sparse: dict, p: int) -> int:
     return _eliminate(sparse, p)[0]
 
 
@@ -280,7 +280,7 @@ def homology(boundaries: list, shapes: list, coefficients="Z") -> HomologyReport
         if tag == "Z":
             diag[d] = smith_diagonal(boundaries[d], shapes[d - 1], shapes[d])
         else:
-            diag[d] = [1] * _rank_mod_p(boundaries[d], shapes[d - 1], shapes[d], int(coefficients))
+            diag[d] = [1] * _rank_mod_p(boundaries[d], int(coefficients))
     ranks = {}
     torsion = {}
     for d in range(top + 1):

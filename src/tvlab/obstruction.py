@@ -10,11 +10,11 @@ the parity of the ambient dimension of the underlying intersection problem
 (twist = k*r when the domain dimension is k(r-1)).  For top-dimensional
 cells this composite sign reduces to sgn(omega)^k.
 
-Orbits come from one table per (complex, group, degree), held by the
-complex (DeletedProductComplex.orbit_table): it maps every cell to its
-orbit's least cell and the unique group element carrying that cell to it.
-The same table serves the symmetric group and its Sylow subgroups, for
-locating cells, coboundary assembly, restriction and transfer.
+A cell is located in its orbit by definition (locate): the representative
+is the orbit's least cell, carried to the cell by one group element, as the
+action is free.  The factors are distinct simplices, so over the full
+symmetric group that is the sorted cell and the sorting permutation; over a
+subgroup (restriction and transfer) the least image.  No table is kept.
 
 The obstruction decision solves delta c = v over the integers on the top
 two degrees: the sparse coboundary goes to the unit-pivot solve of
@@ -46,9 +46,20 @@ def chi(omega, cell, twist) -> int:
     return s * kappa
 
 
+def locate(group: PermGroup, cell) -> tuple:
+    """(rep, omega) with omega . rep = cell, rep the least cell of the orbit:
+    over the full symmetric group the sorted cell, omega sending each factor
+    back to its slot; over a subgroup the least image g . cell, omega = g^-1."""
+    if group.order() == factorial(group.degree):
+        rep = tuple(sorted(cell))
+        return rep, tuple(map(cell.index, rep))
+    rep, g = min((act_on_cell(g, cell)[0], g) for g in group.elements())
+    return rep, inverse(g)
+
+
 def orbit_reps(dp: DeletedProductComplex, group: PermGroup, degree: int) -> list:
     """Lexicographically minimal representative per group orbit of cells."""
-    return [cell for cell, (rep, _) in dp.orbit_table(group, degree).items() if cell == rep]
+    return [cell for cell in dp.cells_by_dim.get(degree, ()) if locate(group, cell)[0] == cell]
 
 
 @dataclass
@@ -63,11 +74,9 @@ class EquivariantCochain:
 
     def locate(self, cell):
         """(representative, omega) with omega . representative = cell."""
-        try:
-            return self.dp.orbit_table(self.group, self.degree)[cell]
-        except KeyError:
-            raise UnknownCell("not a %d-cell of this deleted product: %r"
-                              % (self.degree, cell)) from None
+        if cell not in self.dp.cell_index(self.degree):
+            raise UnknownCell("not a %d-cell of this deleted product: %r" % (self.degree, cell))
+        return locate(self.group, cell)
 
     def value(self, cell) -> int:
         rep, omega = self.locate(cell)
@@ -117,13 +126,12 @@ def coboundary_matrix(dp: DeletedProductComplex, twist=None):
     group = symmetric_group(dp.r)
     top = dp.dim
     top_reps = orbit_reps(dp, group, top)
-    facets = dp.orbit_table(group, top - 1)
     facet_reps = orbit_reps(dp, group, top - 1)
     col = {rep: j for j, rep in enumerate(facet_reps)}
     entries = {}
     for i, cell in enumerate(top_reps):
         for facet, eps in dp.cell_boundary(cell):
-            rep, omega = facets[facet]
+            rep, omega = locate(group, facet)
             key = (i, col[rep])
             entries[key] = entries.get(key, 0) + eps * chi(omega, rep, twist)
     entries = {key: v for key, v in sorted(entries.items()) if v}

@@ -263,6 +263,8 @@ def coned_extension_oracle(f: PLMap, simplices, r, apexes=None, seed=0) -> int:
     d = f.ambient_dim
     m = len(simplices[0]) - 1
     k = split_dimensions(m, d, r)
+    if k == 0:  # points mapped to R^0: there is no cone to extend over
+        raise InputError("the coned extension needs dim = k(r-1) with k >= 1, got k = 0")
     if apexes is None:
         apexes = default_apexes(f, simplices, r, seed)
     apex = [Fraction(x) for p in apexes for x in p]  # point of (R^d)^r

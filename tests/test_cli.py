@@ -128,6 +128,21 @@ def test_plmap_cocycle_fuzz_oracle_without_disjoint_tuples(tmp_path, capsys):
     assert rep["checked"] == rep["oracle_agreements"] == 0
 
 
+@pytest.mark.parametrize("r", [2, 3])
+def test_plmap_cocycle_fuzz_oracle_refuses_points_in_r0(tmp_path, capsys, r):
+    # three points mapped to R^0 have an r-fold table (k = 0), but the
+    # coned extension has nothing to cone over: exit 2, not an IndexError
+    path = write_json(tmp_path / "points.json", {
+        "complex": {"num_vertices": 3, "maximal_simplices": [[0], [1], [2]]},
+        "d": 0, "images": [[], [], []]})
+    code, rep = run_cli(capsys, ["plmap", "cocycle", "--map", path, "--r", str(r),
+                                 "--fuzz-oracle", "2"])
+    assert code == 2 and rep["kind"] == "input"
+    for head in (["plmap", "cocycle"], ["plmap", "rfold"], ["vk", "obstruction"]):
+        code, rep = run_cli(capsys, head + ["--map", path, "--r", str(r)])
+        assert code == 0
+
+
 @pytest.mark.parametrize("argv", [["radon", "--random", "0"],
                                   ["tverberg", "search", "--random", "0", "--r", "3"]],
                          ids=["radon", "tverberg"])

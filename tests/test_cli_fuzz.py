@@ -13,8 +13,10 @@ that only set how much work is done (--random, --fuzz-oracle, the --r of
 tverberg) are drawn from small ranges, since a large value there is a long
 but legitimate run.  Input files are valid,
 missing, malformed, deeply nested, carry "1/0" and 1e400 as coordinates,
-or hold one 40-vertex simplex, whose 2^40 - 1 faces the face cap refuses
-to close.
+hold one 40-vertex simplex, whose 2^40 - 1 faces the face cap refuses
+to close, or map three points to R^0, where the coned extension of
+--fuzz-oracle has nothing to cone over (an explicit example runs that
+command on every run).
 """
 
 import io
@@ -54,6 +56,8 @@ FILES = {
     "bad-d.json": {"complex": K4, "d": "two", "images": SQUARE},
     "float-vertex.json": {"complex": {"num_vertices": 4, "maximal_simplices": [[0.5, 1]]},
                           "d": 2, "images": SQUARE},
+    "points-in-r0.json": {"complex": {"num_vertices": 3, "maximal_simplices": [[0], [1], [2]]},
+                          "d": 0, "images": [[], [], []]},
     "many-vertices.json": {"complex": {"num_vertices": 10**12, "maximal_simplices": [[0]]},
                            "d": 1, "images": [["0"]]},
     "k4.json": K4,
@@ -70,7 +74,7 @@ FILES = {
     "deep.json": "text:" + "[" * 5000 + "]" * 5000,
 }
 MAPS = ["square.json", "triangles.json", "simplex.json", "touching.json", "zero-den.json",
-        "inf.json", "no-images.json", "bad-d.json", "float-vertex.json",
+        "inf.json", "no-images.json", "bad-d.json", "float-vertex.json", "points-in-r0.json",
         "many-vertices.json", "wide-simplex.json", "list.json", "not-json.json", "empty.json",
         "deep.json", "missing.json"]
 COMPLEXES = ["k4.json", "complex-zero-den.json", "float-vertex.json", "wide-simplex.json",
@@ -164,6 +168,8 @@ def files(tmp_path_factory):
 def test_cli_fuzz_exit_codes(files):
     @hypothesis.settings(max_examples=400)
     @hypothesis.given(argv())
+    @hypothesis.example(["plmap", "cocycle", "--map", "{points-in-r0.json}", "--r", "2",
+                         "--fuzz-oracle", "2"])
     def check(args):
         args = [files.get(a, a) for a in args]
         code, err = run_argv(args)

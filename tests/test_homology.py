@@ -113,7 +113,7 @@ def test_rank_mod_p_matches_sympy(p):
         sparse = {(i, j): rows[i][j] for i in range(m) for j in range(n)
                   if rows[i][j]}
         expected = DomainMatrix.from_list(rows, sympy.ZZ).convert_to(sympy.GF(p)).rank()
-        assert _rank_mod_p(sparse, m, n, p) == expected
+        assert _rank_mod_p(sparse, p) == expected
 
 
 def test_delta6_r3_integral_homology():

@@ -9,15 +9,15 @@ import pytest
 
 from tvlab.complexes import Complex, full_simplex, simplex_skeleton
 from tvlab.convexity import random_rational_points
-from tvlab.deleted_product import act_on_cell, deleted_product
+from tvlab.deleted_product import act_on_cell, cell_dim, deleted_product
 from tvlab.errors import DegreeError, NotEquivariant, TvlabError, UnknownCell
 from tvlab.homology import smith_diagonal
 from tvlab.obstruction import (EquivariantCochain, chi, cocycle_from_table,
                                coboundary_matrix, coset_representatives,
-                               is_null_cohomologous, orbit_reps,
+                               is_null_cohomologous, locate, orbit_reps,
                                ozaydin_report, restrict_to_subgroup, transfer)
 from tvlab.plmaps import PLMap, intersection_cocycle, perturbed
-from tvlab import deleted_product as deleted_product_module
+from tvlab import obstruction as obstruction_module
 from tvlab.symgroup import (invariant_block_split, invariant_matrix_point, inverse,
                             is_prime, is_transitive, p_order_in_factorial,
                             sylow_tree_subgroup, symmetric_group, trivial_group)
@@ -57,8 +57,7 @@ def test_orbit_counts_two_disjoint_edges():
 
 
 def scan_orbit_reps(dp, group, degree):
-    """Orbit representatives by marking every image of each new cell: the
-    pass that orbit_reps made before the orbit table."""
+    """Orbit representatives by marking every image of each new cell."""
     seen = set()
     reps = []
     for cell in dp.cells_by_dim.get(degree, ()):
@@ -72,7 +71,7 @@ def scan_orbit_reps(dp, group, degree):
 
 def scan_locate(group, cell):
     """(rep, omega) with omega . rep = cell by scanning all |G| images of
-    the cell for the least: the per-call search that the table replaced."""
+    the cell for the least."""
     best = None
     for omega in group.elements():
         img, _ = act_on_cell(omega, cell)
@@ -100,7 +99,9 @@ GROUPS_UP_TO_5 = [(r, p) for r in range(2, 6)
 @pytest.mark.skipif(given is None, reason="needs hypothesis")
 @pytest.mark.parametrize("r,p", GROUPS_UP_TO_5)
 def test_orbit_table_matches_scan(r, p):
-    """Sigma_r (p None) and every tree Sylow subgroup for r <= 5, on
+    """locate and orbit_reps, which replace the orbit table, against the
+    scans: Sigma_r (p None), where locate sorts, and every tree Sylow
+    subgroup, where it takes the least image, for r <= 5, on
     Delta_4..Delta_6, their 2-skeleta and the colored complex [3]*[3]*[3]
     (r <= 4: its r = 5 product has 941,760 cells)."""
     names = ["delta%d%s" % (N, sk) for N in (4, 5, 6) for sk in ("", "/2")]
@@ -113,11 +114,10 @@ def test_orbit_table_matches_scan(r, p):
 
     @lru_cache(maxsize=None)
     def results(name, degree):
-        """orbit_table, orbit_reps and the scanned representatives, once
-        per drawn complex and degree."""
+        """orbit_reps and the scanned representatives, once per drawn
+        complex and degree."""
         dp = product(name)
-        return (dp.orbit_table(group, degree), orbit_reps(dp, group, degree),
-                scan_orbit_reps(dp, group, degree))
+        return orbit_reps(dp, group, degree), scan_orbit_reps(dp, group, degree)
 
     @settings(max_examples=8)
     @given(st.sampled_from(names), st.integers(0, 20),
@@ -125,15 +125,15 @@ def test_orbit_table_matches_scan(r, p):
     def check(name, degree, picks):
         dp = product(name)
         degree %= dp.dim + 1
-        table, reps, scanned = results(name, degree)
+        reps, scanned = results(name, degree)
         cells = dp.cells_by_dim[degree]
-        assert sorted(table) == cells
         assert reps == scanned
         for k in picks:
             cell = cells[k % len(cells)]
-            rep, omega = table[cell]
+            rep, omega = locate(group, cell)
             assert (rep, omega) == scan_locate(group, cell)
             assert act_on_cell(omega, rep)[0] == cell
+            assert rep in reps
 
     check()
 
@@ -155,13 +155,12 @@ def dense_coboundary(dp, twist):
     """The coboundary as a list of rows, assembled entry by entry as
     coboundary_matrix did before it stored only nonzero entries."""
     group = symmetric_group(dp.r)
-    facets = dp.orbit_table(group, dp.dim - 1)
-    col = {rep: j for j, rep in enumerate(orbit_reps(dp, group, dp.dim - 1))}
+    col = {rep: j for j, rep in enumerate(scan_orbit_reps(dp, group, dp.dim - 1))}
     rows = []
-    for cell in orbit_reps(dp, group, dp.dim):
+    for cell in scan_orbit_reps(dp, group, dp.dim):
         row = [0] * len(col)
         for facet, eps in dp.cell_boundary(cell):
-            rep, omega = facets[facet]
+            rep, omega = scan_locate(group, facet)
             row[col[rep]] += eps * chi(omega, rep, twist)
         rows.append(row)
     return rows
@@ -429,23 +428,51 @@ def test_ozaydin_arithmetic_matches_the_sylow_subgroups():
         assert rep.argument_applies == (relation_gcd == 1)
 
 
-def test_orbit_tables_built_once_per_complex_group_and_degree(monkeypatch):
-    _, dp, v = k5_setup()
+def table_locate(dp):
+    """locate read off orbit tables, one per group and degree, built as the
+    deleted product built them before orbits were located by sorting: the
+    sorted cells are visited in order, and the first cell met in an orbit,
+    its least, is stored as the representative of each of its images."""
+    tables = {}
 
-    def calls():
-        A, top_reps, facet_reps = coboundary_matrix(dp)
-        down = restrict_to_subgroup(v, trivial_group(2))
-        up = transfer(down, 2)
-        return A.entries, top_reps, facet_reps, down.values, up.values
+    def locate_in_table(group, cell):
+        key = (tuple(group.generators), cell_dim(cell))
+        if key not in tables:
+            table = {}
+            for c in dp.cells_by_dim.get(key[1], ()):
+                if c not in table:
+                    for omega in group.elements():
+                        table[act_on_cell(omega, c)[0]] = (c, omega)
+            tables[key] = table
+        return tables[key][cell]
 
-    first = calls()
+    return locate_in_table
 
-    def no_table(omega, cell):
-        raise AssertionError("an orbit table was built again")
 
-    monkeypatch.setattr(deleted_product_module, "act_on_cell", no_table)
-    assert calls() == first
-    assert dp.orbit_table(symmetric_group(2), 1) is dp.orbit_table(sylow_tree_subgroup(2, 2), 1)
+def test_obstruction_maps_match_the_orbit_tables(monkeypatch):
+    # the seeds give intersection tables that are not zero
+    for name, d, r, seed in [("colored333", 3, 3, 5), ("delta6/2", 4, 2, 0)]:
+        K = base_complex(name)
+        f = PLMap.build(K, d, random_rational_points(K.num_vertices, d,
+                                                     repr(("tables", name, seed))))
+        dp = deleted_product(K, r)
+        table = intersection_cocycle(f, r)
+        subgroups = [trivial_group(r)] + [sylow_tree_subgroup(r, p) for p in (2, 3) if p <= r]
+
+        def outputs():
+            v = cocycle_from_table(dp, table)
+            A, top_reps, facet_reps = coboundary_matrix(dp, v.twist)
+            out = [v.values, A.entries, top_reps, facet_reps]
+            for G in subgroups:
+                down = restrict_to_subgroup(v, G)
+                out += [down.values, transfer(down, r).values]
+            return out
+
+        with monkeypatch.context() as patch:
+            patch.setattr(obstruction_module, "locate", table_locate(dp))
+            by_tables = outputs()
+        assert any(by_tables[0].values())
+        assert outputs() == by_tables, name
 
 
 def test_relation_gcd_iff_not_prime_power():
