@@ -4,6 +4,15 @@ Inputs and answers are exact rationals (fractions.Fraction).  Feasibility
 of common points of convex hulls is decided by a phase-one simplex with
 Bland's rule on an integer tableau, so every positive answer comes with
 exact barycentric certificates and every answer is deterministic.
+
+The Tverberg search walks the partitions in canonical order and skips,
+without an LP, each partition that a separating direction rules out.  Once
+per search the points are scaled to integers by the lcm of their
+denominators and projected onto the axes e_a and the diagonals e_a + e_b,
+e_a - e_b (a < b).  If along one direction u some part's least u.x exceeds
+another part's greatest, a hyperplane separates the two parts and their
+hulls cannot meet.  Only infeasible partitions are skipped, so the first
+feasible one, its LP, witness and certificates are those of the plain walk.
 """
 
 from __future__ import annotations
@@ -209,11 +218,45 @@ def canonical_partitions(n, r):
         yield from fill(sizes, range(n), ())
 
 
+def _directions(d):
+    """The test directions in R^d: the axes e_a, then e_a + e_b and
+    e_a - e_b for a < b."""
+    axes = [tuple(int(a == c) for c in range(d)) for a in range(d)]
+    return axes + [tuple(x + s * y for x, y in zip(axes[a], axes[b]))
+                   for a, b in combinations(range(d), 2) for s in (1, -1)]
+
+
+def _projections(pts):
+    """projections[i][k] = L * (u_k . x_i) for the directions u_k of
+    _directions, L the lcm of all denominators, so every value is an int."""
+    L = lcm(*(x.denominator for p in pts for x in p))
+    scaled = [[x.numerator * (L // x.denominator) for x in p] for p in pts]
+    U = _directions(len(pts[0]))
+    return [tuple(sum(a * x for a, x in zip(u, p)) for u in U) for p in scaled]
+
+
+def _separating_direction(projections, parts):
+    """Index k of a direction u_k along which two of the parts lie strictly
+    apart, or None.  Along u_k the greatest per-part minimum of u_k . x then
+    exceeds the smallest per-part maximum, so a hyperplane u_k . x = c
+    separates those two parts and no partition point exists."""
+    lows, highs = [], []
+    for part in parts:
+        columns = list(zip(*map(projections.__getitem__, part)))
+        lows.append(map(min, columns))
+        highs.append(map(max, columns))
+    for k, (lo, hi) in enumerate(zip(map(max, zip(*lows)), map(min, zip(*highs)))):
+        if lo > hi:
+            return k
+    return None
+
+
 def tverberg_search(points, r) -> TverbergPartition:
     """First certified r-part partition in the canonical enumeration order.
 
     Requires r >= 2 and exactly (d+1)(r-1)+1 points; by Tverberg's theorem
     a valid partition always exists, so search exhaustion signals a bug.
+    A partition with a separating direction gets no LP.
     """
     if r < 2:
         raise InvalidMultiplicity("a Tverberg partition needs r >= 2 parts, got %d" % r)
@@ -222,7 +265,10 @@ def tverberg_search(points, r) -> TverbergPartition:
     want = (d + 1) * (r - 1) + 1
     if len(pts) != want:
         raise WrongCardinality("need (d+1)(r-1)+1 = %d points, got %d" % (want, len(pts)))
+    projections = _projections(pts)
     for parts in canonical_partitions(len(pts), r):
+        if _separating_direction(projections, parts) is not None:
+            continue
         res = hulls_intersect([[pts[i] for i in part] for part in parts])
         if res is not None:
             witness, certs = res

@@ -27,6 +27,7 @@ re-verified through the combination of top-orbit equations behind it.
 from __future__ import annotations
 
 import sys
+from bisect import bisect_left
 from dataclasses import dataclass
 from math import factorial, log10, prod
 
@@ -74,7 +75,10 @@ class EquivariantCochain:
 
     def locate(self, cell):
         """(representative, omega) with omega . representative = cell."""
-        if cell not in self.dp.cell_index(self.degree):
+        # membership by bisection on the sorted cells: no index over the degree is built
+        cells = self.dp.cells_by_dim.get(self.degree, [])
+        i = bisect_left(cells, cell)
+        if cells[i:i + 1] != [cell]:
             raise UnknownCell("not a %d-cell of this deleted product: %r" % (self.degree, cell))
         return locate(self.group, cell)
 

@@ -1,5 +1,6 @@
 """Random argv for every subcommand: the CLI exits 0, 2, 3 or 4, never with
 a traceback, and never accepts a multiplicity r < 2 or a negative count.
+A Tverberg search with r = 3 on a valid but degenerate point set exits 0.
 
 Integers are drawn small, zero, negative and huge.  Huge values go to the
 arguments whose size is checked before any work: --n (the cell cap), the
@@ -16,7 +17,10 @@ missing, malformed, deeply nested, carry "1/0" and 1e400 as coordinates,
 hold one 40-vertex simplex, whose 2^40 - 1 faces the face cap refuses
 to close, or map three points to R^0, where the coned extension of
 --fuzz-oracle has nothing to cone over (an explicit example runs that
-command on every run).
+command on every run).  The point files include degenerate sets: seven
+copies of one point, seven collinear points in R^2 and five points in R^1;
+explicit examples run tverberg search --r 3 on the first two, whose
+separating-direction test meets ties and empty gaps.
 """
 
 import io
@@ -65,6 +69,9 @@ FILES = {
     "wide-simplex.json": {**WIDE, "complex": WIDE, "d": 1, "images": [["0"]] * 40},
     "complex-zero-den.json": {"num_vertices": "1/0", "maximal_simplices": [[0]]},
     "hexagon.json": {"d": 2, "points": HEXAGON},
+    "repeated.json": {"d": 2, "points": [["0", "0"]] * 7},
+    "collinear.json": {"d": 2, "points": [[str(t), str(2 * t - 1)] for t in (3, -1, 0, 5, 2, -4, 1)]},
+    "points-r1.json": {"d": 1, "points": [["3"], ["-1/2"], ["4"], ["1"], ["-5"]]},
     "points-zero-den.json": {"d": 2, "points": [["1/0", "0"]] + HEXAGON[1:]},
     "points-inf.json": "text:" + json.dumps({"d": 2, "points": HEXAGON})
                        .replace('"-2", "0"', '1e400, "0"'),
@@ -79,8 +86,11 @@ MAPS = ["square.json", "triangles.json", "simplex.json", "touching.json", "zero-
         "deep.json", "missing.json"]
 COMPLEXES = ["k4.json", "complex-zero-den.json", "float-vertex.json", "wide-simplex.json",
              "list.json", "not-json.json", "deep.json", "missing.json"]
-POINTS = ["hexagon.json", "points-zero-den.json", "points-inf.json", "square.json",
-          "list.json", "not-json.json", "empty.json", "missing.json"]
+POINTS = ["hexagon.json", "repeated.json", "collinear.json", "points-r1.json",
+          "points-zero-den.json", "points-inf.json", "square.json", "list.json",
+          "not-json.json", "empty.json", "missing.json"]
+# valid but degenerate point sets of (d + 1) * 2 + 1 points: a search with r = 3 exits 0
+DEGENERATE = ["repeated.json", "collinear.json", "points-r1.json"]
 CELLS = ["[[0],[1]]", "[[2],[3]]", "[[0,1],[2]]", "[[0],[0]]", "[]", "[[1/0]]", "5",
          "null", "[[2.0],[3]]", "[" * 3000 + "]" * 3000]
 
@@ -166,10 +176,14 @@ def files(tmp_path_factory):
 
 
 def test_cli_fuzz_exit_codes(files):
+    degenerate = [files["{%s}" % name] for name in DEGENERATE]
+
     @hypothesis.settings(max_examples=400)
     @hypothesis.given(argv())
     @hypothesis.example(["plmap", "cocycle", "--map", "{points-in-r0.json}", "--r", "2",
                          "--fuzz-oracle", "2"])
+    @hypothesis.example(["tverberg", "search", "--points", "{repeated.json}", "--r", "3"])
+    @hypothesis.example(["tverberg", "search", "--points", "{collinear.json}", "--r", "3"])
     def check(args):
         args = [files.get(a, a) for a in args]
         code, err = run_argv(args)
@@ -181,5 +195,8 @@ def test_cli_fuzz_exit_codes(files):
                 assert code == 2, (args, code)
         if args[0] in MULTIPLICITY and "--r" in opts and int(opts["--r"]) < 2:
             assert code == 2, (args, code)
+        if (args[0] == "tverberg" and "--random" not in opts and opts.get("--r") == "3"
+                and opts.get("--points") in degenerate):
+            assert code == 0, (args, code, err)
 
     check()

@@ -4,11 +4,19 @@ from fractions import Fraction
 
 import pytest
 
-from tvlab.convexity import (TverbergPartition, as_points,
+from tvlab import convexity
+from tvlab.convexity import (TverbergPartition, _directions, _projections,
+                             _separating_direction, as_points,
                              canonical_partitions, general_position_check,
                              hulls_intersect, lp_feasible, radon_partition,
                              random_rational_points, tverberg_search)
 from tvlab.errors import InputError, InvalidMultiplicity, WrongCardinality
+
+try:
+    from hypothesis import given, settings, strategies as st
+except ImportError:  # hypothesis is a test extra
+    given = None
+needs_hypothesis = pytest.mark.skipif(given is None, reason="needs hypothesis")
 
 HEXAGON = [(2, 0), (1, 2), (-1, 2), (-2, 0), (-1, -2), (1, -2), (0, 0)]
 
@@ -214,3 +222,132 @@ def test_tverberg_hexagon_pinned():
     assert part.parts == [(0, 1, 3), (2, 5), (4, 6)]
     assert part.certificates == [[Fraction(1, 2), 0, Fraction(1, 2)],
                                  [Fraction(1, 2), Fraction(1, 2)], [0, 1]]
+
+
+# the searches of the tverberg benchmark workload, (d, set) with r = 3, and
+# the hulls_intersect calls each makes with and without the
+# separating-direction test
+BENCHMARK_SETS = [(2, 0), (3, 1), (3, 0), (3, 2)]
+FILTERED_CALLS = [3, 5, 11, 54]
+UNFILTERED_CALLS = [25, 37, 102, 239]
+
+
+def benchmark_points(d, i):
+    return random_rational_points((d + 1) * 2 + 1, d, repr(("tverberg", d, 3, i)))
+
+
+def unfiltered_search(points, r):
+    """The search without the separating-direction test: the first
+    partition in canonical order whose hulls meet, as (parts, witness,
+    certificates)."""
+    pts = as_points(points)
+    for parts in canonical_partitions(len(pts), r):
+        res = hulls_intersect([[pts[i] for i in part] for part in parts])
+        if res is not None:
+            return list(parts), res[0], res[1]
+
+
+def assert_same_as_unfiltered(points, r):
+    part = tverberg_search(points, r)
+    assert (part.parts, part.witness, part.certificates) == unfiltered_search(points, r)
+
+
+def test_filtered_search_matches_unfiltered_on_fixed_sets():
+    for d, i in BENCHMARK_SETS:
+        assert_same_as_unfiltered(benchmark_points(d, i), 3)
+    assert_same_as_unfiltered(HEXAGON, 3)
+    assert_same_as_unfiltered([(0, 0)] * 7, 3)
+    assert_same_as_unfiltered([(1, 1, 1)] * 9, 3)
+    assert_same_as_unfiltered([(t, 2 * t + 1) for t in range(7)], 3)
+    assert_same_as_unfiltered([(t,) for t in (3, 1, 4, 1, 5)], 3)
+    assert_same_as_unfiltered([(Fraction(1, 3),), (0,), (Fraction(1, 3),)], 2)
+
+
+def test_directions_and_projections():
+    assert _directions(1) == [(1,)]
+    assert _directions(3) == [(1, 0, 0), (0, 1, 0), (0, 0, 1), (1, 1, 0), (1, -1, 0),
+                              (1, 0, 1), (1, 0, -1), (0, 1, 1), (0, 1, -1)]
+    # scaled by the lcm 6 of the denominators
+    assert _projections(as_points([(Fraction(1, 2), Fraction(1, 3)), (1, 0)])) == [
+        (3, 2, 5, 1), (6, 0, 6, 6)]
+    proj = _projections(as_points([(0,), (1,), (2,), (2,)]))
+    assert _separating_direction(proj, [(0, 1), (2, 3)]) == 0
+    assert _separating_direction(proj, [(0, 2), (1, 3)]) is None
+    # touching parts share a point and are not separated
+    assert _separating_direction(proj, [(0, 2), (3,)]) is None
+
+
+def test_rejected_partitions_are_separated():
+    """Every partition the search skips has two parts strictly apart along
+    the returned direction, recomputed on the rational points, and hulls
+    that do not meet."""
+    cases = [benchmark_points(d, i) for d, i in BENCHMARK_SETS] + [HEXAGON]
+    skipped = []
+    for pts in map(as_points, cases):
+        U = _directions(len(pts[0]))
+        proj = _projections(pts)
+        skipped.append(0)
+        for parts in canonical_partitions(len(pts), 3):
+            groups = [[pts[i] for i in part] for part in parts]
+            k = _separating_direction(proj, parts)
+            if k is None:
+                if hulls_intersect(groups) is not None:
+                    break
+                continue
+            skipped[-1] += 1
+            values = [[sum(u * x for u, x in zip(U[k], pts[i])) for i in part]
+                      for part in parts]
+            assert max(map(min, values)) > min(map(max, values))
+            assert hulls_intersect(groups) is None
+    assert skipped[:4] == [u - f for u, f in zip(UNFILTERED_CALLS, FILTERED_CALLS)]
+    assert skipped[4] > 0
+
+
+@pytest.mark.parametrize("case", range(len(BENCHMARK_SETS)))
+def test_hulls_intersect_calls_pinned(monkeypatch, case):
+    calls = []
+
+    def counted(groups):
+        calls.append(groups)
+        return hulls_intersect(groups)
+
+    monkeypatch.setattr(convexity, "hulls_intersect", counted)
+    tverberg_search(benchmark_points(*BENCHMARK_SETS[case]), 3)
+    assert len(calls) == FILTERED_CALLS[case]
+
+
+def point_sets():
+    """(points, r) for d = 1-3 and r = 2-3: rational, integer-only,
+    repeated and collinear sets."""
+    coord = st.one_of(st.integers(-4, 4),
+                      st.fractions(min_value=-4, max_value=4, max_denominator=6))
+
+    @st.composite
+    def draw_set(draw):
+        d = draw(st.integers(1, 3))
+        r = draw(st.integers(2, 3))
+        n = (d + 1) * (r - 1) + 1
+        kind = draw(st.sampled_from(["rational", "integer", "repeated", "collinear"]))
+        point = st.tuples(*[st.integers(-3, 3) if kind == "integer" else coord] * d)
+        if kind == "repeated":
+            pool = draw(st.lists(point, min_size=1, max_size=3))
+            pts = draw(st.lists(st.sampled_from(pool), min_size=n, max_size=n))
+        elif kind == "collinear":
+            base, step = draw(point), draw(st.tuples(*[st.integers(-2, 2)] * d))
+            ts = draw(st.lists(coord, min_size=n, max_size=n))
+            pts = [tuple(b + t * s for b, s in zip(base, step)) for t in ts]
+        else:
+            pts = draw(st.lists(point, min_size=n, max_size=n))
+        return pts, r
+
+    return draw_set()
+
+
+@needs_hypothesis
+def test_filtered_search_matches_unfiltered_on_drawn_sets():
+    @settings(max_examples=60)
+    @given(point_sets())
+    def check(case):
+        assert_same_as_unfiltered(*case)
+
+    check()
