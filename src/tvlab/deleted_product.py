@@ -1,12 +1,13 @@
 """Simplicial r-fold deleted products with boundary maps and symmetric action.
 
 A cell is an ordered r-tuple of pairwise vertex-disjoint non-empty simplices
-of the base complex; its dimension is the sum of the factor dimensions.  The
-boundary operator carries the Koszul sign (-1)^{d_1+...+d_{i-1}} on the i-th
-factor, and the symmetric group permutes factors with the Koszul sign of
-permuting graded slots: the sign of the permutation restricted to the
-odd-dimensional factors.  The action is free, and the complex keeps no
-orbit data: obstruction.locate finds a cell's orbit from the cell alone.
+of the base complex (has_cell checks just that; no cell index is kept); its
+dimension is the sum of the factor dimensions.  The boundary operator
+carries the Koszul sign (-1)^{d_1+...+d_{i-1}} on the i-th factor, and the
+symmetric group permutes factors with the Koszul sign of permuting graded
+slots: the sign of the permutation restricted to the odd-dimensional
+factors.  The action is free; its orbits are the unordered tuples, one
+sorted cell each, which disjoint_tuples enumerates by total dimension.
 """
 
 from __future__ import annotations
@@ -56,7 +57,6 @@ class DeletedProductComplex:
         self.base = base
         self.r = r
         self.cells_by_dim = {d: sorted(cs) for d, cs in cells_by_dim.items() if cs}
-        self._indices = {}
         self._boundaries = {}
 
     @property
@@ -73,16 +73,10 @@ class DeletedProductComplex:
     def total_cells(self) -> int:
         return sum(len(cs) for cs in self.cells_by_dim.values())
 
-    def cell_index(self, d: int) -> dict:
-        """{cell: position} over the d-cells in sorted order, built on first use."""
-        index = self._indices.get(d)
-        if index is None:
-            index = {c: i for i, c in enumerate(self.cells_by_dim.get(d, ()))}
-            self._indices[d] = index
-        return index
-
     def has_cell(self, cell: ProductCell) -> bool:
-        return cell in self.cell_index(cell_dim(cell))
+        """True iff cell is r pairwise vertex-disjoint simplices of the base."""
+        return (len(cell) == self.r and all(s in self.base.simplices for s in cell)
+                and len(set().union(*cell)) == sum(map(len, cell)))
 
     def cell_boundary(self, cell: ProductCell) -> list:
         """Signed facets [(facet_cell, sign)] with the Koszul convention:
@@ -107,7 +101,7 @@ class DeletedProductComplex:
         if d in self._boundaries:
             return self._boundaries[d]
         mat = {}
-        rows = self.cell_index(d - 1)
+        rows = {c: i for i, c in enumerate(self.cells_by_dim.get(d - 1, ()))}
         for j, cell in enumerate(self.cells_by_dim.get(d, ())):
             for facet, eps in self.cell_boundary(cell):
                 i = rows[facet]
@@ -157,6 +151,35 @@ def deleted_product(K: Complex, r: int) -> DeletedProductComplex:
     rec(0, 0, 0)
     del rec  # rec refers to itself: left alone, the cycle holds every cell until a full gc pass
     return DeletedProductComplex(K, r, cells_by_dim)
+
+
+def disjoint_tuples(simplices, r, dim=None) -> list:
+    """Unordered r-tuples of pairwise vertex-disjoint simplices, of total
+    dimension dim if given, in the order of itertools.combinations over the
+    sorted simplices.  A prefix that meets the next simplex's vertex mask,
+    or whose dimension can no longer reach dim, is never extended."""
+    simplices = sorted(simplices)
+    masks = [sum(1 << v for v in s) for s in simplices]
+    top = max(map(len, simplices), default=1) - 1
+    out = []
+    chosen = []
+
+    def extend(start, used, total):
+        left = r - len(chosen)
+        if dim is not None and not total <= dim <= total + left * top:
+            return
+        if not left:
+            out.append(tuple(chosen))
+            return
+        for i in range(start, len(simplices)):
+            if not masks[i] & used:
+                chosen.append(simplices[i])
+                extend(i + 1, used | masks[i], total + len(simplices[i]) - 1)
+                chosen.pop()
+
+    extend(0, 0, 0)
+    del extend  # the self-referring closure would keep out alive until a full gc pass
+    return out
 
 
 def koszul_action_sign(omega: tuple, dims: tuple) -> int:

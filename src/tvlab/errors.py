@@ -45,7 +45,8 @@ class WrongCardinality(TvlabError):
 
 
 class SearchInvariantViolated(TvlabError):
-    """Exhaustive partition search found nothing; indicates a bug."""
+    """A certificate or witness failed its own re-verification, or an
+    exhaustive search found nothing; indicates a bug (CLI exit code 4)."""
 
 
 class NotGeneric(TvlabError):
@@ -65,8 +66,7 @@ class DiagonalInput(TvlabError):
 
 
 class NotEquivariant(TvlabError):
-    """Cochain table values contradict twisted equivariance on an orbit, or
-    a certificate of the obstruction decision fails its re-verification."""
+    """Cochain table values contradict twisted equivariance on an orbit."""
 
 
 class DegreeError(TvlabError):

@@ -15,7 +15,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .errors import (EmptyComplex, NotAChainComplex, NotEquivariant, NotPrime,
+from .errors import (EmptyComplex, NotAChainComplex, NotPrime, SearchInvariantViolated,
                      ShapeError)
 from .symgroup import is_prime
 
@@ -356,7 +356,7 @@ def solve_integer_system(A: IntMatrix, b: list):
     rank, indexed after the unit pivots.  Before it is returned, the
     certificate is re-verified: the combination u of the equations behind
     it has u A = 0 and u b != 0 modulo the diagonal entry (exactly for a
-    rank certificate), or NotEquivariant is raised.
+    rank certificate), or SearchInvariantViolated is raised.
     """
     if A.rows != len(b):
         raise ShapeError("b has length %d, A has %d rows" % (len(b), A.rows))
@@ -403,4 +403,4 @@ def _check_witness(sparse: dict, carry: int, u: dict, d: int) -> None:
     else:
         ok = ub and not any(uA.values())
     if not ok:
-        raise NotEquivariant("infeasibility witness failed re-verification")
+        raise SearchInvariantViolated("infeasibility witness failed re-verification")

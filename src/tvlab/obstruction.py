@@ -14,7 +14,8 @@ A cell is located in its orbit by definition (locate): the representative
 is the orbit's least cell, carried to the cell by one group element, as the
 action is free.  The factors are distinct simplices, so over the full
 symmetric group that is the sorted cell and the sorting permutation; over a
-subgroup (restriction and transfer) the least image.  No table is kept.
+subgroup (restriction and transfer) the least image.  No table is kept: the
+Sigma_r representatives are enumerated (deleted_product.disjoint_tuples).
 
 The obstruction decision solves delta c = v over the integers on the top
 two degrees: the sparse coboundary goes to the unit-pivot solve of
@@ -27,14 +28,13 @@ re-verified through the combination of top-orbit equations behind it.
 from __future__ import annotations
 
 import sys
-from bisect import bisect_left
 from dataclasses import dataclass
 from math import factorial, log10, prod
 
 from .complexes import configured_cell_cap
-from .deleted_product import DeletedProductComplex, act_on_cell
+from .deleted_product import DeletedProductComplex, act_on_cell, cell_dim, disjoint_tuples
 from .errors import (CapExceeded, DegreeError, InputError, InvalidMultiplicity,
-                     NotEquivariant, UnknownCell)
+                     NotEquivariant, SearchInvariantViolated, UnknownCell)
 from .homology import IntMatrix, solve_integer_system
 from .symgroup import (PermGroup, compose, inverse, is_prime, p_order_in_factorial,
                        sign, symmetric_group)
@@ -59,7 +59,10 @@ def locate(group: PermGroup, cell) -> tuple:
 
 
 def orbit_reps(dp: DeletedProductComplex, group: PermGroup, degree: int) -> list:
-    """Lexicographically minimal representative per group orbit of cells."""
+    """Least cell per group orbit of degree-cells, in sorted order: over the
+    full symmetric group enumerated from the base, over a subgroup scanned."""
+    if group.order() == factorial(group.degree):
+        return disjoint_tuples(dp.base.simplices, dp.r, degree)
     return [cell for cell in dp.cells_by_dim.get(degree, ()) if locate(group, cell)[0] == cell]
 
 
@@ -75,10 +78,7 @@ class EquivariantCochain:
 
     def locate(self, cell):
         """(representative, omega) with omega . representative = cell."""
-        # membership by bisection on the sorted cells: no index over the degree is built
-        cells = self.dp.cells_by_dim.get(self.degree, [])
-        i = bisect_left(cells, cell)
-        if cells[i:i + 1] != [cell]:
+        if not self.dp.has_cell(cell) or cell_dim(cell) != self.degree:
             raise UnknownCell("not a %d-cell of this deleted product: %r" % (self.degree, cell))
         return locate(self.group, cell)
 
@@ -172,7 +172,7 @@ def is_null_cohomologous(v: EquivariantCochain, dp: DeletedProductComplex) -> Nu
     # re-verify the certificate against the coboundary matrix
     check = A.mat_vec([cert.values.get(rep, 0) for rep in facet_reps])
     if check != b:
-        raise NotEquivariant("certificate failed re-verification")
+        raise SearchInvariantViolated("certificate failed re-verification")
     return NullCohomologyResult(True, cert, None)
 
 

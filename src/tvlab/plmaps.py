@@ -11,7 +11,8 @@ convexity.common_point_system.  A unique solution makes A nonsingular, so
 the image simplices are nondegenerate and their normal frames span R^d.
 
 The intersection cocycle enumerates the disjoint tuples of top simplices
-once, from vertex bitmasks, and solves every tuple's common-point system
+once, with deleted_product.disjoint_tuples (the enumerator of the sorted
+cells, one per Sigma_r-orbit), and solves every tuple's common-point system
 on the map's images scaled once to integers (a positive uniform scaling
 changes neither the solution nor the sign of det A).  One integer
 elimination per tuple gives the solution and, from its last pivot, det A;
@@ -34,7 +35,7 @@ from math import lcm
 
 from . import convexity, linalg
 from .complexes import Complex, check_simplex_faces, configured_cell_cap, full_simplex
-from .deleted_product import full_simplex_cell_count
+from .deleted_product import disjoint_tuples, full_simplex_cell_count
 from .errors import CapExceeded, InputError, InvalidMultiplicity, NotGeneric, read_json
 
 
@@ -112,34 +113,6 @@ def split_dimensions(m, d, r):
             % (m, d, r)
         )
     return m // (r - 1)
-
-
-def disjoint_tuples(simplices, r):
-    """Unordered r-tuples of pairwise vertex-disjoint simplices, sorted.
-
-    The order is that of itertools.combinations over the sorted simplices.
-    A simplex that meets the vertex mask of those already chosen is skipped
-    together with every extension through it, so only disjoint prefixes
-    are ever built.
-    """
-    simplices = sorted(simplices)
-    masks = [sum(1 << v for v in s) for s in simplices]
-    out = []
-    chosen = []
-
-    def extend(start, used):
-        if len(chosen) == r:
-            out.append(tuple(chosen))
-            return
-        for i in range(start, len(simplices)):
-            if not masks[i] & used:
-                chosen.append(simplices[i])
-                extend(i + 1, used | masks[i])
-                chosen.pop()
-
-    extend(0, 0)
-    del extend  # the self-referring closure would keep out alive until a full gc pass
-    return out
 
 
 def positive_normal_frame(points, d):

@@ -2,11 +2,15 @@
 shapes, determinism of reports under a fixed configuration."""
 
 import json
+import os
+import subprocess
+import sys
 import time
+from pathlib import Path
 
 import pytest
 
-from tvlab import cli, plmaps
+from tvlab import cli, homology, plmaps
 from tvlab.complexes import simplex_skeleton
 
 
@@ -107,6 +111,33 @@ def test_plmap_cocycle_and_obstruction(tmp_path, capsys):
     assert code == 0
     assert rep["verdict"] == "trivial"
     assert rep["certificate"]["values"]
+
+
+def k5_pentagon_map(tmp_path):
+    """K_5 drawn on a convex pentagon: its van Kampen obstruction is nonzero."""
+    pentagon = [(0, 2), (2, 1), (1, -2), (-1, -2), (-2, 1)]
+    f = plmaps.PLMap.build(simplex_skeleton(4, 1), 2, pentagon)
+    return write_json(tmp_path / "k5.json", f.to_json_dict())
+
+
+def test_witness_that_fails_its_recheck_exits_4(tmp_path, capsys, monkeypatch):
+    argv = ["vk", "obstruction", "--map", k5_pentagon_map(tmp_path), "--r", "2"]
+    code, rep = run_cli(capsys, argv)
+    assert code == 0 and rep["verdict"] == "nontrivial"
+    monkeypatch.setattr(homology, "_equation_combination", lambda u, log: {})
+    code, rep = run_cli(capsys, argv)
+    assert code == 4
+    assert rep == {"error": "infeasibility witness failed re-verification", "kind": "invariant"}
+
+
+def test_certificate_that_fails_its_recheck_exits_4(tmp_path, capsys, monkeypatch):
+    argv = ["vk", "obstruction", "--map", k4_square_map(tmp_path), "--r", "2"]
+    mat_vec = homology.IntMatrix.mat_vec
+    monkeypatch.setattr(homology.IntMatrix, "mat_vec",
+                        lambda A, x: [y + 1 for y in mat_vec(A, x)])
+    code, rep = run_cli(capsys, argv)
+    assert code == 4
+    assert rep == {"error": "certificate failed re-verification", "kind": "invariant"}
 
 
 def test_plmap_cocycle_fuzz_oracle(tmp_path, capsys):
@@ -252,6 +283,33 @@ def test_bad_points_file_exit_2(capsys):
     code, rep = run_cli(capsys, ["radon", "--points", "/nonexistent/pts.json"])
     assert code == 2
     assert rep["kind"] == "input"
+
+
+def test_points_file_without_points_exit_2(tmp_path, capsys):
+    path = write_json(tmp_path / "no-points.json", {"d": 2, "pts": [["0", "0"]]})
+    code, rep = run_cli(capsys, ["radon", "--points", path])
+    assert code == 2
+    assert rep == {"error": 'points file needs a "points" list', "kind": "input"}
+
+
+def run_module(*argv):
+    """python -m tvlab.cli in a fresh process, with this tvlab on its path."""
+    src = str(Path(cli.__file__).resolve().parents[1])
+    return subprocess.run([sys.executable, "-m", "tvlab.cli", *argv], capture_output=True,
+                          text=True, env={**os.environ, "PYTHONPATH": src}, timeout=120)
+
+
+def test_main_exits_with_the_run_code():
+    done = run_module("dp", "stats", "--n", "2", "--r", "3")
+    assert done.returncode == 0
+    assert json.loads(done.stdout)["f_vector"] == [6]
+
+
+def test_main_argparse_error_exits_2_without_traceback():
+    done = run_module("dp", "stats", "--n", "2")
+    assert done.returncode == 2
+    assert "--r" in done.stderr and "Traceback" not in done.stderr
+    assert done.stdout == ""
 
 
 def test_malformed_map_exit_2(tmp_path, capsys):

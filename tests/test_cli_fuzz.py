@@ -21,6 +21,11 @@ command on every run).  The point files include degenerate sets: seven
 copies of one point, seven collinear points in R^2 and five points in R^1;
 explicit examples run tverberg search --r 3 on the first two, whose
 separating-direction test meets ties and empty gaps.
+
+The drawn combinations of subcommand, file, r and flags rarely reach a
+success path, so further explicit examples (SUCCESSES) run construct join,
+vk obstruction --certificate, plmap cocycle --fuzz-oracle and puzzle on
+valid input, and must exit 0.
 """
 
 import io
@@ -93,6 +98,14 @@ POINTS = ["hexagon.json", "repeated.json", "collinear.json", "points-r1.json",
 DEGENERATE = ["repeated.json", "collinear.json", "points-r1.json"]
 CELLS = ["[[0],[1]]", "[[2],[3]]", "[[0,1],[2]]", "[[0],[0]]", "[]", "[[1/0]]", "5",
          "null", "[[2.0],[3]]", "[" * 3000 + "]" * 3000]
+
+# explicit examples on valid input, each of which must exit 0
+SUCCESSES = [
+    ["construct", "join", "--map", "{simplex.json}", "--r", "2"],
+    ["vk", "obstruction", "--map", "{triangles.json}", "--r", "3", "--certificate"],
+    ["plmap", "cocycle", "--map", "{triangles.json}", "--r", "3", "--fuzz-oracle", "2"],
+    ["puzzle", "--n", "3", "--r", "2", "--from", "[[0],[1]]", "--to", "[[2],[3]]"],
+]
 
 HUGE = st.sampled_from([2**64, -(2**64), 10**30, 2**61 - 1])
 SMALL = st.integers(-3, 6)
@@ -184,10 +197,12 @@ def test_cli_fuzz_exit_codes(files):
                          "--fuzz-oracle", "2"])
     @hypothesis.example(["tverberg", "search", "--points", "{repeated.json}", "--r", "3"])
     @hypothesis.example(["tverberg", "search", "--points", "{collinear.json}", "--r", "3"])
-    def check(args):
-        args = [files.get(a, a) for a in args]
+    def check(drawn):
+        args = [files.get(a, a) for a in drawn]
         code, err = run_argv(args)
         assert code in (0, 2, 3, 4), (args, code, err)
+        if drawn in SUCCESSES:
+            assert code == 0, (args, code, err)
         assert "Traceback" not in err, (args, err)
         opts = dict(zip(args, args[1:]))
         for flag in ("--random", "--fuzz-oracle"):
@@ -199,4 +214,6 @@ def test_cli_fuzz_exit_codes(files):
                 and opts.get("--points") in degenerate):
             assert code == 0, (args, code, err)
 
+    for example in SUCCESSES:
+        check = hypothesis.example(example)(check)
     check()

@@ -8,10 +8,9 @@ import pytest
 from tvlab.complexes import Complex, full_simplex, simplex_skeleton
 from tvlab.deleted_product import (act_on_cell, cell_dim,
                                    check_full_simplex_cap, deleted_product,
-                                   full_simplex_cell_count, koszul_action_sign,
-                                   puzzle_reachable)
+                                   disjoint_tuples, full_simplex_cell_count,
+                                   koszul_action_sign, puzzle_reachable)
 from tvlab.errors import CapExceeded, InvalidMultiplicity, UnknownCell
-from tvlab.plmaps import disjoint_tuples
 from tvlab.symgroup import compose
 
 try:
@@ -337,6 +336,38 @@ def test_many_unused_vertex_ids():
     # 2^num_vertices is never formed for a base that cannot be a full simplex
     K = Complex.from_maximal(10**12, [[0, 1], [2, 3]])
     assert deleted_product(K, 2).f_vector() == [12, 8, 2]
+
+
+COLORED333 = Complex.from_maximal(9, [(a, b, c) for a in range(3)
+                                     for b in range(3, 6) for c in range(6, 9)])
+
+
+def malformed_cells(K, cell):
+    """Near misses of a cell of K's deleted product: a repeated factor, an
+    overlapping one, a non-face, an empty factor, one factor fewer, one more
+    (empty, or a free vertex) and each factor of two or more vertices
+    reversed."""
+    head = cell[:-1]
+    free = sorted(set(range(K.num_vertices)).difference(*cell))
+    out = [head + (cell[0],), head + (cell[0][:1],), head + (tuple(range(K.dim + 2)),),
+           head + ((),), head, cell + ((),)] + [cell + ((v,),) for v in free[:1]]
+    out += [cell[:i] + (s[::-1],) + cell[i + 1:] for i, s in enumerate(cell) if len(s) > 1]
+    return out
+
+
+def test_has_cell_matches_the_cell_lists():
+    """Membership by definition against membership in the cell lists, on
+    every cell and on near misses of a sample of them."""
+    bases = [full_simplex(n) for n in range(6)] + [simplex_skeleton(6, 2), COLORED333]
+    for K in bases:
+        for r in (2, 3, 4):
+            dp = deleted_product(K, r)
+            members = {d: set(cs) for d, cs in dp.cells_by_dim.items()}
+            cells = [c for d in sorted(members) for c in dp.cells_by_dim[d]]
+            assert all(map(dp.has_cell, cells))
+            for cell in cells[::max(1, len(cells) // 500)]:
+                for bad in malformed_cells(K, cell):
+                    assert dp.has_cell(bad) == (bad in members.get(cell_dim(bad), ())), bad
 
 
 def test_puzzle_hexagon():

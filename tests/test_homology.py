@@ -8,7 +8,7 @@ import pytest
 from tvlab import homology as homology_module
 from tvlab.complexes import full_simplex
 from tvlab.deleted_product import deleted_product
-from tvlab.errors import (EmptyComplex, NotAChainComplex, NotEquivariant,
+from tvlab.errors import (EmptyComplex, NotAChainComplex, SearchInvariantViolated,
                           ShapeError)
 from tvlab.homology import (IntMatrix, _eliminate, _rank_mod_p, _snf_solve,
                             dp_homology, homological_connectivity, homology,
@@ -231,7 +231,7 @@ def test_solve_integer_system_leftover_block():
 
 def test_witness_that_fails_its_recheck_raises(monkeypatch):
     monkeypatch.setattr(homology_module, "_equation_combination", lambda u, log: {})
-    with pytest.raises(NotEquivariant):
+    with pytest.raises(SearchInvariantViolated):
         solve_integer_system(IntMatrix.from_rows([[2]]), [1])
 
 

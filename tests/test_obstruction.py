@@ -138,6 +138,19 @@ def test_orbit_table_matches_scan(r, p):
     check()
 
 
+@pytest.mark.parametrize("name,r", [("delta5", 2), ("delta6/2", 3), ("colored333", 3),
+                                    ("delta5", 4)])
+def test_sigma_r_representatives_read_no_cell_list(name, r):
+    """Over Sigma_r orbit_reps enumerates the sorted tuples from the base:
+    with the cell lists emptied it returns the same list in every degree."""
+    dp = deleted_product(base_complex(name), r)
+    group = symmetric_group(r)
+    want = [orbit_reps(dp, group, d) for d in range(dp.dim + 1)]
+    assert want == [scan_orbit_reps(dp, group, d) for d in range(dp.dim + 1)]
+    dp.cells_by_dim = {}
+    assert [orbit_reps(dp, group, d) for d in range(len(want))] == want
+
+
 def test_cocycle_from_table_rejects_unknown_cells():
     _, dp, _ = k5_setup()
     for key in [((0, 1), (2,)), ((0, 1), (1, 2)), ((0, 1), (5, 6)), ((1, 0), (2, 3))]:

@@ -14,6 +14,7 @@ import pytest
 from tvlab import linalg, plmaps
 from tvlab.complexes import Complex, are_disjoint, simplex_skeleton
 from tvlab.convexity import common_point_system, random_rational_points
+from tvlab.deleted_product import cell_dim
 from tvlab.errors import NotGeneric
 from tvlab.linalg import det_sign
 from tvlab.plmaps import (PLMap, RFoldPoint, coned_extension_oracle, disjoint_tuples,
@@ -216,8 +217,9 @@ def simplex_sets(draw):
 
 
 @settings(max_examples=300)
-@given(simplex_sets(), st.integers(0, 4))
-def test_disjoint_tuples_matches_combinations(simplices, r):
+@given(simplex_sets(), st.integers(0, 4), st.one_of(st.none(), st.integers(-1, 12)))
+def test_disjoint_tuples_matches_combinations(simplices, r, dim):
     want = [c for c in combinations(sorted(simplices), r)
-            if all(are_disjoint(a, b) for a, b in combinations(c, 2))]
-    assert disjoint_tuples(simplices, r) == want
+            if all(are_disjoint(a, b) for a, b in combinations(c, 2))
+            and (dim is None or cell_dim(c) == dim)]
+    assert disjoint_tuples(simplices, r, dim) == want
