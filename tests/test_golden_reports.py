@@ -9,6 +9,13 @@ with r = 3, drawn with the seeds repr(("extra", name, i)).  On each map,
 in-process; one sha256 per (command, domain) covers the argv, exit code,
 stdout and stderr of its runs.  The file names are relative, so the paths
 quoted in the reports do not depend on where the test runs.
+
+Every other command is pinned the same way over a fixed argv list
+(EVERY_COMMAND): dp stats, homology (Z, GF(2), GF(3)) and connectivity on
+Delta_n for n <= 5 and r = 2-4 and on two complex files, radon, tverberg
+search, sylow --elements, ozaydin report, puzzle, construct and plmap almost,
+with one sha256 per command; the --out run's digest also covers the file it
+writes.
 """
 
 import hashlib
@@ -17,7 +24,7 @@ import json
 from contextlib import redirect_stderr, redirect_stdout
 
 from tvlab import cli
-from tvlab.complexes import Complex, simplex_skeleton
+from tvlab.complexes import Complex, full_simplex, simplex_skeleton
 from tvlab.convexity import random_rational_points
 from tvlab.plmaps import PLMap
 
@@ -104,3 +111,104 @@ def report_digests():
 def test_reports_are_byte_identical(tmp_path, monkeypatch):
     monkeypatch.chdir(tmp_path)
     assert report_digests() == DIGESTS
+
+
+HEXAGON = [["2", "0"], ["1", "2"], ["-1", "2"], ["-2", "0"],
+           ["-1", "-2"], ["1", "-2"], ["0", "0"]]
+SQUARE = [["0", "0"], ["1", "0"], ["1", "1"], ["0", "1"]]
+
+
+def write_inputs():
+    """The point, complex and map files that EVERY_COMMAND reads."""
+    seeded = random_rational_points(9, 3, repr(("golden", 3, 3)))
+    files = {
+        "hexagon.json": {"d": 2, "points": HEXAGON},
+        "square.json": {"d": 2, "points": SQUARE},
+        "tverberg33.json": {"d": 3, "points": [[str(x) for x in p] for p in seeded]},
+        "k33.json": domain("k33").to_json_dict(),
+        "colored333.json": domain("colored333").to_json_dict(),
+        "k4-square.json": PLMap.build(simplex_skeleton(3, 1), 2, SQUARE).to_json_dict(),
+        "delta2.json": PLMap.build(full_simplex(2), 2, SQUARE[:3]).to_json_dict(),
+        "delta3.json": PLMap.build(full_simplex(3), 3, random_rational_points(
+            4, 3, repr(("golden", "delta3")))).to_json_dict(),
+        "colored333-map.json": PLMap.build(domain("colored333"), 3, random_rational_points(
+            9, 3, repr(("extra", "colored333", 0)))).to_json_dict(),
+    }
+    for name, data in files.items():
+        with open(name, "w") as fh:
+            json.dump(data, fh)
+
+
+def every_command():
+    """[(command, argv)] over the files of write_inputs."""
+    runs = []
+    for n in range(6):
+        for r in (2, 3, 4):
+            delta = ["--n", str(n), "--r", str(r)]
+            runs += [("dp stats", ["dp", "stats"] + delta),
+                     ("dp homology", ["dp", "homology"] + delta),
+                     ("dp homology", ["dp", "homology"] + delta + ["--mod", "2"]),
+                     ("dp homology", ["dp", "homology"] + delta + ["--mod", "3"]),
+                     ("dp connectivity", ["dp", "connectivity"] + delta)]
+    for name in ("k33.json", "colored333.json"):
+        for r in (2, 3):
+            runs.append(("dp homology", ["dp", "homology", "--complex", name, "--r", str(r)]))
+    runs += [
+        ("radon", ["radon", "--points", "square.json"]),
+        ("radon", ["radon", "--random", "5", "--d", "3"]),
+        ("tverberg search", ["tverberg", "search", "--points", "hexagon.json", "--r", "3"]),
+        ("tverberg search", ["tverberg", "search", "--points", "tverberg33.json", "--r", "3"]),
+        ("tverberg search", ["tverberg", "search", "--random", "3", "--r", "3", "--seed", "7"]),
+    ]
+    runs += [("sylow", ["sylow", "--r", str(r), "--p", str(p), "--elements"])
+             for r in range(1, 13) for p in (2, 3, 5)]
+    runs += [("ozaydin report", ["ozaydin", "report", "--r", str(r)]) for r in range(2, 13)]
+    runs += [
+        ("puzzle", ["puzzle", "--n", "3", "--r", "2", "--from", "[[0],[1]]", "--to", "[[2],[3]]"]),
+        ("puzzle", ["puzzle", "--complex", "k33.json", "--r", "2",
+                    "--from", "[[0],[3]]", "--to", "[[2],[5]]"]),
+        ("construct join", ["construct", "join", "--map", "delta2.json", "--r", "2"]),
+        ("construct join", ["construct", "join", "--map", "delta2.json", "--r", "3"]),
+        ("construct constraint", ["construct", "constraint", "--map", "delta3.json",
+                                  "--skeleton", "1"]),
+        ("plmap almost", ["plmap", "almost", "--map", "k4-square.json", "--r", "2"]),
+        ("plmap almost", ["plmap", "almost", "--map", "colored333-map.json", "--r", "3"]),
+        ("--out", ["tverberg", "search", "--points", "hexagon.json", "--r", "3",
+                   "--out", "report.json"]),
+    ]
+    return runs
+
+
+# one digest per command: a change of any report changes one
+EVERY_COMMAND_DIGESTS = {
+    "--out": "0ef8bd8a38cd563d7f1a8d32eee09790c77ec2b2a31a230b42c0e9d799754862",
+    "construct constraint": "6aa8187f7eea60d294f52317ef0c383687b6225df2054e5e89957dfb5bfc33fe",
+    "construct join": "bfdf13eba98afc99bed2d0f0579bed7ad1a545d9c5e628e5636645adef4ccbfa",
+    "dp connectivity": "32d0e482a575b861a520d30dafefd580c947751830049dfc0da2828bef48a3f6",
+    "dp homology": "5935f922c3470813022fc4f21dda296f8493e5a650521989be9fde752e0b524d",
+    "dp stats": "6d6e88049611496a980b8633eb234707c656c84ebc2390a24414cc1904f0d6c2",
+    "ozaydin report": "b7c5ec4fedf64e81f7b004ce5d730200bdb1cbf06d3efc39f2ffb4725832cd12",
+    "plmap almost": "476f9d367d7c2898777079b5e4a328493a1c242c91bff435008b7012fc1642b4",
+    "puzzle": "eb2b5fbd0e52b9f525aa70ac17c13a3f06abea83208c73539f0abaeed38c6c17",
+    "radon": "91bcc3ab30fc35e6f64fbefa5e1b3cfcf37876c30a1f3999167782160f73f434",
+    "sylow": "33f42d9b0d0b821f2b35f195ca4343934cbfbb0d02220072f5c80d0bcdd61291",
+    "tverberg search": "f0333904d4509deae090ccad11b078ee825b8112831e7d6f8147c1b4d0744471",
+}
+
+
+def every_command_digests():
+    """{command: sha256} over the runs of every_command in the working directory."""
+    write_inputs()
+    hashes = {}
+    for command, argv in every_command():
+        h = hashes.setdefault(command, hashlib.sha256())
+        h.update(repr((argv,) + run(argv)).encode())
+        if "--out" in argv:
+            with open(argv[argv.index("--out") + 1]) as fh:
+                h.update(fh.read().encode())
+    return {key: h.hexdigest() for key, h in sorted(hashes.items())}
+
+
+def test_every_command_report_is_byte_identical(tmp_path, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    assert every_command_digests() == EVERY_COMMAND_DIGESTS
