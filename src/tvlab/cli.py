@@ -1,9 +1,11 @@
 """Command-line interface: JSON reports over the library operations.
 
-Every report embeds the invoked configuration (including the seed), and a
-fixed configuration always produces byte-identical output.  Exit codes:
-0 success, 2 malformed input, 3 cell cap exceeded, 4 internal invariant
-violation.
+A report is the library's objects serialized by jsonable, with the invoked
+configuration (including the seed) embedded; a fixed configuration always
+produces byte-identical output.  The parser checks every multiplicity --r
+(>= 2, except the --r of sylow) and every repetition count (>= 0) before
+any file is read.  Exit codes: 0 success, 2 malformed input, 3 cell cap
+exceeded, 4 internal invariant violation.
 """
 
 from __future__ import annotations
@@ -41,32 +43,41 @@ def jsonable(obj):
     return str(obj)
 
 
-def emit(report, config, out=None):
-    report = dict(report)
-    report["config"] = config
-    text = json.dumps(jsonable(report), sort_keys=True, indent=2)
-    if out:
-        with open(out, "w") as fh:
+def emit(report, args) -> int:
+    """Write the report, with the configuration of args, to args.out or
+    stdout; returns the exit code 0."""
+    text = json.dumps(jsonable({**report, "config": config_of(args)}), sort_keys=True, indent=2)
+    if args.out:
+        with open(args.out, "w") as fh:
             fh.write(text + "\n")
     else:
         print(text)
+    return 0
+
+
+def multiplicity(text) -> int:
+    """A --r: an integer r >= 2, checked while the arguments are parsed."""
+    r = int(text)
+    if r < 2:
+        raise InvalidMultiplicity("need r >= 2, got %d" % r)
+    return r
+
+
+def count(text) -> int:
+    """A repetition count: an integer >= 0, checked while the arguments are parsed."""
+    n = int(text)
+    if n < 0:
+        raise InputError("need a count >= 0, got %d" % n)
+    return n
 
 
 def load_complex(args) -> Complex:
-    if getattr(args, "complex", None):
-        if args.r < 2:  # before the file is read and closed under faces
-            raise InvalidMultiplicity("deleted product needs r >= 2, got %d" % args.r)
+    if args.complex:
         return Complex.from_json_file(args.complex)
     if args.n is None:
         raise InputError("give the complex as --n or --complex")
     check_full_simplex_cap(args.n, args.r)  # before the 2^(n+1)-1 faces exist
     return full_simplex(args.n)
-
-
-def load_map(args) -> plmaps.PLMap:
-    if args.r < 2:  # before the file is read and its domain closed under faces
-        raise InvalidMultiplicity("r-fold intersections need r >= 2, got %d" % args.r)
-    return plmaps.PLMap.from_json_file(args.map)
 
 
 def parse_cell(text) -> tuple:
@@ -87,12 +98,6 @@ def load_points(path):
     return data["points"]
 
 
-def check_count(value, flag):
-    """Reject a negative repetition count."""
-    if value is not None and value < 0:
-        raise InputError("%s needs a count >= 0, got %d" % (flag, value))
-
-
 def random_points(n, d, seed):
     """convexity.random_rational_points, refused with CapExceeded before the
     first draw when its n*d coordinates exceed the cell cap."""
@@ -108,99 +113,55 @@ def config_of(args) -> dict:
 
 
 def cmd_dp_stats(args):
-    K = load_complex(args)
-    dp = deleted_product(K, args.r)
-    emit({
+    dp = deleted_product(load_complex(args), args.r)
+    return emit({
         "f_vector": dp.f_vector(),
         "dim": dp.dim,
         "empty": dp.is_empty,
         "total_cells": dp.total_cells(),
         "cell_cap": configured_cell_cap(),
-    }, config_of(args), args.out)
-    return 0
+    }, args)
 
 
 def cmd_dp_homology(args):
     coefficients = args.mod if args.mod is not None else "Z"
     homology.coefficient_tag(coefficients)  # reject a bad modulus before any cell is built
-    dp = deleted_product(load_complex(args), args.r)
-    rep = homology.dp_homology(dp, coefficients)
-    table = {
-        str(d): {"rank": rep.ranks[d], "torsion": rep.torsion.get(d, [])}
-        for d in sorted(rep.ranks)
-    }
-    emit({"coefficients": rep.coefficients, "homology": table}, config_of(args), args.out)
-    return 0
+    rep = homology.dp_homology(deleted_product(load_complex(args), args.r), coefficients)
+    table = {d: {"rank": rep.ranks[d], "torsion": rep.torsion.get(d, [])} for d in rep.ranks}
+    return emit({"coefficients": rep.coefficients, "homology": table}, args)
 
 
 def cmd_dp_connectivity(args):
-    K = load_complex(args)
-    dp = deleted_product(K, args.r)
-    emit({"homological_connectivity": homology.homological_connectivity(dp)},
-         config_of(args), args.out)
-    return 0
-
-
-def partition_report(part):
-    return {
-        "parts": [list(p) for p in part.parts],
-        "witness": list(part.witness),
-        "certificates": [list(c) for c in part.certificates],
-    }
+    dp = deleted_product(load_complex(args), args.r)
+    return emit({"homological_connectivity": homology.homological_connectivity(dp)}, args)
 
 
 def cmd_radon(args):
-    cfg = config_of(args)
-    check_count(args.random, "--random")
     if args.random is not None:
         for i in range(args.random):
             pts = random_points(args.d + 2, args.d, (args.seed, i).__repr__())
             convexity.radon_partition(pts)  # raises SearchInvariantViolated unless verified
-        emit({"instances": args.random, "certified": args.random}, cfg, args.out)
-        return 0
-    pts = load_points(args.points)
-    emit(partition_report(convexity.radon_partition(pts)), cfg, args.out)
-    return 0
+        return emit({"instances": args.random, "certified": args.random}, args)
+    return emit(vars(convexity.radon_partition(load_points(args.points))), args)
 
 
 def cmd_tverberg(args):
-    cfg = config_of(args)
-    check_count(args.random, "--random")
-    if args.r < 2:
-        raise InvalidMultiplicity("a Tverberg partition needs r >= 2 parts, got %d" % args.r)
     if args.random is not None:
         npts = (args.d + 1) * (args.r - 1) + 1
-        found = 0
         for i in range(args.random):
             pts = random_points(npts, args.d, (args.seed, i).__repr__())
-            convexity.tverberg_search(pts, args.r)
-            found += 1
-        emit({"instances": args.random, "found": found}, cfg, args.out)
-        return 0
-    pts = load_points(args.points)
-    emit(partition_report(convexity.tverberg_search(pts, args.r)), cfg, args.out)
-    return 0
+            convexity.tverberg_search(pts, args.r)  # raises unless a partition is found
+        return emit({"instances": args.random, "found": args.random}, args)
+    return emit(vars(convexity.tverberg_search(load_points(args.points), args.r)), args)
 
 
 def cmd_plmap_rfold(args):
-    f = load_map(args)
-    points = plmaps.global_r_fold_points(f, args.r)
-    emit({
-        "count": len(points),
-        "points": [{
-            "simplices": [list(s) for s in p.simplices],
-            "barycentric": [list(b) for b in p.barycentric],
-            "ambient": list(p.ambient),
-            "sign": p.sign,
-        } for p in points],
-    }, config_of(args), args.out)
-    return 0
+    points = plmaps.global_r_fold_points(plmaps.PLMap.from_json_file(args.map), args.r)
+    return emit({"count": len(points), "points": points}, args)
 
 
 def cmd_plmap_cocycle(args):
-    check_count(args.fuzz_oracle, "--fuzz-oracle")
-    f = load_map(args)
-    cfg = config_of(args)
+    f = plmaps.PLMap.from_json_file(args.map)
     table = plmaps.intersection_cocycle(f, args.r)
     if args.fuzz_oracle:
         keys = [key for key, v in table.items() if v] or sorted(table)
@@ -212,25 +173,21 @@ def cmd_plmap_cocycle(args):
             checked += 1
             if o == table[key]:
                 agreements += 1
-        emit({"checked": checked, "oracle_agreements": agreements}, cfg, args.out)
+        emit({"checked": checked, "oracle_agreements": agreements}, args)
         return 0 if checked == agreements else 4
-    emit({
-        "entries": [{"tuple": [list(s) for s in key], "value": v}
-                    for key, v in sorted(table.items())],
+    return emit({
+        "entries": [{"tuple": key, "value": v} for key, v in sorted(table.items())],
         "is_zero": not any(table.values()),
-    }, cfg, args.out)
-    return 0
+    }, args)
 
 
 def cmd_plmap_almost(args):
-    f = load_map(args)
-    emit({"almost_r_embedding": plmaps.is_almost_r_embedding(f, args.r)},
-         config_of(args), args.out)
-    return 0
+    f = plmaps.PLMap.from_json_file(args.map)
+    return emit({"almost_r_embedding": plmaps.is_almost_r_embedding(f, args.r)}, args)
 
 
 def cmd_vk_obstruction(args):
-    f = load_map(args)
+    f = plmaps.PLMap.from_json_file(args.map)
     table = plmaps.intersection_cocycle(f, args.r)
     dp = deleted_product(f.domain, args.r)
     v = obstruction.cocycle_from_table(dp, table)
@@ -239,13 +196,12 @@ def cmd_vk_obstruction(args):
     if args.certificate:
         if res.trivial:
             report["certificate"] = {
-                "values": [{"cell": [list(s) for s in rep], "value": val}
+                "values": [{"cell": rep, "value": val}
                            for rep, val in sorted(res.certificate.values.items())]
             }
         else:
             report["infeasibility"] = res.infeasibility
-    emit(report, config_of(args), args.out)
-    return 0
+    return emit(report, args)
 
 
 def cmd_sylow(args):
@@ -259,57 +215,36 @@ def cmd_sylow(args):
     report = {
         "order": order,
         "alpha": alpha,
-        "generators": [list(g) for g in G.generators],
+        "generators": G.generators,
         "transitive": symgroup.is_transitive(G),
-        "orbits": [list(o) for o in G.orbits()],
+        "orbits": G.orbits(),
     }
     if args.elements:
         if order > cap:
             raise CapExceeded("the group has %d elements (cap %d)" % (order, cap))
-        report["elements"] = sorted([list(g) for g in G.elements()])
-    emit(report, config_of(args), args.out)
-    return 0
+        report["elements"] = sorted(G.elements())
+    return emit(report, args)
 
 
 def cmd_ozaydin(args):
-    rep = obstruction.ozaydin_report(args.r)
-    emit({
-        "r": rep.r,
-        "rows": rep.rows,
-        "relation_gcd": rep.relation_gcd,
-        "is_prime_power": rep.is_prime_power,
-        "argument_applies": rep.argument_applies,
-    }, config_of(args), args.out)
-    return 0
+    return emit(vars(obstruction.ozaydin_report(args.r)), args)
 
 
 def cmd_puzzle(args):
     start, goal = parse_cell(getattr(args, "from")), parse_cell(args.to)
     dp = deleted_product(load_complex(args), args.r)
     ok, path = puzzle_reachable(dp, start, goal)
-    emit({
-        "reachable": ok,
-        "path": [[list(s) for s in cell] for cell in path],
-        "path_dims": [cell_dim(cell) for cell in path],
-    }, config_of(args), args.out)
-    return 0
+    return emit({"reachable": ok, "path": path, "path_dims": [cell_dim(c) for c in path]}, args)
 
 
 def cmd_construct_join(args):
-    f = plmaps.PLMap.from_json_file(args.map)
-    out = plmaps.join_extension(f, args.r)
-    emit({"map": out.to_json_dict()}, config_of(args), args.out)
-    return 0
+    out = plmaps.join_extension(plmaps.PLMap.from_json_file(args.map), args.r)
+    return emit({"map": out.to_json_dict()}, args)
 
 
 def cmd_construct_constraint(args):
-    f = plmaps.PLMap.from_json_file(args.map)
-    lift = plmaps.constraint_lift(f, args.skeleton)
-    emit({
-        "map": lift.map.to_json_dict(),
-        "vertex_faces": [list(t) for t in lift.vertex_faces],
-    }, config_of(args), args.out)
-    return 0
+    lift = plmaps.constraint_lift(plmaps.PLMap.from_json_file(args.map), args.skeleton)
+    return emit({"map": lift.map.to_json_dict(), "vertex_faces": lift.vertex_faces}, args)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -326,7 +261,7 @@ def build_parser() -> argparse.ArgumentParser:
         p = dp.add_parser(name)
         p.add_argument("--n", type=int)
         p.add_argument("--complex")
-        p.add_argument("--r", type=int, required=True)
+        p.add_argument("--r", type=multiplicity, required=True)
         if name == "homology":
             p.add_argument("--mod", type=int)
         common(p)
@@ -334,7 +269,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("radon")
     p.add_argument("--points")
-    p.add_argument("--random", type=int)
+    p.add_argument("--random", type=count)
     p.add_argument("--d", type=int, default=2)
     common(p)
     p.set_defaults(func=cmd_radon)
@@ -342,8 +277,8 @@ def build_parser() -> argparse.ArgumentParser:
     tv = sub.add_parser("tverberg").add_subparsers(dest="subcommand", required=True)
     p = tv.add_parser("search")
     p.add_argument("--points")
-    p.add_argument("--r", type=int, required=True)
-    p.add_argument("--random", type=int)
+    p.add_argument("--r", type=multiplicity, required=True)
+    p.add_argument("--random", type=count)
     p.add_argument("--d", type=int, default=2)
     common(p)
     p.set_defaults(func=cmd_tverberg)
@@ -353,22 +288,22 @@ def build_parser() -> argparse.ArgumentParser:
                      ("almost", cmd_plmap_almost)):
         p = pl.add_parser(name)
         p.add_argument("--map", required=True)
-        p.add_argument("--r", type=int, required=True)
+        p.add_argument("--r", type=multiplicity, required=True)
         if name == "cocycle":
-            p.add_argument("--fuzz-oracle", type=int, dest="fuzz_oracle")
+            p.add_argument("--fuzz-oracle", type=count, dest="fuzz_oracle")
         common(p)
         p.set_defaults(func=fn)
 
     vk = sub.add_parser("vk").add_subparsers(dest="subcommand", required=True)
     p = vk.add_parser("obstruction")
     p.add_argument("--map", required=True)
-    p.add_argument("--r", type=int, required=True)
+    p.add_argument("--r", type=multiplicity, required=True)
     p.add_argument("--certificate", action="store_true")
     common(p)
     p.set_defaults(func=cmd_vk_obstruction)
 
     p = sub.add_parser("sylow")
-    p.add_argument("--r", type=int, required=True)
+    p.add_argument("--r", type=int, required=True)  # r = 1 is valid: the trivial group
     p.add_argument("--p", type=int, required=True)
     p.add_argument("--elements", action="store_true")
     common(p)
@@ -376,14 +311,14 @@ def build_parser() -> argparse.ArgumentParser:
 
     oz = sub.add_parser("ozaydin").add_subparsers(dest="subcommand", required=True)
     p = oz.add_parser("report")
-    p.add_argument("--r", type=int, required=True)
+    p.add_argument("--r", type=multiplicity, required=True)
     common(p)
     p.set_defaults(func=cmd_ozaydin)
 
     p = sub.add_parser("puzzle")
     p.add_argument("--n", type=int)
     p.add_argument("--complex")
-    p.add_argument("--r", type=int, required=True)
+    p.add_argument("--r", type=multiplicity, required=True)
     p.add_argument("--from", required=True)
     p.add_argument("--to", required=True)
     common(p)
@@ -392,7 +327,7 @@ def build_parser() -> argparse.ArgumentParser:
     con = sub.add_parser("construct").add_subparsers(dest="subcommand", required=True)
     p = con.add_parser("join")
     p.add_argument("--map", required=True)
-    p.add_argument("--r", type=int, required=True)
+    p.add_argument("--r", type=multiplicity, required=True)
     common(p)
     p.set_defaults(func=cmd_construct_join)
     p = con.add_parser("constraint")

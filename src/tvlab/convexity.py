@@ -229,10 +229,9 @@ def _directions(d):
 def _projections(pts):
     """projections[i][k] = L * (u_k . x_i) for the directions u_k of
     _directions, L the lcm of all denominators, so every value is an int."""
-    L = lcm(*(x.denominator for p in pts for x in p))
-    scaled = [[x.numerator * (L // x.denominator) for x in p] for p in pts]
     U = _directions(len(pts[0]))
-    return [tuple(sum(a * x for a, x in zip(u, p)) for u in U) for p in scaled]
+    return [tuple(sum(a * x for a, x in zip(u, p)) for u in U)
+            for p in linalg.clear_denominators(pts)]
 
 
 def _separating_direction(projections, parts):

@@ -51,13 +51,13 @@ def check_full_simplex_cap(N: int, r: int) -> None:
 
 
 class DeletedProductComplex:
-    """Immutable deleted product with dimension-major cell storage."""
+    """Immutable deleted product with dimension-major cell storage: each
+    degree's cells in sorted order, as deleted_product builds them."""
 
     def __init__(self, base: Complex, r: int, cells_by_dim: dict):
         self.base = base
         self.r = r
-        self.cells_by_dim = {d: sorted(cs) for d, cs in cells_by_dim.items() if cs}
-        self._boundaries = {}
+        self.cells_by_dim = cells_by_dim
 
     @property
     def dim(self) -> int:
@@ -96,19 +96,14 @@ class DeletedProductComplex:
         """Sparse boundary from dimension d to d-1: {(row, col): sign}.
 
         Rows index (d-1)-cells, columns index d-cells, in sorted cell order.
-        Cached after first construction.
         """
-        if d in self._boundaries:
-            return self._boundaries[d]
         mat = {}
         rows = {c: i for i, c in enumerate(self.cells_by_dim.get(d - 1, ()))}
         for j, cell in enumerate(self.cells_by_dim.get(d, ())):
             for facet, eps in self.cell_boundary(cell):
                 i = rows[facet]
                 mat[(i, j)] = mat.get((i, j), 0) + eps
-        mat = {k: v for k, v in mat.items() if v}
-        self._boundaries[d] = mat
-        return mat
+        return {k: v for k, v in mat.items() if v}
 
 
 def deleted_product(K: Complex, r: int) -> DeletedProductComplex:

@@ -31,6 +31,13 @@ def pivot(T, r, c, D) -> int:
     return p
 
 
+def clear_denominators(points) -> list:
+    """The points (sequences of Fractions) times the lcm of all their
+    denominators, as tuples of ints."""
+    L = lcm(*(x.denominator for p in points for x in p))
+    return [tuple(x.numerator * (L // x.denominator) for x in p) for p in points]
+
+
 def integer_rows(A):
     """Each row of A times the lcm of its denominators; returns (T, scale),
     scale the product of the row multipliers."""

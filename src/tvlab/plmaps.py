@@ -31,7 +31,6 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 from itertools import permutations
-from math import lcm
 
 from . import convexity, linalg
 from .complexes import Complex, check_simplex_faces, configured_cell_cap, full_simplex
@@ -69,9 +68,7 @@ class PLMap:
         A positive uniform scaling leaves the barycentric solution of every
         common-point system, its pivots and every orientation unchanged.
         """
-        images = [[Fraction(x) for x in p] for p in self.images]
-        L = lcm(*(x.denominator for p in images for x in p))
-        return tuple(tuple(x.numerator * (L // x.denominator) for x in p) for p in images)
+        return tuple(linalg.clear_denominators([[Fraction(x) for x in p] for p in self.images]))
 
     def to_json_dict(self) -> dict:
         return {

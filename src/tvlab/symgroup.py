@@ -15,7 +15,8 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import permutations
 
-from .errors import DiagonalInput, InputError, NoSplit, NotPrime
+from .complexes import configured_cell_cap
+from .errors import CapExceeded, DiagonalInput, InputError, NoSplit, NotPrime
 
 
 def identity_perm(r):
@@ -135,6 +136,19 @@ class PermGroup:
 
 
 def symmetric_group(r) -> PermGroup:
+    """Sigma_r, generated by an r-cycle and a transposition.
+
+    Its r! elements get listed (PermGroup.order tells Sigma_r from its
+    subgroups), so an r! above the cell cap raises CapExceeded before the
+    generators are built; a deleted product that Sigma_r acts on freely
+    would have at least r! cells.
+    """
+    cap = configured_cell_cap()
+    order = 1
+    for i in range(2, r + 1):
+        order *= i
+        if order > cap:
+            raise CapExceeded("Sigma_%d has more than %d elements (the cell cap)" % (r, cap))
     gens = [tuple(range(1, r)) + (0,)] if r > 1 else []
     if r > 2:
         t = list(range(r))

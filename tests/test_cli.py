@@ -174,6 +174,17 @@ def test_plmap_cocycle_fuzz_oracle_refuses_points_in_r0(tmp_path, capsys, r):
         assert code == 0
 
 
+@pytest.mark.parametrize("r", ["11", str(2**64)])
+def test_vk_obstruction_on_points_in_r0_past_the_cap_exits_3(tmp_path, capsys, r):
+    # a 0-dimensional map to R^0 admits every r (k = 0); past its three
+    # vertices the deleted product is empty, but the decision lists Sigma_r
+    path = write_json(tmp_path / "points.json", {
+        "complex": {"num_vertices": 3, "maximal_simplices": [[0], [1], [2]]},
+        "d": 0, "images": [[], [], []]})
+    code, rep = run_cli(capsys, ["vk", "obstruction", "--map", path, "--r", r])
+    assert (code, rep["kind"]) == (3, "cap")
+
+
 @pytest.mark.parametrize("argv", [["radon", "--random", "0"],
                                   ["tverberg", "search", "--random", "0", "--r", "3"]],
                          ids=["radon", "tverberg"])
@@ -413,6 +424,43 @@ def test_missing_complex_exit_2(capsys, argv):
     assert code == 2
     assert "Traceback" not in err
     assert json.loads(err)["kind"] == "input"
+
+
+# every subcommand with a multiplicity --r, each reading a file that does not exist
+WITH_R = [
+    ["dp", "stats", "--complex", "missing.json"],
+    ["dp", "homology", "--complex", "missing.json"],
+    ["dp", "connectivity", "--complex", "missing.json"],
+    ["tverberg", "search", "--points", "missing.json"],
+    ["plmap", "rfold", "--map", "missing.json"],
+    ["plmap", "cocycle", "--map", "missing.json"],
+    ["plmap", "almost", "--map", "missing.json"],
+    ["vk", "obstruction", "--map", "missing.json"],
+    ["ozaydin", "report"],
+    ["puzzle", "--complex", "missing.json", "--from", "[[0],[1]]", "--to", "[[2],[3]]"],
+    ["construct", "join", "--map", "missing.json"],
+]
+
+
+@pytest.mark.parametrize("argv", [
+    *(head + ["--r", "1"] for head in WITH_R),
+    ["radon", "--points", "missing.json", "--random", "-1"],
+    ["tverberg", "search", "--points", "missing.json", "--r", "3", "--random", "-1"],
+    ["plmap", "cocycle", "--map", "missing.json", "--r", "2", "--fuzz-oracle", "-1"],
+], ids=lambda argv: " ".join(a for a in argv if not a.endswith(".json") and a[0] != "["))
+def test_arguments_checked_before_any_file_is_read(capsys, argv):
+    code, rep = run_cli(capsys, argv)
+    expected = "need r >= 2, got 1" if argv[-1] == "1" else "need a count >= 0, got -1"
+    assert (code, rep) == (2, {"error": expected, "kind": "input"})
+
+
+@pytest.mark.parametrize("head", WITH_R, ids=lambda head: " ".join(head[:2]))
+def test_non_integer_r_is_an_argparse_error(capsys, head):
+    with pytest.raises(SystemExit) as exc:
+        cli.run(head + ["--r", "x"])
+    err = capsys.readouterr().err
+    assert exc.value.code == 2
+    assert "argument --r" in err and "Traceback" not in err
 
 
 def test_cap_exceeded_exit_3(monkeypatch, capsys):

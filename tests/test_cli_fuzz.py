@@ -1,5 +1,7 @@
 """Random argv for every subcommand: the CLI exits 0, 2, 3 or 4, never with
-a traceback, and never accepts a multiplicity r < 2 or a negative count.
+a traceback, and never accepts a multiplicity r < 2 (the --r of every
+subcommand but sylow, construct join included: explicit examples run it
+with r = 1, 0 and -5 on a valid map) or a negative count.
 A Tverberg search with r = 3 on a valid but degenerate point set exits 0.
 
 Integers are drawn small, zero, negative and huge.  Huge values go to the
@@ -16,8 +18,9 @@ but legitimate run.  Input files are valid,
 missing, malformed, deeply nested, carry "1/0" and 1e400 as coordinates,
 hold one 40-vertex simplex, whose 2^40 - 1 faces the face cap refuses
 to close, or map three points to R^0, where the coned extension of
---fuzz-oracle has nothing to cone over (an explicit example runs that
-command on every run).  The point files include degenerate sets: seven
+--fuzz-oracle has nothing to cone over and every r is admissible, so a
+huge --r reaches the cap on Sigma_r (explicit examples run both on every
+run).  The point files include degenerate sets: seven
 copies of one point, seven collinear points in R^2 and five points in R^1;
 explicit examples run tverberg search --r 3 on the first two, whose
 separating-direction test meets ties and empty gaps.
@@ -110,7 +113,7 @@ SUCCESSES = [
 HUGE = st.sampled_from([2**64, -(2**64), 10**30, 2**61 - 1])
 SMALL = st.integers(-3, 6)
 ANY = st.one_of(SMALL, HUGE)
-MULTIPLICITY = ("dp", "tverberg", "plmap", "vk", "ozaydin", "puzzle")
+MULTIPLICITY = ("dp", "tverberg", "plmap", "vk", "ozaydin", "puzzle", "construct")
 
 
 @st.composite
@@ -195,8 +198,12 @@ def test_cli_fuzz_exit_codes(files):
     @hypothesis.given(argv())
     @hypothesis.example(["plmap", "cocycle", "--map", "{points-in-r0.json}", "--r", "2",
                          "--fuzz-oracle", "2"])
+    @hypothesis.example(["vk", "obstruction", "--map", "{points-in-r0.json}", "--r", str(2**64)])
     @hypothesis.example(["tverberg", "search", "--points", "{repeated.json}", "--r", "3"])
     @hypothesis.example(["tverberg", "search", "--points", "{collinear.json}", "--r", "3"])
+    @hypothesis.example(["construct", "join", "--map", "{simplex.json}", "--r", "1"])
+    @hypothesis.example(["construct", "join", "--map", "{simplex.json}", "--r", "0"])
+    @hypothesis.example(["construct", "join", "--map", "{simplex.json}", "--r", "-5"])
     def check(drawn):
         args = [files.get(a, a) for a in drawn]
         code, err = run_argv(args)

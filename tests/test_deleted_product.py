@@ -370,6 +370,19 @@ def test_has_cell_matches_the_cell_lists():
                     assert dp.has_cell(bad) == (bad in members.get(cell_dim(bad), ())), bad
 
 
+def test_cells_come_out_sorted_and_boundaries_are_rebuilt_equal():
+    """boundary_matrix indexes rows and columns in sorted cell order, which
+    deleted_product builds without a sort; a boundary is rebuilt per call."""
+    for K in [full_simplex(n) for n in range(7)] + [COLORED333]:
+        for r in (2, 3, 4):
+            dp = deleted_product(K, r)
+            for cells in dp.cells_by_dim.values():
+                assert cells == sorted(cells)
+            if dp.total_cells() < 50000:
+                for d in range(1, dp.dim + 1):
+                    assert dp.boundary_matrix(d) == dp.boundary_matrix(d)
+
+
 def test_puzzle_hexagon():
     dp = deleted_product(full_simplex(2), 2)
     ok, path = puzzle_reachable(dp, ((0,), (1,)), ((1,), (0,)))

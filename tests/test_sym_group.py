@@ -4,7 +4,7 @@ from fractions import Fraction
 
 import pytest
 
-from tvlab.errors import DiagonalInput, InputError, NoSplit, NotPrime
+from tvlab.errors import CapExceeded, DiagonalInput, InputError, NoSplit, NotPrime
 from tvlab.symgroup import (MILLER_RABIN_BOUND, MatrixSpherePoint,
                             all_permutations, compose, identity_perm,
                             invariant_block_split, invariant_matrix_point,
@@ -118,6 +118,14 @@ def test_sylow_r6_splittings():
         # the blocks {0,1} and {2,3} are preserved as a pair
         assert {frozenset((g[0], g[1])), frozenset((g[2], g[3]))} == \
             {frozenset((0, 1)), frozenset((2, 3))}
+
+
+def test_symmetric_group_over_the_cap_raises_before_any_generator(monkeypatch):
+    monkeypatch.setenv("TVLAB_CELL_CAP", "24")
+    assert symmetric_group(4).order() == 24
+    for r in (5, 2**64):  # 2^64 letters could not even be listed
+        with pytest.raises(CapExceeded):
+            symmetric_group(r)
 
 
 def test_invariant_block_split():
