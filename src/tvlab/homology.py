@@ -1,14 +1,18 @@
 """Exact integer linear algebra and cellular homology.
 
 Matrices are sparse {(row, col): entry} dicts, or an IntMatrix of that and
-a shape.  Homology over the integers and prime fields goes through one
-sparse elimination on unit pivots that serves both rings (over Z a small
-leftover block goes to the Smith normal form, the one dense computation);
-homological connectivity; and integer linear system solving on the same
-elimination: the right-hand side is carried along as a column that is never
-a pivot, the leftover block is solved by the Smith normal form, and the
-logged pivot rows are back-substituted.  An infeasibility certificate is
-re-verified through the combination of equations behind it.
+a shape.  Integral homology goes through a sparse elimination on unit
+pivots (a small leftover block goes to the Smith normal form, the one dense
+computation).  Homology over GF(p) goes through one column reduction, the
+degrees walked from the top down with clearing: the pivot rows of one
+boundary name columns of the next that need no reduction (Chen and Kerber,
+"Persistent homology computation with a twist", 2011; Bauer, Kerber and
+Reininghaus, PHAT, 2014).  Then homological connectivity, and integer
+linear system solving on the unit-pivot elimination: the right-hand side is
+carried along as a column that is never a pivot, the leftover block is
+solved by the Smith normal form, and the logged pivot rows are
+back-substituted.  An infeasibility certificate is re-verified through the
+combination of equations behind it.
 """
 
 from __future__ import annotations
@@ -139,15 +143,14 @@ def smith_normal_form(M: IntMatrix):
     return U, D, V
 
 
-def _eliminate(sparse: dict, p=None, carry=None, log=None):
-    """Sparse elimination on unit pivots, sweeping the columns in order.
+def _eliminate(sparse: dict, carry=None, log=None):
+    """Sparse integer elimination on unit pivots, sweeping the columns in order.
 
-    In each column the pivot is a unit entry in the shortest row that holds
-    one: +-1 over Z, any nonzero entry over GF(p) (entries reduced mod p).
-    Each pivot removes its row and column and leaves the Schur complement,
-    so the Smith normal form of the input is one 1 per pivot followed by
-    that of the rows left.  Over GF(p) every nonzero entry is a unit and no
-    row is left.  Returns (number of pivots, {row: {col: entry}} left).
+    In each column the pivot is a +-1 entry in the shortest row that holds
+    one.  Each pivot removes its row and column and leaves the Schur
+    complement, so the Smith normal form of the input is one 1 per pivot
+    followed by that of the rows left.  Returns (number of pivots,
+    {row: {col: entry}} left).
 
     Column ``carry`` (a right-hand side) is eliminated along but never
     chosen as a pivot.  A ``log`` list receives one (row, col, pivot, pivot
@@ -158,8 +161,6 @@ def _eliminate(sparse: dict, p=None, carry=None, log=None):
     rows = {}
     cols = {}
     for (i, j), v in sparse.items():
-        if p:
-            v %= p
         if v:
             rows.setdefault(i, {})[j] = v
             cols.setdefault(j, set()).add(i)
@@ -167,27 +168,24 @@ def _eliminate(sparse: dict, p=None, carry=None, log=None):
     for j in sorted(cols):
         if j == carry:
             continue
-        units = [i for i in cols[j] if p or rows[i][j] in (1, -1)]
+        units = [i for i in cols[j] if rows[i][j] in (1, -1)]
         if not units:
             continue
         pivots += 1
         pi = min(units, key=lambda i: len(rows[i]))
         prow = rows.pop(pi)
-        pv = prow.pop(j)
-        inv = pow(pv, -1, p) if p else pv  # over Z, pv = +-1 is its own inverse
+        pv = prow.pop(j)  # +-1, its own inverse
         for c in prow:
             cols[c].discard(pi)
         others = cols.pop(j)
         others.discard(pi)
         if log is not None:
-            log.append((pi, j, pv, prow, [(i, rows[i][j] * inv) for i in others]))
+            log.append((pi, j, pv, prow, [(i, rows[i][j] * pv) for i in others]))
         for i in others:
             row = rows[i]
-            f = row.pop(j) * inv
+            f = row.pop(j) * pv
             for c, w in prow.items():
                 nv = row.get(c, 0) - f * w
-                if p:
-                    nv %= p
                 if nv:
                     row[c] = nv
                     cols[c].add(i)
@@ -240,8 +238,70 @@ class HomologyReport:
         return self.ranks.get(d, 0)
 
 
-def _rank_mod_p(sparse: dict, p: int) -> int:
-    return _eliminate(sparse, p)[0]
+def _rank_mod_p(sparse: dict, p: int, cleared=frozenset(), lows=None) -> int:
+    """Rank over GF(p) of a sparse matrix, by column reduction.
+
+    The columns are reduced left to right.  A column's pivot is its lowest
+    nonzero row (the largest index); while another column already holds
+    that pivot, that column is added to it, so the pivot row moves up,
+    until the column takes a free pivot or vanishes.  The rank is the
+    number of pivots.  Columns in ``cleared`` are skipped (the caller knows
+    they reduce to zero), and the pivot rows are added to the set ``lows``
+    if one is given.
+
+    A column is an int bitset over the rows for p = 2, so adding a column
+    is one XOR; for odd p it is a {row: v} dict, scaled to pivot entry 1
+    when it takes its pivot.  The reduction loop is the same for both.
+    """
+    cols = {}
+    if p == 2:
+        for (i, j), v in sparse.items():
+            if v % 2 and j not in cleared:
+                cols[j] = cols.get(j, 0) | 1 << i
+
+        def low(col):
+            return col.bit_length() - 1
+
+        def add(col, by, i):
+            return col ^ by
+
+        def settle(col, i):
+            return col
+    else:
+        for (i, j), v in sparse.items():
+            v %= p
+            if v and j not in cleared:
+                cols.setdefault(j, {})[i] = v
+        low = max
+
+        def add(col, by, i):  # by[i] == 1, so this clears row i of col
+            f = p - col[i]
+            for k, w in by.items():
+                v = (col.get(k, 0) + f * w) % p
+                if v:
+                    col[k] = v
+                else:
+                    del col[k]
+            return col
+
+        def settle(col, i):
+            inv = pow(col[i], -1, p)
+            for k, v in col.items():
+                col[k] = v * inv % p
+            return col
+    pivots = {}  # pivot row -> the reduced column that holds it
+    for j in sorted(cols):
+        col = cols.pop(j)
+        while col:
+            i = low(col)
+            by = pivots.get(i)
+            if by is None:
+                pivots[i] = settle(col, i)
+                break
+            col = add(col, by, i)
+    if lows is not None:
+        lows.update(pivots)
+    return len(pivots)
 
 
 def coefficient_tag(coefficients) -> str:
@@ -274,13 +334,19 @@ def homology(boundaries: list, shapes: list, coefficients="Z") -> HomologyReport
         if any(comp.values()):
             raise NotAChainComplex("boundary squared is nonzero in dim %d" % d)
 
-    # diag[d]: Smith diagonal of boundary d (over GF(p), one 1 per rank)
+    # diag[d]: Smith diagonal of boundary d (over GF(p), one 1 per rank).
+    # Over GF(p) the degrees are walked down with clearing: a pivot row i of
+    # boundary d is a cycle e_i + (lower rows), so column i of boundary d-1
+    # is a sum of the columns left of it and reduces to zero.
     diag = {0: [], top + 1: []}
-    for d in range(1, top + 1):
+    cleared = frozenset()
+    for d in range(top, 0, -1):
         if tag == "Z":
             diag[d] = smith_diagonal(boundaries[d], shapes[d - 1], shapes[d])
         else:
-            diag[d] = [1] * _rank_mod_p(boundaries[d], int(coefficients))
+            lows = set()
+            diag[d] = [1] * _rank_mod_p(boundaries[d], int(coefficients), cleared, lows)
+            cleared = lows
     ranks = {}
     torsion = {}
     for d in range(top + 1):

@@ -96,6 +96,7 @@ class PermGroup:
     degree: int
     generators: list
     _elements: frozenset = field(default=None, repr=False, compare=False)
+    _order: int = field(default=None, repr=False, compare=False)  # when known in closed form
 
     def elements(self) -> frozenset:
         if self._elements is None:
@@ -113,7 +114,7 @@ class PermGroup:
         return self._elements
 
     def order(self) -> int:
-        return len(self.elements())
+        return len(self.elements()) if self._order is None else self._order
 
     def orbits(self) -> list:
         seen = set()
@@ -136,12 +137,13 @@ class PermGroup:
 
 
 def symmetric_group(r) -> PermGroup:
-    """Sigma_r, generated by an r-cycle and a transposition.
+    """Sigma_r, generated by an r-cycle and a transposition, of order r!.
 
-    Its r! elements get listed (PermGroup.order tells Sigma_r from its
-    subgroups), so an r! above the cell cap raises CapExceeded before the
-    generators are built; a deleted product that Sigma_r acts on freely
-    would have at least r! cells.
+    The order is known without listing the elements (PermGroup.order tells
+    Sigma_r from its subgroups).  An r! above the cell cap still raises
+    CapExceeded before the generators are built: a deleted product that
+    Sigma_r acts on freely would have at least r! cells, and the transfer
+    lists the elements.
     """
     cap = configured_cell_cap()
     order = 1
@@ -154,7 +156,7 @@ def symmetric_group(r) -> PermGroup:
         t = list(range(r))
         t[0], t[1] = t[1], t[0]
         gens.append(tuple(t))
-    return PermGroup(r, gens)
+    return PermGroup(r, gens, _order=order)
 
 
 def trivial_group(r) -> PermGroup:
@@ -167,7 +169,7 @@ def sylow_tree_subgroup(r, p) -> PermGroup:
     Leaves 0..r-1 sit at the bottom of a truncated p-ary tree; each complete
     depth-t block [b*p^t, (b+1)*p^t) contributes the generator shifting the
     block cyclically by p^{t-1}.  The generator count is Legendre's sum, and
-    the generated group has order p^{alpha_p}.
+    the generated group has order p^{alpha_p}, known without listing it.
     """
     if r < 1:
         raise InputError("need r >= 1 for the symmetric group on 0..r-1, got %d" % r)
@@ -185,7 +187,7 @@ def sylow_tree_subgroup(r, p) -> PermGroup:
                 g[start + i] = start + (i + step) % size
             gens.append(tuple(g))
         size *= p
-    return PermGroup(r, gens)
+    return PermGroup(r, gens, _order=p ** p_order_in_factorial(r, p))
 
 
 def is_transitive(G: PermGroup) -> bool:

@@ -6,11 +6,13 @@ import os
 import subprocess
 import sys
 import time
+from itertools import product
+from math import factorial, prod
 from pathlib import Path
 
 import pytest
 
-from tvlab import cli, homology, plmaps
+from tvlab import cli, homology, obstruction, plmaps
 from tvlab.complexes import simplex_skeleton
 
 
@@ -59,6 +61,32 @@ def test_dp_homology_mod_p(capsys):
     assert rep["coefficients"] == "GF(2)"
     assert rep["homology"]["0"]["rank"] == 1
     assert rep["homology"]["2"]["rank"] == 1
+
+
+def dp_f_vector(n, r):
+    """f-vector of the r-fold deleted product of the n-simplex, counted from
+    the sizes of r ordered, pairwise disjoint, non-empty vertex sets."""
+    f = [0] * (n + 2 - r)
+    for sizes in product(range(1, n + 2), repeat=r):
+        used = sum(sizes)
+        if used <= n + 1:
+            f[used - r] += factorial(n + 1) // factorial(n + 1 - used) // prod(map(factorial, sizes))
+    return f
+
+
+@pytest.mark.parametrize("mod", ["2", "3"])
+def test_dp_homology_delta8_mod_p_euler_oracle(capsys, mod):
+    # the deleted product is a sphere: b_0 = 1, and the Euler characteristic
+    # fixes the top Betti number, every other one being zero
+    f = dp_f_vector(8, 2)
+    top = len(f) - 1
+    chi = sum((-1) ** k * fk for k, fk in enumerate(f))
+    assert sum(f) == 18_660 and top == 7
+    code, rep = run_cli(capsys, ["dp", "homology", "--n", "8", "--r", "2", "--mod", mod])
+    assert code == 0 and rep["coefficients"] == "GF(%s)" % mod
+    ranks = {0: 1, top: (-1) ** top * (chi - 1)}
+    assert rep["homology"] == {str(k): {"rank": ranks.get(k, 0), "torsion": []}
+                               for k in range(top + 1)}
 
 
 def test_report_is_deterministic(tmp_path, capsys):
@@ -201,6 +229,25 @@ def test_dp_homology_mod_large_prime(capsys):
     assert time.perf_counter() - start < 1
     assert code == 0
     assert rep["coefficients"] == "GF(2305843009213693951)"
+
+
+def test_vk_obstruction_lists_no_symmetric_group(tmp_path, capsys, monkeypatch):
+    # three points mapped to R^0: the deleted product is empty, so no cell
+    # bounds Sigma_10 (3.6 M elements, under the cell cap)
+    groups = []
+    real = obstruction.symmetric_group
+
+    def symmetric_group(r):
+        groups.append(real(r))
+        return groups[-1]
+
+    monkeypatch.setattr(obstruction, "symmetric_group", symmetric_group)
+    path = write_json(tmp_path / "points-in-r0.json",
+                      {"complex": {"num_vertices": 3, "maximal_simplices": [[0], [1], [2]]},
+                       "d": 0, "images": [[], [], []]})
+    code, rep = run_cli(capsys, ["vk", "obstruction", "--map", path, "--r", "10"])
+    assert code == 0 and rep["verdict"] == "trivial"
+    assert groups and all(G.degree == 10 and G._elements is None for G in groups)
 
 
 def test_plmap_almost(tmp_path, capsys):

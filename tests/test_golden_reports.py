@@ -12,7 +12,8 @@ quoted in the reports do not depend on where the test runs.
 
 Every other command is pinned the same way over a fixed argv list
 (EVERY_COMMAND): dp stats, homology (Z, GF(2), GF(3)) and connectivity on
-Delta_n for n <= 5 and r = 2-4 and on two complex files, radon, tverberg
+Delta_n for n <= 5 and r = 2-4 and on two complex files, homology over
+GF(2) and GF(3) on Delta_8 with r = 2 (one sha256 each), radon, tverberg
 search, sylow --elements, ozaydin report, puzzle, construct and plmap almost,
 with one sha256 per command; the --out run's digest also covers the file it
 writes.
@@ -153,6 +154,8 @@ def every_command():
     for name in ("k33.json", "colored333.json"):
         for r in (2, 3):
             runs.append(("dp homology", ["dp", "homology", "--complex", name, "--r", str(r)]))
+    runs += [("dp homology Delta_8 GF(%s)" % p, ["dp", "homology", "--n", "8", "--r", "2", "--mod", p])
+             for p in ("2", "3")]
     runs += [
         ("radon", ["radon", "--points", "square.json"]),
         ("radon", ["radon", "--random", "5", "--d", "3"]),
@@ -186,6 +189,8 @@ EVERY_COMMAND_DIGESTS = {
     "construct join": "bfdf13eba98afc99bed2d0f0579bed7ad1a545d9c5e628e5636645adef4ccbfa",
     "dp connectivity": "32d0e482a575b861a520d30dafefd580c947751830049dfc0da2828bef48a3f6",
     "dp homology": "5935f922c3470813022fc4f21dda296f8493e5a650521989be9fde752e0b524d",
+    "dp homology Delta_8 GF(2)": "abbdbd8ab7c6c2c196fd1a1fb7c467791ffa8a9da5b92aa11e4cc6825aefe77a",
+    "dp homology Delta_8 GF(3)": "33b14a12bede536f54706b4eaca0d006fe4abe10f462c9aac0c7b67a307a2a30",
     "dp stats": "6d6e88049611496a980b8633eb234707c656c84ebc2390a24414cc1904f0d6c2",
     "ozaydin report": "b7c5ec4fedf64e81f7b004ce5d730200bdb1cbf06d3efc39f2ffb4725832cd12",
     "plmap almost": "476f9d367d7c2898777079b5e4a328493a1c242c91bff435008b7012fc1642b4",

@@ -2,12 +2,13 @@
 
 import random
 from collections import Counter
+from itertools import combinations
 
 import pytest
 
 from tvlab import homology as homology_module
 from tvlab.complexes import full_simplex
-from tvlab.deleted_product import deleted_product
+from tvlab.deleted_product import deleted_product, full_simplex_cell_count
 from tvlab.errors import (EmptyComplex, NotAChainComplex, SearchInvariantViolated,
                           ShapeError)
 from tvlab.homology import (IntMatrix, _eliminate, _rank_mod_p, _snf_solve,
@@ -116,6 +117,97 @@ def test_rank_mod_p_matches_sympy(p):
         assert _rank_mod_p(sparse, p) == expected
 
 
+def sympy_rank(sparse, shape, p):
+    """Rank over GF(p) of a sparse integer matrix, computed by sympy."""
+    sympy = pytest.importorskip("sympy")
+    from sympy.polys.matrices import DomainMatrix
+    field = sympy.GF(p)
+    rows = {}
+    for (i, j), v in sparse.items():
+        if v % p:
+            rows.setdefault(i, {})[j] = field(v)
+    return DomainMatrix(rows, shape, field).rank()
+
+
+def boundary_ranks(rep, shapes):
+    """{d: rank of boundary d}, read off the Betti numbers from the top down."""
+    ranks = {len(shapes): 0}
+    for d in range(len(shapes) - 1, 0, -1):
+        ranks[d] = shapes[d] - rep.betti(d) - ranks[d + 1]
+    return ranks
+
+
+# every deleted product of a full simplex with at most about 10,000 cells
+SMALL_DELETED_PRODUCTS = [(n, r) for n in range(2, 8) for r in range(2, n + 2)
+                          if full_simplex_cell_count(n, r) <= 10_300]
+
+
+@pytest.mark.parametrize("p", [2, 3, 5])
+def test_cleared_ranks_match_uncleared_ranks_and_sympy(p):
+    assert (6, 3) in SMALL_DELETED_PRODUCTS and (7, 2) in SMALL_DELETED_PRODUCTS
+    cleared_columns = 0
+    for n, r in SMALL_DELETED_PRODUCTS:
+        dp = deleted_product(full_simplex(n), r)
+        shapes = dp.f_vector()
+        boundaries = [None] + [dp.boundary_matrix(d) for d in range(1, dp.dim + 1)]
+        cleared = boundary_ranks(homology(boundaries, shapes, p), shapes)
+        for d in range(1, dp.dim + 1):
+            lows = set()
+            rank = _rank_mod_p(boundaries[d], p, lows=lows)
+            assert len(lows) == rank and lows <= set(range(shapes[d - 1]))
+            assert cleared[d] == rank == sympy_rank(boundaries[d], (shapes[d - 1], shapes[d]), p)
+            cleared_columns += cleared[d + 1]
+    assert cleared_columns > 10_000
+
+
+def simplicial_chain_complex(maximal, rng):
+    """(boundaries, shapes) of the simplicial complex spanned by the vertex
+    sets in maximal, each degree's simplices numbered in a random order."""
+    faces = {face for s in maximal for k in range(1, len(s) + 1)
+             for face in combinations(sorted(s), k)}
+    by_dim = {}
+    for face in sorted(faces):
+        by_dim.setdefault(len(face) - 1, []).append(face)
+    for cells in by_dim.values():
+        rng.shuffle(cells)
+    index = [{face: i for i, face in enumerate(by_dim[d])} for d in range(len(by_dim))]
+    boundaries = [None] + [
+        {(index[d - 1][s[:k] + s[k + 1:]], j): (-1) ** k
+         for s, j in index[d].items() for k in range(len(s))}
+        for d in range(1, len(by_dim))]
+    return boundaries, [len(by_dim[d]) for d in range(len(by_dim))]
+
+
+@pytest.mark.skipif(given is None, reason="needs hypothesis")
+def test_homology_mod_p_of_random_complexes_matches_sympy():
+    seen = Counter()
+
+    @st.composite
+    def complexes(draw):
+        wide = draw(st.booleans())
+        n = draw(st.integers(12, 16) if wide else st.integers(1, 11))
+        maximal = draw(st.lists(st.sets(st.integers(0, n - 1), min_size=1, max_size=6),
+                                min_size=1, max_size=8))
+        if wide:  # the complete graph: 66 to 120 edges, rows past bit 64
+            maximal += [(a, b) for a, b in combinations(range(n), 2)]
+        return maximal, draw(st.randoms(use_true_random=False))
+
+    @settings(max_examples=150)
+    @given(complexes())
+    def check(case):
+        boundaries, shapes = simplicial_chain_complex(*case)
+        for p in (2, 3, 5):
+            expected = {len(shapes): 0}
+            for d in range(1, len(shapes)):
+                expected[d] = sympy_rank(boundaries[d], (shapes[d - 1], shapes[d]), p)
+                assert _rank_mod_p(boundaries[d], p) == expected[d]
+            assert boundary_ranks(homology(boundaries, shapes, p), shapes) == expected
+        seen["past bit 64"] += any(shapes[d - 1] > 64 for d in range(2, len(shapes)))
+
+    check()
+    assert seen["past bit 64"] >= 40
+
+
 def test_delta6_r3_integral_homology():
     # the top Betti number is fixed by the Euler characteristic: 126 - 1
     rep = dp_homology(deleted_product(full_simplex(6), 3))
@@ -144,6 +236,19 @@ def test_delta43_h1_vanishes():
 def test_not_a_chain_complex():
     with pytest.raises(NotAChainComplex):
         homology([None, {(0, 0): 1}, {(0, 0): 1}], [1, 1, 1], "Z")
+
+
+@pytest.mark.parametrize("p", [2, 3])
+def test_not_a_chain_complex_mod_p_raises_before_any_rank(monkeypatch, p):
+    def rank(*args, **kwargs):
+        raise AssertionError("a rank was taken")
+
+    monkeypatch.setattr(homology_module, "_rank_mod_p", rank)
+    with pytest.raises(NotAChainComplex):
+        homology([None, {(0, 0): 1}, {(0, 0): 1}], [1, 1, 1], p)
+    # boundary squared is 3, zero mod 3: the check is over the integers
+    with pytest.raises(NotAChainComplex):
+        homology([None, {(0, 0): 1}, {(0, 0): 3}], [1, 1, 1], p)
 
 
 def test_relabel_invariance():

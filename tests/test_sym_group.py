@@ -1,6 +1,7 @@
 """Tests for permutations, Sylow tree subgroups, and the matrix sphere."""
 
 from fractions import Fraction
+from math import factorial
 
 import pytest
 
@@ -68,7 +69,8 @@ def test_sylow_orders():
             if p > r:
                 continue
             G = sylow_tree_subgroup(r, p)
-            assert G.order() == p ** p_order_in_factorial(r, p)
+            # the closed-form order is that of the generated group
+            assert G.order() == len(G.elements()) == p ** p_order_in_factorial(r, p)
 
 
 def test_sylow_p_larger_than_r():
@@ -118,6 +120,15 @@ def test_sylow_r6_splittings():
         # the blocks {0,1} and {2,3} are preserved as a pair
         assert {frozenset((g[0], g[1])), frozenset((g[2], g[3]))} == \
             {frozenset((0, 1)), frozenset((2, 3))}
+
+
+def test_orders_in_closed_form_list_no_element():
+    for r in range(1, 7):
+        assert symmetric_group(r).order() == len(symmetric_group(r).elements()) == factorial(r)
+    for G, order in [(symmetric_group(10), factorial(10)), (sylow_tree_subgroup(12, 2), 2**10),
+                     (sylow_tree_subgroup(9, 3), 3**4)]:
+        assert G.order() == order
+        assert G._elements is None
 
 
 def test_symmetric_group_over_the_cap_raises_before_any_generator(monkeypatch):

@@ -10,6 +10,8 @@ from pathlib import Path
 
 import tvlab.cli  # noqa: F401  (imports every module the tracer patches)
 from tvlab import homology, obstruction
+from tvlab.complexes import full_simplex
+from tvlab.deleted_product import deleted_product
 from tvlab.homology import IntMatrix
 
 SPANS = Path(__file__).resolve().parent.parent / "perfbench" / "spans.py"
@@ -55,3 +57,19 @@ def test_tracer_installs_on_every_target_and_uninstalls():
     metrics = spans.layer_metrics(tracer.spans, tracer.counts)
     assert metrics["homology.snf_entries"] == 4
     assert metrics["homology.solve_s"] >= metrics["homology.snf_s"] > 0
+
+
+def test_mod_p_homology_records_one_rank_span_per_degree():
+    spans = load_spans()
+    dp = deleted_product(full_simplex(4), 2)
+    tracer = spans.Tracer()
+    tracer.install()
+    try:
+        with tracer.query(0):
+            homology.dp_homology(dp, 3)
+    finally:
+        tracer.uninstall()
+    names = [span[0] for span in tracer.spans]
+    assert dp.dim == 3 and names.count("homology._rank_mod_p") == dp.dim
+    metrics = spans.layer_metrics(tracer.spans, tracer.counts)
+    assert metrics["homology.modp_s"] >= metrics["homology.rank_mod_p_s"] > 0
