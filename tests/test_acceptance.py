@@ -236,7 +236,7 @@ def test_criterion_08_sylow_tree_subgroups():
                 if not is_prime(p):
                     continue
                 G = sylow_tree_subgroup(r, p)
-                assert G.order() == p ** p_order_in_factorial(r, p)
+                assert G.order() == len(G.elements()) == p ** p_order_in_factorial(r, p)
                 power_of_p = r == p ** round(math.log(r, p))
                 assert is_transitive(G) == power_of_p, (r, p)
         splits = {2: (4, 2), 3: (3, 3), 5: (5, 1)}

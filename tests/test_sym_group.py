@@ -106,13 +106,13 @@ def test_sylow_transitivity_iff_prime_power():
 def test_sylow_r6_splittings():
     # p = 5: a 5-cycle fixing the last point
     G5 = sylow_tree_subgroup(6, 5)
-    assert G5.order() == 5 and G5.orbits() == [(0, 1, 2, 3, 4), (5,)]
+    assert G5.order() == len(G5.elements()) == 5 and G5.orbits() == [(0, 1, 2, 3, 4), (5,)]
     # p = 3: independent 3-rotations of the two triples
     G3 = sylow_tree_subgroup(6, 3)
-    assert G3.order() == 9 and G3.orbits() == [(0, 1, 2), (3, 4, 5)]
+    assert G3.order() == len(G3.elements()) == 9 and G3.orbits() == [(0, 1, 2), (3, 4, 5)]
     # p = 2: order 16, preserving {0,1,2,3} u {4,5} and {0,1} u {2,3}
     G2 = sylow_tree_subgroup(6, 2)
-    assert G2.order() == 16
+    assert G2.order() == len(G2.elements()) == 16
     assert G2.orbits() == [(0, 1, 2, 3), (4, 5)]
     for g in G2.elements():
         assert {g[0], g[1], g[2], g[3]} == {0, 1, 2, 3}
