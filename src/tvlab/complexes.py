@@ -1,4 +1,4 @@
-"""Finite abstract simplicial complexes: skeleta of simplices and joins.
+"""Finite abstract simplicial complexes: simplices and their skeleta.
 
 A simplex is a tuple of strictly increasing non-negative vertex ids.  A
 complex stores the full face-closed set of its simplices; maximal-simplex
@@ -90,25 +90,16 @@ class Complex:
             counts[len(s) - 1] += 1
         return counts
 
-    def _facets(self) -> set:
-        """Every codimension-one face of every simplex."""
-        return {s[:j] + s[j + 1:] for s in self.simplices if len(s) > 1 for j in range(len(s))}
-
     def maximal_simplices(self) -> list:
         """The faces that are no face's facet, sorted."""
-        return sorted(self.simplices - self._facets())
+        facets = {s[:j] + s[j + 1:] for s in self.simplices if len(s) > 1 for j in range(len(s))}
+        return sorted(self.simplices - facets)
 
     def is_full_simplex(self) -> bool:
         """True iff every non-empty set of vertices is a simplex."""
         n = len(self.simplices)
         # the bit length test keeps 2^num_vertices small
         return n.bit_length() == self.num_vertices and n == 2 ** self.num_vertices - 1
-
-    def has_simplex(self, s: Simplex) -> bool:
-        return tuple(s) in self.simplices
-
-    def is_face_closed(self) -> bool:
-        return self._facets() <= self.simplices
 
     def to_json_dict(self) -> dict:
         return {
@@ -142,23 +133,3 @@ def simplex_skeleton(N: int, s: int) -> Complex:
     for k in range(1, s + 2):
         faces.update(combinations(verts, k))
     return Complex(N + 1, frozenset(faces))
-
-
-def join(K: Complex, L: Complex) -> Complex:
-    """Simplicial join; vertex ids of L are shifted past those of K.
-
-    Simplices are unions sigma ∪ (shifted tau) with sigma in K ∪ {∅} and
-    tau in L ∪ {∅}, not both empty.
-    """
-    shift = K.num_vertices
-    ls = [tuple(v + shift for v in t) for t in L.simplices]
-    out = set(K.simplices)
-    out.update(ls)
-    for s in K.simplices:
-        for t in ls:
-            out.add(s + t)
-    return Complex(K.num_vertices + L.num_vertices, frozenset(out))
-
-
-def are_disjoint(a: Simplex, b: Simplex) -> bool:
-    return not set(a) & set(b)

@@ -278,20 +278,6 @@ def tverberg_search(points, r) -> TverbergPartition:
     raise SearchInvariantViolated("no Tverberg partition found; implementation bug")
 
 
-def general_position_check(points) -> bool:
-    """True iff every subset of at most d+1 of the points in R^d is
-    affinely independent."""
-    pts = as_points(points)
-    d = len(pts[0])
-    k = min(len(pts), d + 1)
-    for sub in combinations(range(len(pts)), k):
-        base = pts[sub[0]]
-        rows = [[pts[i][a] - base[a] for a in range(d)] for i in sub[1:]]
-        if rows and linalg.rank(rows) < len(rows):
-            return False
-    return True
-
-
 def random_rational_points(n, d, seed):
     """Deterministic pseudo-random rational points with denominator 1024."""
     rng = random.Random(seed)

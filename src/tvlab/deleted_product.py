@@ -152,7 +152,9 @@ def disjoint_tuples(simplices, r, dim=None) -> list:
     """Unordered r-tuples of pairwise vertex-disjoint simplices, of total
     dimension dim if given, in the order of itertools.combinations over the
     sorted simplices.  A prefix that meets the next simplex's vertex mask,
-    or whose dimension can no longer reach dim, is never extended."""
+    or whose dimension can no longer reach dim, is never extended.  Raises
+    CapExceeded as soon as more tuples than the cell cap are listed."""
+    cap = configured_cell_cap()
     simplices = sorted(simplices)
     masks = [sum(1 << v for v in s) for s in simplices]
     top = max(map(len, simplices), default=1) - 1
@@ -165,6 +167,8 @@ def disjoint_tuples(simplices, r, dim=None) -> list:
             return
         if not left:
             out.append(tuple(chosen))
+            if len(out) > cap:
+                raise CapExceeded("more than %d disjoint %d-tuples (the cell cap)" % (cap, r))
             return
         for i in range(start, len(simplices)):
             if not masks[i] & used:
@@ -172,24 +176,21 @@ def disjoint_tuples(simplices, r, dim=None) -> list:
                 extend(i + 1, used | masks[i], total + len(simplices[i]) - 1)
                 chosen.pop()
 
-    extend(0, 0, 0)
-    del extend  # the self-referring closure would keep out alive until a full gc pass
+    try:
+        extend(0, 0, 0)
+    finally:
+        del extend  # the self-referring closure would keep out alive until a full gc pass
     return out
-
-
-def koszul_action_sign(omega: tuple, dims: tuple) -> int:
-    """Sign of permuting graded factors: (-1)^{d_i d_j} over the inversions
-    of omega, that is the sign of omega restricted to the odd-dimensional
-    factors (0-based: slot i receives factor omega_inv[i])."""
-    return sign([w for w, d in zip(omega, dims) if d % 2])
 
 
 def act_on_cell(omega: tuple, cell: ProductCell):
     """Apply a 0-based permutation to a cell; returns (new_cell, sign).
 
     Slot i of the image holds factor omega^{-1}(i), so omega moves the
-    factor in slot j to slot omega(j).  The sign is koszul_action_sign,
-    collected in the same pass.
+    factor in slot j to slot omega(j).  The sign is the Koszul sign of
+    permuting graded factors, (-1)^{d_i d_j} over the inversions of omega:
+    the sign of omega restricted to the odd-dimensional factors, collected
+    in the same pass.
     """
     new = [None] * len(omega)
     odd = []  # omega restricted to the odd-dimensional factors

@@ -33,15 +33,6 @@ class IntMatrix:
     cols: int
     entries: dict
 
-    @classmethod
-    def from_rows(cls, rows) -> "IntMatrix":
-        rows = [list(map(int, row)) for row in rows]
-        m = len(rows)
-        n = len(rows[0]) if m else 0
-        if any(len(row) != n for row in rows):
-            raise ShapeError("ragged rows")
-        return cls(m, n, {(i, j): v for i, row in enumerate(rows) for j, v in enumerate(row) if v})
-
     def mat_vec(self, v):
         if self.cols != len(v):
             raise ShapeError("vector length mismatch")
@@ -322,16 +313,18 @@ def homology(boundaries: list, shapes: list, coefficients="Z") -> HomologyReport
     """
     tag = coefficient_tag(coefficients)
     top = len(shapes) - 1
-    # chain-complex sanity: boundary composition is zero
+    # chain-complex sanity, over Z: boundary d-1 takes every column of
+    # boundary d to zero, each column summed into its own {row: value}
     for d in range(2, top + 1):
-        comp = {}
         by_col = {}
         for (k, i), w in boundaries[d - 1].items():
             by_col.setdefault(i, []).append((k, w))
+        images = {}
         for (i, j), v in boundaries[d].items():
+            image = images.setdefault(j, {})
             for k, w in by_col.get(i, ()):
-                comp[(k, j)] = comp.get((k, j), 0) + v * w
-        if any(comp.values()):
+                image[k] = image.get(k, 0) + v * w
+        if any(any(image.values()) for image in images.values()):
             raise NotAChainComplex("boundary squared is nonzero in dim %d" % d)
 
     # diag[d]: Smith diagonal of boundary d (over GF(p), one 1 per rank).

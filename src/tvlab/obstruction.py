@@ -86,9 +86,6 @@ class EquivariantCochain:
         rep, omega = self.locate(cell)
         return chi(omega, rep, self.twist) * self.values.get(rep, 0)
 
-    def is_zero(self) -> bool:
-        return not any(self.values.values())
-
 
 def _default_twist(dp: DeletedProductComplex) -> int:
     return dp.base.dim * dp.r // (dp.r - 1)

@@ -387,22 +387,3 @@ def constraint_lift(f: PLMap, s: int) -> ConstraintLift:
         bary = tuple(sum(f.images[v][a] for v in t) / len(t) for a in range(f.ambient_dim))
         images.append(bary + (Fraction(max(0, len(t) - 1 - s)),))
     return ConstraintLift(PLMap(subdiv, f.ambient_dim + 1, tuple(images)), faces)
-
-
-def perturbed(f: PLMap, seed: int) -> PLMap:
-    """Deterministic tiny rational perturbation of the vertex images.
-
-    Magnitude 2^-40 times the configuration diameter, driven by the seed;
-    used to escape NotGeneric configurations reproducibly.
-    """
-    rng = random.Random(seed)
-    coords = [x for p in f.images for x in p]
-    spread = max(coords) - min(coords)
-    if spread == 0:
-        spread = Fraction(1)
-    eps = spread / 2**40
-    images = tuple(
-        tuple(x + eps * Fraction(rng.randint(-2**20, 2**20), 2**20) for x in p)
-        for p in f.images
-    )
-    return PLMap(f.domain, f.ambient_dim, images)

@@ -13,7 +13,6 @@ from __future__ import annotations
 from collections import deque
 from dataclasses import dataclass, field
 from fractions import Fraction
-from itertools import permutations
 
 from .complexes import configured_cell_cap
 from .errors import CapExceeded, DiagonalInput, InputError, NoSplit, NotPrime
@@ -240,7 +239,3 @@ def pi_projection(points) -> MatrixSpherePoint:
     return MatrixSpherePoint(
         tuple(tuple(p[a] - mean[a] for p in pts) for a in range(d))
     )
-
-
-def all_permutations(r):
-    return [tuple(p) for p in permutations(range(r))]

@@ -590,6 +590,22 @@ def test_constraint_lift_over_the_cap_exits_3_before_any_flag(tmp_path, capsys, 
     assert (code, rep["kind"]) == (3, "cap")
 
 
+def test_disjoint_tuples_over_the_cap_exit_3_before_any_solve(tmp_path, capsys, monkeypatch):
+    def no_solve(*args):
+        raise AssertionError("a tuple was solved before the cap was checked")
+
+    monkeypatch.setattr(plmaps, "tuple_r_fold_point", no_solve)
+    monkeypatch.setattr(plmaps.convexity, "hulls_intersect", no_solve)
+    monkeypatch.setenv("TVLAB_CELL_CAP", "1000")
+    K = simplex_skeleton(9, 2)  # 175 faces, 2,100 disjoint pairs of triangles
+    f = plmaps.PLMap.build(K, 4, plmaps.convexity.random_rational_points(10, 4, "delta9"))
+    path = write_json(tmp_path / "delta9-2.json", f.to_json_dict())
+    for command in (["plmap", "cocycle"], ["plmap", "rfold"], ["plmap", "almost"],
+                    ["vk", "obstruction"]):
+        code, rep = run_cli(capsys, command + ["--map", path, "--r", "2"])
+        assert (code, rep["kind"]) == (3, "cap"), command
+
+
 def test_construct_constraint_on_delta5_is_fast(tmp_path, capsys):
     path = full_simplex_map(tmp_path, 5)
     start = time.perf_counter()

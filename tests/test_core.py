@@ -4,8 +4,7 @@ import json
 
 import pytest
 
-from tvlab.complexes import (Complex, are_disjoint, full_simplex, join,
-                             make_simplex, simplex_skeleton)
+from tvlab.complexes import Complex, full_simplex, make_simplex, simplex_skeleton
 from tvlab.errors import CapExceeded, InputError, InvalidSkeleton
 from tvlab.plmaps import PLMap, constraint_lift
 
@@ -29,10 +28,7 @@ def test_make_simplex_validation():
 
 def test_face_closure_from_maximal():
     K = Complex.from_maximal(3, [[0, 1, 2]])
-    assert K.has_simplex((0, 1, 2))
-    assert K.has_simplex((0, 2))
-    assert K.has_simplex((1,))
-    assert K.is_face_closed()
+    assert K.simplices == {(0,), (1,), (2,), (0, 1), (0, 2), (1, 2), (0, 1, 2)}
     assert K.f_vector() == [3, 3, 1]
 
 
@@ -52,25 +48,6 @@ def test_skeleton():
         simplex_skeleton(3, 5)
     with pytest.raises(InvalidSkeleton):
         simplex_skeleton(3, -1)
-
-
-def test_join_of_simplices():
-    # join of Delta_a and Delta_b is Delta_{a+b+1}
-    for a, b in [(0, 0), (1, 0), (1, 1), (2, 1)]:
-        J = join(full_simplex(a), full_simplex(b))
-        assert J.num_vertices == a + b + 2
-        assert len(J.simplices) == 2 ** (a + b + 2) - 1
-
-
-def test_join_of_two_points_is_segment():
-    pt = Complex.from_maximal(1, [[0]])
-    J = join(pt, pt)
-    assert sorted(J.simplices) == [(0,), (0, 1), (1,)]
-
-
-def test_are_disjoint():
-    assert are_disjoint((0, 1), (2, 3))
-    assert not are_disjoint((0, 1), (1, 2))
 
 
 def test_maximal_simplices_roundtrip():

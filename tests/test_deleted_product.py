@@ -9,7 +9,7 @@ from tvlab.complexes import Complex, full_simplex, simplex_skeleton
 from tvlab.deleted_product import (act_on_cell, cell_dim,
                                    check_full_simplex_cap, deleted_product,
                                    disjoint_tuples, full_simplex_cell_count,
-                                   koszul_action_sign, puzzle_reachable)
+                                   puzzle_reachable)
 from tvlab.errors import CapExceeded, InvalidMultiplicity, UnknownCell
 from tvlab.symgroup import compose
 
@@ -178,13 +178,24 @@ def test_boundary_squared_zero():
             assert not any(comp.values())
 
 
+def cell_of_dims(dims):
+    """Pairwise disjoint simplices of the given dimensions, on consecutive
+    vertices."""
+    cell = []
+    start = 0
+    for d in dims:
+        cell.append(tuple(range(start, start + d + 1)))
+        start += d + 1
+    return tuple(cell)
+
+
 def test_koszul_action_sign():
     # permuting 0-dimensional factors is always +1
-    assert koszul_action_sign((1, 0), (0, 0)) == 1
+    assert act_on_cell((1, 0), ((0,), (1,))) == (((1,), (0,)), 1)
     # swapping two odd-dimensional factors is -1
-    assert koszul_action_sign((1, 0), (1, 1)) == -1
-    assert koszul_action_sign((1, 0), (1, 2)) == 1
-    assert koszul_action_sign((0, 1), (1, 1)) == 1
+    assert act_on_cell((1, 0), ((0, 1), (2, 3))) == (((2, 3), (0, 1)), -1)
+    assert act_on_cell((1, 0), ((0, 1), (2, 3, 4))) == (((2, 3, 4), (0, 1)), 1)
+    assert act_on_cell((0, 1), ((0, 1), (2, 3))) == (((0, 1), (2, 3)), 1)
 
 
 def pairwise_koszul_sign(omega, dims):
@@ -205,7 +216,8 @@ def test_koszul_sign_matches_pairwise_loop():
     for r in range(1, 6):
         for omega in permutations(range(r)):
             for dims in product(range(3), repeat=r):
-                assert koszul_action_sign(omega, dims) == pairwise_koszul_sign(omega, dims)
+                _, s = act_on_cell(omega, cell_of_dims(dims))
+                assert s == pairwise_koszul_sign(omega, dims)
 
 
 def test_cell_boundary_signs():

@@ -7,8 +7,8 @@ import pytest
 from tvlab import convexity
 from tvlab.convexity import (TverbergPartition, _directions, _projections,
                              _separating_direction, as_points,
-                             canonical_partitions, general_position_check,
-                             hulls_intersect, lp_feasible, radon_partition,
+                             canonical_partitions, hulls_intersect,
+                             lp_feasible, radon_partition,
                              random_rational_points, tverberg_search)
 from tvlab.errors import InputError, InvalidMultiplicity, WrongCardinality
 
@@ -114,19 +114,6 @@ def test_tverberg_deterministic():
     a = tverberg_search(pts, 3)
     b = tverberg_search(pts, 3)
     assert a.parts == b.parts and a.witness == b.witness
-
-
-def test_general_position():
-    assert not general_position_check([(0, 0), (1, 0), (2, 0)])
-    assert general_position_check([(0, 0), (1, 0), (1, 1), (0, 1)])
-    # standard basis vertices of a simplex
-    basis = [tuple(int(i == j) for j in range(3)) for i in range(3)]
-    assert general_position_check(basis)
-    # repeated point
-    assert not general_position_check([(0, 0), (0, 0), (1, 1)])
-    # the dimension comes from the points: two distinct points in the plane
-    assert general_position_check([(0, 0), (1, 0)]) is True
-    assert general_position_check([(0, 0), (0, 0)]) is False
 
 
 def test_tverberg_and_radon_reject_bad_input():

@@ -23,6 +23,12 @@ except ImportError:  # hypothesis is a test extra
     given = None
 
 
+def int_matrix(rows):
+    """The sparse IntMatrix of a list of equal-length rows."""
+    return IntMatrix(len(rows), len(rows[0]) if rows else 0,
+                     {(i, j): v for i, row in enumerate(rows) for j, v in enumerate(row) if v})
+
+
 def dense(M):
     """The rows of a sparse IntMatrix."""
     rows = [[0] * M.cols for _ in range(M.rows)]
@@ -57,9 +63,9 @@ IDENTITY_3 = [[1, 0, 0], [0, 1, 0], [0, 0, 1]]
 
 
 def test_snf_examples():
-    assert check_snf(IntMatrix.from_rows(IDENTITY_3)) == [1, 1, 1]
-    assert check_snf(IntMatrix.from_rows([[1, 0], [0, 0]])) == [1, 0]
-    assert check_snf(IntMatrix.from_rows([[2, 4], [6, 8]])) == [2, 4]
+    assert check_snf(int_matrix(IDENTITY_3)) == [1, 1, 1]
+    assert check_snf(int_matrix([[1, 0], [0, 0]])) == [1, 0]
+    assert check_snf(int_matrix([[2, 4], [6, 8]])) == [2, 4]
 
 
 def test_snf_random_matrices():
@@ -67,7 +73,7 @@ def test_snf_random_matrices():
     for trial in range(30):
         m = rng.randint(1, 8)
         n = rng.randint(1, 8)
-        M = IntMatrix.from_rows(
+        M = int_matrix(
             [[rng.randint(-9, 9) for _ in range(n)] for _ in range(m)]
         )
         check_snf(M)
@@ -75,7 +81,7 @@ def test_snf_random_matrices():
 
 def test_snf_large_matrix():
     rng = random.Random(777)
-    M = IntMatrix.from_rows(
+    M = int_matrix(
         [[rng.randint(-9, 9) for _ in range(40)] for _ in range(40)]
     )
     check_snf(M)
@@ -94,7 +100,7 @@ def test_sparse_diagonal_matches_dense():
         rows = [[rng.choice(pool) for _ in range(n)] for _ in range(m)]
         sparse = {(i, j): rows[i][j] for i in range(m) for j in range(n)
                   if rows[i][j]}
-        _, D, _ = smith_normal_form(IntMatrix.from_rows(rows))
+        _, D, _ = smith_normal_form(int_matrix(rows))
         dense_diag = [abs(D[t][t]) for t in range(min(m, n))]
         assert smith_diagonal(sparse, m, n) == dense_diag
         leftover_blocks += bool(_eliminate(sparse)[1])
@@ -251,6 +257,38 @@ def test_not_a_chain_complex_mod_p_raises_before_any_rank(monkeypatch, p):
         homology([None, {(0, 0): 1}, {(0, 0): 3}], [1, 1, 1], p)
 
 
+@pytest.mark.skipif(given is None, reason="needs hypothesis")
+def test_boundary_squared_check_matches_a_dense_product():
+    seen = Counter()
+    entries = st.sampled_from([0, 0, 0, 1, -1, 2])
+
+    @st.composite
+    def pairs(draw):
+        m, n, q = (draw(st.integers(1, 4)) for _ in range(3))
+        lower = [[draw(entries) for _ in range(n)] for _ in range(m)]
+        upper = [[draw(entries) for _ in range(q)] for _ in range(n)]
+        return lower, upper, draw(st.sampled_from(["Z", 2, 3]))
+
+    @settings(max_examples=300)
+    @given(pairs())
+    def check(case):
+        lower, upper, coefficients = case
+        squared = [[sum(a * b for a, b in zip(row, col)) for col in zip(*upper)]
+                   for row in lower]
+        boundaries = [None, int_matrix(lower).entries, int_matrix(upper).entries]
+        shapes = [len(lower), len(upper), len(upper[0])]
+        if any(map(any, squared)):
+            with pytest.raises(NotAChainComplex):
+                homology(boundaries, shapes, coefficients)
+            seen["nonzero"] += 1
+        else:
+            homology(boundaries, shapes, coefficients)
+            seen["zero"] += 1
+
+    check()
+    assert min(seen["zero"], seen["nonzero"]) >= 50
+
+
 def test_relabel_invariance():
     dp = deleted_product(full_simplex(3), 2)
     rep = dp_homology(dp)
@@ -288,25 +326,25 @@ def test_connectivity_values():
 
 
 def test_solve_integer_system():
-    A = IntMatrix.from_rows(IDENTITY_3)
+    A = int_matrix(IDENTITY_3)
     x, cert = solve_integer_system(A, [4, -5, 6])
     assert x == [4, -5, 6] and cert is None
 
-    A = IntMatrix.from_rows([[2]])
+    A = int_matrix([[2]])
     x, cert = solve_integer_system(A, [1])
     assert x is None and cert["kind"] == "divisibility"
 
-    A = IntMatrix.from_rows([[2, 3]])
+    A = int_matrix([[2, 3]])
     x, cert = solve_integer_system(A, [1])
     assert cert is None and 2 * x[0] + 3 * x[1] == 1
 
     # inconsistent over the rationals already
-    A = IntMatrix.from_rows([[1, 1], [1, 1]])
+    A = int_matrix([[1, 1], [1, 1]])
     x, cert = solve_integer_system(A, [0, 1])
     assert x is None and cert["kind"] == "rank"
 
     with pytest.raises(ShapeError):
-        solve_integer_system(IntMatrix.from_rows([[1, 0], [0, 1]]), [1, 2, 3])
+        solve_integer_system(int_matrix([[1, 0], [0, 1]]), [1, 2, 3])
 
 
 def test_solve_integer_system_random():
@@ -314,7 +352,7 @@ def test_solve_integer_system_random():
     for trial in range(30):
         m = rng.randint(1, 5)
         n = rng.randint(1, 5)
-        A = IntMatrix.from_rows(
+        A = int_matrix(
             [[rng.randint(-5, 5) for _ in range(n)] for _ in range(m)]
         )
         x0 = [rng.randint(-4, 4) for _ in range(n)]
@@ -326,7 +364,7 @@ def test_solve_integer_system_random():
 def test_solve_integer_system_leftover_block():
     # no unit in column 0: the block [[2, 0], [0, 3]] is left after the
     # pivot on the 1 of the last row
-    A = IntMatrix.from_rows([[2, 0, 0], [0, 3, 1], [0, 0, 1]])
+    A = int_matrix([[2, 0, 0], [0, 3, 1], [0, 0, 1]])
     x, cert = solve_integer_system(A, [4, 7, 1])
     assert cert is None and x == [2, 2, 1]
     x, cert = solve_integer_system(A, [3, 7, 1])
@@ -337,7 +375,7 @@ def test_solve_integer_system_leftover_block():
 def test_witness_that_fails_its_recheck_raises(monkeypatch):
     monkeypatch.setattr(homology_module, "_equation_combination", lambda u, log: {})
     with pytest.raises(SearchInvariantViolated):
-        solve_integer_system(IntMatrix.from_rows([[2]]), [1])
+        solve_integer_system(int_matrix([[2]]), [1])
 
 
 def sparse_systems():
@@ -358,7 +396,7 @@ def sparse_systems():
 
     def rhs(case):
         rows, x0, e, how = case
-        image = IntMatrix.from_rows(rows).mat_vec(x0)
+        image = int_matrix(rows).mat_vec(x0)
         b = {"image": image, "moved": [a + b for a, b in zip(image, e)], "free": e}[how]
         return rows, b
 
@@ -381,7 +419,7 @@ def test_sparse_solve_matches_dense_solve(monkeypatch):
     @given(sparse_systems())
     def check(case):
         rows, b = case
-        A = IntMatrix.from_rows(rows)
+        A = int_matrix(rows)
         sparse = {(i, j): v for i, row in enumerate(rows) for j, v in enumerate(row) if v}
         del checked[:]
         x, cert = solve_integer_system(A, b)

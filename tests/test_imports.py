@@ -1,0 +1,53 @@
+"""Every name a module of tvlab imports is used in that module.
+
+A deletion that leaves an import behind fails here.  A name counts as used
+when the module loads it anywhere, annotations included, string
+annotations such as "IntMatrix" too.
+"""
+
+import ast
+from pathlib import Path
+
+import pytest
+
+SRC = Path(__file__).resolve().parent.parent / "src" / "tvlab"
+
+
+def unused_imports(source: str) -> list:
+    """(line, name) of each imported name that the source never uses."""
+    tree = ast.parse(source)
+    imported = {}
+    annotations = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            for alias in node.names:
+                imported[alias.asname or alias.name.split(".")[0]] = node.lineno
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            for alias in node.names:
+                imported[alias.asname or alias.name] = node.lineno
+        elif isinstance(node, (ast.arg, ast.AnnAssign)):
+            annotations.append(node.annotation)
+        elif isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            annotations.append(node.returns)
+    used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    for note in annotations:
+        if isinstance(note, ast.Constant) and isinstance(note.value, str):
+            used.update(n.id for n in ast.walk(ast.parse(note.value)) if isinstance(n, ast.Name))
+    return sorted((line, name) for name, line in imported.items() if name not in used)
+
+
+@pytest.mark.parametrize("path", sorted(SRC.glob("*.py")), ids=lambda p: p.name)
+def test_no_unused_import(path):
+    assert unused_imports(path.read_text()) == []
+
+
+def test_an_unused_import_is_found():
+    source = ("from __future__ import annotations\n"
+              "import os\n"
+              "import json.decoder\n"
+              "from math import comb, gcd as g\n"
+              "from fractions import Fraction\n"
+              "def f(x) -> \"Fraction\":\n"
+              "    \"\"\"g\"\"\"\n"
+              "    return comb(x, 2), json\n")
+    assert unused_imports(source) == [(2, "os"), (4, "g")]

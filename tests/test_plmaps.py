@@ -1,5 +1,6 @@
 """Tests for PL maps, r-fold points, intersection cocycles, constructions."""
 
+import random
 from fractions import Fraction
 from itertools import combinations
 
@@ -10,7 +11,7 @@ from tvlab.errors import InputError, NotGeneric
 from tvlab.linalg import det_sign
 from tvlab.plmaps import (PLMap, coned_extension_oracle, constraint_lift,
                           global_r_fold_points, intersection_cocycle,
-                          is_almost_r_embedding, join_extension, perturbed,
+                          is_almost_r_embedding, join_extension,
                           tuple_r_fold_point)
 
 PENTAGON = [(0, 2), (2, 1), (1, -2), (-1, -2), (-2, 1)]
@@ -146,6 +147,17 @@ def test_oracle_seed_independence():
     key = ((0, 2), (1, 3))
     vals = {coned_extension_oracle(f, key, 2, seed=s) for s in range(5)}
     assert len(vals) == 1
+
+
+def perturbed(f, seed):
+    """The map with every image coordinate moved by a seeded rational of
+    size at most 2^-40 times the spread of the coordinates."""
+    rng = random.Random(seed)
+    coords = [x for p in f.images for x in p]
+    eps = (max(coords) - min(coords) or Fraction(1)) / 2**40
+    images = tuple(tuple(x + eps * Fraction(rng.randint(-2**20, 2**20), 2**20) for x in p)
+                   for p in f.images)
+    return PLMap(f.domain, f.ambient_dim, images)
 
 
 def test_perturbation_stability():

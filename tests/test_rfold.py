@@ -12,7 +12,7 @@ from itertools import combinations
 import pytest
 
 from tvlab import linalg, plmaps
-from tvlab.complexes import Complex, are_disjoint, simplex_skeleton
+from tvlab.complexes import Complex, simplex_skeleton
 from tvlab.convexity import common_point_system, random_rational_points
 from tvlab.deleted_product import cell_dim
 from tvlab.errors import NotGeneric
@@ -220,6 +220,6 @@ def simplex_sets(draw):
 @given(simplex_sets(), st.integers(0, 4), st.one_of(st.none(), st.integers(-1, 12)))
 def test_disjoint_tuples_matches_combinations(simplices, r, dim):
     want = [c for c in combinations(sorted(simplices), r)
-            if all(are_disjoint(a, b) for a, b in combinations(c, 2))
+            if all(not set(a) & set(b) for a, b in combinations(c, 2))
             and (dim is None or cell_dim(c) == dim)]
     assert disjoint_tuples(simplices, r, dim) == want
