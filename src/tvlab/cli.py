@@ -17,7 +17,7 @@ from fractions import Fraction
 from functools import cache
 
 from . import convexity, homology, obstruction, plmaps, symgroup
-from .complexes import Complex, configured_cell_cap, full_simplex
+from .complexes import Complex, check_cap, configured_cell_cap, full_simplex
 from .deleted_product import (cell_dim, check_full_simplex_cap, deleted_product,
                               puzzle_reachable)
 from .errors import (CapExceeded, InputError, InvalidMultiplicity,
@@ -101,9 +101,7 @@ def load_points(path):
 def random_points(n, d, seed):
     """convexity.random_rational_points, refused with CapExceeded before the
     first draw when its n*d coordinates exceed the cell cap."""
-    cap = configured_cell_cap()
-    if max(n, 0) * max(d, 0) > cap:
-        raise CapExceeded("%d random points in R^%d exceed the cell cap %d" % (n, d, cap))
+    check_cap(max(n, 0) * max(d, 0), "coordinates of %d random points in R^%d" % (n, d))
     return convexity.random_rational_points(n, d, seed)
 
 
@@ -206,22 +204,18 @@ def cmd_vk_obstruction(args):
 
 def cmd_sylow(args):
     alpha = symgroup.p_order_in_factorial(args.r, args.p)
-    cap = configured_cell_cap()
-    listed = args.r * (alpha + 1)  # alpha generators and the orbits, r points each
-    if listed > cap:
-        raise CapExceeded("the report would list %d points (cap %d)" % (listed, cap))
+    # alpha generators and the orbits, r points each
+    check_cap(args.r * (alpha + 1), "points the report would list")
     G = symgroup.sylow_tree_subgroup(args.r, args.p)
-    order = args.p ** alpha  # Legendre's formula, without listing the group
     report = {
-        "order": order,
+        "order": G.order(),
         "alpha": alpha,
         "generators": G.generators,
         "transitive": symgroup.is_transitive(G),
         "orbits": G.orbits(),
     }
     if args.elements:
-        if order > cap:
-            raise CapExceeded("the group has %d elements (cap %d)" % (order, cap))
+        check_cap(G.order(), "elements of the group")
         report["elements"] = sorted(G.elements())
     return emit(report, args)
 

@@ -27,13 +27,25 @@ def configured_cell_cap() -> int:
     return int(raw) if raw else DEFAULT_CELL_CAP
 
 
+def check_cap(count: int, what: str) -> None:
+    """The one cell-cap gate: raise CapExceeded, naming what was counted,
+    the count and the cap, when count exceeds the cell cap.  A caller that
+    stops counting early passes the partial count and says so in what."""
+    cap = configured_cell_cap()
+    if count > cap:
+        if count >= 2 ** 9999:  # past the int-to-str digit limit: named by its bit length
+            count = "at least 2^%d" % (count.bit_length() - 1)
+        raise CapExceeded("%s: %s, over the cell cap %d" % (what, count, cap))
+
+
 def check_simplex_faces(N: int) -> None:
     """Raise CapExceeded, before anything is built, when the N-simplex's
     2^(N+1)-1 faces exceed the cell cap."""
-    cap = configured_cell_cap()
+    bits = configured_cell_cap().bit_length()
     # past the bit length of the cap, 2^(N+1)-1 > cap without computing it
-    if N + 1 > cap.bit_length() or 2 ** (N + 1) - 1 > cap:
-        raise CapExceeded("the %d-simplex has more faces than the cell cap %d" % (N, cap))
+    if N + 1 > bits:
+        check_cap(2 ** bits, "faces of the %d-simplex, at least" % N)
+    check_cap(2 ** (N + 1) - 1, "faces of the %d-simplex" % N)
 
 
 def make_simplex(vertices: Iterable[int]) -> Simplex:
@@ -57,6 +69,8 @@ class Complex:
     simplices: frozenset
 
     def __post_init__(self):
+        if self.num_vertices < 0:
+            raise InputError("need num_vertices >= 0, got %d" % self.num_vertices)
         for s in self.simplices:
             if s and s[-1] >= self.num_vertices:
                 raise InputError("vertex id %d out of range" % s[-1])
@@ -64,7 +78,6 @@ class Complex:
     @classmethod
     def from_maximal(cls, num_vertices: int, maximal: Iterable[Iterable[int]]) -> "Complex":
         """Close the given simplices under faces, within the cell cap."""
-        cap = configured_cell_cap()
         closed = set()
         for m in maximal:
             s = make_simplex(sorted(m))
@@ -73,8 +86,7 @@ class Complex:
             check_simplex_faces(len(s) - 1)
             for k in range(1, len(s) + 1):
                 closed.update(combinations(s, k))
-            if len(closed) > cap:
-                raise CapExceeded("the complex has more faces than the cell cap %d" % cap)
+            check_cap(len(closed), "faces of the complex")
         return cls(num_vertices, frozenset(closed))
 
     @property

@@ -21,7 +21,6 @@ import random
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import accumulate, combinations
-from math import lcm
 
 from . import linalg
 from .errors import (InputError, InvalidMultiplicity, SearchInvariantViolated,
@@ -40,15 +39,12 @@ def lp_feasible(A, b):
     """
     m = len(A)
     n = len(A[0]) if m else 0
-    rows = [[x if isinstance(x, (int, Fraction)) else Fraction(x) for x in (*row, bi)]
-            for row, bi in zip(A, b)]
-    L = lcm(*(x.denominator for row in rows for x in row))
     T = []
-    for i, row in enumerate(rows):
+    for i, row in enumerate(linalg.clear_denominators([(*row, bi) for row, bi in zip(A, b)])[0]):
         # rows with negative right-hand side are negated so artificials start feasible
-        s = -L if row[-1] < 0 else L
-        ints = [x.numerator * (s // x.denominator) for x in row]
-        T.append(ints[:n] + [int(i == j) for j in range(m)] + ints[n:])
+        if row[-1] < 0:
+            row = [-x for x in row]
+        T.append([*row[:n], *(int(i == j) for j in range(m)), row[n]])
     # last row: reduced costs of the artificial basis for the phase-one
     # objective (minimize the sum of artificials), then the objective value
     obj = [sum(col) for col in zip(*T)] or [0]
@@ -231,7 +227,7 @@ def _projections(pts):
     _directions, L the lcm of all denominators, so every value is an int."""
     U = _directions(len(pts[0]))
     return [tuple(sum(a * x for a, x in zip(u, p)) for u in U)
-            for p in linalg.clear_denominators(pts)]
+            for p in linalg.clear_denominators(pts)[0]]
 
 
 def _separating_direction(projections, parts):

@@ -15,8 +15,8 @@ from __future__ import annotations
 from collections import deque
 from math import comb
 
-from .complexes import Complex, check_simplex_faces, configured_cell_cap
-from .errors import CapExceeded, InvalidMultiplicity, UnknownCell
+from .complexes import Complex, check_cap, check_simplex_faces, configured_cell_cap
+from .errors import InvalidMultiplicity, UnknownCell
 from .symgroup import sign
 
 ProductCell = tuple  # tuple of Simplex, pairwise disjoint
@@ -44,10 +44,7 @@ def check_full_simplex_cap(N: int, r: int) -> None:
     if r < 2:
         raise InvalidMultiplicity("deleted product needs r >= 2, got %d" % r)
     check_simplex_faces(N)
-    cap = configured_cell_cap()
-    n = full_simplex_cell_count(N, r)
-    if n > cap:
-        raise CapExceeded("deleted product would have %d cells (cap %d)" % (n, cap))
+    check_cap(full_simplex_cell_count(N, r), "cells of the deleted product")
 
 
 class DeletedProductComplex:
@@ -96,14 +93,12 @@ class DeletedProductComplex:
         """Sparse boundary from dimension d to d-1: {(row, col): sign}.
 
         Rows index (d-1)-cells, columns index d-cells, in sorted cell order.
+        Each entry is assigned once: the facets of one cell are distinct cells.
         """
-        mat = {}
         rows = {c: i for i, c in enumerate(self.cells_by_dim.get(d - 1, ()))}
-        for j, cell in enumerate(self.cells_by_dim.get(d, ())):
-            for facet, eps in self.cell_boundary(cell):
-                i = rows[facet]
-                mat[(i, j)] = mat.get((i, j), 0) + eps
-        return {k: v for k, v in mat.items() if v}
+        return {(rows[facet], j): eps
+                for j, cell in enumerate(self.cells_by_dim.get(d, ()))
+                for facet, eps in self.cell_boundary(cell)}
 
 
 def deleted_product(K: Complex, r: int) -> DeletedProductComplex:
@@ -134,7 +129,7 @@ def deleted_product(K: Complex, r: int) -> DeletedProductComplex:
         if i == r:
             count += 1
             if count > cap:
-                raise CapExceeded("deleted product exceeds cell cap %d" % cap)
+                check_cap(count, "cells of the deleted product, at least")
             cells_by_dim.setdefault(dim, []).append(tuple(cells))
             return
         for m, s in masks:
@@ -168,7 +163,7 @@ def disjoint_tuples(simplices, r, dim=None) -> list:
         if not left:
             out.append(tuple(chosen))
             if len(out) > cap:
-                raise CapExceeded("more than %d disjoint %d-tuples (the cell cap)" % (cap, r))
+                check_cap(len(out), "disjoint %d-tuples, at least" % r)
             return
         for i in range(start, len(simplices)):
             if not masks[i] & used:

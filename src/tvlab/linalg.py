@@ -1,9 +1,10 @@
 """Exact linear algebra over the rationals, eliminated over the integers.
 
-Matrices are lists of rows of rationals.  Each row is cleared of
-denominators once; elimination then runs on Python ints with the
-integer-preserving pivot step of Bareiss (1968) in Edmonds's Gauss-Jordan
-form (1967), and results are divided back into Fractions at the end.
+Matrices are lists of rows of rationals.  A matrix is cleared of
+denominators once, by clear_denominators; elimination then runs on Python
+ints with the integer-preserving pivot step of Bareiss (1968) in Edmonds's
+Gauss-Jordan form (1967), and results are divided back into Fractions at
+the end.
 """
 
 from __future__ import annotations
@@ -31,24 +32,12 @@ def pivot(T, r, c, D) -> int:
     return p
 
 
-def clear_denominators(points) -> list:
-    """The points (sequences of Fractions) times the lcm of all their
-    denominators, as tuples of ints."""
-    L = lcm(*(x.denominator for p in points for x in p))
-    return [tuple(x.numerator * (L // x.denominator) for x in p) for p in points]
-
-
-def integer_rows(A):
-    """Each row of A times the lcm of its denominators; returns (T, scale),
-    scale the product of the row multipliers."""
-    T = []
-    scale = 1
-    for row in A:
-        row = [Fraction(x) for x in row]
-        L = lcm(*(x.denominator for x in row))
-        T.append([x.numerator * (L // x.denominator) for x in row])
-        scale *= L
-    return T, scale
+def clear_denominators(rows):
+    """The one rational-to-integer scaling: the rows (sequences of ints and
+    Fractions) times the lcm L of all their denominators.  Returns (the
+    rows as tuples of ints, L)."""
+    L = lcm(*(x.denominator for row in rows for x in row))
+    return [tuple(x.numerator * (L // x.denominator) for x in row) for row in rows], L
 
 
 def gauss_jordan(T):
@@ -75,7 +64,7 @@ def gauss_jordan(T):
 
 def rref(A):
     """Reduced row echelon form; returns (R, pivot_columns)."""
-    T = integer_rows(A)[0]
+    T = clear_denominators(A)[0]
     pivots, D, _ = gauss_jordan(T)
     return [[Fraction(x, D) for x in row] for row in T], pivots
 
@@ -103,9 +92,9 @@ def det(A) -> Fraction:
     n = len(A)
     if any(len(row) != n for row in A):
         raise ShapeError("determinant needs a square matrix")
-    T, scale = integer_rows(A)
+    T, L = clear_denominators(A)
     pivots, D, sign = gauss_jordan(T)
-    return Fraction(sign * D, scale) if len(pivots) == n else Fraction(0)
+    return Fraction(sign * D, L**n) if len(pivots) == n else Fraction(0)
 
 
 def det_sign(A) -> int:

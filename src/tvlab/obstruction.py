@@ -31,7 +31,7 @@ import sys
 from dataclasses import dataclass
 from math import factorial, log10, prod
 
-from .complexes import configured_cell_cap
+from .complexes import check_cap
 from .deleted_product import DeletedProductComplex, act_on_cell, cell_dim, disjoint_tuples
 from .errors import (CapExceeded, DegreeError, InputError, InvalidMultiplicity,
                      NotEquivariant, SearchInvariantViolated, UnknownCell)
@@ -238,9 +238,7 @@ def ozaydin_report(r: int) -> OzaydinReport:
     """
     if r < 2:
         raise InvalidMultiplicity("need r >= 2, got %d" % r)
-    cap = configured_cell_cap()
-    if r > cap:
-        raise CapExceeded("the report would list the primes up to %d (cap %d)" % (r, cap))
+    check_cap(r, "r, up to which the report lists the primes")
     limit = sys.get_int_max_str_digits()
     expansions = []  # (p, alpha_p, p^K)
     for p in range(2, r + 1):

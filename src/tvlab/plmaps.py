@@ -33,9 +33,9 @@ from functools import cached_property
 from itertools import permutations
 
 from . import convexity, linalg
-from .complexes import Complex, check_simplex_faces, configured_cell_cap, full_simplex
+from .complexes import Complex, check_cap, check_simplex_faces, full_simplex
 from .deleted_product import disjoint_tuples, full_simplex_cell_count
-from .errors import CapExceeded, InputError, InvalidMultiplicity, NotGeneric, read_json
+from .errors import InputError, InvalidMultiplicity, NotGeneric, read_json
 
 
 @dataclass(frozen=True)
@@ -47,6 +47,8 @@ class PLMap:
     images: tuple  # one coordinate tuple per vertex 0..num_vertices-1
 
     def __post_init__(self):
+        if self.ambient_dim < 0:
+            raise InputError("need an ambient dimension d >= 0, got %d" % self.ambient_dim)
         if len(self.images) != self.domain.num_vertices:
             raise InputError("need one image per domain vertex")
         for p in self.images:
@@ -68,7 +70,7 @@ class PLMap:
         A positive uniform scaling leaves the barycentric solution of every
         common-point system, its pivots and every orientation unchanged.
         """
-        return tuple(linalg.clear_denominators([[Fraction(x) for x in p] for p in self.images]))
+        return tuple(linalg.clear_denominators(self.images)[0])
 
     def to_json_dict(self) -> dict:
         return {
@@ -80,12 +82,10 @@ class PLMap:
     @classmethod
     def from_json_dict(cls, data: dict) -> "PLMap":
         try:
-            dom = Complex.from_json_dict(data["complex"])
-            d = int(data["d"])
-            images = [[Fraction(x) for x in p] for p in data["images"]]
+            return cls.build(Complex.from_json_dict(data["complex"]), int(data["d"]),
+                             data["images"])
         except (KeyError, TypeError, ValueError, ZeroDivisionError, OverflowError) as exc:
             raise InputError("bad PL map JSON: %s" % exc) from exc
-        return cls.build(dom, d, images)
 
     @classmethod
     def from_json_file(cls, path: str) -> "PLMap":
@@ -221,7 +221,7 @@ def default_apexes(f: PLMap, simplices, r, seed=0):
     ]
 
 
-def coned_extension_oracle(f: PLMap, simplices, r, apexes=None, seed=0) -> int:
+def coned_extension_oracle(f: PLMap, simplices, r, seed=0) -> int:
     """Signed diagonal crossings of a generic coned extension over the tuple.
 
     The product of the r simplices is parametrized by the free barycentric
@@ -235,9 +235,7 @@ def coned_extension_oracle(f: PLMap, simplices, r, apexes=None, seed=0) -> int:
     k = split_dimensions(m, d, r)
     if k == 0:  # points mapped to R^0: there is no cone to extend over
         raise InputError("the coned extension needs dim = k(r-1) with k >= 1, got k = 0")
-    if apexes is None:
-        apexes = default_apexes(f, simplices, r, seed)
-    apex = [Fraction(x) for p in apexes for x in p]  # point of (R^d)^r
+    apex = [x for p in default_apexes(f, simplices, r, seed) for x in p]  # point of (R^d)^r
     n = r * m  # parameter dimension
     rd = r * d
 
@@ -286,7 +284,7 @@ def coned_extension_oracle(f: PLMap, simplices, r, apexes=None, seed=0) -> int:
                 A.append([Fmat[i * d + a][j] - Fmat[(i + 1) * d + a][j]
                           for j in range(n)])
                 b.append(Fconst[(i + 1) * d + a] - Fconst[i * d + a])
-        T = linalg.integer_rows([row + [bi] for row, bi in zip(A, b)])[0]
+        T = linalg.clear_denominators([row + [bi] for row, bi in zip(A, b)])[0]
         sol = _unique_solution(T, "coned extension meets the diagonal non-transversally")
         if sol is None:
             continue  # this piece's affine extension misses the diagonal
@@ -373,10 +371,8 @@ def constraint_lift(f: PLMap, s: int) -> ConstraintLift:
         raise InputError("constraint lift needs the full simplex as domain")
     if not 0 <= s < N:
         raise InputError("need 0 <= s < N")
-    cap = configured_cell_cap()
-    size = sum(full_simplex_cell_count(N, k) for k in range(1, N + 2))
-    if size > cap:
-        raise CapExceeded("the subdivided %d-simplex has %d simplices (cap %d)" % (N, size, cap))
+    check_cap(sum(full_simplex_cell_count(N, k) for k in range(1, N + 2)),
+              "simplices of the subdivided %d-simplex" % N)
     faces = sorted(f.domain.simplices, key=lambda t: (len(t), t))
     index = {t: i for i, t in enumerate(faces)}
     maximal = [[index[tuple(sorted(p[:k]))] for k in range(1, N + 2)]

@@ -14,8 +14,8 @@ from collections import deque
 from dataclasses import dataclass, field
 from fractions import Fraction
 
-from .complexes import configured_cell_cap
-from .errors import CapExceeded, DiagonalInput, InputError, NoSplit, NotPrime
+from .complexes import check_cap, configured_cell_cap
+from .errors import DiagonalInput, InputError, NoSplit, NotPrime
 
 
 def identity_perm(r):
@@ -149,7 +149,7 @@ def symmetric_group(r) -> PermGroup:
     for i in range(2, r + 1):
         order *= i
         if order > cap:
-            raise CapExceeded("Sigma_%d has more than %d elements (the cell cap)" % (r, cap))
+            check_cap(order, "elements of Sigma_%d, at least" % r)
     gens = [tuple(range(1, r)) + (0,)] if r > 1 else []
     if r > 2:
         t = list(range(r))
@@ -159,7 +159,7 @@ def symmetric_group(r) -> PermGroup:
 
 
 def trivial_group(r) -> PermGroup:
-    return PermGroup(r, [])
+    return PermGroup(r, [], _order=1)
 
 
 def sylow_tree_subgroup(r, p) -> PermGroup:

@@ -429,6 +429,10 @@ HEXAGON_MIXED = [["2", "0"], ["1", "2"], ["-1", "2"], ["-2", "0", "5"],
     (["plmap", "cocycle", "--map", "{k4}", "--r", "2", "--fuzz-oracle", "-1"], None),
     (["vk", "obstruction", "--map", "{zero-den}", "--r", "2"], None),
     (["plmap", "rfold", "--map", "{zero-den}", "--r", "2"], None),
+    (["dp", "stats", "--complex", "{negative-vertices}", "--r", "2"], None),
+    (["plmap", "cocycle", "--map", "{d-2}", "--r", "2"], None),
+    (["vk", "obstruction", "--map", "{d-2}", "--r", "2"], None),
+    (["plmap", "almost", "--map", "{d-1}", "--r", "2"], None),
 ], ids=["tverberg-r0", "tverberg-r1", "radon-empty", "radon-ragged",
         "radon-not-points", "tverberg-mixed-dimension", "tverberg-no-points",
         "radon-no-points", "sylow-r0", "ozaydin-r1", "puzzle-from-int",
@@ -437,7 +441,9 @@ HEXAGON_MIXED = [["2", "0"], ["1", "2"], ["-1", "2"], ["-2", "0", "5"],
         "vk-map-deep", "plmap-almost-map-deep", "dp-stats-complex-deep",
         "plmap-almost-r0", "plmap-almost-r1", "radon-random-negative",
         "tverberg-random-negative", "cocycle-fuzz-negative",
-        "vk-map-zero-denominator", "plmap-rfold-map-zero-denominator"])
+        "vk-map-zero-denominator", "plmap-rfold-map-zero-denominator",
+        "dp-stats-negative-vertices", "plmap-cocycle-negative-d", "vk-negative-d",
+        "plmap-almost-negative-d"])
 def test_bad_input_exit_2(tmp_path, capsys, argv, points):
     if points is not None:
         path = write_json(tmp_path / "pts.json", {"d": 2, "points": points})
@@ -448,6 +454,11 @@ def test_bad_input_exit_2(tmp_path, capsys, argv, points):
         data["images"][0] = ["1/0", "0"]
         zero_den = write_json(tmp_path / "zero-den.json", data)
         argv = [{"{k4}": k4, "{zero-den}": zero_den}.get(a, a) for a in argv]
+    empty = {"num_vertices": 0, "maximal_simplices": []}
+    files = {"{negative-vertices}": {"num_vertices": -3, "maximal_simplices": []},
+             "{d-2}": {"complex": empty, "d": -2, "images": []},
+             "{d-1}": {"complex": empty, "d": -1, "images": []}}
+    argv = [write_json(tmp_path / "file.json", files[a]) if a in files else a for a in argv]
     if "{deep}" in argv:  # too deeply nested for the JSON decoder
         deep = tmp_path / "deep.json"
         deep.write_text("[" * 5000 + "]" * 5000)

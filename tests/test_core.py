@@ -4,7 +4,7 @@ import json
 
 import pytest
 
-from tvlab.complexes import Complex, full_simplex, make_simplex, simplex_skeleton
+from tvlab.complexes import Complex, check_cap, full_simplex, make_simplex, simplex_skeleton
 from tvlab.errors import CapExceeded, InputError, InvalidSkeleton
 from tvlab.plmaps import PLMap, constraint_lift
 
@@ -95,6 +95,17 @@ def test_maximal_simplices_of_subdivided_simplices():
         f = PLMap.build(full_simplex(N), 1, [(v,) for v in range(N + 1)])
         K = constraint_lift(f, 0).map.domain
         assert K.maximal_simplices() == pairwise_maximal(K)
+
+
+def test_cap_gate_at_its_boundary(monkeypatch):
+    monkeypatch.setenv("TVLAB_CELL_CAP", "10")
+    check_cap(10, "widgets")  # a count equal to the cap passes
+    with pytest.raises(CapExceeded) as exc:
+        check_cap(11, "widgets")
+    assert str(exc.value) == "widgets: 11, over the cell cap 10"
+    with pytest.raises(CapExceeded) as exc:  # too many digits for int-to-str
+        check_cap(2**20000 + 1, "widgets")
+    assert str(exc.value) == "widgets: at least 2^20000, over the cell cap 10"
 
 
 def test_face_closure_is_capped(monkeypatch):

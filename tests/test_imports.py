@@ -3,6 +3,10 @@
 A deletion that leaves an import behind fails here.  A name counts as used
 when the module loads it anywhere, annotations included, string
 annotations such as "IntMatrix" too.
+
+Two policies have one owner each, and a copy elsewhere fails here too:
+CapExceeded is raised by the cell-cap gate (plus the Sylow-digit limit),
+and lcm is taken only by the one rational-to-integer scaling.
 """
 
 import ast
@@ -51,3 +55,23 @@ def test_an_unused_import_is_found():
               "    \"\"\"g\"\"\"\n"
               "    return comb(x, 2), json\n")
     assert unused_imports(source) == [(2, "os"), (4, "g")]
+
+
+def calls_of(path, name) -> int:
+    """How many calls of name, bare or as an attribute, the module makes."""
+    return sum(isinstance(node, ast.Call) and name in (getattr(node.func, "id", None),
+                                                       getattr(node.func, "attr", None))
+               for node in ast.walk(ast.parse(path.read_text())))
+
+
+def test_cap_exceeded_is_raised_by_the_gate_only():
+    """The cell-cap gate in complexes.py and the Sylow-digit limit in
+    obstruction.py are the only places that construct CapExceeded."""
+    made = {p.name: calls_of(p, "CapExceeded") for p in SRC.glob("*.py")}
+    assert {k: v for k, v in made.items() if v} == {"complexes.py": 1, "obstruction.py": 1}
+
+
+def test_lcm_scaling_lives_in_linalg_only():
+    """linalg.clear_denominators is the one rational-to-integer scaling."""
+    made = {p.name: calls_of(p, "lcm") for p in SRC.glob("*.py")}
+    assert {k: v for k, v in made.items() if v} == {"linalg.py": 1}
