@@ -4,8 +4,8 @@ A report is the library's objects serialized by jsonable, with the invoked
 configuration (including the seed) embedded; a fixed configuration always
 produces byte-identical output.  The parser checks every multiplicity --r
 (>= 2, except the --r of sylow) and every repetition count (>= 0) before
-any file is read.  Exit codes: 0 success, 2 malformed input, 3 cell cap
-exceeded, 4 internal invariant violation.
+any file is read.  Exit codes: 0 success, 2 malformed input, 3 cell cap or
+digit limit exceeded, 4 internal invariant violation.
 """
 
 from __future__ import annotations
@@ -17,23 +17,27 @@ from fractions import Fraction
 from functools import cache
 
 from . import convexity, homology, obstruction, plmaps, symgroup
-from .complexes import Complex, check_cap, configured_cell_cap, full_simplex
+from .complexes import Complex, check_cap, check_digits, configured_cell_cap, full_simplex
 from .deleted_product import (cell_dim, check_full_simplex_cap, deleted_product,
                               puzzle_reachable)
-from .errors import (CapExceeded, InputError, InvalidMultiplicity,
-                     SearchInvariantViolated, TvlabError, read_json)
+from .errors import CapExceeded, InputError, SearchInvariantViolated, TvlabError, read_json
 
 SAFE_INT = 2**53
 
 
 def jsonable(obj):
-    """Recursively convert values to the JSON interchange conventions."""
+    """Recursively convert values to the JSON interchange conventions.  A
+    number too long to print raises CapExceeded (complexes.check_digits)."""
     if isinstance(obj, Fraction):
+        check_digits(max(abs(obj.numerator), obj.denominator), "a number in the report")
         return str(obj)
     if isinstance(obj, bool) or obj is None or isinstance(obj, (str, float)):
         return obj
     if isinstance(obj, int):
-        return obj if -SAFE_INT < obj < SAFE_INT else str(obj)
+        if -SAFE_INT < obj < SAFE_INT:
+            return obj
+        check_digits(obj, "a number in the report")
+        return str(obj)
     if isinstance(obj, dict):
         return {str(k): jsonable(v) for k, v in obj.items()}
     if isinstance(obj, (list, tuple, frozenset, set)):
@@ -59,7 +63,7 @@ def multiplicity(text) -> int:
     """A --r: an integer r >= 2, checked while the arguments are parsed."""
     r = int(text)
     if r < 2:
-        raise InvalidMultiplicity("need r >= 2, got %d" % r)
+        raise InputError("need r >= 2, got %d" % r)
     return r
 
 
@@ -163,16 +167,16 @@ def cmd_plmap_cocycle(args):
     table = plmaps.intersection_cocycle(f, args.r)
     if args.fuzz_oracle:
         keys = [key for key, v in table.items() if v] or sorted(table)
-        checked = 0
+        checked = args.fuzz_oracle if keys else 0  # no disjoint tuple: nothing to check
         agreements = 0
-        for i in range(args.fuzz_oracle if keys else 0):  # no disjoint tuple: nothing to check
+        for i in range(checked):
             key = keys[i % len(keys)]
-            o = plmaps.coned_extension_oracle(f, key, args.r, seed=(args.seed, i).__repr__())
-            checked += 1
-            if o == table[key]:
-                agreements += 1
-        emit({"checked": checked, "oracle_agreements": agreements}, args)
-        return 0 if checked == agreements else 4
+            seed = (args.seed, i).__repr__()
+            agreements += plmaps.coned_extension_oracle(f, key, args.r, seed=seed) == table[key]
+        if agreements != checked:
+            raise SearchInvariantViolated("the coned-extension oracle agreed in %d of %d checks"
+                                          % (agreements, checked))
+        return emit({"checked": checked, "oracle_agreements": agreements}, args)
     return emit({
         "entries": [{"tuple": key, "value": v} for key, v in sorted(table.items())],
         "is_zero": not any(table.values()),
@@ -189,7 +193,7 @@ def cmd_vk_obstruction(args):
     table = plmaps.intersection_cocycle(f, args.r)
     dp = deleted_product(f.domain, args.r)
     v = obstruction.cocycle_from_table(dp, table)
-    res = obstruction.is_null_cohomologous(v, dp)
+    res = obstruction.is_null_cohomologous(v)
     report = {"verdict": "trivial" if res.trivial else "nontrivial"}
     if args.certificate:
         if res.trivial:

@@ -11,11 +11,12 @@ are in tvlab.deleted_product).
 from __future__ import annotations
 
 import os
+import sys
 from dataclasses import dataclass
 from itertools import combinations
 from typing import Iterable
 
-from .errors import CapExceeded, InputError, InvalidSkeleton, read_json
+from .errors import CapExceeded, InputError, read_json
 
 Simplex = tuple  # tuple[int, ...], strictly increasing
 
@@ -36,6 +37,15 @@ def check_cap(count: int, what: str) -> None:
         if count >= 2 ** 9999:  # past the int-to-str digit limit: named by its bit length
             count = "at least 2^%d" % (count.bit_length() - 1)
         raise CapExceeded("%s: %s, over the cell cap %d" % (what, count, cap))
+
+
+def check_digits(n: int, what: str) -> None:
+    """The one digit gate: raise CapExceeded, naming what n is, when n has
+    more decimal digits than int-to-str conversion allows."""
+    limit = sys.get_int_max_str_digits()
+    # a digit takes more than 3 bits: a shorter n is below 10^limit
+    if limit and n.bit_length() > 3 * limit and abs(n) >= 10 ** limit:
+        raise CapExceeded("%s has more than %d digits" % (what, limit))
 
 
 def check_simplex_faces(N: int) -> None:
@@ -139,7 +149,7 @@ def full_simplex(N: int) -> Complex:
 def simplex_skeleton(N: int, s: int) -> Complex:
     """All faces of the N-simplex of dimension at most s."""
     if s < 0 or s > N:
-        raise InvalidSkeleton("need 0 <= s <= N, got s=%d N=%d" % (s, N))
+        raise InputError("need 0 <= s <= N, got s=%d N=%d" % (s, N))
     verts = range(N + 1)
     faces = set()
     for k in range(1, s + 2):

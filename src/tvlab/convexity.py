@@ -23,8 +23,7 @@ from fractions import Fraction
 from itertools import accumulate, combinations
 
 from . import linalg
-from .errors import (InputError, InvalidMultiplicity, SearchInvariantViolated,
-                     WrongCardinality)
+from .errors import InputError, SearchInvariantViolated
 
 
 def lp_feasible(A, b):
@@ -166,7 +165,7 @@ def radon_partition(points) -> TverbergPartition:
     pts = as_points(points)
     d = len(pts[0])
     if len(pts) != d + 2:
-        raise WrongCardinality("need d+2 = %d points, got %d" % (d + 2, len(pts)))
+        raise InputError("need d+2 = %d points, got %d" % (d + 2, len(pts)))
     # affine dependence: sum c_i x_i = 0 and sum c_i = 0, c nonzero
     rows = [[pts[i][a] for i in range(d + 2)] for a in range(d)]
     rows.append([Fraction(1)] * (d + 2))
@@ -254,12 +253,12 @@ def tverberg_search(points, r) -> TverbergPartition:
     A partition with a separating direction gets no LP.
     """
     if r < 2:
-        raise InvalidMultiplicity("a Tverberg partition needs r >= 2 parts, got %d" % r)
+        raise InputError("a Tverberg partition needs r >= 2 parts, got %d" % r)
     pts = as_points(points)
     d = len(pts[0])
     want = (d + 1) * (r - 1) + 1
     if len(pts) != want:
-        raise WrongCardinality("need (d+1)(r-1)+1 = %d points, got %d" % (want, len(pts)))
+        raise InputError("need (d+1)(r-1)+1 = %d points, got %d" % (want, len(pts)))
     projections = _projections(pts)
     for parts in canonical_partitions(len(pts), r):
         if _separating_direction(projections, parts) is not None:

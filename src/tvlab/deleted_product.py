@@ -16,7 +16,7 @@ from collections import deque
 from math import comb
 
 from .complexes import Complex, check_cap, check_simplex_faces, configured_cell_cap
-from .errors import InvalidMultiplicity, UnknownCell
+from .errors import InputError
 from .symgroup import sign
 
 ProductCell = tuple  # tuple of Simplex, pairwise disjoint
@@ -42,7 +42,7 @@ def check_full_simplex_cap(N: int, r: int) -> None:
     """Raise CapExceeded, before anything is built, when the N-simplex's
     2^(N+1)-1 faces or its r-fold deleted product exceed the cell cap."""
     if r < 2:
-        raise InvalidMultiplicity("deleted product needs r >= 2, got %d" % r)
+        raise InputError("deleted product needs r >= 2, got %d" % r)
     check_simplex_faces(N)
     check_cap(full_simplex_cell_count(N, r), "cells of the deleted product")
 
@@ -110,7 +110,7 @@ def deleted_product(K: Complex, r: int) -> DeletedProductComplex:
     is enumerated.
     """
     if r < 2:
-        raise InvalidMultiplicity("deleted product needs r >= 2, got %d" % r)
+        raise InputError("deleted product needs r >= 2, got %d" % r)
     if K.is_full_simplex():
         check_full_simplex_cap(K.num_vertices - 1, r)
     cap = configured_cell_cap()
@@ -204,7 +204,7 @@ def puzzle_reachable(dp: DeletedProductComplex, start: ProductCell, goal: Produc
     """
     for c in (start, goal):
         if cell_dim(c) != 0 or not dp.has_cell(c):
-            raise UnknownCell("not a 0-cell of this deleted product: %r" % (c,))
+            raise InputError("not a 0-cell of this deleted product: %r" % (c,))
     if start == goal:
         return True, []
 

@@ -5,72 +5,24 @@ import json
 
 
 class TvlabError(Exception):
-    """Base class for all library errors."""
+    """Base class of the library's errors (CLI exit 2 unless a subclass says otherwise)."""
 
 
 class InputError(TvlabError):
-    """Malformed input file or argument (CLI exit code 2)."""
-
-
-class InvalidSkeleton(TvlabError):
-    """Skeleton dimension outside [0, N]."""
-
-
-class InvalidMultiplicity(TvlabError):
-    """Deleted product multiplicity r must be at least 2."""
+    """Malformed or out-of-range input, file or argument (CLI exit 2)."""
 
 
 class CapExceeded(TvlabError):
-    """Cell-count guardrail tripped during deleted-product construction."""
-
-
-class UnknownCell(TvlabError):
-    """A cell referenced by the caller is not part of the complex."""
-
-
-class NotAChainComplex(TvlabError):
-    """Consecutive boundary matrices do not compose to zero."""
-
-
-class EmptyComplex(TvlabError):
-    """Operation requires a non-empty complex."""
-
-
-class ShapeError(TvlabError):
-    """Matrix/vector dimensions are incompatible."""
-
-
-class WrongCardinality(TvlabError):
-    """Point count does not match the required (d+1)(r-1)+1 or d+2."""
+    """The cell cap or the int-to-str digit limit, refused before the work (CLI exit 3)."""
 
 
 class SearchInvariantViolated(TvlabError):
     """A certificate or witness failed its own re-verification, or an
-    exhaustive search found nothing; indicates a bug (CLI exit code 4)."""
+    exhaustive search found nothing; indicates a bug (CLI exit 4)."""
 
 
 class NotGeneric(TvlabError):
-    """PL map fails general position; caller should perturb and retry."""
-
-
-class NotPrime(TvlabError):
-    """Argument expected to be prime."""
-
-
-class NoSplit(TvlabError):
-    """Transitive group admits no invariant block split."""
-
-
-class DiagonalInput(TvlabError):
-    """All input points coincide; projection away from diagonal undefined."""
-
-
-class NotEquivariant(TvlabError):
-    """Cochain table values contradict twisted equivariance on an orbit."""
-
-
-class DegreeError(TvlabError):
-    """Cochain degree does not match the expected degree."""
+    """PL map fails general position; the caller perturbs and retries (CLI exit 2)."""
 
 
 def read_json(what: str, path=None, text=None):

@@ -19,8 +19,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .errors import (EmptyComplex, NotAChainComplex, NotPrime, SearchInvariantViolated,
-                     ShapeError)
+from .errors import InputError, SearchInvariantViolated
 from .symgroup import is_prime
 
 
@@ -35,7 +34,7 @@ class IntMatrix:
 
     def mat_vec(self, v):
         if self.cols != len(v):
-            raise ShapeError("vector length mismatch")
+            raise InputError("vector length mismatch")
         out = [0] * self.rows
         for (i, j), a in self.entries.items():
             out[i] += a * v[j]
@@ -296,12 +295,12 @@ def _rank_mod_p(sparse: dict, p: int, cleared=frozenset(), lows=None) -> int:
 
 
 def coefficient_tag(coefficients) -> str:
-    """"Z", or "GF(p)" for a prime p; raises NotPrime for anything else."""
+    """"Z", or "GF(p)" for a prime p; raises InputError for anything else."""
     if coefficients == "Z":
         return "Z"
     p = int(coefficients)
     if not is_prime(p):
-        raise NotPrime("homology coefficients must be Z or a prime field, got %d" % p)
+        raise InputError("homology coefficients must be Z or a prime field, got %d" % p)
     return "GF(%d)" % p
 
 
@@ -325,7 +324,7 @@ def homology(boundaries: list, shapes: list, coefficients="Z") -> HomologyReport
             for k, w in by_col.get(i, ()):
                 image[k] = image.get(k, 0) + v * w
         if any(any(image.values()) for image in images.values()):
-            raise NotAChainComplex("boundary squared is nonzero in dim %d" % d)
+            raise InputError("boundary squared is nonzero in dim %d" % d)
 
     # diag[d]: Smith diagonal of boundary d (over GF(p), one 1 per rank).
     # Over GF(p) the degrees are walked down with clearing: a pivot row i of
@@ -351,7 +350,7 @@ def homology(boundaries: list, shapes: list, coefficients="Z") -> HomologyReport
 def dp_homology(dp, coefficients="Z") -> HomologyReport:
     """Homology of a deleted product complex."""
     if dp.is_empty:
-        raise EmptyComplex("cannot take homology of the empty complex")
+        raise InputError("cannot take homology of the empty complex")
     top = dp.dim
     shapes = [len(dp.cells_by_dim.get(d, ())) for d in range(top + 1)]
     boundaries = [None] + [dp.boundary_matrix(d) for d in range(1, top + 1)]
@@ -364,7 +363,7 @@ def homological_connectivity(dp) -> int:
     Reports -1 for a disconnected (but non-empty) complex; raises on empty.
     """
     if dp.is_empty:
-        raise EmptyComplex("connectivity undefined for the empty complex")
+        raise InputError("connectivity undefined for the empty complex")
     rep = dp_homology(dp, "Z")
     if rep.betti(0) != 1:
         return -1
@@ -418,7 +417,7 @@ def solve_integer_system(A: IntMatrix, b: list):
     rank certificate), or SearchInvariantViolated is raised.
     """
     if A.rows != len(b):
-        raise ShapeError("b has length %d, A has %d rows" % (len(b), A.rows))
+        raise InputError("b has length %d, A has %d rows" % (len(b), A.rows))
     carry = A.cols
     sparse = dict(A.entries)
     sparse.update(((i, carry), v) for i, v in enumerate(b) if v)

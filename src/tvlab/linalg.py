@@ -12,7 +12,7 @@ from __future__ import annotations
 from fractions import Fraction
 from math import lcm
 
-from .errors import ShapeError
+from .errors import InputError
 
 
 def pivot(T, r, c, D) -> int:
@@ -91,7 +91,7 @@ def det(A) -> Fraction:
     """Exact determinant, from the last pivot of the integer elimination."""
     n = len(A)
     if any(len(row) != n for row in A):
-        raise ShapeError("determinant needs a square matrix")
+        raise InputError("determinant needs a square matrix")
     T, L = clear_denominators(A)
     pivots, D, sign = gauss_jordan(T)
     return Fraction(sign * D, L**n) if len(pivots) == n else Fraction(0)

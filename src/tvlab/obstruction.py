@@ -27,14 +27,12 @@ re-verified through the combination of top-orbit equations behind it.
 
 from __future__ import annotations
 
-import sys
 from dataclasses import dataclass
-from math import factorial, log10, prod
+from math import factorial, prod
 
-from .complexes import check_cap
+from .complexes import check_cap, check_digits
 from .deleted_product import DeletedProductComplex, act_on_cell, cell_dim, disjoint_tuples
-from .errors import (CapExceeded, DegreeError, InputError, InvalidMultiplicity,
-                     NotEquivariant, SearchInvariantViolated, UnknownCell)
+from .errors import InputError, SearchInvariantViolated
 from .homology import IntMatrix, solve_integer_system
 from .symgroup import (PermGroup, compose, inverse, is_prime, p_order_in_factorial,
                        sign, symmetric_group)
@@ -79,7 +77,7 @@ class EquivariantCochain:
     def locate(self, cell):
         """(representative, omega) with omega . representative = cell."""
         if not self.dp.has_cell(cell) or cell_dim(cell) != self.degree:
-            raise UnknownCell("not a %d-cell of this deleted product: %r" % (self.degree, cell))
+            raise InputError("not a %d-cell of this deleted product: %r" % (self.degree, cell))
         return locate(self.group, cell)
 
     def value(self, cell) -> int:
@@ -91,16 +89,15 @@ def _default_twist(dp: DeletedProductComplex) -> int:
     return dp.base.dim * dp.r // (dp.r - 1)
 
 
-def cocycle_from_table(dp: DeletedProductComplex, table: dict, twist=None) -> EquivariantCochain:
+def cocycle_from_table(dp: DeletedProductComplex, table: dict) -> EquivariantCochain:
     """Top-degree equivariant cochain from an intersection table.
 
     Table keys are tuples of pairwise disjoint top simplices; the canonical
     (sorted) key is the orbit representative.  Keys that repeat an orbit
     must agree with the twisted-equivariance extension, and a key that is
-    not a top cell raises UnknownCell.
+    not a top cell raises InputError.
     """
-    if twist is None:
-        twist = _default_twist(dp)
+    twist = _default_twist(dp)
     out = EquivariantCochain(dp, symmetric_group(dp.r), dp.dim, twist, {})
     assigned = {}
     for key, val in table.items():
@@ -108,7 +105,7 @@ def cocycle_from_table(dp: DeletedProductComplex, table: dict, twist=None) -> Eq
         # val = chi(omega, rep) * c(rep), and chi is its own inverse
         rep_val = chi(omega, rep, twist) * val
         if rep in assigned and assigned[rep] != rep_val:
-            raise NotEquivariant("table conflicts with the twisted action")
+            raise InputError("table conflicts with the twisted action")
         assigned[rep] = rep_val
     out.values = {rep: assigned.get(rep, 0) for rep in orbit_reps(dp, out.group, dp.dim)}
     return out
@@ -148,14 +145,14 @@ class NullCohomologyResult:
     infeasibility: dict              # when nontrivial: SNF witness
 
 
-def is_null_cohomologous(v: EquivariantCochain, dp: DeletedProductComplex) -> NullCohomologyResult:
-    """Decide integer solvability of delta c = v on the top two degrees.
+def is_null_cohomologous(v: EquivariantCochain) -> NullCohomologyResult:
+    """Decide integer solvability of delta c = v on the top two degrees of v.dp.
 
     The coboundary is that of the full symmetric group, so v must be over it.
     """
+    dp = v.dp
     if v.degree != dp.dim:
-        raise DegreeError("cochain degree %d is not the top dimension %d"
-                          % (v.degree, dp.dim))
+        raise InputError("cochain degree %d is not the top dimension %d" % (v.degree, dp.dim))
     if (v.group.degree, v.group.order()) != (dp.r, factorial(dp.r)):
         raise InputError("the decision is over the full symmetric group on %d letters; "
                          "got a group of order %d" % (dp.r, v.group.order()))
@@ -237,29 +234,27 @@ def ozaydin_report(r: int) -> OzaydinReport:
     decimal digits than int-to-str conversion allows.
     """
     if r < 2:
-        raise InvalidMultiplicity("need r >= 2, got %d" % r)
+        raise InputError("need r >= 2, got %d" % r)
     check_cap(r, "r, up to which the report lists the primes")
-    limit = sys.get_int_max_str_digits()
-    expansions = []  # (p, alpha_p, p^K)
+    expansions = []  # (p, alpha_p, p^alpha_p, p^K)
     for p in range(2, r + 1):
         if not is_prime(p):
             continue
         alpha = p_order_in_factorial(r, p)
-        if limit and alpha * log10(p) >= limit:  # p^alpha is never a power of 10
-            raise CapExceeded("the Sylow order %d^%d has more than %d digits"
-                              % (p, alpha, limit))
+        order = p**alpha
+        check_digits(order, "the Sylow order %d^%d" % (p, alpha))
         top = p
         while top * p <= r:
             top *= p
-        expansions.append((p, alpha, top))
+        expansions.append((p, alpha, order, top))
     rows = [{
         "p": p,
         "alpha": alpha,
-        "sylow_order": p**alpha,
+        "sylow_order": order,
         "transitive": top == r,
         "split": None if top == r else (top, r - top),
         "invariant_point_exists": top != r,
-    } for p, alpha, top in expansions]
-    transitive_orders = [p**alpha for p, alpha, top in expansions if top == r]
+    } for p, alpha, order, top in expansions]
+    transitive_orders = [order for p, alpha, order, top in expansions if top == r]
     relation_gcd = prod(transitive_orders) if len(transitive_orders) < len(expansions) else 0
     return OzaydinReport(r, rows, relation_gcd, bool(transitive_orders), relation_gcd == 1)

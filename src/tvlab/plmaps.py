@@ -35,7 +35,7 @@ from itertools import permutations
 from . import convexity, linalg
 from .complexes import Complex, check_cap, check_simplex_faces, full_simplex
 from .deleted_product import disjoint_tuples, full_simplex_cell_count
-from .errors import InputError, InvalidMultiplicity, NotGeneric, read_json
+from .errors import InputError, NotGeneric, read_json
 
 
 @dataclass(frozen=True)
@@ -321,7 +321,7 @@ def is_almost_r_embedding(f: PLMap, r: int) -> bool:
     and degenerate dimension counts are handled uniformly.
     """
     if r < 2:
-        raise InvalidMultiplicity("an almost r-embedding needs r >= 2, got %d" % r)
+        raise InputError("an almost r-embedding needs r >= 2, got %d" % r)
     for combo in disjoint_tuples(f.domain.simplices, r):
         groups = [f.image_points(s) for s in combo]
         if convexity.hulls_intersect(groups) is not None:

@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 
 from .complexes import check_cap, configured_cell_cap
-from .errors import DiagonalInput, InputError, NoSplit, NotPrime
+from .errors import InputError
 
 
 def identity_perm(r):
@@ -79,7 +79,7 @@ def is_prime(p) -> bool:
 def p_order_in_factorial(r, p) -> int:
     """Exponent of the prime p in r! (Legendre's formula)."""
     if not is_prime(p):
-        raise NotPrime("%d is not prime" % p)
+        raise InputError("%d is not prime" % p)
     total = 0
     q = p
     while q <= r:
@@ -173,7 +173,7 @@ def sylow_tree_subgroup(r, p) -> PermGroup:
     if r < 1:
         raise InputError("need r >= 1 for the symmetric group on 0..r-1, got %d" % r)
     if not is_prime(p):
-        raise NotPrime("%d is not prime" % p)
+        raise InputError("%d is not prime" % p)
     if p > r:
         return trivial_group(r)
     gens = []
@@ -197,7 +197,7 @@ def invariant_block_split(G: PermGroup):
     """A split (k, r-k) into invariant index sets, from the orbit of 0."""
     orbits = G.orbits()
     if len(orbits) == 1:
-        raise NoSplit("group is transitive; no invariant split exists")
+        raise InputError("group is transitive; no invariant split exists")
     k = len(orbits[0])
     return (k, G.degree - k)
 
@@ -210,10 +210,10 @@ class MatrixSpherePoint:
 
     def __post_init__(self):
         if all(all(x == 0 for x in row) for row in self.matrix):
-            raise DiagonalInput("zero matrix is not a sphere point")
+            raise InputError("zero matrix is not a sphere point")
         for row in self.matrix:
             if sum(row) != 0:
-                raise DiagonalInput("row sums must vanish")
+                raise InputError("row sums must vanish")
 
     def permuted(self, omega) -> "MatrixSpherePoint":
         return MatrixSpherePoint(
@@ -235,7 +235,7 @@ def pi_projection(points) -> MatrixSpherePoint:
     d = len(pts[0])
     mean = [sum(p[a] for p in pts) / r for a in range(d)]
     if all(p == pts[0] for p in pts):
-        raise DiagonalInput("all points equal; projection undefined")
+        raise InputError("all points equal; projection undefined")
     return MatrixSpherePoint(
         tuple(tuple(p[a] - mean[a] for p in pts) for a in range(d))
     )

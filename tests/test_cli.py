@@ -187,6 +187,16 @@ def test_plmap_cocycle_fuzz_oracle_without_disjoint_tuples(tmp_path, capsys):
     assert rep["checked"] == rep["oracle_agreements"] == 0
 
 
+def test_plmap_cocycle_fuzz_oracle_disagreement_exits_4(tmp_path, capsys, monkeypatch):
+    monkeypatch.setattr(plmaps, "coned_extension_oracle", lambda f, key, r, seed: None)
+    code = cli.run(["plmap", "cocycle", "--map", k4_square_map(tmp_path), "--r", "2",
+                    "--fuzz-oracle", "3"])
+    captured = capsys.readouterr()
+    assert code == 4 and captured.out == ""
+    assert json.loads(captured.err) == {
+        "error": "the coned-extension oracle agreed in 0 of 3 checks", "kind": "invariant"}
+
+
 @pytest.mark.parametrize("r", [2, 3])
 def test_plmap_cocycle_fuzz_oracle_refuses_points_in_r0(tmp_path, capsys, r):
     # three points mapped to R^0 have an r-fold table (k = 0), but the
@@ -561,6 +571,18 @@ def test_jsonable_conventions():
     assert cli.jsonable(-(2**53) - 1) == str(-(2**53) - 1)
     assert cli.jsonable(2**52) == 2**52
     assert cli.jsonable({1: (True, None)}) == {"1": [True, None]}
+
+
+def test_an_answer_too_long_to_print_exits_3(tmp_path, capsys):
+    # valid points whose Radon report holds a numerator past the
+    # int-to-str digit limit: over a limit (3), not bad input (2)
+    ones = "1" * 3000
+    pts = write_json(tmp_path / "long.json",
+                     {"points": [[ones + "/7"], ["-" + ones + "/11"], ["3/" + ones]]})
+    code, rep = run_cli(capsys, ["radon", "--points", pts, "--d", "1"])
+    assert code == 3
+    assert rep == {"error": "a number in the report has more than %d digits"
+                   % sys.get_int_max_str_digits(), "kind": "cap"}
 
 
 WIDE = {"num_vertices": 40, "maximal_simplices": [list(range(40))]}

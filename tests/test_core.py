@@ -1,11 +1,13 @@
 """Tests for simplicial complexes and elementary simplex algebra."""
 
 import json
+import sys
 
 import pytest
 
-from tvlab.complexes import Complex, check_cap, full_simplex, make_simplex, simplex_skeleton
-from tvlab.errors import CapExceeded, InputError, InvalidSkeleton
+from tvlab.complexes import (Complex, check_cap, check_digits, full_simplex, make_simplex,
+                             simplex_skeleton)
+from tvlab.errors import CapExceeded, InputError
 from tvlab.plmaps import PLMap, constraint_lift
 
 try:
@@ -44,9 +46,9 @@ def test_skeleton():
     K = simplex_skeleton(4, 1)
     assert K.dim == 1
     assert K.f_vector() == [5, 10]  # the complete graph on 5 vertices
-    with pytest.raises(InvalidSkeleton):
+    with pytest.raises(InputError, match=r"need 0 <= s <= N, got s=5 N=3"):
         simplex_skeleton(3, 5)
-    with pytest.raises(InvalidSkeleton):
+    with pytest.raises(InputError, match=r"need 0 <= s <= N, got s=-1 N=3"):
         simplex_skeleton(3, -1)
 
 
@@ -106,6 +108,16 @@ def test_cap_gate_at_its_boundary(monkeypatch):
     with pytest.raises(CapExceeded) as exc:  # too many digits for int-to-str
         check_cap(2**20000 + 1, "widgets")
     assert str(exc.value) == "widgets: at least 2^20000, over the cell cap 10"
+
+
+def test_digit_gate_at_its_boundary():
+    limit = sys.get_int_max_str_digits()
+    check_digits(10**limit - 1, "widget")  # limit digits still print
+    check_digits(-(10**limit - 1), "widget")
+    for n in (10**limit, -(10**limit)):
+        with pytest.raises(CapExceeded) as exc:
+            check_digits(n, "widget")
+        assert str(exc.value) == "widget has more than %d digits" % limit
 
 
 def test_face_closure_is_capped(monkeypatch):

@@ -5,11 +5,13 @@ when the module loads it anywhere, annotations included, string
 annotations such as "IntMatrix" too.
 
 Two policies have one owner each, and a copy elsewhere fails here too:
-CapExceeded is raised by the cell-cap gate (plus the Sylow-digit limit),
-and lcm is taken only by the one rational-to-integer scaling.
+CapExceeded is raised by the cell-cap gate and the digit gate only, and lcm
+is taken only by the one rational-to-integer scaling.  The error classes
+are one per CLI outcome, and every raise names one of them or a builtin.
 """
 
 import ast
+import builtins
 from pathlib import Path
 
 import pytest
@@ -65,10 +67,30 @@ def calls_of(path, name) -> int:
 
 
 def test_cap_exceeded_is_raised_by_the_gate_only():
-    """The cell-cap gate in complexes.py and the Sylow-digit limit in
-    obstruction.py are the only places that construct CapExceeded."""
+    """The cell-cap gate and the digit gate in complexes.py are the only
+    places that construct CapExceeded."""
     made = {p.name: calls_of(p, "CapExceeded") for p in SRC.glob("*.py")}
-    assert {k: v for k, v in made.items() if v} == {"complexes.py": 1, "obstruction.py": 1}
+    assert {k: v for k, v in made.items() if v} == {"complexes.py": 2}
+
+
+ERROR_CLASSES = {"TvlabError", "InputError", "CapExceeded", "SearchInvariantViolated",
+                 "NotGeneric"}
+
+
+def test_one_error_class_per_cli_outcome():
+    """errors.py defines exactly the five classes, and every raise in
+    src/tvlab names one of them or a builtin exception (a bare raise re-raises)."""
+    tree = ast.parse((SRC / "errors.py").read_text())
+    assert {n.name for n in tree.body if isinstance(n, ast.ClassDef)} == ERROR_CLASSES
+    allowed = ERROR_CLASSES | {name for name, value in vars(builtins).items()
+                               if isinstance(value, type) and issubclass(value, BaseException)}
+    raised = []
+    for path in sorted(SRC.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Raise) and node.exc is not None:
+                exc = node.exc.func if isinstance(node.exc, ast.Call) else node.exc
+                raised.append((path.name, node.lineno, getattr(exc, "id", ast.unparse(exc))))
+    assert raised and [r for r in raised if r[2] not in allowed] == []
 
 
 def test_lcm_scaling_lives_in_linalg_only():
