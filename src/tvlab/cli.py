@@ -17,7 +17,8 @@ from fractions import Fraction
 from functools import cache
 
 from . import convexity, homology, obstruction, plmaps, symgroup
-from .complexes import Complex, check_cap, check_digits, configured_cell_cap, full_simplex
+from .complexes import (Complex, check_cap, check_digits, configured_cell_cap, full_simplex,
+                        integer)
 from .deleted_product import (cell_dim, check_full_simplex_cap, deleted_product,
                               puzzle_reachable)
 from .errors import CapExceeded, InputError, SearchInvariantViolated, TvlabError, read_json
@@ -87,19 +88,19 @@ def load_complex(args) -> Complex:
 def parse_cell(text) -> tuple:
     """A cell given as JSON, a list of lists of integer vertex ids."""
     cell = read_json("cell", text=text)
-    if not (isinstance(cell, list) and all(
-            isinstance(s, list) and all(type(v) is int for v in s) for s in cell)):
+    if not (isinstance(cell, list) and all(isinstance(s, list) for s in cell)):
         raise InputError("a cell is a list of integer lists, got %s" % text)
-    return tuple(tuple(s) for s in cell)
+    return tuple(tuple(integer(v, "a vertex id") for v in s) for s in cell)
 
 
 def load_points(path):
+    """The points of a points file, read by convexity.as_points, in R^d if it gives "d"."""
     if path is None:
         raise InputError("give the points as --points or --random")
     data = read_json("points %s" % path, path)
     if not isinstance(data, dict) or "points" not in data:
         raise InputError("points file needs a \"points\" list")
-    return data["points"]
+    return convexity.as_points(data["points"], integer(data["d"], "d") if "d" in data else None)
 
 
 def random_points(n, d, seed):
@@ -249,90 +250,77 @@ def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(prog="tvlab")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p):
+    def command(parent, name, fn):
+        """The subcommand parser of fn, with the options every command takes."""
+        p = parent.add_parser(name)
         p.add_argument("--seed", type=int, default=0)
         p.add_argument("--out", help="write the JSON report to a file")
+        p.set_defaults(func=fn)
+        return p
 
     dp = sub.add_parser("dp").add_subparsers(dest="subcommand", required=True)
     for name, fn in (("stats", cmd_dp_stats), ("homology", cmd_dp_homology),
                      ("connectivity", cmd_dp_connectivity)):
-        p = dp.add_parser(name)
-        p.add_argument("--n", type=int)
-        p.add_argument("--complex")
+        p = command(dp, name, fn)
+        source = p.add_mutually_exclusive_group()
+        source.add_argument("--n", type=int)
+        source.add_argument("--complex")
         p.add_argument("--r", type=multiplicity, required=True)
         if name == "homology":
             p.add_argument("--mod", type=int)
-        common(p)
-        p.set_defaults(func=fn)
 
-    p = sub.add_parser("radon")
-    p.add_argument("--points")
-    p.add_argument("--random", type=count)
+    p = command(sub, "radon", cmd_radon)
+    source = p.add_mutually_exclusive_group()
+    source.add_argument("--points")
+    source.add_argument("--random", type=count)
     p.add_argument("--d", type=int, default=2)
-    common(p)
-    p.set_defaults(func=cmd_radon)
 
     tv = sub.add_parser("tverberg").add_subparsers(dest="subcommand", required=True)
-    p = tv.add_parser("search")
-    p.add_argument("--points")
+    p = command(tv, "search", cmd_tverberg)
+    source = p.add_mutually_exclusive_group()
+    source.add_argument("--points")
+    source.add_argument("--random", type=count)
     p.add_argument("--r", type=multiplicity, required=True)
-    p.add_argument("--random", type=count)
     p.add_argument("--d", type=int, default=2)
-    common(p)
-    p.set_defaults(func=cmd_tverberg)
 
     pl = sub.add_parser("plmap").add_subparsers(dest="subcommand", required=True)
     for name, fn in (("rfold", cmd_plmap_rfold), ("cocycle", cmd_plmap_cocycle),
                      ("almost", cmd_plmap_almost)):
-        p = pl.add_parser(name)
+        p = command(pl, name, fn)
         p.add_argument("--map", required=True)
         p.add_argument("--r", type=multiplicity, required=True)
         if name == "cocycle":
             p.add_argument("--fuzz-oracle", type=count, dest="fuzz_oracle")
-        common(p)
-        p.set_defaults(func=fn)
 
     vk = sub.add_parser("vk").add_subparsers(dest="subcommand", required=True)
-    p = vk.add_parser("obstruction")
+    p = command(vk, "obstruction", cmd_vk_obstruction)
     p.add_argument("--map", required=True)
     p.add_argument("--r", type=multiplicity, required=True)
     p.add_argument("--certificate", action="store_true")
-    common(p)
-    p.set_defaults(func=cmd_vk_obstruction)
 
-    p = sub.add_parser("sylow")
+    p = command(sub, "sylow", cmd_sylow)
     p.add_argument("--r", type=int, required=True)  # r = 1 is valid: the trivial group
     p.add_argument("--p", type=int, required=True)
     p.add_argument("--elements", action="store_true")
-    common(p)
-    p.set_defaults(func=cmd_sylow)
 
     oz = sub.add_parser("ozaydin").add_subparsers(dest="subcommand", required=True)
-    p = oz.add_parser("report")
-    p.add_argument("--r", type=multiplicity, required=True)
-    common(p)
-    p.set_defaults(func=cmd_ozaydin)
+    command(oz, "report", cmd_ozaydin).add_argument("--r", type=multiplicity, required=True)
 
-    p = sub.add_parser("puzzle")
-    p.add_argument("--n", type=int)
-    p.add_argument("--complex")
+    p = command(sub, "puzzle", cmd_puzzle)
+    source = p.add_mutually_exclusive_group()
+    source.add_argument("--n", type=int)
+    source.add_argument("--complex")
     p.add_argument("--r", type=multiplicity, required=True)
     p.add_argument("--from", required=True)
     p.add_argument("--to", required=True)
-    common(p)
-    p.set_defaults(func=cmd_puzzle)
 
     con = sub.add_parser("construct").add_subparsers(dest="subcommand", required=True)
-    p = con.add_parser("join")
+    p = command(con, "join", cmd_construct_join)
     p.add_argument("--map", required=True)
     p.add_argument("--r", type=multiplicity, required=True)
-    common(p)
-    p.set_defaults(func=cmd_construct_join)
-    p = con.add_parser("constraint")
+    p = command(con, "constraint", cmd_construct_constraint)
     p.add_argument("--map", required=True)
     p.add_argument("--skeleton", type=int, required=True)
-    common(p)
-    p.set_defaults(func=cmd_construct_constraint)
 
     return parser
 

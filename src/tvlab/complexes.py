@@ -58,12 +58,17 @@ def check_simplex_faces(N: int) -> None:
     check_cap(2 ** (N + 1) - 1, "faces of the %d-simplex" % N)
 
 
+def integer(value, what: str) -> int:
+    """value, when it is an int and not a bool; InputError otherwise."""
+    if type(value) is not int:
+        raise InputError("%s must be an integer, got %s" % (what, type(value).__name__))
+    return value
+
+
 def make_simplex(vertices: Iterable[int]) -> Simplex:
-    s = tuple(vertices)
+    s = tuple(integer(v, "a vertex id") for v in vertices)
     if not s:
         raise InputError("simplex must be non-empty")
-    if any(type(v) is not int for v in s):
-        raise InputError("vertex ids must be integers: %r" % (s,))
     if any(v < 0 for v in s):
         raise InputError("vertex ids must be non-negative")
     if any(a >= b for a, b in zip(s, s[1:])):
@@ -106,12 +111,6 @@ class Complex:
     def simplices_of_dim(self, k: int) -> list:
         return sorted(s for s in self.simplices if len(s) == k + 1)
 
-    def f_vector(self) -> list:
-        counts = [0] * (self.dim + 1)
-        for s in self.simplices:
-            counts[len(s) - 1] += 1
-        return counts
-
     def maximal_simplices(self) -> list:
         """The faces that are no face's facet, sorted."""
         facets = {s[:j] + s[j + 1:] for s in self.simplices if len(s) > 1 for j in range(len(s))}
@@ -132,8 +131,9 @@ class Complex:
     @classmethod
     def from_json_dict(cls, data: dict) -> "Complex":
         try:
-            return cls.from_maximal(int(data["num_vertices"]), data["maximal_simplices"])
-        except (KeyError, TypeError, ValueError, OverflowError) as exc:
+            return cls.from_maximal(integer(data["num_vertices"], "num_vertices"),
+                                    data["maximal_simplices"])
+        except (KeyError, TypeError, ValueError) as exc:
             raise InputError("bad complex JSON: %s" % exc) from exc
 
     @classmethod

@@ -103,15 +103,31 @@ class TverbergPartition:
         return True
 
 
-def as_points(points):
-    """The points as tuples of Fractions; raises InputError unless there is
-    at least one point and all have the same number of coordinates."""
-    try:
-        pts = [tuple(x if isinstance(x, Fraction) else Fraction(x) for x in p) for p in points]
-    except (TypeError, ValueError, ZeroDivisionError, OverflowError) as exc:
-        raise InputError("bad point coordinates: %s" % exc) from exc
-    if not pts or any(len(p) != len(pts[0]) for p in pts):
-        raise InputError("need at least one point, all of the same dimension")
+_READ = {int: Fraction, str: Fraction}  # the other coordinate types; type(True) is bool, not int
+
+
+def as_points(points, dim=None):
+    """The one reader of rational points, as tuples of Fractions: a list or
+    tuple of lists or tuples of coordinates, each an int (not a bool), a
+    Fraction (passed through) or a rational string, all dim long; with dim
+    None, at least one point, whose length sets dim.  InputError otherwise."""
+    if type(points) not in (list, tuple) or not points and dim is None:
+        raise InputError("need a non-empty list of points")
+    pts = []
+    for p in points:
+        if type(p) not in (list, tuple):
+            raise InputError("a point is a list of coordinates, got %s" % type(p).__name__)
+        if dim is None:
+            dim = len(p)
+        if len(p) != dim:
+            raise InputError("need points with %d coordinates, got %d" % (dim, len(p)))
+        try:
+            pts.append(tuple([x if type(x) is Fraction else _READ[type(x)](x) for x in p]))
+        except KeyError as exc:  # no reader for this type
+            raise InputError("a coordinate is an int, a Fraction or a rational string, got %s"
+                             % exc.args[0].__name__) from None
+        except (ValueError, ZeroDivisionError) as exc:
+            raise InputError("bad point coordinates: %s" % exc) from exc
     return pts
 
 
@@ -147,10 +163,9 @@ def hulls_intersect(groups):
     groups is a list of non-empty lists of rational points of equal
     dimension.  Returns (witness, coefficient lists) or None.
     """
-    groups = [as_points(g) for g in groups]
-    d = len(groups[0][0])
-    if any(len(g[0]) != d for g in groups):
-        raise InputError("all groups need points of the same dimension")
+    first = as_points(groups[0])
+    d = len(first[0])
+    groups = [first, *(as_points(g, d) for g in groups[1:])]
     A, b, offsets = common_point_system(groups)
     x = lp_feasible(A, b)
     if x is None:

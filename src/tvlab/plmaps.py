@@ -33,7 +33,7 @@ from functools import cached_property
 from itertools import permutations
 
 from . import convexity, linalg
-from .complexes import Complex, check_cap, check_simplex_faces, full_simplex
+from .complexes import Complex, check_cap, check_simplex_faces, full_simplex, integer
 from .deleted_product import disjoint_tuples, full_simplex_cell_count
 from .errors import InputError, NotGeneric, read_json
 
@@ -51,14 +51,10 @@ class PLMap:
             raise InputError("need an ambient dimension d >= 0, got %d" % self.ambient_dim)
         if len(self.images) != self.domain.num_vertices:
             raise InputError("need one image per domain vertex")
-        for p in self.images:
-            if len(p) != self.ambient_dim:
-                raise InputError("image dimension mismatch")
 
     @classmethod
     def build(cls, domain, ambient_dim, images) -> "PLMap":
-        pts = tuple(tuple(Fraction(x) for x in p) for p in images)
-        return cls(domain, ambient_dim, pts)
+        return cls(domain, ambient_dim, tuple(convexity.as_points(images, ambient_dim)))
 
     def image_points(self, simplex):
         return [self.images[v] for v in simplex]
@@ -82,9 +78,9 @@ class PLMap:
     @classmethod
     def from_json_dict(cls, data: dict) -> "PLMap":
         try:
-            return cls.build(Complex.from_json_dict(data["complex"]), int(data["d"]),
+            return cls.build(Complex.from_json_dict(data["complex"]), integer(data["d"], "d"),
                              data["images"])
-        except (KeyError, TypeError, ValueError, ZeroDivisionError, OverflowError) as exc:
+        except (KeyError, TypeError, ValueError) as exc:
             raise InputError("bad PL map JSON: %s" % exc) from exc
 
     @classmethod

@@ -15,6 +15,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 
 from .complexes import check_cap, configured_cell_cap
+from .convexity import as_points
 from .errors import InputError
 
 
@@ -230,12 +231,8 @@ def invariant_matrix_point(k, r, d) -> MatrixSpherePoint:
 
 def pi_projection(points) -> MatrixSpherePoint:
     """Columns are the input points minus their mean (unnormalized)."""
-    pts = [tuple(Fraction(x) for x in p) for p in points]
-    r = len(pts)
-    d = len(pts[0])
-    mean = [sum(p[a] for p in pts) / r for a in range(d)]
+    pts = as_points(points)
     if all(p == pts[0] for p in pts):
         raise InputError("all points equal; projection undefined")
-    return MatrixSpherePoint(
-        tuple(tuple(p[a] - mean[a] for p in pts) for a in range(d))
-    )
+    mean = [sum(coords) / len(pts) for coords in zip(*pts)]
+    return MatrixSpherePoint(tuple(tuple(p[a] - m for p in pts) for a, m in enumerate(mean)))

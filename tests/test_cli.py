@@ -494,6 +494,38 @@ def test_missing_complex_exit_2(capsys, argv):
     assert json.loads(err)["kind"] == "input"
 
 
+def run_argparse_error(capsys, argv):
+    """The exit code of an argv that argparse rejects, and its stderr."""
+    with pytest.raises(SystemExit) as exc:
+        cli.run(argv)
+    return exc.value.code, capsys.readouterr()
+
+
+@pytest.mark.parametrize("head", [
+    ["dp", "stats", "--r", "2"],
+    ["dp", "homology", "--r", "2"],
+    ["dp", "connectivity", "--r", "2"],
+    ["puzzle", "--r", "2", "--from", "[[0],[1]]", "--to", "[[2],[3]]"],
+], ids=lambda head: " ".join(head[:2]))
+def test_n_and_complex_together_exit_2(tmp_path, capsys, head):
+    path = write_json(tmp_path / "two.json", {"num_vertices": 4,
+                                               "maximal_simplices": [[0, 1], [2, 3]]})
+    code, captured = run_argparse_error(capsys, head + ["--n", "6", "--complex", path])
+    assert code == 2 and captured.out == ""
+    assert "not allowed with argument --n" in captured.err
+    assert "Traceback" not in captured.err
+
+
+@pytest.mark.parametrize("head", [["radon"], ["tverberg", "search", "--r", "2"]],
+                         ids=lambda head: head[0])
+def test_points_and_random_together_exit_2(tmp_path, capsys, head):
+    path = write_json(tmp_path / "p.json", {"d": 1, "points": [["0"], ["1"], ["2"]]})
+    code, captured = run_argparse_error(capsys, head + ["--points", path, "--random", "2"])
+    assert code == 2 and captured.out == ""
+    assert "not allowed with argument --points" in captured.err
+    assert "Traceback" not in captured.err
+
+
 # every subcommand with a multiplicity --r, each reading a file that does not exist
 WITH_R = [
     ["dp", "stats", "--complex", "missing.json"],

@@ -29,6 +29,14 @@ The drawn combinations of subcommand, file, r and flags rarely reach a
 success path, so further explicit examples (SUCCESSES) run construct join,
 vk obstruction --certificate, plmap cocycle --fuzz-oracle and puzzle on
 valid input, and must exit 0.
+
+Past the draws: every integer argument and the JSON fields num_vertices, d
+and a vertex id get integers of 4,299, 4,301 and 10,000 digits, around the
+4,300-digit int-to-str limit; each exits with the code its case names, never
+with a traceback.  One matrix feeds the same malformed points (the point
+"12", true, 0.5, an object in place of a list) through every reader of
+points, file or library call, and 2.5, "2" and true through every integer
+field: each raises InputError, or exits 2 with "kind": "input".
 """
 
 import io
@@ -37,8 +45,11 @@ from contextlib import redirect_stderr, redirect_stdout
 
 import pytest
 
-from tvlab import cli
-from tvlab.complexes import simplex_skeleton
+from tvlab import cli, convexity
+from tvlab.complexes import Complex, simplex_skeleton
+from tvlab.errors import InputError
+from tvlab.plmaps import PLMap
+from tvlab.symgroup import pi_projection
 
 hypothesis = pytest.importorskip("hypothesis")
 st = hypothesis.strategies
@@ -224,3 +235,161 @@ def test_cli_fuzz_exit_codes(files):
     for example in SUCCESSES:
         check = hypothesis.example(example)(check)
     check()
+
+
+def digits(k):
+    """A k-digit decimal, written out without an int-to-str conversion,
+    which refuses more than 4,300 digits."""
+    return "1" + "0" * (k - 2) + "7"
+
+
+# every integer argument, "{N}" marking it, with the exit code expected when N
+# has 4,299 digits (just under the int-to-str limit); past the limit, argparse
+# cannot read N and every case exits 2.  A few have an exact answer at 4,299
+# digits: no r-fold deleted product of a tetrahedron and no r-fold point of a
+# triangle's map exist for so large an r, and a seed is only a seed.
+INTEGER_ARGUMENTS = [
+    (["dp", "stats", "--n", "{N}", "--r", "2"], 3),
+    (["dp", "stats", "--n", "3", "--r", "{N}"], 0),
+    (["dp", "homology", "--n", "3", "--r", "{N}"], 2),
+    (["dp", "homology", "--n", "3", "--r", "2", "--mod", "{N}"], 2),
+    (["dp", "connectivity", "--n", "{N}", "--r", "2"], 3),
+    (["radon", "--random", "1", "--d", "{N}"], 3),
+    (["radon", "--random", "1", "--d", "-{N}"], 2),
+    (["tverberg", "search", "--random", "1", "--d", "{N}", "--r", "2"], 3),
+    (["tverberg", "search", "--random", "1", "--r", "{N}"], 3),
+    (["plmap", "rfold", "--map", "{simplex.json}", "--r", "{N}"], 2),
+    (["plmap", "cocycle", "--map", "{simplex.json}", "--r", "{N}"], 2),
+    (["plmap", "almost", "--map", "{simplex.json}", "--r", "{N}"], 0),
+    (["vk", "obstruction", "--map", "{simplex.json}", "--r", "{N}"], 2),
+    (["sylow", "--r", "{N}", "--p", "2"], 3),
+    (["sylow", "--r", "5", "--p", "{N}"], 2),
+    (["ozaydin", "report", "--r", "{N}"], 3),
+    (["puzzle", "--n", "{N}", "--r", "2", "--from", "[[0],[1]]", "--to", "[[2],[3]]"], 3),
+    (["puzzle", "--n", "3", "--r", "{N}", "--from", "[[0],[1]]", "--to", "[[2],[3]]"], 2),
+    (["construct", "join", "--map", "{simplex.json}", "--r", "{N}"], 3),
+    (["construct", "constraint", "--map", "{simplex.json}", "--skeleton", "{N}"], 2),
+    (["dp", "stats", "--n", "3", "--r", "2", "--seed", "{N}"], 0),
+    (["radon", "--random", "1", "--seed", "{N}"], 0),
+]
+
+
+@pytest.mark.parametrize("k", [4299, 4301, 10000])
+@pytest.mark.parametrize("template,code_at_4299", INTEGER_ARGUMENTS,
+                         ids=lambda v: " ".join(v) if isinstance(v, list) else str(v))
+def test_integer_arguments_of_4300_digits(files, k, template, code_at_4299):
+    argv = [files.get(a, a).replace("{N}", digits(k)) for a in template]
+    code, err = run_argv(argv)
+    assert code == (code_at_4299 if k == 4299 else 2), (template, k, code, err[:200])
+    assert "Traceback" not in err
+
+
+# JSON files with the integer N as num_vertices, d or a vertex id; the code
+# expected when N has 4,299 digits (a complex on that many vertices with one
+# edge has a deleted product); past the limit the JSON decoder refuses N
+JSON_INTEGERS = [
+    (["dp", "stats", "--r", "2", "--complex"],
+     '{"num_vertices": N, "maximal_simplices": [[0, 1]]}', 0),
+    (["dp", "stats", "--r", "2", "--complex"],
+     '{"num_vertices": 4, "maximal_simplices": [[0, N]]}', 2),
+    (["plmap", "almost", "--r", "2", "--map"],
+     '{"complex": {"num_vertices": N, "maximal_simplices": [[0]]}, "d": 1, "images": [["0"]]}', 2),
+    (["plmap", "almost", "--r", "2", "--map"],
+     '{"complex": {"num_vertices": 3, "maximal_simplices": [[0, N]]}, "d": 1,'
+     ' "images": [["0"], ["1"], ["2"]]}', 2),
+    (["vk", "obstruction", "--r", "2", "--map"],
+     '{"complex": {"num_vertices": 3, "maximal_simplices": [[0, 1, 2]]}, "d": N,'
+     ' "images": [["0"], ["1"], ["2"]]}', 2),
+    (["radon", "--points"], '{"d": N, "points": [["0"], ["1"], ["2"]]}', 2),
+]
+
+
+@pytest.mark.parametrize("k", [4299, 4301, 10000])
+@pytest.mark.parametrize("head,text,code_at_4299", JSON_INTEGERS)
+def test_json_integers_of_4300_digits(tmp_path, k, head, text, code_at_4299):
+    path = tmp_path / "huge.json"
+    path.write_text(text.replace("N", digits(k)))
+    code, err = run_argv(head + [str(path)])
+    assert code == (code_at_4299 if k == 4299 else 2), (head, k, code, err[:200])
+    assert "Traceback" not in err
+
+
+# one malformed value per entry, each in a list of four points in R^2
+BAD_POINTS = {
+    "string point": ["12", "34", "56", "78"],
+    "bool point": [True, [0, 1], [1, 0], [1, 1]],
+    "bool coordinates": [[True, False], [0, 1], [1, 0], [1, 1]],
+    "float coordinate": [[0.5, 0], [0, 1], [1, 0], [1, 1]],
+    "object point": [{"0": 1, "1": 2}, [0, 1], [1, 0], [1, 1]],
+    "object list": {"00": 1, "22": 2, "11": 3, "30": 4},
+}
+TWO_EDGES = {"num_vertices": 4, "maximal_simplices": [[0, 1], [2, 3]]}
+
+
+def library(reader):
+    def read(tmp_path, points):
+        with pytest.raises(InputError):
+            reader(points)
+    return read
+
+
+def through_cli(head, file_for):
+    def read(tmp_path, points):
+        path = tmp_path / "input.json"
+        path.write_text(json.dumps(file_for(points)))
+        code, err = run_argv(head + [str(path)])
+        assert (code, json.loads(err)["kind"]) == (2, "input"), err
+    return read
+
+
+READERS = {
+    "points file": through_cli(["radon", "--points"], lambda pts: {"d": 2, "points": pts}),
+    "map images": through_cli(["plmap", "almost", "--r", "2", "--map"],
+                              lambda pts: {"complex": TWO_EDGES, "d": 2, "images": pts}),
+    "as_points": library(convexity.as_points),
+    "hulls_intersect, first group": library(lambda pts: convexity.hulls_intersect([pts, [(0, 0)]])),
+    "hulls_intersect, other group": library(lambda pts: convexity.hulls_intersect([[(0, 0)], pts])),
+    "PLMap.build": library(lambda pts: PLMap.build(Complex.from_json_dict(TWO_EDGES), 2, pts)),
+    "pi_projection": library(pi_projection),
+}
+
+
+@pytest.mark.parametrize("bad", BAD_POINTS)
+@pytest.mark.parametrize("reader", READERS)
+def test_every_reader_refuses_the_same_bad_points(tmp_path, reader, bad):
+    READERS[reader](tmp_path, BAD_POINTS[bad])
+
+
+def complex_file(value):
+    return {**TWO_EDGES, "num_vertices": value}
+
+
+def map_file(field, value):
+    data = {"complex": TWO_EDGES, "d": 2, "images": [[0, 0], [2, 2], [1, 1], [3, 0]]}
+    if field == "d":
+        return {**data, "d": value}
+    return {**data, "complex": complex_file(value)}
+
+
+INTEGER_FIELDS = {
+    "complex num_vertices": (["dp", "stats", "--r", "2", "--complex"], complex_file),
+    "map num_vertices": (["plmap", "almost", "--r", "2", "--map"],
+                         lambda value: map_file("num_vertices", value)),
+    "map d": (["plmap", "almost", "--r", "2", "--map"], lambda value: map_file("d", value)),
+    "points file d": (["radon", "--points"],
+                      lambda value: {"d": value, "points": [[0, 0], [0, 1], [1, 0], [1, 1]]}),
+}
+
+
+@pytest.mark.parametrize("value", [2.5, "2", True], ids=repr)
+@pytest.mark.parametrize("field", INTEGER_FIELDS)
+def test_integer_fields_refuse_non_integers(tmp_path, field, value):
+    head, file_for = INTEGER_FIELDS[field]
+    through_cli(head, file_for)(tmp_path, value)
+    data = file_for(value)
+    if field.startswith("complex"):
+        with pytest.raises(InputError):
+            Complex.from_json_dict(data)
+    elif field.startswith("map"):
+        with pytest.raises(InputError):
+            PLMap.from_json_dict(data)
