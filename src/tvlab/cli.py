@@ -17,8 +17,7 @@ from fractions import Fraction
 from functools import cache
 
 from . import convexity, homology, obstruction, plmaps, symgroup
-from .complexes import (Complex, check_cap, check_digits, configured_cell_cap, full_simplex,
-                        integer)
+from .complexes import Complex, check_cap, configured_cell_cap, full_simplex, integer
 from .deleted_product import (cell_dim, check_full_simplex_cap, deleted_product,
                               puzzle_reachable)
 from .errors import CapExceeded, InputError, SearchInvariantViolated, TvlabError, read_json
@@ -28,17 +27,13 @@ SAFE_INT = 2**53
 
 def jsonable(obj):
     """Recursively convert values to the JSON interchange conventions.  A
-    number too long to print raises CapExceeded (complexes.check_digits)."""
+    number too long to print raises CapExceeded (convexity.rational_text)."""
     if isinstance(obj, Fraction):
-        check_digits(max(abs(obj.numerator), obj.denominator), "a number in the report")
-        return str(obj)
+        return convexity.rational_text(obj)
     if isinstance(obj, bool) or obj is None or isinstance(obj, (str, float)):
         return obj
     if isinstance(obj, int):
-        if -SAFE_INT < obj < SAFE_INT:
-            return obj
-        check_digits(obj, "a number in the report")
-        return str(obj)
+        return obj if -SAFE_INT < obj < SAFE_INT else convexity.rational_text(obj)
     if isinstance(obj, dict):
         return {str(k): jsonable(v) for k, v in obj.items()}
     if isinstance(obj, (list, tuple, frozenset, set)):

@@ -18,11 +18,13 @@ feasible one, its LP, witness and certificates are those of the plain walk.
 from __future__ import annotations
 
 import random
+import sys
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import accumulate, combinations
 
 from . import linalg
+from .complexes import check_digits
 from .errors import InputError, SearchInvariantViolated
 
 
@@ -103,7 +105,25 @@ class TverbergPartition:
         return True
 
 
-_READ = {int: Fraction, str: Fraction}  # the other coordinate types; type(True) is bool, not int
+def read_rational(text: str) -> Fraction:
+    """Fraction(text), after the digit gate refuses an exponent past the
+    digit limit by the mantissa's length: Fraction would build that power of
+    ten first, and a nonzero mantissa leaves a part past the limit."""
+    mantissa, _, exponent = text.lower().partition("e")
+    shift = abs(int(exponent)) - len(mantissa) if exponent else 0  # int fails as Fraction would
+    limit = sys.get_int_max_str_digits()
+    check_digits(10 ** max(0, min(shift, limit)), "the power of ten in a coordinate")
+    return Fraction(text)
+
+
+def rational_text(x) -> str:
+    """The one writer of a rational, an int or a Fraction, as a string; a
+    part too long to print raises CapExceeded (complexes.check_digits)."""
+    check_digits(max(abs(x.numerator), x.denominator), "a number in the report")
+    return str(x)
+
+
+_READ = {int: Fraction, str: read_rational}  # the other coordinate types; type(True) is bool
 
 
 def as_points(points, dim=None):

@@ -348,9 +348,7 @@ def homology(boundaries: list, shapes: list, coefficients="Z") -> HomologyReport
 
 
 def dp_homology(dp, coefficients="Z") -> HomologyReport:
-    """Homology of a deleted product complex."""
-    if dp.is_empty:
-        raise InputError("cannot take homology of the empty complex")
+    """Homology of a deleted product complex; no degrees when it is empty."""
     top = dp.dim
     shapes = [len(dp.cells_by_dim.get(d, ())) for d in range(top + 1)]
     boundaries = [None] + [dp.boundary_matrix(d) for d in range(1, top + 1)]
@@ -360,10 +358,11 @@ def dp_homology(dp, coefficients="Z") -> HomologyReport:
 def homological_connectivity(dp) -> int:
     """Largest j with vanishing reduced homology in all degrees <= j.
 
-    Reports -1 for a disconnected (but non-empty) complex; raises on empty.
+    Reports -1 for a disconnected (but non-empty) complex and -2 for the
+    empty one, whose reduced homology is Z in degree -1.
     """
     if dp.is_empty:
-        raise InputError("connectivity undefined for the empty complex")
+        return -2
     rep = dp_homology(dp, "Z")
     if rep.betti(0) != 1:
         return -1

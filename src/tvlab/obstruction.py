@@ -14,8 +14,10 @@ A cell is located in its orbit by definition (locate): the representative
 is the orbit's least cell, carried to the cell by one group element, as the
 action is free.  The factors are distinct simplices, so over the full
 symmetric group that is the sorted cell and the sorting permutation; over a
-subgroup (restriction and transfer) the least image.  No table is kept: the
-Sigma_r representatives are enumerated (deleted_product.disjoint_tuples).
+subgroup (restriction and transfer) the least image.  No table is kept
+(orbit_reps): the Sigma_r representatives are the sorted tuples e of the
+base (deleted_product.disjoint_tuples), and tau . e sorts as tau^-1, so the
+least cell of the G-orbit (G tau) . e is f^-1 . e, f least in tau^-1 G.
 
 The obstruction decision solves delta c = v over the integers on the top
 two degrees: the sparse coboundary goes to the unit-pivot solve of
@@ -28,14 +30,15 @@ re-verified through the combination of top-orbit equations behind it.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import permutations
 from math import factorial, prod
 
 from .complexes import check_cap, check_digits
 from .deleted_product import DeletedProductComplex, act_on_cell, cell_dim, disjoint_tuples
 from .errors import InputError, SearchInvariantViolated
 from .homology import IntMatrix, solve_integer_system
-from .symgroup import (PermGroup, compose, inverse, is_prime, p_order_in_factorial,
-                       sign, symmetric_group)
+from .symgroup import (PermGroup, compose, identity_perm, inverse, is_prime,
+                       p_order_in_factorial, sign, symmetric_group)
 
 
 def chi(omega, cell, twist) -> int:
@@ -57,11 +60,13 @@ def locate(group: PermGroup, cell) -> tuple:
 
 
 def orbit_reps(dp: DeletedProductComplex, group: PermGroup, degree: int) -> list:
-    """Least cell per group orbit of degree-cells, in sorted order: over the
-    full symmetric group enumerated from the base, over a subgroup scanned."""
-    if group.order() == factorial(group.degree):
-        return disjoint_tuples(dp.base.simplices, dp.r, degree)
-    return [cell for cell in dp.cells_by_dim.get(degree, ()) if locate(group, cell)[0] == cell]
+    """Least cell per group orbit of degree-cells, in sorted order: f^-1 . e
+    for each sorted tuple e and left coset fG; over Sigma_r, the tuples."""
+    reps = disjoint_tuples(dp.base.simplices, dp.r, degree)
+    cosets = coset_representatives(group, dp.r)
+    if len(cosets) > 1:
+        reps = sorted(tuple(map(e.__getitem__, f)) for e in reps for f in cosets)
+    return reps
 
 
 @dataclass
@@ -177,17 +182,12 @@ def restrict_to_subgroup(c: EquivariantCochain, G: PermGroup) -> EquivariantCoch
 
 
 def coset_representatives(G: PermGroup, r: int) -> list:
-    """Lexicographically minimal representative of each left coset gG."""
+    """The least element g of each left coset gG, in increasing order: g <= g h
+    for all h in G.  CapExceeded first when r! is over the cell cap."""
+    if symmetric_group(r).order() == G.order():
+        return [identity_perm(r)]
     members = G.elements()
-    seen = set()
-    reps = []
-    for g in sorted(symmetric_group(r).elements()):
-        if g in seen:
-            continue
-        reps.append(g)
-        for h in members:
-            seen.add(compose(g, h))
-    return reps
+    return [g for g in permutations(range(r)) if all(g <= compose(g, h) for h in members)]
 
 
 def transfer(x: EquivariantCochain, r: int) -> EquivariantCochain:
@@ -195,17 +195,15 @@ def transfer(x: EquivariantCochain, r: int) -> EquivariantCochain:
 
     For left coset representatives f_1..f_s of x's group,
     t(x)(e) = sum_i chi(f_i, f_i^{-1} e) * x(f_i^{-1} e); composing with
-    restriction multiplies by the index s.
+    restriction multiplies by the index s.  With f_i least in its coset,
+    f_i^{-1} e is a representative of x (orbit_reps), read as it is.
     """
     cosets = coset_representatives(x.group, r)
     full = symmetric_group(r)
     values = {}
     for cell in orbit_reps(x.dp, full, x.degree):
-        total = 0
-        for f in cosets:
-            pre, _ = act_on_cell(inverse(f), cell)
-            total += chi(f, pre, x.twist) * x.value(pre)
-        values[cell] = total
+        pres = [(f, tuple(map(cell.__getitem__, f))) for f in cosets]  # f^-1 . cell
+        values[cell] = sum(chi(f, pre, x.twist) * x.values.get(pre, 0) for f, pre in pres)
     return EquivariantCochain(x.dp, full, x.degree, x.twist, values)
 
 

@@ -72,7 +72,7 @@ class PLMap:
         return {
             "complex": self.domain.to_json_dict(),
             "d": self.ambient_dim,
-            "images": [[str(x) for x in p] for p in self.images],
+            "images": [[convexity.rational_text(x) for x in p] for p in self.images],
         }
 
     @classmethod

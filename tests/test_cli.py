@@ -331,6 +331,26 @@ def test_puzzle_path(capsys):
     assert rep["path_dims"] == [0, 1] * (len(rep["path"]) // 2) + [0]
 
 
+def test_puzzle_between_the_two_orders_of_an_edge_is_unreachable(capsys):
+    # the 2-fold deleted product of an edge is two points and no edge
+    code, rep = run_cli(capsys, ["puzzle", "--n", "1", "--r", "2",
+                                 "--from", "[[0],[1]]", "--to", "[[1],[0]]"])
+    assert code == 0
+    assert (rep["reachable"], rep["path"], rep["path_dims"]) == (False, [], [])
+
+
+@pytest.mark.parametrize("mod", [None, "2"])
+def test_empty_deleted_product_reports(capsys, mod):
+    # 5 disjoint non-empty faces do not fit in the 4 vertices of Delta_3
+    argv = ["--n", "3", "--r", "5"]
+    code, rep = run_cli(capsys, ["dp", "stats"] + argv)
+    assert (code, rep["empty"], rep["total_cells"]) == (0, True, 0)
+    code, rep = run_cli(capsys, ["dp", "homology"] + argv + (["--mod", mod] if mod else []))
+    assert (code, rep["homology"]) == (0, {})
+    code, rep = run_cli(capsys, ["dp", "connectivity"] + argv)
+    assert (code, rep["homological_connectivity"]) == (0, -2)
+
+
 def test_construct_constraint_roundtrip(tmp_path, capsys):
     tri = {
         "complex": {"num_vertices": 3, "maximal_simplices": [[0, 1, 2]]},
@@ -615,6 +635,47 @@ def test_an_answer_too_long_to_print_exits_3(tmp_path, capsys):
     assert code == 3
     assert rep == {"error": "a number in the report has more than %d digits"
                    % sys.get_int_max_str_digits(), "kind": "cap"}
+
+
+def test_constraint_lift_too_long_to_print_exits_3(tmp_path, capsys):
+    # images with 4,299-digit denominators read; their barycenter's does not print
+    edge = {"complex": {"num_vertices": 2, "maximal_simplices": [[0, 1]]}, "d": 1,
+            "images": [["1/%d" % (10**4299 - 1)], ["1/%d" % (10**4299 - 3)]]}
+    path = write_json(tmp_path / "edge.json", edge)
+    code, rep = run_cli(capsys, ["construct", "constraint", "--map", path, "--skeleton", "0"])
+    assert code == 3
+    assert rep == {"error": "a number in the report has more than %d digits"
+                   % sys.get_int_max_str_digits(), "kind": "cap"}
+
+
+def exponent_inputs(tmp_path, text):
+    """A Radon points file and a map of an edge in R^1, with text as the
+    first coordinate of each."""
+    points = write_json(tmp_path / "points.json", {"points": [[text], ["0"], ["1"]]})
+    edge = write_json(tmp_path / "edge.json", {
+        "complex": {"num_vertices": 2, "maximal_simplices": [[0, 1]]}, "d": 1,
+        "images": [[text], ["0"]]})
+    return [["radon", "--points", points, "--d", "1"],
+            ["construct", "join", "--map", edge, "--r", "2"]]
+
+
+@pytest.mark.parametrize("text", ["1e9999999", "-1E-9999999", "1.5e+29999999", "0e9999999"])
+def test_an_exponent_past_the_digit_limit_exits_3_at_once(tmp_path, capsys, text):
+    # Fraction would build the power of ten first: 10^29999999 takes minutes
+    for argv in exponent_inputs(tmp_path, text):
+        start = time.perf_counter()
+        code, rep = run_cli(capsys, argv)
+        assert time.perf_counter() - start < 1.0, argv
+        assert rep == {"error": "the power of ten in a coordinate has more than %d digits"
+                       % sys.get_int_max_str_digits(), "kind": "cap"}, argv
+
+
+def test_an_exponent_within_the_digit_limit_reads(tmp_path, capsys):
+    radon, join = exponent_inputs(tmp_path, "1e4000")
+    code, rep = run_cli(capsys, radon)
+    assert code == 0 and rep["witness"] == ["1"]
+    code, rep = run_cli(capsys, join)
+    assert code == 0 and rep["map"]["images"][0] == [str(10**4000), "0"]
 
 
 WIDE = {"num_vertices": 40, "maximal_simplices": [list(range(40))]}

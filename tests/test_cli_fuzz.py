@@ -251,7 +251,7 @@ def digits(k):
 INTEGER_ARGUMENTS = [
     (["dp", "stats", "--n", "{N}", "--r", "2"], 3),
     (["dp", "stats", "--n", "3", "--r", "{N}"], 0),
-    (["dp", "homology", "--n", "3", "--r", "{N}"], 2),
+    (["dp", "homology", "--n", "3", "--r", "{N}"], 0),
     (["dp", "homology", "--n", "3", "--r", "2", "--mod", "{N}"], 2),
     (["dp", "connectivity", "--n", "{N}", "--r", "2"], 3),
     (["radon", "--random", "1", "--d", "{N}"], 3),

@@ -96,6 +96,20 @@ def test_tverberg_agrees_with_radon():
     assert radon.verify(as_points(pts))
 
 
+def test_verify_rejects_a_broken_certificate():
+    pts = as_points([(0,), (1,), (2,)])
+    part = radon_partition(pts)
+    assert part.verify(pts) and part.parts == [(0, 2), (1,)]
+    broken = [
+        ([[Fraction(1, 2)], [Fraction(1)]], part.witness),                      # wrong length
+        ([[Fraction(3, 2), Fraction(-1, 2)], [Fraction(1)]], part.witness),     # negative
+        ([[Fraction(1, 2), Fraction(1, 4)], [Fraction(1)]], part.witness),      # sum 3/4
+        (part.certificates, (Fraction(2),)),                                    # wrong witness
+    ]
+    for certificates, witness in broken:
+        assert not TverbergPartition(part.parts, witness, certificates).verify(pts)
+
+
 def test_tverberg_wrong_count():
     with pytest.raises(InputError, match=r"need \(d\+1\)\(r-1\)\+1 = 7 points, got 6"):
         tverberg_search([(0, 0)] * 6, 3)

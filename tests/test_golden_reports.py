@@ -187,8 +187,8 @@ EVERY_COMMAND_DIGESTS = {
     "--out": "0ef8bd8a38cd563d7f1a8d32eee09790c77ec2b2a31a230b42c0e9d799754862",
     "construct constraint": "6aa8187f7eea60d294f52317ef0c383687b6225df2054e5e89957dfb5bfc33fe",
     "construct join": "bfdf13eba98afc99bed2d0f0579bed7ad1a545d9c5e628e5636645adef4ccbfa",
-    "dp connectivity": "32d0e482a575b861a520d30dafefd580c947751830049dfc0da2828bef48a3f6",
-    "dp homology": "5935f922c3470813022fc4f21dda296f8493e5a650521989be9fde752e0b524d",
+    "dp connectivity": "6133f4820c206fd9c2c320d95fba35099024e68527e7b0e13966aafc865aef05",
+    "dp homology": "63bca5ef40057c05cf40962dd851ee98f95d8c07277d32a7cf48d0a9ea50d757",
     "dp homology Delta_8 GF(2)": "abbdbd8ab7c6c2c196fd1a1fb7c467791ffa8a9da5b92aa11e4cc6825aefe77a",
     "dp homology Delta_8 GF(3)": "33b14a12bede536f54706b4eaca0d006fe4abe10f462c9aac0c7b67a307a2a30",
     "dp stats": "6d6e88049611496a980b8633eb234707c656c84ebc2390a24414cc1904f0d6c2",

@@ -320,8 +320,17 @@ def test_mod_p_betti_agrees_without_torsion():
 def test_connectivity_values():
     assert homological_connectivity(deleted_product(full_simplex(2), 2)) == 0
     assert homological_connectivity(deleted_product(full_simplex(3), 2)) >= 1
-    with pytest.raises(InputError, match=r"connectivity undefined for the empty complex"):
-        homological_connectivity(deleted_product(full_simplex(1), 3))
+    # the empty complex: reduced homology Z in degree -1, and no degree at all
+    empty = deleted_product(full_simplex(1), 3)
+    assert homological_connectivity(empty) == -2
+    assert dp_homology(empty).ranks == {} and dp_homology(empty, 2).ranks == {}
+
+
+def test_mat_vec_and_det_refuse_a_wrong_shape():
+    with pytest.raises(InputError, match=r"vector length mismatch"):
+        int_matrix(IDENTITY_3).mat_vec([1, 2])
+    with pytest.raises(InputError, match=r"determinant needs a square matrix"):
+        det([[1, 2, 3], [4, 5, 6]])
 
 
 def test_solve_integer_system():

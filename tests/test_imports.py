@@ -8,6 +8,8 @@ Two policies have one owner each, and a copy elsewhere fails here too:
 CapExceeded is raised by the cell-cap gate and the digit gate only, and lcm
 is taken only by the one rational-to-integer scaling.  The error classes
 are one per CLI outcome, and every raise names one of them or a builtin.
+The obstruction module enumerates its orbits from the base and reads no
+cell list of the deleted product.
 """
 
 import ast
@@ -97,3 +99,11 @@ def test_lcm_scaling_lives_in_linalg_only():
     """linalg.clear_denominators is the one rational-to-integer scaling."""
     made = {p.name: calls_of(p, "lcm") for p in SRC.glob("*.py")}
     assert {k: v for k, v in made.items() if v} == {"linalg.py": 1}
+
+
+def test_obstruction_reads_no_cell_list():
+    """obstruction.py never loads the attribute cells_by_dim: its orbits come
+    from the sorted disjoint tuples of the base and the left cosets."""
+    tree = ast.parse((SRC / "obstruction.py").read_text())
+    assert [node.lineno for node in ast.walk(tree)
+            if isinstance(node, ast.Attribute) and node.attr == "cells_by_dim"] == []

@@ -10,7 +10,7 @@ import pytest
 from tvlab.complexes import Complex, full_simplex, simplex_skeleton
 from tvlab.convexity import random_rational_points
 from tvlab.deleted_product import act_on_cell, cell_dim, deleted_product
-from tvlab.errors import InputError, TvlabError
+from tvlab.errors import CapExceeded, InputError, TvlabError
 from tvlab.homology import smith_diagonal
 from tvlab.obstruction import (EquivariantCochain, chi, cocycle_from_table,
                                coboundary_matrix, coset_representatives,
@@ -18,7 +18,7 @@ from tvlab.obstruction import (EquivariantCochain, chi, cocycle_from_table,
                                ozaydin_report, restrict_to_subgroup, transfer)
 from tvlab.plmaps import PLMap, intersection_cocycle
 from tvlab import obstruction as obstruction_module
-from tvlab.symgroup import (invariant_block_split, invariant_matrix_point, inverse,
+from tvlab.symgroup import (compose, invariant_block_split, invariant_matrix_point, inverse,
                             is_prime, is_transitive, p_order_in_factorial,
                             sylow_tree_subgroup, symmetric_group, trivial_group)
 
@@ -138,17 +138,25 @@ def test_orbit_table_matches_scan(r, p):
     check()
 
 
+def groups_of(r):
+    """Sigma_r, the trivial group and every tree Sylow subgroup of Sigma_r."""
+    return [symmetric_group(r), trivial_group(r)] + [
+        sylow_tree_subgroup(r, p) for p in range(2, r + 1) if is_prime(p)]
+
+
 @pytest.mark.parametrize("name,r", [("delta5", 2), ("delta6/2", 3), ("colored333", 3),
-                                    ("delta5", 4)])
+                                    ("delta5", 4), ("delta5", 5)])
 def test_sigma_r_representatives_read_no_cell_list(name, r):
-    """Over Sigma_r orbit_reps enumerates the sorted tuples from the base:
-    with the cell lists emptied it returns the same list in every degree."""
+    """orbit_reps enumerates the sorted tuples from the base and splits them
+    by the cosets: over Sigma_r, the trivial group and every tree Sylow
+    subgroup, with the cell lists emptied it returns the same list in every
+    degree as the scan of the cells."""
     dp = deleted_product(base_complex(name), r)
-    group = symmetric_group(r)
-    want = [orbit_reps(dp, group, d) for d in range(dp.dim + 1)]
-    assert want == [scan_orbit_reps(dp, group, d) for d in range(dp.dim + 1)]
+    degrees = range(dp.dim + 1)
+    want = [[orbit_reps(dp, G, d) for d in degrees] for G in groups_of(r)]
+    assert want == [[scan_orbit_reps(dp, G, d) for d in degrees] for G in groups_of(r)]
     dp.cells_by_dim = {}
-    assert [orbit_reps(dp, group, d) for d in range(len(want))] == want
+    assert [[orbit_reps(dp, G, d) for d in degrees] for G in groups_of(r)] == want
 
 
 def test_cocycle_from_table_rejects_unknown_cells():
@@ -352,6 +360,39 @@ def test_coset_representatives():
             assert len(seen) == math.factorial(r)
 
 
+def marked_coset_representatives(G, r):
+    """The least element of each left coset gG, by walking Sigma_r in
+    increasing order and marking every member of each new coset."""
+    members = G.elements()
+    seen = set()
+    reps = []
+    for g in sorted(symmetric_group(r).elements()):
+        if g in seen:
+            continue
+        reps.append(g)
+        seen.update(compose(g, h) for h in members)
+    return reps
+
+
+@pytest.mark.parametrize("r", [2, 3, 4, 5])
+def test_coset_representatives_match_the_marking_loop(r):
+    for G in groups_of(r):
+        assert coset_representatives(G, r) == marked_coset_representatives(G, r)
+
+
+def test_coset_representatives_over_the_cap_raise_before_any_element(monkeypatch):
+    def no_walk(*args):
+        raise AssertionError("a permutation was listed before the cap was checked")
+
+    monkeypatch.setattr(obstruction_module, "permutations", no_walk)
+    groups = (trivial_group(5), sylow_tree_subgroup(5, 2), symmetric_group(5))
+    monkeypatch.setenv("TVLAB_CELL_CAP", "119")  # 5! = 120
+    for G in groups:
+        with pytest.raises(CapExceeded):
+            coset_representatives(G, 5)
+        assert G._elements is None
+
+
 def disjoint_simplices_complex(r, m):
     """r pairwise disjoint m-simplices; its r-fold deleted product has a
     single free top orbit."""
@@ -411,6 +452,8 @@ def test_ozaydin_prime_powers():
         assert not rep.argument_applies
     assert ozaydin_report(4).relation_gcd == 8
     assert ozaydin_report(3).relation_gcd == 3
+    with pytest.raises(InputError, match=r"need r >= 2, got 1"):
+        ozaydin_report(1)
 
 
 def group_ozaydin_report(r):

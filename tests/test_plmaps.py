@@ -177,6 +177,8 @@ def test_is_almost_r_embedding():
     f = PLMap.build(full_simplex(1), 1, [(0,), (2,)])
     g = PLMap.build(full_simplex(2), 1, [(0,), (1,), (2,)])
     assert not is_almost_r_embedding(g, 2)
+    with pytest.raises(InputError, match=r"an almost r-embedding needs r >= 2, got 1"):
+        is_almost_r_embedding(g, 1)
 
 
 def test_join_extension():

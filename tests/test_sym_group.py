@@ -62,6 +62,8 @@ def test_p_order_in_factorial():
     assert p_order_in_factorial(9, 3) == 4
     with pytest.raises(InputError, match=r"4 is not prime"):
         p_order_in_factorial(6, 4)
+    with pytest.raises(InputError, match=r"4 is not prime"):
+        sylow_tree_subgroup(5, 4)
 
 
 def test_sylow_orders():
