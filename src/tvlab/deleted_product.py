@@ -2,17 +2,21 @@
 
 A cell is an ordered r-tuple of pairwise vertex-disjoint non-empty simplices
 of the base complex (has_cell checks just that; no cell index is kept); its
-dimension is the sum of the factor dimensions.  The boundary operator
-carries the Koszul sign (-1)^{d_1+...+d_{i-1}} on the i-th factor, and the
-symmetric group permutes factors with the Koszul sign of permuting graded
-slots: the sign of the permutation restricted to the odd-dimensional
-factors.  The action is free; its orbits are the unordered tuples, one
-sorted cell each, which disjoint_tuples enumerates by total dimension.
+dimension is the sum of the factor dimensions.  deleted_product counts the
+cells of each degree, and the cell cap is checked on that count, before
+any cell is listed, for every base; the cells are listed on the first read
+of cells_by_dim.  The boundary operator carries the Koszul sign
+(-1)^{d_1+...+d_{i-1}} on the i-th factor, and the symmetric group permutes
+factors with the Koszul sign of permuting graded slots: the sign of the
+permutation restricted to the odd-dimensional factors.  The action is free;
+its orbits are the unordered tuples, one sorted cell each, which
+disjoint_tuples enumerates by total dimension.
 """
 
 from __future__ import annotations
 
 from collections import deque
+from functools import cached_property
 from math import comb
 
 from .complexes import Complex, check_cap, check_simplex_faces, configured_cell_cap
@@ -26,49 +30,85 @@ def cell_dim(cell: ProductCell) -> int:
     return sum(len(s) - 1 for s in cell)
 
 
-def full_simplex_cell_count(N: int, r: int) -> int:
-    """Total cells of the r-fold deleted product of the N-simplex.
+def full_simplex_f_vector(n: int, r: int) -> list:
+    """Cells per degree of the r-fold deleted product of the simplex on n
+    vertices: a d-cell maps d+r of them onto the r factors, in one of
+    sum_j (-1)^j C(r, j) (r-j)^(d+r) ways by inclusion-exclusion."""
+    return [comb(n, m) * sum((-1) ** j * comb(r, j) * (r - j) ** m for j in range(r + 1))
+            for m in range(r, n + 1)]
 
-    A cell labels each of the N+1 vertices with one of the r factors or with
-    "unused", every factor label being used; by inclusion-exclusion over the
-    j factors left empty that is sum_j (-1)^j C(r, j) (r+1-j)^(N+1).
-    """
-    if r > N + 1:
-        return 0
-    return sum((-1) ** j * comb(r, j) * (r + 1 - j) ** (N + 1) for j in range(r + 1))
+
+def full_simplex_cell_count(N: int, r: int) -> int:
+    """Total cells of the r-fold deleted product of the N-simplex."""
+    return sum(full_simplex_f_vector(N + 1, r))
 
 
 def check_full_simplex_cap(N: int, r: int) -> None:
-    """Raise CapExceeded, before anything is built, when the N-simplex's
-    2^(N+1)-1 faces or its r-fold deleted product exceed the cell cap."""
+    """Raise CapExceeded when the N-simplex's faces or its r-fold deleted product exceed the cap."""
     if r < 2:
         raise InputError("deleted product needs r >= 2, got %d" % r)
     check_simplex_faces(N)
     check_cap(full_simplex_cell_count(N, r), "cells of the deleted product")
 
 
-class DeletedProductComplex:
-    """Immutable deleted product with dimension-major cell storage: each
-    degree's cells in sorted order, as deleted_product builds them."""
+def vertex_mask(s) -> int:
+    return sum(1 << v for v in s)
 
-    def __init__(self, base: Complex, r: int, cells_by_dim: dict):
+
+class DeletedProductComplex:
+    """Immutable deleted product: the cell count per degree, known when it
+    is built, and each degree's cells in sorted order, listed on first use."""
+
+    def __init__(self, base: Complex, r: int, f_vector: list):
         self.base = base
         self.r = r
-        self.cells_by_dim = cells_by_dim
+        self._f_vector = f_vector
 
     @property
     def dim(self) -> int:
-        return max(self.cells_by_dim, default=-1)
+        return len(self._f_vector) - 1
 
     @property
     def is_empty(self) -> bool:
-        return not self.cells_by_dim
+        return not self._f_vector
 
     def f_vector(self) -> list:
-        return [len(self.cells_by_dim.get(d, ())) for d in range(self.dim + 1)]
+        return list(self._f_vector)
 
     def total_cells(self) -> int:
-        return sum(len(cs) for cs in self.cells_by_dim.values())
+        return sum(self._f_vector)
+
+    @cached_property
+    def cells_by_dim(self) -> dict:
+        """{degree: sorted cells}.  Prefixes in lexicographic order grow factor by factor
+        by the simplices disjoint from their used vertex mask, found once per mask."""
+        if self.is_empty:
+            return {}
+        r, n = self.r, len(set().union(*self.base.simplices))
+        simplices = [(vertex_mask(s), len(s), (s,)) for s in sorted(self.base.simplices)]
+        cells, masks = [()], [0]
+        for i in range(r - 1):
+            room = n - (r - 1 - i)  # vertices the first i + 1 factors may use
+            extensions = {}
+            grown, grown_masks = [], []
+            for cell, used in zip(cells, masks):
+                if used not in extensions:
+                    left = room - used.bit_count()
+                    fit = [(m, t) for m, k, t in simplices if not m & used and k <= left]
+                    extensions[used] = ([t for m, t in fit], [used | m for m, t in fit])
+                tails, after = extensions[used]
+                grown += map(cell.__add__, tails)
+                grown_masks += after
+            cells, masks = grown, grown_masks
+        out = {d: [] for d in range(self.dim + 1)}
+        extensions = {}
+        for cell, used in zip(cells, masks):  # the last factor: each cell into its degree
+            if used not in extensions:
+                base = used.bit_count() - r
+                extensions[used] = [(out[base + k], t) for m, k, t in simplices if not m & used]
+            for into, t in extensions[used]:
+                into.append(cell + t)
+        return out
 
     def has_cell(self, cell: ProductCell) -> bool:
         """True iff cell is r pairwise vertex-disjoint simplices of the base."""
@@ -102,45 +142,35 @@ class DeletedProductComplex:
 
 
 def deleted_product(K: Complex, r: int) -> DeletedProductComplex:
-    """Build the r-fold simplicial deleted product of K.
-
-    Refuses construction when the total cell count would exceed the cap
-    (default 5e6, overridable by the TVLAB_CELL_CAP variable); for a full
-    simplex base that is decided by check_full_simplex_cap before any cell
-    is enumerated.
-    """
+    """The r-fold simplicial deleted product of K, counted and not listed; CapExceeded
+    when its cells exceed the cell cap.  A full simplex has a closed form.  Any other
+    base is counted as {used vertex mask: ordered prefixes} after each factor, without
+    the prefixes that leave fewer vertices free than factors to place: each prefix kept
+    extends to cells of its own, so the cap refuses each level's total."""
     if r < 2:
         raise InputError("deleted product needs r >= 2, got %d" % r)
     if K.is_full_simplex():
         check_full_simplex_cap(K.num_vertices - 1, r)
-    cap = configured_cell_cap()
-    if r > K.num_vertices:  # r disjoint non-empty simplices need r vertices
-        return DeletedProductComplex(K, r, {})
-
-    # in lexicographic order, so each degree's cells come out already sorted
-    masks = [(sum(1 << v for v in s), s) for s in sorted(K.simplices)]
-
-    cells_by_dim = {}
-    count = 0
-    cells = [None] * r
-
-    def rec(i, used, dim):
-        nonlocal count
-        if i == r:
-            count += 1
-            if count > cap:
-                check_cap(count, "cells of the deleted product, at least")
-            cells_by_dim.setdefault(dim, []).append(tuple(cells))
-            return
-        for m, s in masks:
-            if m & used:
-                continue
-            cells[i] = s
-            rec(i + 1, used | m, dim + len(s) - 1)
-
-    rec(0, 0, 0)
-    del rec  # rec refers to itself: left alone, the cycle holds every cell until a full gc pass
-    return DeletedProductComplex(K, r, cells_by_dim)
+        return DeletedProductComplex(K, r, full_simplex_f_vector(K.num_vertices, r))
+    masks = [(vertex_mask(s), len(s)) for s in K.simplices]
+    n = len(set().union(*K.simplices))
+    if r > n:  # r disjoint non-empty simplices need r vertices
+        return DeletedProductComplex(K, r, [])
+    states = {0: 1}
+    for i in range(r):
+        room = n - (r - 1 - i)  # vertices the first i + 1 factors may use
+        grown = {}
+        for used, ways in states.items():
+            left = room - used.bit_count()
+            for m, size in masks:
+                if not m & used and size <= left:
+                    grown[used | m] = grown.get(used | m, 0) + ways
+        states = grown
+        check_cap(sum(states.values()), "cells of the deleted product" + ", at least" * (i < r - 1))
+    f = {}
+    for used, ways in states.items():
+        f[used.bit_count() - r] = f.get(used.bit_count() - r, 0) + ways
+    return DeletedProductComplex(K, r, [f[d] for d in range(len(f))])  # no degree is skipped
 
 
 def disjoint_tuples(simplices, r, dim=None) -> list:
@@ -151,7 +181,7 @@ def disjoint_tuples(simplices, r, dim=None) -> list:
     CapExceeded as soon as more tuples than the cell cap are listed."""
     cap = configured_cell_cap()
     simplices = sorted(simplices)
-    masks = [sum(1 << v for v in s) for s in simplices]
+    masks = [vertex_mask(s) for s in simplices]
     top = max(map(len, simplices), default=1) - 1
     out = []
     chosen = []

@@ -349,9 +349,8 @@ def homology(boundaries: list, shapes: list, coefficients="Z") -> HomologyReport
 
 def dp_homology(dp, coefficients="Z") -> HomologyReport:
     """Homology of a deleted product complex; no degrees when it is empty."""
-    top = dp.dim
-    shapes = [len(dp.cells_by_dim.get(d, ())) for d in range(top + 1)]
-    boundaries = [None] + [dp.boundary_matrix(d) for d in range(1, top + 1)]
+    shapes = dp.f_vector()  # the cells are first listed by boundary_matrix
+    boundaries = [None] + [dp.boundary_matrix(d) for d in range(1, len(shapes))]
     return homology(boundaries, shapes, coefficients)
 
 

@@ -78,22 +78,27 @@ def k5_map(points):
 
 def test_criterion_01_deleted_product_golden_values():
     with criterion(1, 60):
+        # deleted_product counts; each timed region also lists the cells
         t = time.perf_counter()
-        assert deleted_product(full_simplex(1), 3).is_empty
+        dp = deleted_product(full_simplex(1), 3)
+        assert dp.is_empty and dp.cells_by_dim == {}
         assert time.perf_counter() - t < 1.0
         t = time.perf_counter()
         dp = deleted_product(full_simplex(2), 3)
-        assert dp.f_vector() == [6] and dp.dim == 0
+        assert len(dp.cells_by_dim[0]) == 6
         assert time.perf_counter() - t < 1.0
+        assert dp.f_vector() == [6] and dp.dim == 0
         for n in range(1, 8):
             for r in (2, 3, 4):
                 t = time.perf_counter()
                 dp = deleted_product(full_simplex(n), r)
+                listed = [len(dp.cells_by_dim[d]) for d in sorted(dp.cells_by_dim)]
+                assert time.perf_counter() - t < 1.0
+                assert dp.f_vector() == listed
                 if n + 1 >= r:
                     assert dp.dim == n + 1 - r
                 else:
                     assert dp.is_empty and dp.dim == -1
-                assert time.perf_counter() - t < 1.0
 
 
 def test_criterion_02_chain_complex_and_free_action():

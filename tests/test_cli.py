@@ -13,7 +13,9 @@ from pathlib import Path
 import pytest
 
 from tvlab import cli, homology, obstruction, plmaps
-from tvlab.complexes import simplex_skeleton
+from tvlab.complexes import Complex, simplex_skeleton
+from tvlab.convexity import random_rational_points
+from tvlab.deleted_product import DeletedProductComplex, deleted_product
 
 
 def run_cli(capsys, argv):
@@ -588,6 +590,45 @@ def test_cap_exceeded_exit_3(monkeypatch, capsys):
     code, rep = run_cli(capsys, ["dp", "stats", "--n", "4", "--r", "2"])
     assert code == 3
     assert rep["kind"] == "cap"
+
+
+# name: (base, r, d), with r * dim(base) = (r - 1) * d, as a van Kampen map needs
+CAP_BASES = {
+    "skeleton": (simplex_skeleton(6, 1), 2, 2),
+    "colored333": (Complex.from_maximal(9, [(a, b, c) for a in range(3)
+                                            for b in range(3, 6) for c in range(6, 9)]), 3, 3),
+    "file": (Complex.from_maximal(12, [[0, 1, 5], [5, 9], [11], [2, 7], [3, 4, 6]]), 3, 3),
+}
+
+
+def refuse_to_list_cells(monkeypatch):
+    def cells_by_dim(self):
+        raise AssertionError("the cells of the deleted product were listed")
+    monkeypatch.setattr(DeletedProductComplex, "cells_by_dim", property(cells_by_dim))
+
+
+@pytest.mark.parametrize("name", sorted(CAP_BASES))
+def test_cap_refuses_every_base_before_listing(tmp_path, capsys, monkeypatch, name):
+    K, r, d = CAP_BASES[name]
+    complex_path = write_json(tmp_path / "base.json", K.to_json_dict())
+    map_path = write_json(tmp_path / "map.json", plmaps.PLMap.build(
+        K, d, random_rational_points(K.num_vertices, d, repr(("cap", name)))).to_json_dict())
+    base = ["--complex", complex_path, "--r", str(r)]
+    total = deleted_product(K, r).total_cells()
+    monkeypatch.setenv("TVLAB_CELL_CAP", str(total))
+    assert run_cli(capsys, ["dp", "homology"] + base)[0] == 0  # listed, within the cap
+    refuse_to_list_cells(monkeypatch)
+    code, rep = run_cli(capsys, ["dp", "stats"] + base)
+    assert (code, rep["total_cells"]) == (0, total)
+    assert run_cli(capsys, ["vk", "obstruction", "--map", map_path, "--r", str(r)])[0] == 0
+    monkeypatch.setenv("TVLAB_CELL_CAP", str(total - 1))
+    refusal = {"error": "cells of the deleted product: %d, over the cell cap %d" % (total, total - 1),
+               "kind": "cap"}
+    cell = json.dumps([[v] for v in range(r)])
+    for argv in (["dp", "stats"] + base, ["dp", "homology"] + base, ["dp", "connectivity"] + base,
+                 ["puzzle", "--from", cell, "--to", cell] + base,
+                 ["vk", "obstruction", "--map", map_path, "--r", str(r)]):
+        assert run_cli(capsys, argv) == (3, refusal), argv
 
 
 @pytest.mark.parametrize("r", ["2", "40"])

@@ -1,6 +1,7 @@
 """Tests for the r-fold deleted product construction."""
 
 import gc
+from collections import Counter
 from math import comb, factorial
 
 import pytest
@@ -81,9 +82,10 @@ def test_cells_match_brute_force():
 
 
 def test_f_vector_against_multinomial_oracle():
-    for N, r in [(2, 2), (3, 3), (5, 3), (4, 2)]:
-        dp = deleted_product(full_simplex(N), r)
-        assert dp.f_vector() == multinomial_f_vector(N, r)
+    for N in range(1, 9):
+        for r in range(2, min(N + 1, 6) + 1):
+            dp = deleted_product(full_simplex(N), r)
+            assert dp.f_vector() == multinomial_f_vector(N, r), (N, r)
 
 
 def test_hexagon():
@@ -111,7 +113,8 @@ def test_zero_cell_falling_factorial():
 def test_total_count_formula_matches():
     for N, r in [(3, 2), (4, 3), (5, 4)]:
         dp = deleted_product(full_simplex(N), r)
-        assert dp.total_cells() == full_simplex_cell_count(N, r)
+        listed = sum(len(cs) for cs in dp.cells_by_dim.values())
+        assert dp.total_cells() == full_simplex_cell_count(N, r) == listed
 
 
 def composition_cell_count(N, r):
@@ -444,8 +447,88 @@ def test_enumerations_leave_no_reference_cycle():
     gc.disable()
     try:
         dp = deleted_product(simplex_skeleton(6, 2), 3)
+        assert dp.cells_by_dim
         disjoint_tuples(dp.base.simplices_of_dim(2), 3)
         del dp
         assert gc.collect() == 0
     finally:
         gc.enable()
+
+
+def recursive_cells_by_dim(K, r):
+    """Each degree's cells by the recursion that the level-by-level listing
+    replaced: every prefix is extended by each simplex disjoint from it, in
+    sorted order, so each degree comes out sorted."""
+    masks = [(sum(1 << v for v in s), s) for s in sorted(K.simplices)]
+    out = {}
+    cells = [None] * r
+
+    def rec(i, used, dim):
+        if i == r:
+            out.setdefault(dim, []).append(tuple(cells))
+            return
+        for m, s in masks:
+            if not m & used:
+                cells[i] = s
+                rec(i + 1, used | m, dim + len(s) - 1)
+
+    rec(0, 0, 0)
+    return out
+
+
+def product_f_vector(K, r):
+    """Cells per degree by filtering itertools.product (brute_force_cells)."""
+    counts = Counter(map(cell_dim, brute_force_cells(K, r)))
+    return [counts[d] for d in range(len(counts))]
+
+
+def check_listing(K, r):
+    """The listing against the recursion, order included; the counted
+    f-vector against the listed lengths and, when there are at most 64^3
+    ordered r-tuples of simplices, against itertools.product."""
+    dp = deleted_product(K, r)
+    expected = recursive_cells_by_dim(K, r)
+    assert dp.cells_by_dim == expected
+    assert dp.f_vector() == [len(dp.cells_by_dim[d]) for d in range(dp.dim + 1)]
+    assert dp.total_cells() == sum(map(len, expected.values()))
+    if len(K.simplices) ** r <= 64 ** 3:
+        assert dp.f_vector() == product_f_vector(K, r)
+
+
+UNUSED_IDS = Complex.from_maximal(12, [[0, 1, 5], [5, 9], [11], [2, 7]])
+DISCONNECTED = Complex.from_maximal(7, [[0, 1, 2], [3, 4], [5, 6]])
+
+
+@pytest.mark.parametrize("N", range(6))
+def test_listing_matches_the_recursion_on_full_simplices(N):
+    for r in range(2, 6):
+        check_listing(full_simplex(N), r)
+
+
+@pytest.mark.parametrize("K, r", [(simplex_skeleton(8, 2), 3), (COLORED333, 3), (COLORED333, 2),
+                                  (UNUSED_IDS, 2), (UNUSED_IDS, 3), (DISCONNECTED, 2),
+                                  (DISCONNECTED, 3), (DISCONNECTED, 4)],
+                         ids=["skeleton-8-2", "colored333", "colored333-r2", "unused-ids",
+                              "unused-ids-r3", "disconnected", "disconnected-r3",
+                              "disconnected-r4"])
+def test_listing_matches_the_recursion_on_other_bases(K, r):
+    check_listing(K, r)
+
+
+@needs_hypothesis
+def test_listing_matches_the_recursion_on_random_complexes():
+    @given(st.integers(1, 7).flatmap(lambda n: st.tuples(
+        st.just(n), st.lists(st.sets(st.integers(0, n - 1), min_size=1, max_size=4),
+                             min_size=1, max_size=5))),
+           st.integers(2, 4))
+    def check(base, r):
+        n, maximal = base
+        check_listing(Complex.from_maximal(n, [sorted(m) for m in maximal]), r)
+
+    check()
+
+
+def test_a_huge_r_is_counted_empty_at_once():
+    for K in (DISCONNECTED, UNUSED_IDS):
+        dp = deleted_product(K, 2 ** 64)
+        assert dp.is_empty and dp.cells_by_dim == {} and dp.f_vector() == []

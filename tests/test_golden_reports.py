@@ -27,6 +27,7 @@ from contextlib import redirect_stderr, redirect_stdout
 from tvlab import cli
 from tvlab.complexes import Complex, full_simplex, simplex_skeleton
 from tvlab.convexity import random_rational_points
+from tvlab.deleted_product import DeletedProductComplex
 from tvlab.plmaps import PLMap
 
 # the vk_obstruction slots (domain, d, r, i)
@@ -98,11 +99,11 @@ def run(argv):
     return code, out.getvalue(), err.getvalue()
 
 
-def report_digests():
+def report_digests(commands=COMMANDS):
     """{"command / domain": sha256} over the runs on the maps in the working directory."""
     hashes = {}
     for dom, r, name in write_maps():
-        for command, head in COMMANDS.items():
+        for command, head in commands.items():
             argv = head + ["--map", name, "--r", str(r)]
             h = hashes.setdefault("%s / %s" % (command, dom), hashlib.sha256())
             h.update(repr((argv,) + run(argv)).encode())
@@ -201,11 +202,14 @@ EVERY_COMMAND_DIGESTS = {
 }
 
 
-def every_command_digests():
-    """{command: sha256} over the runs of every_command in the working directory."""
+def every_command_digests(only=None):
+    """{command: sha256} over the runs of every_command (of the command only,
+    if given) in the working directory."""
     write_inputs()
     hashes = {}
     for command, argv in every_command():
+        if only is not None and command != only:
+            continue
         h = hashes.setdefault(command, hashlib.sha256())
         h.update(repr((argv,) + run(argv)).encode())
         if "--out" in argv:
@@ -217,3 +221,16 @@ def every_command_digests():
 def test_every_command_report_is_byte_identical(tmp_path, monkeypatch):
     monkeypatch.chdir(tmp_path)
     assert every_command_digests() == EVERY_COMMAND_DIGESTS
+
+
+def test_vk_obstruction_and_dp_stats_list_no_cell(tmp_path, monkeypatch):
+    """The decision reads the orbits and dp stats the counts: with the cell
+    listing refused, both give the same bytes."""
+    def cells_by_dim(self):
+        raise AssertionError("the cells of the deleted product were listed")
+
+    monkeypatch.setattr(DeletedProductComplex, "cells_by_dim", property(cells_by_dim))
+    monkeypatch.chdir(tmp_path)
+    vk = {"vk obstruction": COMMANDS["vk obstruction"]}
+    assert report_digests(vk) == {k: v for k, v in DIGESTS.items() if k.startswith("vk ")}
+    assert every_command_digests("dp stats") == {"dp stats": EVERY_COMMAND_DIGESTS["dp stats"]}
