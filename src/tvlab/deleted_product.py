@@ -3,14 +3,13 @@
 A cell is an ordered r-tuple of pairwise vertex-disjoint non-empty simplices
 of the base complex (has_cell checks just that; no cell index is kept); its
 dimension is the sum of the factor dimensions.  deleted_product counts the
-cells of each degree, and the cell cap is checked on that count, before
-any cell is listed, for every base; the cells are listed on the first read
-of cells_by_dim.  The boundary operator carries the Koszul sign
-(-1)^{d_1+...+d_{i-1}} on the i-th factor, and the symmetric group permutes
-factors with the Koszul sign of permuting graded slots: the sign of the
-permutation restricted to the odd-dimensional factors.  The action is free;
-its orbits are the unordered tuples, one sorted cell each, which
-disjoint_tuples enumerates by total dimension.
+cells of each degree, checking the cell cap as it counts, for every base;
+cells_by_dim lists them on its first read.  The boundary operator carries
+the Koszul sign (-1)^{d_1+...+d_{i-1}} on the i-th factor, and the symmetric
+group permutes factors with the Koszul sign of permuting graded slots: the
+sign of the permutation restricted to the odd-dimensional factors.  The
+action is free; its orbits are the unordered tuples, one sorted cell each,
+which disjoint_tuples enumerates by total dimension.
 """
 
 from __future__ import annotations
@@ -55,6 +54,18 @@ def vertex_mask(s) -> int:
     return sum(1 << v for v in s)
 
 
+def _simplex_table(K: Complex) -> tuple:
+    """K's simplices as sorted (vertex mask, size, (simplex,)), and how many vertices they use."""
+    table = [(vertex_mask(s), len(s), (s,)) for s in sorted(K.simplices)]
+    return table, len(set().union(*K.simplices))
+
+
+def _fits(table, n: int, later: int, used: int) -> list:
+    """The entries of table off the vertex mask used that leave a vertex for each later factor."""
+    left = n - later - used.bit_count()
+    return [e for e in table if not e[0] & used and e[1] <= left]
+
+
 class DeletedProductComplex:
     """Immutable deleted product: the cell count per degree, known when it
     is built, and each degree's cells in sorted order, listed on first use."""
@@ -80,32 +91,25 @@ class DeletedProductComplex:
 
     @cached_property
     def cells_by_dim(self) -> dict:
-        """{degree: sorted cells}.  Prefixes in lexicographic order grow factor by factor
-        by the simplices disjoint from their used vertex mask, found once per mask."""
+        """{degree: sorted cells}, grown factor by factor from prefixes in sorted order."""
         if self.is_empty:
             return {}
-        r, n = self.r, len(set().union(*self.base.simplices))
-        simplices = [(vertex_mask(s), len(s), (s,)) for s in sorted(self.base.simplices)]
-        cells, masks = [()], [0]
+        (table, n), r, cells, masks = _simplex_table(self.base), self.r, [()], [0]
         for i in range(r - 1):
-            room = n - (r - 1 - i)  # vertices the first i + 1 factors may use
-            extensions = {}
-            grown, grown_masks = [], []
+            extensions, grown, grown_masks = {}, [], []
             for cell, used in zip(cells, masks):
                 if used not in extensions:
-                    left = room - used.bit_count()
-                    fit = [(m, t) for m, k, t in simplices if not m & used and k <= left]
-                    extensions[used] = ([t for m, t in fit], [used | m for m, t in fit])
+                    fit = _fits(table, n, r - 1 - i, used)
+                    extensions[used] = ([t for m, k, t in fit], [used | m for m, k, t in fit])
                 tails, after = extensions[used]
                 grown += map(cell.__add__, tails)
                 grown_masks += after
             cells, masks = grown, grown_masks
-        out = {d: [] for d in range(self.dim + 1)}
-        extensions = {}
+        out, extensions = {d: [] for d in range(self.dim + 1)}, {}
         for cell, used in zip(cells, masks):  # the last factor: each cell into its degree
             if used not in extensions:
                 base = used.bit_count() - r
-                extensions[used] = [(out[base + k], t) for m, k, t in simplices if not m & used]
+                extensions[used] = [(out[base + k], t) for m, k, t in _fits(table, n, 0, used)]
             for into, t in extensions[used]:
                 into.append(cell + t)
         return out
@@ -142,31 +146,27 @@ class DeletedProductComplex:
 
 
 def deleted_product(K: Complex, r: int) -> DeletedProductComplex:
-    """The r-fold simplicial deleted product of K, counted and not listed; CapExceeded
-    when its cells exceed the cell cap.  A full simplex has a closed form.  Any other
-    base is counted as {used vertex mask: ordered prefixes} after each factor, without
-    the prefixes that leave fewer vertices free than factors to place: each prefix kept
-    extends to cells of its own, so the cap refuses each level's total."""
+    """The r-fold deleted product of K, counted and not listed: a full simplex by a closed form,
+    any other base as {used vertex mask: ordered prefixes} over the prefixes _fits keeps, each
+    with cells of its own, so CapExceeded comes as soon as the running count passes the cap."""
     if r < 2:
         raise InputError("deleted product needs r >= 2, got %d" % r)
     if K.is_full_simplex():
         check_full_simplex_cap(K.num_vertices - 1, r)
         return DeletedProductComplex(K, r, full_simplex_f_vector(K.num_vertices, r))
-    masks = [(vertex_mask(s), len(s)) for s in K.simplices]
-    n = len(set().union(*K.simplices))
+    (table, n), states, cap = _simplex_table(K), {0: 1}, configured_cell_cap()
     if r > n:  # r disjoint non-empty simplices need r vertices
         return DeletedProductComplex(K, r, [])
-    states = {0: 1}
     for i in range(r):
-        room = n - (r - 1 - i)  # vertices the first i + 1 factors may use
-        grown = {}
+        grown, total = {}, 0
         for used, ways in states.items():
-            left = room - used.bit_count()
-            for m, size in masks:
-                if not m & used and size <= left:
-                    grown[used | m] = grown.get(used | m, 0) + ways
+            fit = _fits(table, n, r - 1 - i, used)
+            for m, k, t in fit:
+                grown[used | m] = grown.get(used | m, 0) + ways
+            total += ways * len(fit)
+            if total > cap:
+                check_cap(total, "cells of the deleted product, at least")
         states = grown
-        check_cap(sum(states.values()), "cells of the deleted product" + ", at least" * (i < r - 1))
     f = {}
     for used, ways in states.items():
         f[used.bit_count() - r] = f.get(used.bit_count() - r, 0) + ways

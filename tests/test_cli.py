@@ -13,6 +13,7 @@ from pathlib import Path
 import pytest
 
 from tvlab import cli, homology, obstruction, plmaps
+from tvlab import deleted_product as deleted_product_module
 from tvlab.complexes import Complex, simplex_skeleton
 from tvlab.convexity import random_rational_points
 from tvlab.deleted_product import DeletedProductComplex, deleted_product
@@ -622,13 +623,41 @@ def test_cap_refuses_every_base_before_listing(tmp_path, capsys, monkeypatch, na
     assert (code, rep["total_cells"]) == (0, total)
     assert run_cli(capsys, ["vk", "obstruction", "--map", map_path, "--r", str(r)])[0] == 0
     monkeypatch.setenv("TVLAB_CELL_CAP", str(total - 1))
-    refusal = {"error": "cells of the deleted product: %d, over the cell cap %d" % (total, total - 1),
-               "kind": "cap"}
+    # the running count is a lower bound on the total, so it passes total - 1 only at the total
+    refusal = {"error": "cells of the deleted product, at least: %d, over the cell cap %d"
+               % (total, total - 1), "kind": "cap"}
     cell = json.dumps([[v] for v in range(r)])
     for argv in (["dp", "stats"] + base, ["dp", "homology"] + base, ["dp", "connectivity"] + base,
                  ["puzzle", "--from", cell, "--to", cell] + base,
                  ["vk", "obstruction", "--map", map_path, "--r", str(r)]):
         assert run_cli(capsys, argv) == (3, refusal), argv
+
+
+def test_cap_stops_the_count_of_a_large_base_within_a_few_prefixes(tmp_path, capsys, monkeypatch):
+    # all 19,900 edges on 200 vertices: about 2 * 10^8 cells for r = 2, far past the cap,
+    # though the 20,100 simplices are within it
+    K = simplex_skeleton(199, 1)
+    complex_path = write_json(tmp_path / "edges.json", K.to_json_dict())
+    map_path = write_json(tmp_path / "map.json", plmaps.PLMap.build(
+        K, 2, random_rational_points(K.num_vertices, 2, "edges")).to_json_dict())
+    prefixes = []
+
+    def counted_fits(*args):
+        prefixes.append(args)
+        assert len(prefixes) < 20, "the count went on past the cap"
+        return fits(*args)
+
+    fits = deleted_product_module._fits
+    monkeypatch.setattr(deleted_product_module, "_fits", counted_fits)
+    monkeypatch.setenv("TVLAB_CELL_CAP", "100000")
+    refuse_to_list_cells(monkeypatch)
+    for argv in (["dp", "stats"], ["dp", "homology"], ["dp", "connectivity"]):
+        code, rep = run_cli(capsys, argv + ["--complex", complex_path, "--r", "2"])
+        assert code == 3 and rep["kind"] == "cap", argv
+        assert rep["error"].startswith("cells of the deleted product, at least: ")
+        prefixes.clear()
+    code, rep = run_cli(capsys, ["vk", "obstruction", "--map", map_path, "--r", "2"])
+    assert code == 3 and rep["kind"] == "cap"
 
 
 @pytest.mark.parametrize("r", ["2", "40"])
