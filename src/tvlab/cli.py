@@ -4,8 +4,8 @@ A report is the library's objects serialized by jsonable, with the invoked
 configuration (including the seed) embedded; a fixed configuration always
 produces byte-identical output.  The parser checks every multiplicity --r
 (>= 2, except the --r of sylow) and every repetition count (>= 0) before
-any file is read.  Exit codes: 0 success, 2 malformed input, 3 cell cap or
-digit limit exceeded, 4 internal invariant violation.
+any file is read.  Exit codes: 0 success, 2 malformed input, 3 cell cap,
+digit limit or memory exceeded, 4 internal invariant violation.
 """
 
 from __future__ import annotations
@@ -327,8 +327,8 @@ def run(argv) -> int:
     try:
         args = _shared_parser().parse_args(argv)
         return args.func(args)
-    except CapExceeded as exc:
-        print(json.dumps({"error": str(exc), "kind": "cap"}), file=sys.stderr)
+    except (CapExceeded, MemoryError) as exc:  # a limit, refused before the work or met during it
+        print(json.dumps({"error": str(exc) or "out of memory", "kind": "cap"}), file=sys.stderr)
         return 3
     except SearchInvariantViolated as exc:
         print(json.dumps({"error": str(exc), "kind": "invariant"}), file=sys.stderr)

@@ -217,35 +217,42 @@ def radon_partition(points) -> TverbergPartition:
     return part
 
 
+def _depth_first(choices, depth):
+    """Each sequence of depth choices, depth first: choices(prefix) iterates those that may
+    follow the list prefix.  Its own stack keeps depth off the recursion limit."""
+    prefix, stack = [], []
+    while True:
+        if len(prefix) < depth:
+            stack.append(iter(choices(prefix)))
+        else:
+            yield tuple(prefix)
+        while stack and (choice := next(stack[-1], None)) is None:
+            stack.pop()
+        if not stack:
+            return
+        prefix[len(stack) - 1:] = [choice]  # the top level's next choice; deeper ones are gone
+
+
 def canonical_partitions(n, r):
-    """The partitions of 0..n-1 into r non-empty parts, in canonical order.
+    """The partitions of 0..n-1 into r non-empty parts, parts largest first and
+    equal sizes in lexicographic order, by size signature, ascending (the most
+    balanced first), then lexicographically: two depth-first walks in order."""
+    def next_sizes(prefix):
+        # from a fair share of the points left up to the last size, leaving a point per later part
+        total, k = n - sum(prefix), r - len(prefix)
+        return range(-(-total // k), min(prefix[-1] if prefix else n, total - k + 1) + 1)
 
-    Each partition lists its parts largest first, equal sizes in
-    lexicographic order.  Partitions come by size signature, ascending (the
-    most balanced first), then lexicographically, generated in that order.
-    """
-    def signatures(total, k, top):
-        # non-increasing k-tuples of positive parts <= top summing to total, ascending
-        if k == 0:
-            yield ()
-            return
-        for s in range(-(-total // k), min(top, total - k + 1) + 1):
-            for tail in signatures(total - s, k - 1, s):
-                yield (s,) + tail
+    for sizes in _depth_first(next_sizes, r):
+        lefts = [range(n)]  # lefts[j]: the points that the first j parts leave
 
-    def fill(sizes, left, prev):
-        if not sizes:
-            yield ()
-            return
-        for part in combinations(left, sizes[0]):
-            if len(prev) == sizes[0] and part <= prev:
-                continue
-            rest = [i for i in left if i not in part]
-            for tail in fill(sizes[1:], rest, part):
-                yield (part,) + tail
+        def next_parts(prefix):
+            j = len(prefix)
+            if j:  # depth first, so lefts[j - 1] is still that of prefix[:j - 1]
+                lefts[j:] = [[i for i in lefts[j - 1] if i not in prefix[-1]]]
+            prev = prefix[-1] if j and len(prefix[-1]) == sizes[j] else ()  # equal sizes increase
+            return filter(prev.__lt__, combinations(lefts[j], sizes[j]))
 
-    for sizes in signatures(n, r, n):
-        yield from fill(sizes, range(n), ())
+        yield from _depth_first(next_parts, r)
 
 
 def _directions(d):

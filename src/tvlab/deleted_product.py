@@ -3,17 +3,19 @@
 A cell is an ordered r-tuple of pairwise vertex-disjoint non-empty simplices
 of the base complex (has_cell checks just that; no cell index is kept); its
 dimension is the sum of the factor dimensions.  deleted_product counts the
-cells of each degree, checking the cell cap as it counts, for every base;
-cells_by_dim lists them on its first read.  The boundary operator carries
-the Koszul sign (-1)^{d_1+...+d_{i-1}} on the i-th factor, and the symmetric
-group permutes factors with the Koszul sign of permuting graded slots: the
-sign of the permutation restricted to the odd-dimensional factors.  The
-action is free; its orbits are the unordered tuples, one sorted cell each,
-which disjoint_tuples enumerates by total dimension.
+cells of each degree, checking the cell cap as it counts, for every base.
+The boundary operator carries the Koszul sign (-1)^{d_1+...+d_{i-1}} on the
+i-th factor, and the symmetric group permutes factors with the Koszul sign of
+permuting graded slots: the sign of the permutation restricted to the
+odd-dimensional factors.  The action is free; its orbits are the unordered
+tuples, one sorted cell each.  One lister, _disjoint, grows tuples level by
+level and meets the cell cap at each level: cells_by_dim lists the cells on
+its first read, and disjoint_tuples the sorted ones, optionally of one degree.
 """
 
 from __future__ import annotations
 
+from bisect import bisect_left, bisect_right
 from collections import deque
 from functools import cached_property
 from math import comb
@@ -50,20 +52,58 @@ def check_full_simplex_cap(N: int, r: int) -> None:
     check_cap(full_simplex_cell_count(N, r), "cells of the deleted product")
 
 
-def vertex_mask(s) -> int:
-    return sum(1 << v for v in s)
+def _simplex_table(simplices) -> tuple:
+    """Sorted (simplex, vertex mask, size, (simplex,)) per simplex, and how many vertices they use."""
+    table = [(s, sum(1 << v for v in s), len(s), (s,)) for s in sorted(simplices)]
+    return table, len(set().union(*simplices))
 
 
-def _simplex_table(K: Complex) -> tuple:
-    """K's simplices as sorted (vertex mask, size, (simplex,)), and how many vertices they use."""
-    table = [(vertex_mask(s), len(s), (s,)) for s in sorted(K.simplices)]
-    return table, len(set().union(*K.simplices))
+def _fits(table, n: int, later: int, used: int, least: int = 1) -> list:
+    """The entries off the mask used, of size least or more, leaving a vertex per later factor."""
+    most = n - later - used.bit_count()
+    return [e for e in table if not e[1] & used and least <= e[2] <= most]
 
 
-def _fits(table, n: int, later: int, used: int) -> list:
-    """The entries of table off the vertex mask used that leave a vertex for each later factor."""
-    left = n - later - used.bit_count()
-    return [e for e in table if not e[0] & used and e[1] <= left]
+def _disjoint(simplices, r: int, dim, ordered: bool, into) -> None:
+    """Append each r-tuple of pairwise vertex-disjoint simplices, of total
+    dimension dim if given, to the list into(its used vertex mask), in
+    lexicographic order: all orderings of the factors if ordered, else the
+    increasing ones.  A prefix grows by the _fits of its mask, found once per
+    mask and level; an increasing one, by those past its least vertex, after
+    its last factor, with a simplex left per later factor.  A dimension
+    target is a budget of dim + r vertices and a least size that reaches it."""
+    (table, n), cap = _simplex_table(simplices), configured_cell_cap()
+    big = max((e[2] for e in table), default=0)
+    if r > n or dim is not None and not 0 <= dim <= min(n - r, r * (big - 1)):
+        return  # r factors use r to n vertices, and dim is their sizes less r
+    if not r:
+        into(0).append(())
+    budget, tuples, masks = n if dim is None else dim + r, [()], [0]
+    for later in range(r - 1, -1, -1):
+        hi = len(table) - (0 if ordered else later)
+        what = "%sdisjoint %d-tuples, at least" % ("prefixes of " if later else "", r)
+        extensions, grown, grown_masks, count = {}, [], [], 0
+        for t, used in zip(tuples, masks):
+            if used not in extensions:
+                least = 1 if dim is None else budget - used.bit_count() - later * big
+                lo = 0 if ordered else bisect_left(table, (((used & -used).bit_length(),),))
+                fit = _fits(table[lo:hi], budget, later, used, least)
+                extensions[used] = ([e[3] for e in fit],
+                                    [used | e[1] if later else into(used | e[1]) for e in fit])
+            tails, after = extensions[used]
+            if not ordered:
+                start = bisect_right(tails, t[-1:])
+                tails, after = tails[start:], after[start:]
+            if later:
+                grown += map(t.__add__, tails)
+                grown_masks += after
+            else:  # the last factor: each tuple into its list
+                for tail, out in zip(tails, after):
+                    out.append(t + tail)
+            count += len(tails)
+            if count > cap:
+                check_cap(count, what)
+        tuples, masks = grown, grown_masks
 
 
 class DeletedProductComplex:
@@ -91,27 +131,9 @@ class DeletedProductComplex:
 
     @cached_property
     def cells_by_dim(self) -> dict:
-        """{degree: sorted cells}, grown factor by factor from prefixes in sorted order."""
-        if self.is_empty:
-            return {}
-        (table, n), r, cells, masks = _simplex_table(self.base), self.r, [()], [0]
-        for i in range(r - 1):
-            extensions, grown, grown_masks = {}, [], []
-            for cell, used in zip(cells, masks):
-                if used not in extensions:
-                    fit = _fits(table, n, r - 1 - i, used)
-                    extensions[used] = ([t for m, k, t in fit], [used | m for m, k, t in fit])
-                tails, after = extensions[used]
-                grown += map(cell.__add__, tails)
-                grown_masks += after
-            cells, masks = grown, grown_masks
-        out, extensions = {d: [] for d in range(self.dim + 1)}, {}
-        for cell, used in zip(cells, masks):  # the last factor: each cell into its degree
-            if used not in extensions:
-                base = used.bit_count() - r
-                extensions[used] = [(out[base + k], t) for m, k, t in _fits(table, n, 0, used)]
-            for into, t in extensions[used]:
-                into.append(cell + t)
+        """{degree: sorted cells}, listed by _disjoint in every ordering of the factors."""
+        out, r = {d: [] for d in range(self.dim + 1)}, self.r
+        _disjoint(self.base.simplices, r, None, True, lambda used: out[used.bit_count() - r])
         return out
 
     def has_cell(self, cell: ProductCell) -> bool:
@@ -154,14 +176,14 @@ def deleted_product(K: Complex, r: int) -> DeletedProductComplex:
     if K.is_full_simplex():
         check_full_simplex_cap(K.num_vertices - 1, r)
         return DeletedProductComplex(K, r, full_simplex_f_vector(K.num_vertices, r))
-    (table, n), states, cap = _simplex_table(K), {0: 1}, configured_cell_cap()
+    (table, n), states, cap = _simplex_table(K.simplices), {0: 1}, configured_cell_cap()
     if r > n:  # r disjoint non-empty simplices need r vertices
         return DeletedProductComplex(K, r, [])
     for i in range(r):
         grown, total = {}, 0
         for used, ways in states.items():
             fit = _fits(table, n, r - 1 - i, used)
-            for m, k, t in fit:
+            for s, m, k, t in fit:
                 grown[used | m] = grown.get(used | m, 0) + ways
             total += ways * len(fit)
             if total > cap:
@@ -176,35 +198,9 @@ def deleted_product(K: Complex, r: int) -> DeletedProductComplex:
 def disjoint_tuples(simplices, r, dim=None) -> list:
     """Unordered r-tuples of pairwise vertex-disjoint simplices, of total
     dimension dim if given, in the order of itertools.combinations over the
-    sorted simplices.  A prefix that meets the next simplex's vertex mask,
-    or whose dimension can no longer reach dim, is never extended.  Raises
-    CapExceeded as soon as more tuples than the cell cap are listed."""
-    cap = configured_cell_cap()
-    simplices = sorted(simplices)
-    masks = [vertex_mask(s) for s in simplices]
-    top = max(map(len, simplices), default=1) - 1
+    sorted simplices: the increasing tuples that _disjoint lists."""
     out = []
-    chosen = []
-
-    def extend(start, used, total):
-        left = r - len(chosen)
-        if dim is not None and not total <= dim <= total + left * top:
-            return
-        if not left:
-            out.append(tuple(chosen))
-            if len(out) > cap:
-                check_cap(len(out), "disjoint %d-tuples, at least" % r)
-            return
-        for i in range(start, len(simplices)):
-            if not masks[i] & used:
-                chosen.append(simplices[i])
-                extend(i + 1, used | masks[i], total + len(simplices[i]) - 1)
-                chosen.pop()
-
-    try:
-        extend(0, 0, 0)
-    finally:
-        del extend  # the self-referring closure would keep out alive until a full gc pass
+    _disjoint(simplices, r, dim, False, lambda used: out)
     return out
 
 
@@ -257,12 +253,8 @@ def puzzle_reachable(dp: DeletedProductComplex, start: ProductCell, goal: Produc
                     queue.append(w)
     if goal not in prev:
         return False, []
-    path = [goal]
-    node = goal
+    path, node = [goal], goal
     while prev[node] is not None:
-        v, edge = prev[node]
-        path.append(edge)
-        path.append(v)
-        node = v
-    path.reverse()
-    return True, path
+        node, edge = prev[node]
+        path += [edge, node]
+    return True, path[::-1]

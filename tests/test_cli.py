@@ -802,6 +802,45 @@ def test_disjoint_tuples_over_the_cap_exit_3_before_any_solve(tmp_path, capsys, 
         assert (code, rep["kind"]) == (3, "cap"), command
 
 
+@pytest.mark.parametrize("command", ["cocycle", "rfold", "almost"])
+def test_plmap_lists_disjoint_tuples_up_to_the_cap(tmp_path, capsys, monkeypatch, command):
+    K = simplex_skeleton(7, 2)  # 92 faces; 280 disjoint pairs of triangles, more of all faces
+    f = plmaps.PLMap.build(K, 4, random_rational_points(8, 4, "cap boundary"))
+    path = write_json(tmp_path / "delta7-2.json", f.to_json_dict())
+    listed = K.simplices if command == "almost" else K.simplices_of_dim(2)
+    count = len(plmaps.disjoint_tuples(listed, 2))
+    argv = ["plmap", command, "--map", path, "--r", "2"]
+    monkeypatch.setenv("TVLAB_CELL_CAP", str(count))
+    assert run_cli(capsys, argv)[0] == 0
+    monkeypatch.setenv("TVLAB_CELL_CAP", str(count - 1))
+    refusal = "disjoint 2-tuples, at least: %d, over the cell cap %d" % (count, count - 1)
+    assert run_cli(capsys, argv) == (3, {"error": refusal, "kind": "cap"})
+
+
+def test_rfold_of_1100_points_in_r0(tmp_path, capsys):
+    # 1100 isolated vertices sent to the one point of R^0 have one 1100-tuple, which
+    # the recursion over sorted prefixes reached too deep to list
+    f = plmaps.PLMap.build(Complex.from_maximal(1100, [[v] for v in range(1100)]), 0, [()] * 1100)
+    path = write_json(tmp_path / "points.json", f.to_json_dict())
+    code, rep = run_cli(capsys, ["plmap", "rfold", "--map", path, "--r", "1100"])
+    assert (code, rep["count"]) == (0, 1)
+
+
+def test_tverberg_search_with_a_thousand_parts(capsys):
+    # one part per point of R^0: the partition walk's depth is r
+    code, rep = run_cli(capsys, ["tverberg", "search", "--random", "1", "--r", "1000", "--d", "0"])
+    assert (code, rep["found"]) == (0, 1)
+
+
+def test_out_of_memory_exits_3(capsys, monkeypatch):
+    def exhausted(*args):
+        raise MemoryError
+
+    monkeypatch.setattr(cli.convexity, "tverberg_search", exhausted)
+    code, rep = run_cli(capsys, ["tverberg", "search", "--random", "1", "--r", "2", "--d", "1"])
+    assert (code, rep) == (3, {"error": "out of memory", "kind": "cap"})
+
+
 def test_construct_constraint_on_delta5_is_fast(tmp_path, capsys):
     path = full_simplex_map(tmp_path, 5)
     start = time.perf_counter()

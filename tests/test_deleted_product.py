@@ -1,6 +1,7 @@
 """Tests for the r-fold deleted product construction."""
 
 import gc
+import time
 from collections import Counter
 from math import comb, factorial
 
@@ -532,3 +533,27 @@ def test_a_huge_r_is_counted_empty_at_once():
     for K in (DISCONNECTED, UNUSED_IDS):
         dp = deleted_product(K, 2 ** 64)
         assert dp.is_empty and dp.cells_by_dim == {} and dp.f_vector() == []
+
+
+def test_disjoint_tuples_of_isolated_vertices_in_linear_time():
+    # one tuple out of 1,100 vertices: each level keeps the one prefix that leaves
+    # a vertex for every later factor, where walking the sorted prefixes took 2^n
+    vertices = [(v,) for v in range(1100)]
+    start = time.perf_counter()
+    assert disjoint_tuples(vertices, 1100) == [tuple(vertices)]
+    assert time.perf_counter() - start < 1.0
+
+
+def test_a_level_of_prefixes_meets_the_cap(monkeypatch):
+    # four disjoint triangles need 12 vertices and Delta_9 has 10, so no tuple
+    # exists, yet about 2,100 disjoint pairs of triangles are listed on the way
+    triangles = simplex_skeleton(9, 2).simplices_of_dim(2)
+    assert disjoint_tuples(triangles, 4) == []
+    monkeypatch.setenv("TVLAB_CELL_CAP", "2000")
+    with pytest.raises(CapExceeded, match=r"^prefixes of disjoint 4-tuples, at least: \d+, "
+                                          r"over the cell cap 2000$"):
+        disjoint_tuples(triangles, 4)
+    monkeypatch.setenv("TVLAB_CELL_CAP", "279")  # Delta_7 has 280 disjoint pairs of triangles
+    with pytest.raises(CapExceeded, match=r"^disjoint 2-tuples, at least: 280, "
+                                          r"over the cell cap 279$"):
+        disjoint_tuples(simplex_skeleton(7, 2).simplices_of_dim(2), 2)
