@@ -53,7 +53,7 @@ def check_full_simplex_cap(N: int, r: int) -> None:
 
 
 def _simplex_table(simplices) -> tuple:
-    """Sorted (simplex, vertex mask, size, (simplex,)) per simplex, and how many vertices they use."""
+    """Sorted (simplex, vertex mask, size, (simplex,)) entries, and how many vertices they use."""
     table = [(s, sum(1 << v for v in s), len(s), (s,)) for s in sorted(simplices)]
     return table, len(set().union(*simplices))
 
@@ -66,7 +66,7 @@ def _fits(table, n: int, later: int, used: int, least: int = 1) -> list:
 
 def _disjoint(simplices, r: int, dim, ordered: bool, into) -> None:
     """Append each r-tuple of pairwise vertex-disjoint simplices, of total
-    dimension dim if given, to the list into(its used vertex mask), in
+    dimension dim if given, to the list into(its dimension), in
     lexicographic order: all orderings of the factors if ordered, else the
     increasing ones.  A prefix grows by the _fits of its mask, found once per
     mask and level; an increasing one, by those past its least vertex, after
@@ -88,8 +88,8 @@ def _disjoint(simplices, r: int, dim, ordered: bool, into) -> None:
                 least = 1 if dim is None else budget - used.bit_count() - later * big
                 lo = 0 if ordered else bisect_left(table, (((used & -used).bit_length(),),))
                 fit = _fits(table[lo:hi], budget, later, used, least)
-                extensions[used] = ([e[3] for e in fit],
-                                    [used | e[1] if later else into(used | e[1]) for e in fit])
+                extensions[used] = ([e[3] for e in fit], [used | e[1] for e in fit] if later
+                                    else [into((used | e[1]).bit_count() - r) for e in fit])
             tails, after = extensions[used]
             if not ordered:
                 start = bisect_right(tails, t[-1:])
@@ -132,8 +132,8 @@ class DeletedProductComplex:
     @cached_property
     def cells_by_dim(self) -> dict:
         """{degree: sorted cells}, listed by _disjoint in every ordering of the factors."""
-        out, r = {d: [] for d in range(self.dim + 1)}, self.r
-        _disjoint(self.base.simplices, r, None, True, lambda used: out[used.bit_count() - r])
+        out = {d: [] for d in range(self.dim + 1)}
+        _disjoint(self.base.simplices, self.r, None, True, out.__getitem__)
         return out
 
     def has_cell(self, cell: ProductCell) -> bool:
@@ -200,7 +200,7 @@ def disjoint_tuples(simplices, r, dim=None) -> list:
     dimension dim if given, in the order of itertools.combinations over the
     sorted simplices: the increasing tuples that _disjoint lists."""
     out = []
-    _disjoint(simplices, r, dim, False, lambda used: out)
+    _disjoint(simplices, r, dim, False, lambda degree: out)
     return out
 
 
