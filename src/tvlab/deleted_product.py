@@ -80,27 +80,27 @@ def _disjoint(simplices, r: int, dim, ordered: bool, into) -> None:
         into(0).append(())
     budget, tuples, masks = n if dim is None else dim + r, [()], [0]
     for later in range(r - 1, -1, -1):
-        hi = len(table) - (0 if ordered else later)
+        hi = len(table) - later
         what = "%sdisjoint %d-tuples, at least" % ("prefixes of " if later else "", r)
         extensions, grown, grown_masks, count = {}, [], [], 0
         for t, used in zip(tuples, masks):
-            if used not in extensions:
+            if used not in extensions:  # (tail, its grown mask, or at the last level its list)
                 least = 1 if dim is None else budget - used.bit_count() - later * big
                 lo = 0 if ordered else bisect_left(table, (((used & -used).bit_length(),),))
-                fit = _fits(table[lo:hi], budget, later, used, least)
-                extensions[used] = ([e[3] for e in fit], [used | e[1] for e in fit] if later
-                                    else [into((used | e[1]).bit_count() - r) for e in fit])
-            tails, after = extensions[used]
-            if not ordered:
-                start = bisect_right(tails, t[-1:])
-                tails, after = tails[start:], after[start:]
+                fit = _fits(table if ordered else table[lo:hi], budget, later, used, least)
+                extensions[used] = [(e[3], into((used | e[1]).bit_count() - r) if not later
+                                     else used | e[1]) for e in fit]
+            pairs = extensions[used]
+            if not ordered:  # no tail equals t's last factor, so only tails are compared
+                pairs = pairs[bisect_right(pairs, (t[-1:],)):]
             if later:
-                grown += map(t.__add__, tails)
-                grown_masks += after
+                for tail, after in pairs:
+                    grown.append(t + tail)
+                    grown_masks.append(after)
             else:  # the last factor: each tuple into its list
-                for tail, out in zip(tails, after):
+                for tail, out in pairs:
                     out.append(t + tail)
-            count += len(tails)
+            count += len(pairs)
             if count > cap:
                 check_cap(count, what)
         tuples, masks = grown, grown_masks
