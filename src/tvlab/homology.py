@@ -2,23 +2,25 @@
 
 Matrices are sparse {(row, col): entry} dicts, or an IntMatrix of that and
 a shape.  Integral homology goes through a sparse elimination on unit
-pivots (a small leftover block goes to the Smith normal form, the one dense
-computation).  Homology over GF(p) goes through one column reduction, the
-degrees walked from the top down with clearing: the pivot rows of one
-boundary name columns of the next that need no reduction (Chen and Kerber,
-"Persistent homology computation with a twist", 2011; Bauer, Kerber and
-Reininghaus, PHAT, 2014).  Then homological connectivity, and integer
-linear system solving on the unit-pivot elimination: the right-hand side is
-carried along as a column that is never a pivot, the leftover block is
-solved by the Smith normal form, and the logged pivot rows are
-back-substituted.  An infeasibility certificate is re-verified through the
-combination of equations behind it.
+pivots; the small block left over is the one dense array, reduced in place
+to its Smith normal form with no transforms.  Integer linear systems run on
+the same elimination: the right-hand side is carried along as a column that
+is never a pivot, the leftover block is solved by its Smith normal form with
+U and V riding along as columns and rows of the same array, and the logged
+pivot rows are back-substituted; an infeasibility certificate is re-verified
+through the combination of equations behind it.  A dense block's m*n entries
+pass the cell cap before it is allocated.  Homology over GF(p) goes through
+one column reduction, the degrees walked from the top down with clearing:
+the pivot rows of one boundary name columns of the next that need no
+reduction (Chen and Kerber, "Persistent homology computation with a twist",
+2011; Bauer, Kerber and Reininghaus, PHAT, 2014).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
+from .complexes import check_cap
 from .errors import InputError, SearchInvariantViolated
 from .symgroup import is_prime
 
@@ -41,55 +43,21 @@ class IntMatrix:
         return out
 
 
-def smith_normal_form(M: IntMatrix):
-    """Return (U, D, V) with U*M*V = D diagonal, d_1 | d_2 | ..., U,V unimodular.
+def _smith(T: list, m: int, n: int) -> None:
+    """Smith normal form, in place, of the block of the first m rows of T
+    and their first n columns.
 
-    The one dense computation: M is densified here, and U, D and V come back
-    as lists of rows.  Pivot choice: minimal nonzero absolute value, to
-    limit entry growth.
+    A row operation acts on a whole row, so columns of T right of column n
+    ride along; a column operation acts on columns < n of every row, so
+    rows of T below row m ride along.  Pivot choice: minimal nonzero
+    absolute value, the first unit in row-major order, to limit entry
+    growth.  The diagonal ends as d_1 | d_2 | ..., nonnegative.
     """
-    m, n = M.rows, M.cols
-    D = [[0] * n for _ in range(m)]
-    for (i, j), v in M.entries.items():
-        D[i][j] = v
-    U = [[int(i == j) for j in range(m)] for i in range(m)]
-    V = [[int(i == j) for j in range(n)] for i in range(n)]
-
-    def row_op(i, k, q):  # row_i -= q * row_k, in D and U
-        D[i] = [a - q * b for a, b in zip(D[i], D[k])]
-        U[i] = [a - q * b for a, b in zip(U[i], U[k])]
-
-    def col_op(j, k, q):  # col_j -= q * col_k
-        for row in D:
-            row[j] -= q * row[k]
-        for row in V:
-            row[j] -= q * row[k]
-
-    def swap_rows(i, k):
-        D[i], D[k] = D[k], D[i]
-        U[i], U[k] = U[k], U[i]
-
-    def swap_cols(j, k):
-        for row in D:
-            row[j], row[k] = row[k], row[j]
-        for row in V:
-            row[j], row[k] = row[k], row[j]
-
-    def balanced_quotient(a, p):
-        # quotient leaving |a - q*p| <= |p| / 2; divmod's remainder has the
-        # sign of p, so the balancing correction is always one more step
-        q, rem = divmod(a, p)
-        if 2 * abs(rem) > abs(p):
-            q += 1
-        return q
-
     t = 0
     while t < min(m, n):
-        # find a minimal-abs nonzero pivot in D[t:, t:]
-        pivot = None
-        best = None
+        pivot = best = None
         for i in range(t, m):
-            row = D[i]
+            row = T[i]
             for j in range(t, n):
                 a = row[j]
                 if a and (best is None or abs(a) < best):
@@ -101,36 +69,62 @@ def smith_normal_form(M: IntMatrix):
                 break
         if pivot is None:
             break
-        swap_rows(t, pivot[0])
-        swap_cols(t, pivot[1])
-        p = D[t][t]
+        i, j = pivot
+        T[t], T[i] = T[i], T[t]
+        for row in T:
+            row[t], row[j] = row[j], row[t]
+        prow = T[t]
+        p = prow[t]
         # one reduction pass over column and row t, then re-pivot if any
-        # balanced remainder survived (it is strictly smaller than |p|)
+        # balanced remainder survived (it is strictly smaller than |p|): the
+        # quotient q = (2a + h) // 2p leaves |a - q*p| <= |p| / 2, a tie at q = floor(a / p)
+        h = p - 1 if p > 0 else p + 1
         for i in range(t + 1, m):
-            if D[i][t]:
-                row_op(i, t, balanced_quotient(D[i][t], p))
+            if T[i][t]:
+                q = (2 * T[i][t] + h) // (2 * p)
+                T[i] = [a - q * b for a, b in zip(T[i], prow)]
         for j in range(t + 1, n):
-            if D[t][j]:
-                col_op(j, t, balanced_quotient(D[t][j], p))
-        if any(D[i][t] for i in range(t + 1, m)) or any(D[t][j] for j in range(t + 1, n)):
+            if prow[j]:
+                q = (2 * prow[j] + h) // (2 * p)
+                for row in T:
+                    row[j] -= q * row[t]
+        if any(T[i][t] for i in range(t + 1, m)) or any(prow[t + 1:n]):
             continue
-        # enforce divisibility of the remaining block by the pivot
-        offender = None
-        for i in range(t + 1, m):
-            row = D[i]
-            if any(row[j] % p for j in range(t + 1, n)):
-                offender = i
-                break
+        # enforce divisibility of the remaining block by the pivot: add the
+        # first offending row to row t and redo this pivot
+        offender = next((i for i in range(t + 1, m)
+                         if any(T[i][j] % p for j in range(t + 1, n))), None)
         if offender is not None:
-            # add the offending row to row t and redo this pivot
-            D[t] = [a + b for a, b in zip(D[t], D[offender])]
-            U[t] = [a + b for a, b in zip(U[t], U[offender])]
+            T[t] = [a + b for a, b in zip(prow, T[offender])]
             continue
         if p < 0:
-            D[t] = [-a for a in D[t]]
-            U[t] = [-a for a in U[t]]
+            T[t] = [-a for a in prow]
         t += 1
-    return U, D, V
+
+
+def _dense(M: IntMatrix) -> list:
+    """The rows of M as lists, the one dense allocation.  Its m*n entries
+    pass the cell cap first; transforms that ride along are not counted."""
+    check_cap(M.rows * M.cols, "entries of the dense Smith block")
+    rows = [[0] * M.cols for _ in range(M.rows)]
+    for (i, j), v in M.entries.items():
+        rows[i][j] = v
+    return rows
+
+
+def smith_normal_form(M: IntMatrix):
+    """Return (U, D, V) with U*M*V = D diagonal, d_1 | d_2 | ..., U,V unimodular.
+
+    M is densified with the identity right of its rows, which ends as U,
+    and below them, which ends as V; U, D and V come back as lists of rows.
+    """
+    m, n = M.rows, M.cols
+    T = _dense(M)
+    for i, row in enumerate(T):
+        row += [int(i == k) for k in range(m)]
+    T += [[int(i == j) for j in range(n)] for i in range(n)]
+    _smith(T, m, n)
+    return [row[n:] for row in T[:m]], [row[:n] for row in T[:m]], T[m:]
 
 
 def _eliminate(sparse: dict, carry=None, log=None):
@@ -211,8 +205,10 @@ def smith_diagonal(sparse: dict, m: int, n: int) -> list:
     units, left = _eliminate(sparse)
     diag = [1] * units
     if left:
-        _, D, _ = smith_normal_form(_leftover_block(left)[2])
-        diag += [row[t] for t, row in enumerate(D) if t < len(row) and row[t]]
+        block = _leftover_block(left)[2]
+        T = _dense(block)
+        _smith(T, block.rows, block.cols)
+        diag += [row[t] for t, row in enumerate(T) if t < block.cols and row[t]]
     return diag + [0] * (min(m, n) - len(diag))
 
 

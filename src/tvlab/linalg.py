@@ -70,7 +70,7 @@ def rref(A):
 
 
 def rank(A) -> int:
-    return len(rref(A)[1])
+    return len(gauss_jordan(clear_denominators(A)[0])[0])
 
 
 def nullspace(A):

@@ -1,16 +1,18 @@
 """Tests for Smith normal form, homology, and integer system solving."""
 
 import random
+import tracemalloc
 from collections import Counter
 from itertools import combinations
+from unittest import mock
 
 import pytest
 
 from tvlab import homology as homology_module
 from tvlab.complexes import full_simplex
 from tvlab.deleted_product import deleted_product, full_simplex_cell_count
-from tvlab.errors import InputError, SearchInvariantViolated
-from tvlab.homology import (IntMatrix, _eliminate, _rank_mod_p, _snf_solve,
+from tvlab.errors import CapExceeded, InputError, SearchInvariantViolated
+from tvlab.homology import (IntMatrix, _eliminate, _leftover_block, _rank_mod_p, _snf_solve,
                             dp_homology, homological_connectivity, homology,
                             smith_diagonal, smith_normal_form,
                             solve_integer_system)
@@ -104,6 +106,177 @@ def test_sparse_diagonal_matches_dense():
         assert smith_diagonal(sparse, m, n) == dense_diag
         leftover_blocks += bool(_eliminate(sparse)[1])
     assert leftover_blocks >= 50
+
+
+def reference_smith_normal_form(M):
+    """The oracle for the in-place reduction: the same Smith normal form
+    with D, U and V held as three matrices and updated in lockstep."""
+    m, n = M.rows, M.cols
+    D = [[0] * n for _ in range(m)]
+    for (i, j), v in M.entries.items():
+        D[i][j] = v
+    U = [[int(i == j) for j in range(m)] for i in range(m)]
+    V = [[int(i == j) for j in range(n)] for i in range(n)]
+
+    def row_op(i, k, q):  # row_i -= q * row_k, in D and U
+        D[i] = [a - q * b for a, b in zip(D[i], D[k])]
+        U[i] = [a - q * b for a, b in zip(U[i], U[k])]
+
+    def col_op(j, k, q):  # col_j -= q * col_k
+        for row in D:
+            row[j] -= q * row[k]
+        for row in V:
+            row[j] -= q * row[k]
+
+    def swap_rows(i, k):
+        D[i], D[k] = D[k], D[i]
+        U[i], U[k] = U[k], U[i]
+
+    def swap_cols(j, k):
+        for row in D:
+            row[j], row[k] = row[k], row[j]
+        for row in V:
+            row[j], row[k] = row[k], row[j]
+
+    def balanced_quotient(a, p):
+        q, rem = divmod(a, p)
+        if 2 * abs(rem) > abs(p):
+            q += 1
+        return q
+
+    t = 0
+    while t < min(m, n):
+        pivot = None
+        best = None
+        for i in range(t, m):
+            row = D[i]
+            for j in range(t, n):
+                a = row[j]
+                if a and (best is None or abs(a) < best):
+                    best = abs(a)
+                    pivot = (i, j)
+                    if best == 1:
+                        break
+            if best == 1:
+                break
+        if pivot is None:
+            break
+        swap_rows(t, pivot[0])
+        swap_cols(t, pivot[1])
+        p = D[t][t]
+        for i in range(t + 1, m):
+            if D[i][t]:
+                row_op(i, t, balanced_quotient(D[i][t], p))
+        for j in range(t + 1, n):
+            if D[t][j]:
+                col_op(j, t, balanced_quotient(D[t][j], p))
+        if any(D[i][t] for i in range(t + 1, m)) or any(D[t][j] for j in range(t + 1, n)):
+            continue
+        offender = None
+        for i in range(t + 1, m):
+            row = D[i]
+            if any(row[j] % p for j in range(t + 1, n)):
+                offender = i
+                break
+        if offender is not None:
+            D[t] = [a + b for a, b in zip(D[t], D[offender])]
+            U[t] = [a + b for a, b in zip(U[t], U[offender])]
+            continue
+        if p < 0:
+            D[t] = [-a for a in D[t]]
+            U[t] = [-a for a in U[t]]
+        t += 1
+    return U, D, V
+
+
+def reference_smith_diagonal(sparse, m, n):
+    """smith_diagonal with the leftover block reduced by the oracle."""
+    units, left = _eliminate(sparse)
+    diag = [1] * units
+    if left:
+        _, D, _ = reference_smith_normal_form(_leftover_block(left)[2])
+        diag += [row[t] for t, row in enumerate(D) if t < len(row) and row[t]]
+    return diag + [0] * (min(m, n) - len(diag))
+
+
+def snf_cases():
+    """(A, b): m x n integer matrices, 0 <= m, n <= 8, entries in -6..6
+    with some rows and columns all zero, and a right-hand side in the image
+    of A or drawn freely."""
+    @st.composite
+    def case(draw):
+        m, n = draw(st.integers(0, 8)), draw(st.integers(0, 8))
+        zero_rows = draw(st.sets(st.integers(0, 7)))
+        zero_cols = draw(st.sets(st.integers(0, 7)))
+        entries = {}
+        for i in range(m):
+            for j in range(n):
+                v = 0 if i in zero_rows or j in zero_cols else draw(st.integers(-6, 6))
+                if v:
+                    entries[i, j] = v
+        A = IntMatrix(m, n, entries)
+        if draw(st.booleans()):
+            b = A.mat_vec(draw(st.lists(st.integers(-4, 4), min_size=n, max_size=n)))
+        else:
+            b = draw(st.lists(st.integers(-6, 6), min_size=m, max_size=m))
+        return A, b
+
+    return case()
+
+
+@pytest.mark.skipif(given is None, reason="needs hypothesis")
+def test_smith_reduction_matches_the_three_matrix_reference():
+    seen = Counter()
+
+    @settings(max_examples=300)
+    @given(snf_cases())
+    def check(case):
+        A, b = case
+        expected = reference_smith_normal_form(A)
+        assert smith_normal_form(A) == expected
+        assert smith_diagonal(A.entries, A.rows, A.cols) == \
+            reference_smith_diagonal(A.entries, A.rows, A.cols)
+        with mock.patch.object(homology_module, "smith_normal_form", reference_smith_normal_form):
+            expected_solve = _snf_solve(A, b)
+        assert _snf_solve(A, b) == expected_solve
+        seen["solved" if expected_solve[0] is not None else expected_solve[1]["kind"]] += 1
+        seen["nonunit"] += any(abs(d) > 1 for row in expected[1] for d in row)
+
+    check()
+    assert seen["solved"] >= 100 and seen["divisibility"] >= 15 and seen["rank"] >= 50
+    assert seen["nonunit"] >= 30
+
+
+UNIT_FREE_4x6 = {(i, j): 2 + (i + 3 * j) % 5 for i in range(4) for j in range(6)}
+
+
+@pytest.mark.parametrize("cap, refused", [(23, True), (24, False)])
+def test_dense_block_meets_the_cell_cap(monkeypatch, cap, refused):
+    # no unit entry: the sparse elimination leaves the whole 4 x 6 block
+    A = IntMatrix(4, 6, UNIT_FREE_4x6)
+    monkeypatch.setenv("TVLAB_CELL_CAP", str(cap))
+    calls = [lambda: smith_normal_form(A),
+             lambda: smith_diagonal(A.entries, 4, 6),
+             lambda: solve_integer_system(A, [1, 2, 3, 4])]
+    for call in calls:
+        if refused:
+            with pytest.raises(CapExceeded, match=r"entries of the dense Smith block: 24"):
+                call()
+        else:
+            call()
+
+
+def test_smith_diagonal_allocates_no_transform():
+    # a 4 x 1500 block with no unit entry; transforms would take 1500^2 entries
+    sparse = {(i, j): 2 + (i + 3 * j) % 5 for i in range(4) for j in range(1500)}
+    tracemalloc.start()
+    try:
+        diag = smith_diagonal(sparse, 4, 1500)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert diag == [1, 1, 5, 5]
+    assert peak < 2_000_000
 
 
 @pytest.mark.parametrize("p", [2, 3, 5])

@@ -74,3 +74,19 @@ def test_mod_p_homology_records_one_rank_span_per_degree():
     assert dp.dim == 3 and names.count("homology._rank_mod_p") == dp.dim
     metrics = spans.layer_metrics(tracer.spans, tracer.counts)
     assert metrics["homology.modp_s"] >= metrics["homology.rank_mod_p_s"] > 0
+
+
+def test_smith_diagonal_records_no_smith_normal_form_span():
+    spans = load_spans()
+    tracer = spans.Tracer()
+    tracer.install()
+    try:
+        with tracer.query(0):
+            # a block with no unit entry reaches the dense reduction, without transforms
+            diag = homology.smith_diagonal({(0, 0): 2, (0, 1): 4, (1, 0): 6, (1, 1): 8}, 2, 2)
+    finally:
+        tracer.uninstall()
+    names = [span[0] for span in tracer.spans]
+    assert diag == [2, 4]
+    assert names.count("homology.smith_diagonal") == 1
+    assert "homology.smith_normal_form" not in names
