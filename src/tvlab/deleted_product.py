@@ -11,10 +11,17 @@ odd-dimensional factors.  The action is free; its orbits are the unordered
 tuples, one sorted cell each.  One lister, _disjoint, grows tuples level by
 level and meets the cell cap at each level: cells_by_dim lists the cells on
 its first read, and disjoint_tuples the sorted ones, optionally of one degree.
+A boundary matrix is a list of columns, column j the (row, sign) pairs of
+the j-th d-cell's facets.  A facet's row is found by an integer cell key,
+sum (i + 1) * q^v over the vertices v of each factor i, with q the least
+prime above r: the facet's key is its cell's key less (i + 1) * q^v, so no
+facet is built as a tuple.  Dicts over vertex masks key a mask past the int
+hash modulus by its bytes, so a base of more than 61 vertices hashes well.
 """
 
 from __future__ import annotations
 
+import sys
 from bisect import bisect_left, bisect_right
 from collections import deque
 from functools import cached_property
@@ -22,7 +29,7 @@ from math import comb
 
 from .complexes import Complex, check_cap, check_simplex_faces, configured_cell_cap
 from .errors import InputError
-from .symgroup import sign
+from .symgroup import is_prime, sign
 
 ProductCell = tuple  # tuple of Simplex, pairwise disjoint
 
@@ -58,6 +65,20 @@ def _simplex_table(simplices) -> tuple:
     return table, len(set().union(*simplices))
 
 
+_HASH_MODULUS = sys.hash_info.modulus  # an int hashes to itself modulo this prime, 2^61 - 1
+
+
+def _mask_key(mask: int):
+    """The dict key of a vertex mask: the mask itself below _HASH_MODULUS, its
+    bytes from there on, where the int's hash would fold vertex v onto v + 61."""
+    return mask if mask < _HASH_MODULUS else mask.to_bytes((mask.bit_length() + 7) // 8, "little")
+
+
+def _key_mask(key) -> int:
+    """The vertex mask of a key made by _mask_key."""
+    return key if type(key) is int else int.from_bytes(key, "little")
+
+
 def _fits(table, n: int, later: int, used: int, least: int = 1) -> list:
     """The entries off the mask used, of size least or more, leaving a vertex per later factor."""
     most = n - later - used.bit_count()
@@ -84,13 +105,14 @@ def _disjoint(simplices, r: int, dim, ordered: bool, into) -> None:
         what = "%sdisjoint %d-tuples, at least" % ("prefixes of " if later else "", r)
         extensions, grown, grown_masks, count = {}, [], [], 0
         for t, used in zip(tuples, masks):
-            if used not in extensions:  # (tail, its grown mask, or at the last level its list)
+            key = _mask_key(used)
+            pairs = extensions.get(key)
+            if pairs is None:  # (tail, its grown mask, or at the last level its list)
                 least = 1 if dim is None else budget - used.bit_count() - later * big
                 lo = 0 if ordered else bisect_left(table, (((used & -used).bit_length(),),))
                 fit = _fits(table if ordered else table[lo:hi], budget, later, used, least)
-                extensions[used] = [(e[3], into((used | e[1]).bit_count() - r) if not later
-                                     else used | e[1]) for e in fit]
-            pairs = extensions[used]
+                pairs = extensions[key] = [(e[3], into((used | e[1]).bit_count() - r)
+                                            if not later else used | e[1]) for e in fit]
             if not ordered:  # no tail equals t's last factor, so only tails are compared
                 pairs = pairs[bisect_right(pairs, (t[-1:],)):]
             if later:
@@ -155,16 +177,43 @@ class DeletedProductComplex:
             shift += len(s) - 1
         return out
 
-    def boundary_matrix(self, d: int) -> dict:
-        """Sparse boundary from dimension d to d-1: {(row, col): sign}.
+    @cached_property
+    def _keys(self) -> tuple:
+        """(drops, indices): drops[i][v] is (i + 1) * q^v for the least prime q
+        above r, and indices[d] is {key: position} of the d-cells.  A cell's key
+        writes label i + 1 at each vertex of factor i as a base-q digit, so
+        distinct cells have distinct keys; powers of an odd prime, unlike bit
+        shifts, do not fold vertex v onto v + 61 in CPython's int hash."""
+        q = self.r + 1
+        while not is_prime(q):
+            q += 1
+        powers = [q ** v for v in range(self.base.num_vertices)]
+        weight = {s: sum(powers[v] for v in s) for s in self.base.simplices}
+        by_label = [{s: label * w for s, w in weight.items()} for label in range(1, self.r + 1)]
+        get = dict.__getitem__
+        indices = {d: {sum(map(get, by_label, cell)): j for j, cell in enumerate(cells)}
+                   for d, cells in self.cells_by_dim.items()}
+        return [[label * w for w in powers] for label in range(1, self.r + 1)], indices
 
-        Rows index (d-1)-cells, columns index d-cells, in sorted cell order.
-        Each entry is assigned once: the facets of one cell are distinct cells.
+    def boundary_matrix(self, d: int) -> list:
+        """Sparse boundary from dimension d to d-1 as columns: column j lists
+        (row, sign) for the facets of the j-th d-cell, in the order of
+        cell_boundary.  Rows index (d-1)-cells and columns d-cells, both in
+        sorted cell order; the facets of one cell are distinct cells.
         """
-        rows = {c: i for i, c in enumerate(self.cells_by_dim.get(d - 1, ()))}
-        return {(rows[facet], j): eps
-                for j, cell in enumerate(self.cells_by_dim.get(d, ()))
-                for facet, eps in self.cell_boundary(cell)}
+        drops, indices = self._keys
+        rows, out = indices.get(d - 1, {}), []
+        for cell, key in zip(self.cells_by_dim.get(d, ()), indices.get(d, ())):
+            column, shift = [], 0
+            for drop, s in zip(drops, cell):
+                if len(s) > 1:
+                    sign = -1 if shift & 1 else 1
+                    for v in s:
+                        column.append((rows[key - drop[v]], sign))
+                        sign = -sign
+                    shift += len(s) - 1
+            out.append(column)
+        return out
 
 
 def deleted_product(K: Complex, r: int) -> DeletedProductComplex:
@@ -181,16 +230,20 @@ def deleted_product(K: Complex, r: int) -> DeletedProductComplex:
         return DeletedProductComplex(K, r, [])
     for i in range(r):
         grown, total = {}, 0
-        for used, ways in states.items():
+        for key, ways in states.items():
+            used = _key_mask(key)
             fit = _fits(table, n, r - 1 - i, used)
             for s, m, k, t in fit:
-                grown[used | m] = grown.get(used | m, 0) + ways
+                after = used | m
+                at = after if after < _HASH_MODULUS else _mask_key(after)  # a call per wide mask only
+                grown[at] = grown.get(at, 0) + ways
             total += ways * len(fit)
             if total > cap:
                 check_cap(total, "cells of the deleted product, at least")
         states = grown
     f = {}
-    for used, ways in states.items():
+    for key, ways in states.items():
+        used = _key_mask(key)
         f[used.bit_count() - r] = f.get(used.bit_count() - r, 0) + ways
     return DeletedProductComplex(K, r, [f[d] for d in range(len(f))])  # no degree is skipped
 

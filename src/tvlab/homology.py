@@ -1,19 +1,25 @@
 """Exact integer linear algebra and cellular homology.
 
-Matrices are sparse {(row, col): entry} dicts, or an IntMatrix of that and
-a shape.  Integral homology goes through a sparse elimination on unit
-pivots; the small block left over is the one dense array, reduced in place
-to its Smith normal form with no transforms.  Integer linear systems run on
-the same elimination: the right-hand side is carried along as a column that
-is never a pivot, the leftover block is solved by its Smith normal form with
-U and V riding along as columns and rows of the same array, and the logged
-pivot rows are back-substituted; an infeasibility certificate is re-verified
-through the combination of equations behind it.  A dense block's m*n entries
-pass the cell cap before it is allocated.  Homology over GF(p) goes through
-one column reduction, the degrees walked from the top down with clearing:
-the pivot rows of one boundary name columns of the next that need no
-reduction (Chen and Kerber, "Persistent homology computation with a twist",
-2011; Bauer, Kerber and Reininghaus, PHAT, 2014).
+A boundary matrix is a list of columns, column j the (row, entry) pairs of
+its nonzero entries, each row at most once, as deleted_product builds it
+(the column format that PHAT reduces).  The check that boundaries square to
+zero, both eliminations and the integer solve read columns.  IntMatrix, a
+shape and a sparse {(row, col): entry} dict, is kept for the coboundary,
+the leftover block and the input of a solve, whose matrix and right-hand
+side become columns once.  Integral homology goes through a sparse
+elimination on unit pivots; the small block left over is the one dense
+array, reduced in place to its Smith normal form with no transforms.
+Integer linear systems run on the same elimination: the right-hand side is
+carried along as a column that is never a pivot, the leftover block is
+solved by its Smith normal form with U and V riding along as columns and
+rows of the same array, and the logged pivot rows are back-substituted; an
+infeasibility certificate is re-verified through the combination of
+equations behind it.  A dense block's m*n entries pass the cell cap before
+it is allocated.  Homology over GF(p) goes through one column reduction,
+the degrees walked from the top down with clearing: the pivot rows of one
+boundary name columns of the next that need no reduction (Chen and Kerber,
+"Persistent homology computation with a twist", 2011; Bauer, Kerber and
+Reininghaus, PHAT, 2014).
 """
 
 from __future__ import annotations
@@ -127,7 +133,7 @@ def smith_normal_form(M: IntMatrix):
     return [row[n:] for row in T[:m]], [row[:n] for row in T[:m]], T[m:]
 
 
-def _eliminate(sparse: dict, carry=None, log=None):
+def _eliminate(columns: list, carry=None, log=None):
     """Sparse integer elimination on unit pivots, sweeping the columns in order.
 
     In each column the pivot is a +-1 entry in the shortest row that holds
@@ -144,10 +150,14 @@ def _eliminate(sparse: dict, carry=None, log=None):
     """
     rows = {}
     cols = {}
-    for (i, j), v in sparse.items():
-        if v:
-            rows.setdefault(i, {})[j] = v
-            cols.setdefault(j, set()).add(i)
+    for j, column in enumerate(columns):
+        live = set()
+        for i, v in column:
+            if v:
+                rows.setdefault(i, {})[j] = v
+                live.add(i)
+        if live:
+            cols[j] = live
     pivots = 0
     for j in sorted(cols):
         if j == carry:
@@ -195,14 +205,15 @@ def _leftover_block(left: dict, carry=None):
     return row_ids, col_ids, IntMatrix(len(row_ids), len(col_ids), entries)
 
 
-def smith_diagonal(sparse: dict, m: int, n: int) -> list:
-    """Diagonal of the Smith normal form of a sparse matrix, no transforms.
+def smith_diagonal(columns: list, m: int, n: int) -> list:
+    """Diagonal of the Smith normal form of an m x n matrix given by its
+    columns, no transforms.
 
     One 1 per unit pivot of the sparse elimination, then the nonzero
     diagonal of the dense Smith normal form of the block left over (a
     divisibility chain, which the leading 1s divide), then zeros.
     """
-    units, left = _eliminate(sparse)
+    units, left = _eliminate(columns)
     diag = [1] * units
     if left:
         block = _leftover_block(left)[2]
@@ -224,8 +235,8 @@ class HomologyReport:
         return self.ranks.get(d, 0)
 
 
-def _rank_mod_p(sparse: dict, p: int, cleared=frozenset(), lows=None) -> int:
-    """Rank over GF(p) of a sparse matrix, by column reduction.
+def _rank_mod_p(columns: list, p: int, cleared=frozenset(), lows=None) -> int:
+    """Rank over GF(p) of a matrix given by its columns, by column reduction.
 
     The columns are reduced left to right.  A column's pivot is its lowest
     nonzero row (the largest index); while another column already holds
@@ -239,11 +250,13 @@ def _rank_mod_p(sparse: dict, p: int, cleared=frozenset(), lows=None) -> int:
     is one XOR; for odd p it is a {row: v} dict, scaled to pivot entry 1
     when it takes its pivot.  The reduction loop is the same for both.
     """
-    cols = {}
     if p == 2:
-        for (i, j), v in sparse.items():
-            if v % 2 and j not in cleared:
-                cols[j] = cols.get(j, 0) | 1 << i
+        def load(column):
+            bits = 0
+            for i, v in column:
+                if v & 1:
+                    bits |= 1 << i
+            return bits
 
         def low(col):
             return col.bit_length() - 1
@@ -254,10 +267,9 @@ def _rank_mod_p(sparse: dict, p: int, cleared=frozenset(), lows=None) -> int:
         def settle(col, i):
             return col
     else:
-        for (i, j), v in sparse.items():
-            v %= p
-            if v and j not in cleared:
-                cols.setdefault(j, {})[i] = v
+        def load(column):
+            return {i: v % p for i, v in column if v % p}
+
         low = max
 
         def add(col, by, i):  # by[i] == 1, so this clears row i of col
@@ -276,8 +288,10 @@ def _rank_mod_p(sparse: dict, p: int, cleared=frozenset(), lows=None) -> int:
                 col[k] = v * inv % p
             return col
     pivots = {}  # pivot row -> the reduced column that holds it
-    for j in sorted(cols):
-        col = cols.pop(j)
+    for j, column in enumerate(columns):
+        if j in cleared:
+            continue
+        col = load(column)
         while col:
             i = low(col)
             by = pivots.get(i)
@@ -303,24 +317,23 @@ def coefficient_tag(coefficients) -> str:
 def homology(boundaries: list, shapes: list, coefficients="Z") -> HomologyReport:
     """Cellular homology from sparse boundary matrices.
 
-    boundaries[d] maps dimension d to d-1 (d >= 1), as {(row, col): entry};
-    shapes[d] is the number of d-cells.  coefficients is "Z" or a prime p.
+    boundaries[d] maps dimension d to d-1 (d >= 1), as its shapes[d]
+    columns, each a list of (row, entry) with a row at most once; shapes[d]
+    is the number of d-cells.  coefficients is "Z" or a prime p.
     """
     tag = coefficient_tag(coefficients)
     top = len(shapes) - 1
     # chain-complex sanity, over Z: boundary d-1 takes every column of
-    # boundary d to zero, each column summed into its own {row: value}
+    # boundary d to zero, each column's image summed into its own {row: value}
     for d in range(2, top + 1):
-        by_col = {}
-        for (k, i), w in boundaries[d - 1].items():
-            by_col.setdefault(i, []).append((k, w))
-        images = {}
-        for (i, j), v in boundaries[d].items():
-            image = images.setdefault(j, {})
-            for k, w in by_col.get(i, ()):
-                image[k] = image.get(k, 0) + v * w
-        if any(any(image.values()) for image in images.values()):
-            raise InputError("boundary squared is nonzero in dim %d" % d)
+        lower = boundaries[d - 1]
+        for column in boundaries[d]:
+            image = {}
+            for i, v in column:
+                for k, w in lower[i]:
+                    image[k] = image.get(k, 0) + v * w
+            if any(image.values()):
+                raise InputError("boundary squared is nonzero in dim %d" % d)
 
     # diag[d]: Smith diagonal of boundary d (over GF(p), one 1 per rank).
     # Over GF(p) the degrees are walked down with clearing: a pivot row i of
@@ -413,10 +426,12 @@ def solve_integer_system(A: IntMatrix, b: list):
     if A.rows != len(b):
         raise InputError("b has length %d, A has %d rows" % (len(b), A.rows))
     carry = A.cols
-    sparse = dict(A.entries)
-    sparse.update(((i, carry), v) for i, v in enumerate(b) if v)
+    columns = [[] for _ in range(carry)]
+    for (i, j), v in A.entries.items():  # each column in the order of A.entries
+        columns[j].append((i, v))
+    columns.append([(i, v) for i, v in enumerate(b) if v])
     log = []
-    units, left = _eliminate(sparse, carry=carry, log=log)
+    units, left = _eliminate(columns, carry=carry, log=log)
     x = [0] * A.cols
     if left:
         row_ids, col_ids, block = _leftover_block(left, carry)
@@ -424,7 +439,7 @@ def solve_integer_system(A: IntMatrix, b: list):
         if witness is not None:
             witness["index"] += units
             u = _equation_combination(dict(zip(row_ids, u_block)), log)
-            _check_witness(sparse, carry, u, witness.get("diagonal", 0))
+            _check_witness(columns, carry, u, witness.get("diagonal", 0))
             return None, witness
         for j, yj in zip(col_ids, y):
             x[j] = yj
@@ -443,16 +458,13 @@ def _equation_combination(u: dict, log: list) -> dict:
     return {i: ui for i, ui in u.items() if ui}
 
 
-def _check_witness(sparse: dict, carry: int, u: dict, d: int) -> None:
+def _check_witness(columns: list, carry: int, u: dict, d: int) -> None:
     """u A = 0 and u b != 0 modulo d (exactly for d = 0), or raise."""
-    uA = {}
-    for (i, j), v in sparse.items():
-        if i in u:
-            uA[j] = uA.get(j, 0) + u[i] * v
-    ub = uA.pop(carry, 0)
+    uA = [sum(u[i] * v for i, v in column if i in u) for column in columns]
+    ub = uA.pop(carry)
     if d:
-        ok = ub % d and not any(s % d for s in uA.values())
+        ok = ub % d and not any(s % d for s in uA)
     else:
-        ok = ub and not any(uA.values())
+        ok = ub and not any(uA)
     if not ok:
         raise SearchInvariantViolated("infeasibility witness failed re-verification")

@@ -32,6 +32,11 @@ PENTAGON = [(0, 2), (2, 1), (1, -2), (-1, -2), (-2, 1)]
 HEXAGON = [(2, 0), (1, 2), (-1, 2), (-2, 0), (-1, -2), (1, -2), (0, 0)]
 
 
+def entries(cols):
+    """The {(row, col): entry} dict of a list of columns, column by column."""
+    return {(i, j): v for j, col in enumerate(cols) for i, v in col}
+
+
 def criterion(num, budget_seconds):
     """Run the body, print one line, and enforce the time budget."""
 
@@ -109,9 +114,9 @@ def test_criterion_02_chain_complex_and_free_action():
                 if dp.is_empty:
                     continue
                 for d in range(2, dp.dim + 1):
-                    upper = dp.boundary_matrix(d)
+                    upper = entries(dp.boundary_matrix(d))
                     by_col = {}
-                    for (i, j), w in dp.boundary_matrix(d - 1).items():
+                    for (i, j), w in entries(dp.boundary_matrix(d - 1)).items():
                         by_col.setdefault(j, []).append((i, w))
                     comp = {}
                     for (j, k), w in upper.items():

@@ -22,6 +22,11 @@ except ImportError:  # hypothesis is a test extra
 needs_hypothesis = pytest.mark.skipif(given is None, reason="needs hypothesis")
 
 
+def entries(cols):
+    """The {(row, col): entry} dict of a list of columns, column by column."""
+    return {(i, j): v for j, col in enumerate(cols) for i, v in col}
+
+
 def brute_force_cells(K, r):
     """Independent oracle: filter all ordered r-tuples of simplices."""
     from itertools import product
@@ -94,7 +99,7 @@ def test_hexagon():
     assert dp.f_vector() == [6, 6]
     # every 0-cell of a hexagon lies on exactly two edges
     incidence = {}
-    for (i, j), v in dp.boundary_matrix(1).items():
+    for (i, j), v in entries(dp.boundary_matrix(1)).items():
         incidence[i] = incidence.get(i, 0) + 1
     assert all(c == 2 for c in incidence.values())
 
@@ -162,7 +167,7 @@ def test_delta_3_cubed_graph():
     assert dp.f_vector() == [24, 36]
     # the graph is 3-regular: each vertex cell meets 3 edges
     degree = {}
-    for (i, j), v in dp.boundary_matrix(1).items():
+    for (i, j), v in entries(dp.boundary_matrix(1)).items():
         degree[i] = degree.get(i, 0) + 1
     assert all(d == 3 for d in degree.values())
 
@@ -171,12 +176,12 @@ def test_boundary_squared_zero():
     for N, r in [(3, 2), (4, 3), (5, 4)]:
         dp = deleted_product(full_simplex(N), r)
         for d in range(2, dp.dim + 1):
-            lower = dp.boundary_matrix(d - 1)
+            lower = entries(dp.boundary_matrix(d - 1))
             by_col = {}
             for (k, i), w in lower.items():
                 by_col.setdefault(i, []).append((k, w))
             comp = {}
-            for (i, j), v in dp.boundary_matrix(d).items():
+            for (i, j), v in entries(dp.boundary_matrix(d)).items():
                 for k, w in by_col.get(i, ()):
                     comp[(k, j)] = comp.get((k, j), 0) + v * w
             assert not any(comp.values())
@@ -384,6 +389,39 @@ def test_has_cell_matches_the_cell_lists():
             for cell in cells[::max(1, len(cells) // 500)]:
                 for bad in malformed_cells(K, cell):
                     assert dp.has_cell(bad) == (bad in members.get(cell_dim(bad), ())), bad
+
+
+def reference_boundary_matrix(dp, d):
+    """The oracle: the builder boundary_matrix replaced, with nested-tuple
+    facets from cell_boundary looked up in an index of the (d-1)-cells."""
+    rows = {c: i for i, c in enumerate(dp.cells_by_dim.get(d - 1, ()))}
+    return [[(rows[facet], eps) for facet, eps in dp.cell_boundary(cell)]
+            for cell in dp.cells_by_dim.get(d, ())]
+
+
+@pytest.mark.parametrize("K, r", [pytest.param(full_simplex(n), r, id="delta%d-r%d" % (n, r))
+                                  for n in range(7) for r in (2, 3, 4)] + [
+    pytest.param(COLORED333, 3, id="colored333-r3"),
+    pytest.param(simplex_skeleton(6, 2), 2, id="delta6_2-r2"),
+    pytest.param(Complex.from_maximal(200, [(v, (v + 1) % 200) for v in range(200)]), 2,
+                 id="cycle200-r2")])
+def test_boundary_matrix_matches_the_tuple_index(K, r):
+    """Cell keys find the same rows as the tuple index, entry for entry and in
+    order, also on a base of more than 61 vertices."""
+    dp = deleted_product(K, r)
+    for d in range(dp.dim + 2):
+        assert dp.boundary_matrix(d) == reference_boundary_matrix(dp, d)
+
+
+def test_vertex_masks_of_a_large_base_hash_apart():
+    """The dict keys of the lister and the count: an int mask would hash
+    vertex v and v + 61 alike, and 79,800 masks to 1,891 hashes."""
+    from tvlab.deleted_product import _key_mask, _mask_key
+
+    masks = [1 << a | 1 << b for a in range(400) for b in range(a)]
+    keys = list(map(_mask_key, masks))
+    assert len(set(map(hash, keys))) == len(keys) == 79_800
+    assert list(map(_key_mask, keys)) == masks
 
 
 def test_cells_come_out_sorted_and_boundaries_are_rebuilt_equal():

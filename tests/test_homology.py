@@ -30,6 +30,19 @@ def int_matrix(rows):
                      {(i, j): v for i, row in enumerate(rows) for j, v in enumerate(row) if v})
 
 
+def columns(sparse, n):
+    """The n columns [(row, entry), ...] of a {(row, col): entry} dict, each in the dict's order."""
+    out = [[] for _ in range(n)]
+    for (i, j), v in sparse.items():
+        out[j].append((i, v))
+    return out
+
+
+def entries(cols):
+    """The {(row, col): entry} dict of a list of columns, column by column."""
+    return {(i, j): v for j, col in enumerate(cols) for i, v in col}
+
+
 def dense(M):
     """The rows of a sparse IntMatrix."""
     rows = [[0] * M.cols for _ in range(M.rows)]
@@ -103,8 +116,8 @@ def test_sparse_diagonal_matches_dense():
                   if rows[i][j]}
         _, D, _ = smith_normal_form(int_matrix(rows))
         dense_diag = [abs(D[t][t]) for t in range(min(m, n))]
-        assert smith_diagonal(sparse, m, n) == dense_diag
-        leftover_blocks += bool(_eliminate(sparse)[1])
+        assert smith_diagonal(columns(sparse, n), m, n) == dense_diag
+        leftover_blocks += bool(_eliminate(columns(sparse, n))[1])
     assert leftover_blocks >= 50
 
 
@@ -191,7 +204,7 @@ def reference_smith_normal_form(M):
 
 def reference_smith_diagonal(sparse, m, n):
     """smith_diagonal with the leftover block reduced by the oracle."""
-    units, left = _eliminate(sparse)
+    units, left = _eliminate(columns(sparse, n))
     diag = [1] * units
     if left:
         _, D, _ = reference_smith_normal_form(_leftover_block(left)[2])
@@ -234,7 +247,7 @@ def test_smith_reduction_matches_the_three_matrix_reference():
         A, b = case
         expected = reference_smith_normal_form(A)
         assert smith_normal_form(A) == expected
-        assert smith_diagonal(A.entries, A.rows, A.cols) == \
+        assert smith_diagonal(columns(A.entries, A.cols), A.rows, A.cols) == \
             reference_smith_diagonal(A.entries, A.rows, A.cols)
         with mock.patch.object(homology_module, "smith_normal_form", reference_smith_normal_form):
             expected_solve = _snf_solve(A, b)
@@ -256,7 +269,7 @@ def test_dense_block_meets_the_cell_cap(monkeypatch, cap, refused):
     A = IntMatrix(4, 6, UNIT_FREE_4x6)
     monkeypatch.setenv("TVLAB_CELL_CAP", str(cap))
     calls = [lambda: smith_normal_form(A),
-             lambda: smith_diagonal(A.entries, 4, 6),
+             lambda: smith_diagonal(columns(A.entries, 6), 4, 6),
              lambda: solve_integer_system(A, [1, 2, 3, 4])]
     for call in calls:
         if refused:
@@ -268,7 +281,7 @@ def test_dense_block_meets_the_cell_cap(monkeypatch, cap, refused):
 
 def test_smith_diagonal_allocates_no_transform():
     # a 4 x 1500 block with no unit entry; transforms would take 1500^2 entries
-    sparse = {(i, j): 2 + (i + 3 * j) % 5 for i in range(4) for j in range(1500)}
+    sparse = columns({(i, j): 2 + (i + 3 * j) % 5 for i in range(4) for j in range(1500)}, 1500)
     tracemalloc.start()
     try:
         diag = smith_diagonal(sparse, 4, 1500)
@@ -292,16 +305,16 @@ def test_rank_mod_p_matches_sympy(p):
         sparse = {(i, j): rows[i][j] for i in range(m) for j in range(n)
                   if rows[i][j]}
         expected = DomainMatrix.from_list(rows, sympy.ZZ).convert_to(sympy.GF(p)).rank()
-        assert _rank_mod_p(sparse, p) == expected
+        assert _rank_mod_p(columns(sparse, n), p) == expected
 
 
-def sympy_rank(sparse, shape, p):
-    """Rank over GF(p) of a sparse integer matrix, computed by sympy."""
+def sympy_rank(cols, shape, p):
+    """Rank over GF(p) of an integer matrix given by its columns, computed by sympy."""
     sympy = pytest.importorskip("sympy")
     from sympy.polys.matrices import DomainMatrix
     field = sympy.GF(p)
     rows = {}
-    for (i, j), v in sparse.items():
+    for (i, j), v in entries(cols).items():
         if v % p:
             rows.setdefault(i, {})[j] = field(v)
     return DomainMatrix(rows, shape, field).rank()
@@ -350,8 +363,8 @@ def simplicial_chain_complex(maximal, rng):
         rng.shuffle(cells)
     index = [{face: i for i, face in enumerate(by_dim[d])} for d in range(len(by_dim))]
     boundaries = [None] + [
-        {(index[d - 1][s[:k] + s[k + 1:]], j): (-1) ** k
-         for s, j in index[d].items() for k in range(len(s))}
+        columns({(index[d - 1][s[:k] + s[k + 1:]], j): (-1) ** k
+                 for s, j in index[d].items() for k in range(len(s))}, len(by_dim[d]))
         for d in range(1, len(by_dim))]
     return boundaries, [len(by_dim[d]) for d in range(len(by_dim))]
 
@@ -413,7 +426,7 @@ def test_delta43_h1_vanishes():
 
 def test_not_a_chain_complex():
     with pytest.raises(InputError, match=r"boundary squared is nonzero in dim 2"):
-        homology([None, {(0, 0): 1}, {(0, 0): 1}], [1, 1, 1], "Z")
+        homology([None, [[(0, 1)]], [[(0, 1)]]], [1, 1, 1], "Z")
 
 
 @pytest.mark.parametrize("p", [2, 3])
@@ -423,10 +436,10 @@ def test_not_a_chain_complex_mod_p_raises_before_any_rank(monkeypatch, p):
 
     monkeypatch.setattr(homology_module, "_rank_mod_p", rank)
     with pytest.raises(InputError, match=r"boundary squared is nonzero in dim 2"):
-        homology([None, {(0, 0): 1}, {(0, 0): 1}], [1, 1, 1], p)
+        homology([None, [[(0, 1)]], [[(0, 1)]]], [1, 1, 1], p)
     # boundary squared is 3, zero mod 3: the check is over the integers
     with pytest.raises(InputError, match=r"boundary squared is nonzero in dim 2"):
-        homology([None, {(0, 0): 1}, {(0, 0): 3}], [1, 1, 1], p)
+        homology([None, [[(0, 1)]], [[(0, 3)]]], [1, 1, 1], p)
 
 
 @pytest.mark.skipif(given is None, reason="needs hypothesis")
@@ -447,7 +460,8 @@ def test_boundary_squared_check_matches_a_dense_product():
         lower, upper, coefficients = case
         squared = [[sum(a * b for a, b in zip(row, col)) for col in zip(*upper)]
                    for row in lower]
-        boundaries = [None, int_matrix(lower).entries, int_matrix(upper).entries]
+        boundaries = [None, columns(int_matrix(lower).entries, len(upper)),
+                      columns(int_matrix(upper).entries, len(upper[0]))]
         shapes = [len(lower), len(upper), len(upper[0])]
         if any(map(any, squared)):
             with pytest.raises(InputError, match=r"boundary squared is nonzero in dim 2"):
@@ -471,10 +485,10 @@ def test_relabel_invariance():
         rng.shuffle(p)
     boundaries = [None]
     for d in range(1, dp.dim + 1):
-        boundaries.append({
+        boundaries.append(columns({
             (perms[d - 1][i], perms[d][j]): v
-            for (i, j), v in dp.boundary_matrix(d).items()
-        })
+            for (i, j), v in entries(dp.boundary_matrix(d)).items()
+        }, shapes[d]))
     rep2 = homology(boundaries, shapes, "Z")
     assert rep2.ranks == rep.ranks and rep2.torsion == rep.torsion
 
@@ -590,9 +604,9 @@ def test_sparse_solve_matches_dense_solve(monkeypatch):
     checked = []
     real_check = homology_module._check_witness
 
-    def check_witness(sparse, carry, u, d):
+    def check_witness(cols, carry, u, d):
         checked.append((u, d))
-        real_check(sparse, carry, u, d)
+        real_check(cols, carry, u, d)
 
     monkeypatch.setattr(homology_module, "_check_witness", check_witness)
 
@@ -606,7 +620,7 @@ def test_sparse_solve_matches_dense_solve(monkeypatch):
         x, cert = solve_integer_system(A, b)
         dense_x, _, _ = _snf_solve(A, b)
         assert (x is None) == (dense_x is None)
-        seen["leftover"] += bool(_eliminate(sparse)[1])
+        seen["leftover"] += bool(_eliminate(columns(sparse, A.cols))[1])
         if x is not None:
             seen["solved"] += 1
             assert A.mat_vec(x) == b
@@ -621,7 +635,7 @@ def test_sparse_solve_matches_dense_solve(monkeypatch):
             assert ub % d and all(s % d == 0 for s in uA)
         else:
             assert ub and not any(uA)
-        diag = smith_diagonal(sparse, A.rows, A.cols)
+        diag = smith_diagonal(columns(sparse, A.cols), A.rows, A.cols)
         if cert["kind"] == "divisibility":
             assert diag[cert["index"]] == cert["diagonal"] > 1
         else:

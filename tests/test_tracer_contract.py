@@ -83,10 +83,30 @@ def test_smith_diagonal_records_no_smith_normal_form_span():
     try:
         with tracer.query(0):
             # a block with no unit entry reaches the dense reduction, without transforms
-            diag = homology.smith_diagonal({(0, 0): 2, (0, 1): 4, (1, 0): 6, (1, 1): 8}, 2, 2)
+            diag = homology.smith_diagonal([[(0, 2), (1, 6)], [(0, 4), (1, 8)]], 2, 2)
     finally:
         tracer.uninstall()
     names = [span[0] for span in tracer.spans]
     assert diag == [2, 4]
     assert names.count("homology.smith_diagonal") == 1
     assert "homology.smith_normal_form" not in names
+
+
+def test_traced_dp_homology_records_one_boundary_span_per_degree():
+    """The tracer's boundary_nnz hook takes len() of each boundary_matrix
+    result, which for a list of columns counts the d-cells."""
+    spans = load_spans()
+    dp = deleted_product(full_simplex(4), 2)
+    tracer = spans.Tracer()
+    tracer.install()
+    try:
+        with tracer.query(0):
+            homology.dp_homology(dp, "Z")
+    finally:
+        tracer.uninstall()
+    names = [span[0] for span in tracer.spans]
+    assert dp.dim == 3 and names.count("deleted_product.DeletedProductComplex.boundary_matrix") == dp.dim
+    metrics = spans.layer_metrics(tracer.spans, tracer.counts)
+    assert set(metrics) == set(spans.LAYER_METRICS)
+    assert metrics["deleted_product.boundary_nnz"] == sum(dp.f_vector()[1:])
+    assert metrics["deleted_product.boundary_s"] > 0
