@@ -105,7 +105,7 @@ def _disjoint(simplices, r: int, dim, ordered: bool, into) -> None:
         what = "%sdisjoint %d-tuples, at least" % ("prefixes of " if later else "", r)
         extensions, grown, grown_masks, count = {}, [], [], 0
         for t, used in zip(tuples, masks):
-            key = _mask_key(used)
+            key = used if used < _HASH_MODULUS else _mask_key(used)  # a call per wide mask only
             pairs = extensions.get(key)
             if pairs is None:  # (tail, its grown mask, or at the last level its list)
                 least = 1 if dim is None else budget - used.bit_count() - later * big
@@ -231,7 +231,7 @@ def deleted_product(K: Complex, r: int) -> DeletedProductComplex:
     for i in range(r):
         grown, total = {}, 0
         for key, ways in states.items():
-            used = _key_mask(key)
+            used = key if type(key) is int else _key_mask(key)
             fit = _fits(table, n, r - 1 - i, used)
             for s, m, k, t in fit:
                 after = used | m
