@@ -392,7 +392,7 @@ def test_has_cell_matches_the_cell_lists():
 
 
 def reference_boundary_matrix(dp, d):
-    """The oracle: the builder boundary_matrix replaced, with nested-tuple
+    """The oracle: the construction boundary_matrix replaced, with nested-tuple
     facets from cell_boundary looked up in an index of the (d-1)-cells."""
     rows = {c: i for i, c in enumerate(dp.cells_by_dim.get(d - 1, ()))}
     return [[(rows[facet], eps) for facet, eps in dp.cell_boundary(cell)]
