@@ -5,14 +5,17 @@ of common points of convex hulls is decided by a phase-one simplex with
 Bland's rule on an integer tableau, so every positive answer comes with
 exact barycentric certificates and every answer is deterministic.
 
-The Tverberg search walks the partitions in canonical order and skips,
-without an LP, each partition that a separating direction rules out.  Once
-per search the points are scaled to integers by the lcm of their
-denominators and projected onto the axes e_a and the diagonals e_a + e_b,
-e_a - e_b (a < b).  If along one direction u some part's least u.x exceeds
-another part's greatest, a hyperplane separates the two parts and their
-hulls cannot meet.  Only infeasible partitions are skipped, so the first
-feasible one, its LP, witness and certificates are those of the plain walk.
+One separation test serves every r-tuple question: the Tverberg search
+here, and the intersection cocycle, the r-fold points and the
+almost-embedding test of plmaps.  Once per point set the points, scaled to
+integers, are projected onto the axes e_a and the diagonals e_a + e_b,
+e_a - e_b (a < b), and each group of points gets a box: per direction, its
+least and greatest projection.  If along one direction u some group's least
+u.x exceeds another group's greatest, a hyperplane separates the two groups,
+their hulls cannot meet, and the tuple needs no LP and no solve.  The
+Tverberg search walks the partitions in canonical order and skips only
+infeasible ones, so the first feasible partition, its LP, witness and
+certificates are those of the plain walk.
 """
 
 from __future__ import annotations
@@ -22,6 +25,7 @@ import sys
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import accumulate, combinations
+from operator import gt
 
 from . import linalg
 from .complexes import check_digits
@@ -263,28 +267,34 @@ def _directions(d):
                    for a, b in combinations(range(d), 2) for s in (1, -1)]
 
 
-def _projections(pts):
-    """projections[i][k] = L * (u_k . x_i) for the directions u_k of
-    _directions, L the lcm of all denominators, so every value is an int."""
-    U = _directions(len(pts[0]))
-    return [tuple(sum(a * x for a, x in zip(u, p)) for u in U)
-            for p in linalg.clear_denominators(pts)[0]]
+def projections(points, d):
+    """projections[i][k] = u_k . x_i for the integer points x_i of R^d and
+    the directions u_k of _directions(d); scale rational points to integers
+    first, with linalg.clear_denominators."""
+    U = _directions(d)
+    return [tuple(sum(a * x for a, x in zip(u, p)) for u in U) for p in points]
 
 
-def _separating_direction(projections, parts):
-    """Index k of a direction u_k along which two of the parts lie strictly
-    apart, or None.  Along u_k the greatest per-part minimum of u_k . x then
-    exceeds the smallest per-part maximum, so a hyperplane u_k . x = c
-    separates those two parts and no partition point exists."""
-    lows, highs = [], []
-    for part in parts:
-        columns = list(zip(*map(projections.__getitem__, part)))
-        lows.append(map(min, columns))
-        highs.append(map(max, columns))
-    for k, (lo, hi) in enumerate(zip(map(max, zip(*lows)), map(min, zip(*highs)))):
-        if lo > hi:
-            return k
-    return None
+def box(proj, group):
+    """The box of the points that group indexes in proj (projections): (lows,
+    highs), per direction the least and the greatest projection.  Both are
+    lazy maps over the directions, so that separated, stopping at the first
+    direction that parts two boxes, computes no more; tuple() them to keep
+    a box for many tuples."""
+    columns = list(zip(*map(proj.__getitem__, group)))
+    return map(min, columns), map(max, columns)
+
+
+def separated(boxes):
+    """Whether two of the r boxes lie strictly apart along one direction.
+
+    Along that direction u the greatest of the lows exceeds the least of
+    the highs, so a hyperplane u . x = c parts those two point groups, and
+    the r convex hulls share no point.  With d = 0 there is no direction,
+    and no tuple is separated.
+    """
+    lows, highs = zip(*boxes)
+    return any(map(gt, map(max, zip(*lows)), map(min, zip(*highs))))
 
 
 def tverberg_search(points, r) -> TverbergPartition:
@@ -292,7 +302,7 @@ def tverberg_search(points, r) -> TverbergPartition:
 
     Requires r >= 2 and exactly (d+1)(r-1)+1 points; by Tverberg's theorem
     a valid partition always exists, so search exhaustion signals a bug.
-    A partition with a separating direction gets no LP.
+    A separated partition gets no LP.
     """
     if r < 2:
         raise InputError("a Tverberg partition needs r >= 2 parts, got %d" % r)
@@ -301,9 +311,9 @@ def tverberg_search(points, r) -> TverbergPartition:
     want = (d + 1) * (r - 1) + 1
     if len(pts) != want:
         raise InputError("need (d+1)(r-1)+1 = %d points, got %d" % (want, len(pts)))
-    projections = _projections(pts)
+    proj = projections(linalg.clear_denominators(pts)[0], d)
     for parts in canonical_partitions(len(pts), r):
-        if _separating_direction(projections, parts) is not None:
+        if separated([box(proj, part) for part in parts]):
             continue
         res = hulls_intersect([[pts[i] for i in part] for part in parts])
         if res is not None:

@@ -12,11 +12,14 @@ the image simplices are nondegenerate and their normal frames span R^d.
 
 The intersection cocycle enumerates the disjoint tuples of top simplices
 once, with deleted_product.disjoint_tuples (the enumerator of the sorted
-cells, one per Sigma_r-orbit), and solves every tuple's common-point system
-on the map's images scaled once to integers (a positive uniform scaling
-changes neither the solution nor the sign of det A).  One integer
-elimination per tuple gives the solution and, from its last pivot, det A;
-Fractions are made only for the tuples whose images meet.
+cells, one per Sigma_r-orbit).  A tuple whose images lie strictly apart
+along an axis or a diagonal (convexity.separated, on one box per simplex)
+counts 0 with no solve.  Every tuple not separated gets its common-point
+system solved on the map's images scaled once to integers (a positive
+uniform scaling changes neither the solution nor the sign of det A).  One
+integer elimination per tuple gives the solution and, from its last pivot,
+det A; Fractions are made only for the tuples whose images meet.  The
+r-fold points and the almost-embedding test skip separated tuples too.
 
 The coned-extension oracle recomputes the same number independently: it
 extends the r-fold product map over the product polytope by coning from
@@ -171,26 +174,34 @@ def tuple_r_fold_point(f: PLMap, simplices, r):
     return RFoldPoint(tuple(simplices), bary, ambient, sgn)
 
 
-def _top_tuples(f: PLMap, r: int) -> list:
-    """The disjoint r-tuples of top simplices, once the dimensions fit."""
+def _boxes(f: PLMap, simplices) -> dict:
+    """The box of each simplex's images (convexity.box), kept for every tuple."""
+    proj = convexity.projections(f.integer_images, f.ambient_dim)
+    return {s: tuple(map(tuple, convexity.box(proj, s))) for s in simplices}
+
+
+def _top_r_fold_points(f: PLMap, r: int):
+    """(tuple, its r-fold point or None) per disjoint r-tuple of top simplices,
+    once the dimensions fit.  A separated tuple (convexity.separated) gets
+    None with no solve: its images share no point."""
     m = f.domain.dim
     split_dimensions(m, f.ambient_dim, r)
-    return disjoint_tuples(f.domain.simplices_of_dim(m), r)
+    top = f.domain.simplices_of_dim(m)
+    tuples = disjoint_tuples(top, r)
+    boxes = _boxes(f, top)
+    for combo in tuples:
+        apart = convexity.separated([boxes[s] for s in combo])
+        yield combo, None if apart else tuple_r_fold_point(f, combo, r)
 
 
 def global_r_fold_points(f: PLMap, r: int) -> list:
     """All r-fold points among pairwise disjoint top simplices."""
-    points = (tuple_r_fold_point(f, combo, r) for combo in _top_tuples(f, r))
-    return [pt for pt in points if pt is not None]
+    return [pt for _, pt in _top_r_fold_points(f, r) if pt is not None]
 
 
 def intersection_cocycle(f: PLMap, r: int) -> dict:
     """Signed r-fold point count per disjoint top-simplex tuple."""
-    table = {}
-    for combo in _top_tuples(f, r):
-        pt = tuple_r_fold_point(f, combo, r)
-        table[combo] = 0 if pt is None else pt.sign
-    return table
+    return {combo: 0 if pt is None else pt.sign for combo, pt in _top_r_fold_points(f, r)}
 
 
 def orientation_pairing_sign(k, r) -> int:
@@ -314,13 +325,17 @@ def is_almost_r_embedding(f: PLMap, r: int) -> bool:
     """True iff no r pairwise disjoint simplices have intersecting images.
 
     Decided by exact LP feasibility of the common-point system, so mixed
-    and degenerate dimension counts are handled uniformly.
+    and degenerate dimension counts are handled uniformly; a separated
+    tuple (convexity.separated) needs no LP.
     """
     if r < 2:
         raise InputError("an almost r-embedding needs r >= 2, got %d" % r)
-    for combo in disjoint_tuples(f.domain.simplices, r):
-        groups = [f.image_points(s) for s in combo]
-        if convexity.hulls_intersect(groups) is not None:
+    tuples = disjoint_tuples(f.domain.simplices, r)
+    boxes = _boxes(f, f.domain.simplices)
+    for combo in tuples:
+        if convexity.separated([boxes[s] for s in combo]):
+            continue
+        if convexity.hulls_intersect([f.image_points(s) for s in combo]) is not None:
             return False
     return True
 

@@ -5,12 +5,12 @@ from fractions import Fraction
 import pytest
 
 from tvlab import convexity
-from tvlab.convexity import (TverbergPartition, _directions, _projections,
-                             _separating_direction, as_points,
+from tvlab.convexity import (TverbergPartition, _directions, as_points, box,
                              canonical_partitions, hulls_intersect,
-                             lp_feasible, radon_partition,
-                             random_rational_points, tverberg_search)
+                             lp_feasible, projections, radon_partition,
+                             random_rational_points, separated, tverberg_search)
 from tvlab.errors import InputError
+from tvlab.linalg import clear_denominators
 
 try:
     from hypothesis import given, settings, strategies as st
@@ -265,40 +265,51 @@ def test_filtered_search_matches_unfiltered_on_fixed_sets():
 
 
 def test_directions_and_projections():
+    assert _directions(0) == []
     assert _directions(1) == [(1,)]
     assert _directions(3) == [(1, 0, 0), (0, 1, 0), (0, 0, 1), (1, 1, 0), (1, -1, 0),
                               (1, 0, 1), (1, 0, -1), (0, 1, 1), (0, 1, -1)]
     # scaled by the lcm 6 of the denominators
-    assert _projections(as_points([(Fraction(1, 2), Fraction(1, 3)), (1, 0)])) == [
-        (3, 2, 5, 1), (6, 0, 6, 6)]
-    proj = _projections(as_points([(0,), (1,), (2,), (2,)]))
-    assert _separating_direction(proj, [(0, 1), (2, 3)]) == 0
-    assert _separating_direction(proj, [(0, 2), (1, 3)]) is None
+    ints = clear_denominators(as_points([(Fraction(1, 2), Fraction(1, 3)), (1, 0)]))[0]
+    assert projections(ints, 2) == [(3, 2, 5, 1), (6, 0, 6, 6)]
+    proj = projections([(0,), (1,), (2,), (2,)], 1)
+
+    def apart(*groups):
+        return separated([box(proj, g) for g in groups])
+
+    assert apart((0, 1), (2, 3))
+    assert not apart((0, 2), (1, 3))
     # touching parts share a point and are not separated
-    assert _separating_direction(proj, [(0, 2), (3,)]) is None
+    assert not apart((0, 2), (3,))
+    # two of three groups apart suffice, whichever two
+    assert apart((1,), (0,), (2, 3))
+    assert tuple(map(tuple, box(proj, (0, 2)))) == ((0,), (2,))
+    # a box kept as tuples answers as the lazy one does
+    assert separated([tuple(map(tuple, box(proj, g))) for g in ((0, 1), (2, 3))])
+    # R^0 has no direction: nothing is separated
+    assert not separated([box(projections([(), ()], 0), g) for g in ((0,), (1,))])
 
 
 def test_rejected_partitions_are_separated():
     """Every partition the search skips has two parts strictly apart along
-    the returned direction, recomputed on the rational points, and hulls
+    one of the directions, recomputed on the rational points, and hulls
     that do not meet."""
     cases = [benchmark_points(d, i) for d, i in BENCHMARK_SETS] + [HEXAGON]
     skipped = []
     for pts in map(as_points, cases):
-        U = _directions(len(pts[0]))
-        proj = _projections(pts)
+        d = len(pts[0])
+        proj = projections(clear_denominators(pts)[0], d)
         skipped.append(0)
         for parts in canonical_partitions(len(pts), 3):
             groups = [[pts[i] for i in part] for part in parts]
-            k = _separating_direction(proj, parts)
-            if k is None:
+            if not separated([box(proj, part) for part in parts]):
                 if hulls_intersect(groups) is not None:
                     break
                 continue
             skipped[-1] += 1
-            values = [[sum(u * x for u, x in zip(U[k], pts[i])) for i in part]
-                      for part in parts]
-            assert max(map(min, values)) > min(map(max, values))
+            values = [[[sum(u * x for u, x in zip(U, pts[i])) for i in part] for part in parts]
+                      for U in _directions(d)]
+            assert any(max(map(min, v)) > min(map(max, v)) for v in values)
             assert hulls_intersect(groups) is None
     assert skipped[:4] == [u - f for u, f in zip(UNFILTERED_CALLS, FILTERED_CALLS)]
     assert skipped[4] > 0

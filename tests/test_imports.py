@@ -10,7 +10,8 @@ is taken only by the one rational-to-integer scaling.  The error classes
 are one per CLI outcome, and every raise names one of them or a builtin.
 The obstruction module enumerates its orbits from the base and reads no
 cell list of the deleted product, and the deleted product's boundary
-matrices find their rows by cell keys, not by nested-tuple facets.
+matrices find their rows by cell keys, not by nested-tuple facets.  One
+separation test, in convexity, serves the Tverberg search and plmaps alike.
 """
 
 import ast
@@ -119,3 +120,21 @@ def test_boundary_matrix_builds_no_tuple_facet():
     methods = {node.name: node for node in cls.body if isinstance(node, ast.FunctionDef)}
     assert [node.lineno for name in ("boundary_matrix", "_keys") for node in ast.walk(methods[name])
             if isinstance(node, ast.Attribute) and node.attr == "cell_boundary"] == []
+
+
+def test_one_separation_test_in_convexity():
+    """convexity.separated is the one separation test and convexity.py the
+    only module that reads the test directions.  plmaps.py calls the shared
+    test, and no plmaps function takes a min or a max but default_apexes,
+    for its spread, and constraint_lift, for its heights."""
+    trees = {p.name: ast.parse(p.read_text()) for p in SRC.glob("*.py")}
+    assert {name for name, tree in trees.items() for node in ast.walk(tree)
+            if "_directions" in (getattr(node, "id", None), getattr(node, "attr", None))
+            } == {"convexity.py"}
+    assert [(name, node.name) for name, tree in trees.items() for node in ast.walk(tree)
+            if isinstance(node, ast.FunctionDef) and "separat" in node.name
+            ] == [("convexity.py", "separated")]
+    assert calls_of(SRC / "plmaps.py", "separated") == 2
+    assert [fn.name for fn in ast.walk(trees["plmaps.py"]) if isinstance(fn, ast.FunctionDef)
+            and any(isinstance(node, ast.Call) and getattr(node.func, "id", None) in ("min", "max")
+                    for node in ast.walk(fn))] == ["default_apexes", "constraint_lift"]
