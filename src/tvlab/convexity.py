@@ -260,11 +260,11 @@ def canonical_partitions(n, r):
 
 
 def _directions(d):
-    """The test directions in R^d: the axes e_a, then e_a + e_b and
-    e_a - e_b for a < b."""
-    axes = [tuple(int(a == c) for c in range(d)) for a in range(d)]
-    return axes + [tuple(x + s * y for x, y in zip(axes[a], axes[b]))
-                   for a, b in combinations(range(d), 2) for s in (1, -1)]
+    """The test directions in R^d, each as its (coordinate, coefficient)
+    pairs: the axes e_a, then e_a + e_b and e_a - e_b for a < b.  Sparse,
+    so that the d^2 directions take O(d^2) space and time, not O(d^3)."""
+    return [((a, 1),) for a in range(d)] + [((a, 1), (b, s)) for a, b in combinations(range(d), 2)
+                                            for s in (1, -1)]
 
 
 def projections(points, d):
@@ -272,7 +272,7 @@ def projections(points, d):
     the directions u_k of _directions(d); scale rational points to integers
     first, with linalg.clear_denominators."""
     U = _directions(d)
-    return [tuple(sum(a * x for a, x in zip(u, p)) for u in U) for p in points]
+    return [tuple(sum(c * p[a] for a, c in u) for u in U) for p in points]
 
 
 def box(proj, group):

@@ -266,9 +266,11 @@ def test_filtered_search_matches_unfiltered_on_fixed_sets():
 
 def test_directions_and_projections():
     assert _directions(0) == []
-    assert _directions(1) == [(1,)]
-    assert _directions(3) == [(1, 0, 0), (0, 1, 0), (0, 0, 1), (1, 1, 0), (1, -1, 0),
-                              (1, 0, 1), (1, 0, -1), (0, 1, 1), (0, 1, -1)]
+    assert _directions(1) == [((0, 1),)]
+    # e_1, e_2, e_3, e_1 + e_2, e_1 - e_2, e_1 + e_3, e_1 - e_3, e_2 + e_3, e_2 - e_3
+    assert _directions(3) == [((0, 1),), ((1, 1),), ((2, 1),), ((0, 1), (1, 1)), ((0, 1), (1, -1)),
+                              ((0, 1), (2, 1)), ((0, 1), (2, -1)), ((1, 1), (2, 1)),
+                              ((1, 1), (2, -1))]
     # scaled by the lcm 6 of the denominators
     ints = clear_denominators(as_points([(Fraction(1, 2), Fraction(1, 3)), (1, 0)]))[0]
     assert projections(ints, 2) == [(3, 2, 5, 1), (6, 0, 6, 6)]
@@ -307,8 +309,8 @@ def test_rejected_partitions_are_separated():
                     break
                 continue
             skipped[-1] += 1
-            values = [[[sum(u * x for u, x in zip(U, pts[i])) for i in part] for part in parts]
-                      for U in _directions(d)]
+            values = [[[sum(c * pts[i][a] for a, c in u) for i in part] for part in parts]
+                      for u in _directions(d)]
             assert any(max(map(min, v)) > min(map(max, v)) for v in values)
             assert hulls_intersect(groups) is None
     assert skipped[:4] == [u - f for u, f in zip(UNFILTERED_CALLS, FILTERED_CALLS)]
