@@ -4,16 +4,17 @@ intersection_cocycle, global_r_fold_points and is_almost_r_embedding skip a
 tuple whose images lie strictly apart along an axis or a diagonal
 (convexity.separated).  On generic maps each must answer exactly as the
 plain walk over every disjoint tuple does.  A degenerate tuple that is
-separated now counts 0, the value of every small generic perturbation,
-where the solve alone raises NotGeneric; a degenerate tuple that is not
-separated still raises.
+separated counts 0, the value of every small generic perturbation, though
+the solve alone raises NotGeneric on it; a degenerate tuple that is not
+separated raises.  A linear almost 3-embedding of Delta_9^(2) in R^3 is
+decided with 3,315 of its 59,830 LPs.
 """
 
 import pytest
 
 from tvlab import convexity, plmaps
 from tvlab.complexes import Complex, simplex_skeleton
-from tvlab.convexity import random_rational_points
+from tvlab.convexity import hulls_intersect, random_rational_points
 from tvlab.errors import NotGeneric
 from tvlab.plmaps import (PLMap, disjoint_tuples, global_r_fold_points, intersection_cocycle,
                           is_almost_r_embedding, tuple_r_fold_point)
@@ -102,3 +103,26 @@ def test_delta10_cocycle_solves_under_a_quarter_of_its_triples(monkeypatch):
     assert sum(1 for v in table.values() if v) == 242
     assert len(solved) < 15400 // 4
     assert all(table[combo] == 0 for combo in set(table) - set(solved))
+
+
+# A linear almost 3-embedding of Delta_9^(2) in R^3: no three pairwise disjoint
+# faces have images with a common point.  Delta_10^(2) has none, by the
+# generalized van Kampen-Flores theorem, so the bound is sharp for d = 3, r = 3.
+DELTA9_ALMOST = [(-11, -18, -10), (8, 12, 7), (14, -6, 20), (13, 8, -6), (13, -19, 5),
+                 (16, 0, 20), (7, -17, -1), (-12, -7, -17), (-1, -16, -16), (8, 31, -40)]
+
+
+def test_delta9_almost_3_embedding_needs_few_lps(monkeypatch):
+    f = PLMap.build(simplex_skeleton(9, 2), 3, DELTA9_ALMOST)
+    assert len(disjoint_tuples(f.domain.simplices, 3)) == 59830
+    lps = []
+
+    def counted(groups):
+        lps.append(groups)
+        return hulls_intersect(groups)
+
+    monkeypatch.setattr(convexity, "hulls_intersect", counted)
+    assert is_almost_r_embedding(f, 3)
+    assert len(lps) == 3315
+    # so is its restriction to Delta_8^(2)
+    assert is_almost_r_embedding(PLMap.build(simplex_skeleton(8, 2), 3, DELTA9_ALMOST[:9]), 3)
