@@ -3,10 +3,11 @@
 A boundary matrix is a list of columns, column j the (row, entry) pairs of
 its nonzero entries, each row at most once, as deleted_product builds it
 (the column format that PHAT reduces).  The check that boundaries square to
-zero, both eliminations and the integer solve read columns.  IntMatrix, a
-shape and a sparse {(row, col): entry} dict, is kept for the coboundary,
-the leftover block and the input of a solve, whose matrix and right-hand
-side become columns once.  Integral homology goes through a sparse
+zero, both eliminations and the integer solve read columns.  IntMatrix is
+the one sparse row layout: a shape and, per row, the (column, entry) pairs
+of its nonzero entries with the columns ascending.  The coboundary, the
+leftover block and the input of a solve are held in it, and a solve
+transposes its rows into columns once.  Integral homology goes through a sparse
 elimination on unit pivots; the small block left over is the one dense
 array, reduced in place to its Smith normal form with no transforms.
 Integer linear systems run on the same elimination: the right-hand side is
@@ -33,20 +34,17 @@ from .symgroup import is_prime
 
 @dataclass
 class IntMatrix:
-    """Sparse arbitrary-precision integer matrix: its shape and its nonzero
-    entries {(i, j): v}."""
+    """Sparse arbitrary-precision integer matrix: its shape and, per row,
+    the (column, entry) pairs of its nonzero entries, columns ascending."""
 
     rows: int
     cols: int
-    entries: dict
+    entries: list
 
     def mat_vec(self, v):
         if self.cols != len(v):
             raise InputError("vector length mismatch")
-        out = [0] * self.rows
-        for (i, j), a in self.entries.items():
-            out[i] += a * v[j]
-        return out
+        return [sum(a * v[j] for j, a in row) for row in self.entries]
 
 
 def _smith(T: list, m: int, n: int) -> None:
@@ -113,8 +111,9 @@ def _dense(M: IntMatrix) -> list:
     pass the cell cap first; transforms that ride along are not counted."""
     check_cap(M.rows * M.cols, "entries of the dense Smith block")
     rows = [[0] * M.cols for _ in range(M.rows)]
-    for (i, j), v in M.entries.items():
-        rows[i][j] = v
+    for row, pairs in zip(rows, M.entries):
+        for j, v in pairs:
+            row[j] = v
     return rows
 
 
@@ -200,9 +199,8 @@ def _leftover_block(left: dict, carry=None):
     row_ids = sorted(left)
     col_ids = sorted({j for row in left.values() for j in row if j != carry})
     at = {j: b for b, j in enumerate(col_ids)}
-    entries = {(a, at[j]): v for a, i in enumerate(row_ids)
-               for j, v in left[i].items() if j != carry}
-    return row_ids, col_ids, IntMatrix(len(row_ids), len(col_ids), entries)
+    rows = [sorted((at[j], v) for j, v in left[i].items() if j != carry) for i in row_ids]
+    return row_ids, col_ids, IntMatrix(len(row_ids), len(col_ids), rows)
 
 
 def smith_diagonal(columns: list, m: int, n: int) -> list:
@@ -427,8 +425,9 @@ def solve_integer_system(A: IntMatrix, b: list):
         raise InputError("b has length %d, A has %d rows" % (len(b), A.rows))
     carry = A.cols
     columns = [[] for _ in range(carry)]
-    for (i, j), v in A.entries.items():  # each column in the order of A.entries
-        columns[j].append((i, v))
+    for i, row in enumerate(A.entries):  # each column's rows ascending
+        for j, v in row:
+            columns[j].append((i, v))
     columns.append([(i, v) for i, v in enumerate(b) if v])
     log = []
     units, left = _eliminate(columns, carry=carry, log=log)

@@ -20,11 +20,12 @@ base (deleted_product.disjoint_tuples), and tau . e sorts as tau^-1, so the
 least cell of the G-orbit (G tau) . e is f^-1 . e, f least in tau^-1 G.
 
 The obstruction decision solves delta c = v over the integers on the top
-two degrees: the sparse coboundary goes to the unit-pivot solve of
-tvlab.homology (a dense Smith normal form only on the block left after the
-+-1 pivots), which returns either a certificate cochain, re-verified here
-against the coboundary, or a Smith-normal-form infeasibility witness,
-re-verified through the combination of top-orbit equations behind it.
+two degrees: the coboundary, built one top-orbit row at a time, goes to the
+unit-pivot solve of tvlab.homology (a dense Smith normal form only on the
+block left after the +-1 pivots), which returns either a certificate
+cochain, re-verified here against the coboundary, or a Smith-normal-form
+infeasibility witness, re-verified through the combination of top-orbit
+equations behind it.
 """
 
 from __future__ import annotations
@@ -77,7 +78,7 @@ class EquivariantCochain:
     group: PermGroup
     degree: int
     twist: int
-    values: dict  # orbit representative cell -> integer
+    values: dict  # orbit representative cell -> integer; an orbit not listed reads 0
 
     def locate(self, cell):
         """(representative, omega) with omega . representative = cell."""
@@ -98,21 +99,19 @@ def cocycle_from_table(dp: DeletedProductComplex, table: dict) -> EquivariantCoc
     """Top-degree equivariant cochain from an intersection table.
 
     Table keys are tuples of pairwise disjoint top simplices; the canonical
-    (sorted) key is the orbit representative.  Keys that repeat an orbit
-    must agree with the twisted-equivariance extension, and a key that is
-    not a top cell raises InputError.
+    (sorted) key is the orbit representative.  Only the orbits the table
+    names get a value, in the table's order; the others read 0.  Keys that
+    repeat an orbit must agree with the twisted-equivariance extension, and
+    a key that is not a top cell raises InputError.
     """
     twist = _default_twist(dp)
     out = EquivariantCochain(dp, symmetric_group(dp.r), dp.dim, twist, {})
-    assigned = {}
     for key, val in table.items():
         rep, omega = out.locate(tuple(key))
         # val = chi(omega, rep) * c(rep), and chi is its own inverse
         rep_val = chi(omega, rep, twist) * val
-        if rep in assigned and assigned[rep] != rep_val:
+        if out.values.setdefault(rep, rep_val) != rep_val:
             raise InputError("table conflicts with the twisted action")
-        assigned[rep] = rep_val
-    out.values = {rep: assigned.get(rep, 0) for rep in orbit_reps(dp, out.group, dp.dim)}
     return out
 
 
@@ -121,8 +120,8 @@ def coboundary_matrix(dp: DeletedProductComplex, twist=None):
 
     Returns (IntMatrix, top_reps, facet_reps); entry (i, j) is the signed
     multiplicity of facet orbit j in the boundary of top representative i,
-    with all twisted-equivariance signs folded in.  The nonzero entries are
-    kept in row-major order, in which the elimination breaks pivot ties.
+    with all twisted-equivariance signs folded in; each row is built alone,
+    as the nonzero (j, entry) pairs of its summed facet terms, j ascending.
     """
     if twist is None:
         twist = _default_twist(dp)
@@ -131,14 +130,15 @@ def coboundary_matrix(dp: DeletedProductComplex, twist=None):
     top_reps = orbit_reps(dp, group, top)
     facet_reps = orbit_reps(dp, group, top - 1)
     col = {rep: j for j, rep in enumerate(facet_reps)}
-    entries = {}
-    for i, cell in enumerate(top_reps):
+    rows = []
+    for cell in top_reps:
+        row = {}
         for facet, eps in dp.cell_boundary(cell):
             rep, omega = locate(group, facet)
-            key = (i, col[rep])
-            entries[key] = entries.get(key, 0) + eps * chi(omega, rep, twist)
-    entries = {key: v for key, v in sorted(entries.items()) if v}
-    return IntMatrix(len(top_reps), len(facet_reps), entries), top_reps, facet_reps
+            j = col[rep]
+            row[j] = row.get(j, 0) + eps * chi(omega, rep, twist)
+        rows.append(sorted((j, v) for j, v in row.items() if v))
+    return IntMatrix(len(top_reps), len(facet_reps), rows), top_reps, facet_reps
 
 
 @dataclass

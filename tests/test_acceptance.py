@@ -32,11 +32,6 @@ PENTAGON = [(0, 2), (2, 1), (1, -2), (-1, -2), (-2, 1)]
 HEXAGON = [(2, 0), (1, 2), (-1, 2), (-2, 0), (-1, -2), (1, -2), (0, 0)]
 
 
-def entries(cols):
-    """The {(row, col): entry} dict of a list of columns, column by column."""
-    return {(i, j): v for j, col in enumerate(cols) for i, v in col}
-
-
 def criterion(num, budget_seconds):
     """Run the body, print one line, and enforce the time budget."""
 
@@ -114,15 +109,13 @@ def test_criterion_02_chain_complex_and_free_action():
                 if dp.is_empty:
                     continue
                 for d in range(2, dp.dim + 1):
-                    upper = entries(dp.boundary_matrix(d))
-                    by_col = {}
-                    for (i, j), w in entries(dp.boundary_matrix(d - 1)).items():
-                        by_col.setdefault(j, []).append((i, w))
-                    comp = {}
-                    for (j, k), w in upper.items():
-                        for i, w2 in by_col.get(j, ()):
-                            comp[(i, k)] = comp.get((i, k), 0) + w * w2
-                    assert all(v == 0 for v in comp.values())
+                    lower = dp.boundary_matrix(d - 1)
+                    for column in dp.boundary_matrix(d):
+                        comp = {}
+                        for j, w in column:
+                            for i, w2 in lower[j]:
+                                comp[i] = comp.get(i, 0) + w * w2
+                        assert all(v == 0 for v in comp.values())
                 nontrivial = [w for w in permutations(range(r))
                               if w != tuple(range(r))]
                 gens = [tuple(range(i)) + (i + 1, i) + tuple(range(i + 2, r))

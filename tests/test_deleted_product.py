@@ -22,11 +22,6 @@ except ImportError:  # hypothesis is a test extra
 needs_hypothesis = pytest.mark.skipif(given is None, reason="needs hypothesis")
 
 
-def entries(cols):
-    """The {(row, col): entry} dict of a list of columns, column by column."""
-    return {(i, j): v for j, col in enumerate(cols) for i, v in col}
-
-
 def brute_force_cells(K, r):
     """Independent oracle: filter all ordered r-tuples of simplices."""
     from itertools import product
@@ -99,8 +94,9 @@ def test_hexagon():
     assert dp.f_vector() == [6, 6]
     # every 0-cell of a hexagon lies on exactly two edges
     incidence = {}
-    for (i, j), v in entries(dp.boundary_matrix(1)).items():
-        incidence[i] = incidence.get(i, 0) + 1
+    for column in dp.boundary_matrix(1):
+        for i, v in column:
+            incidence[i] = incidence.get(i, 0) + 1
     assert all(c == 2 for c in incidence.values())
 
 
@@ -167,8 +163,9 @@ def test_delta_3_cubed_graph():
     assert dp.f_vector() == [24, 36]
     # the graph is 3-regular: each vertex cell meets 3 edges
     degree = {}
-    for (i, j), v in entries(dp.boundary_matrix(1)).items():
-        degree[i] = degree.get(i, 0) + 1
+    for column in dp.boundary_matrix(1):
+        for i, v in column:
+            degree[i] = degree.get(i, 0) + 1
     assert all(d == 3 for d in degree.values())
 
 
@@ -176,15 +173,13 @@ def test_boundary_squared_zero():
     for N, r in [(3, 2), (4, 3), (5, 4)]:
         dp = deleted_product(full_simplex(N), r)
         for d in range(2, dp.dim + 1):
-            lower = entries(dp.boundary_matrix(d - 1))
-            by_col = {}
-            for (k, i), w in lower.items():
-                by_col.setdefault(i, []).append((k, w))
-            comp = {}
-            for (i, j), v in entries(dp.boundary_matrix(d)).items():
-                for k, w in by_col.get(i, ()):
-                    comp[(k, j)] = comp.get((k, j), 0) + v * w
-            assert not any(comp.values())
+            lower = dp.boundary_matrix(d - 1)
+            for column in dp.boundary_matrix(d):
+                comp = {}
+                for i, v in column:
+                    for k, w in lower[i]:
+                        comp[k] = comp.get(k, 0) + v * w
+                assert not any(comp.values())
 
 
 def cell_of_dims(dims):

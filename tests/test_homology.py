@@ -27,27 +27,25 @@ except ImportError:  # hypothesis is a test extra
 def int_matrix(rows):
     """The sparse IntMatrix of a list of equal-length rows."""
     return IntMatrix(len(rows), len(rows[0]) if rows else 0,
-                     {(i, j): v for i, row in enumerate(rows) for j, v in enumerate(row) if v})
+                     [[(j, v) for j, v in enumerate(row) if v] for row in rows])
 
 
-def columns(sparse, n):
-    """The n columns [(row, entry), ...] of a {(row, col): entry} dict, each in the dict's order."""
+def columns(rows, n):
+    """The n columns [(row, entry), ...] of sparse rows [(col, entry), ...]
+    such as IntMatrix.entries, each column's rows ascending."""
     out = [[] for _ in range(n)]
-    for (i, j), v in sparse.items():
-        out[j].append((i, v))
+    for i, row in enumerate(rows):
+        for j, v in row:
+            out[j].append((i, v))
     return out
-
-
-def entries(cols):
-    """The {(row, col): entry} dict of a list of columns, column by column."""
-    return {(i, j): v for j, col in enumerate(cols) for i, v in col}
 
 
 def dense(M):
     """The rows of a sparse IntMatrix."""
     rows = [[0] * M.cols for _ in range(M.rows)]
-    for (i, j), v in M.entries.items():
-        rows[i][j] = v
+    for row, pairs in zip(rows, M.entries):
+        for j, v in pairs:
+            row[j] = v
     return rows
 
 
@@ -112,12 +110,11 @@ def test_sparse_diagonal_matches_dense():
         pool = ([0, 0, 0, 1, -1, 2, -3] if trial < 20 else
                 [0] * 6 + [2, -2, 3, 4, -6, 1])
         rows = [[rng.choice(pool) for _ in range(n)] for _ in range(m)]
-        sparse = {(i, j): rows[i][j] for i in range(m) for j in range(n)
-                  if rows[i][j]}
-        _, D, _ = smith_normal_form(int_matrix(rows))
+        A = int_matrix(rows)
+        _, D, _ = smith_normal_form(A)
         dense_diag = [abs(D[t][t]) for t in range(min(m, n))]
-        assert smith_diagonal(columns(sparse, n), m, n) == dense_diag
-        leftover_blocks += bool(_eliminate(columns(sparse, n))[1])
+        assert smith_diagonal(columns(A.entries, n), m, n) == dense_diag
+        leftover_blocks += bool(_eliminate(columns(A.entries, n))[1])
     assert leftover_blocks >= 50
 
 
@@ -125,9 +122,7 @@ def reference_smith_normal_form(M):
     """The oracle for the in-place reduction: the same Smith normal form
     with D, U and V held as three matrices and updated in lockstep."""
     m, n = M.rows, M.cols
-    D = [[0] * n for _ in range(m)]
-    for (i, j), v in M.entries.items():
-        D[i][j] = v
+    D = dense(M)
     U = [[int(i == j) for j in range(m)] for i in range(m)]
     V = [[int(i == j) for j in range(n)] for i in range(n)]
 
@@ -202,9 +197,9 @@ def reference_smith_normal_form(M):
     return U, D, V
 
 
-def reference_smith_diagonal(sparse, m, n):
+def reference_smith_diagonal(cols, m, n):
     """smith_diagonal with the leftover block reduced by the oracle."""
-    units, left = _eliminate(columns(sparse, n))
+    units, left = _eliminate(cols)
     diag = [1] * units
     if left:
         _, D, _ = reference_smith_normal_form(_leftover_block(left)[2])
@@ -221,13 +216,9 @@ def snf_cases():
         m, n = draw(st.integers(0, 8)), draw(st.integers(0, 8))
         zero_rows = draw(st.sets(st.integers(0, 7)))
         zero_cols = draw(st.sets(st.integers(0, 7)))
-        entries = {}
-        for i in range(m):
-            for j in range(n):
-                v = 0 if i in zero_rows or j in zero_cols else draw(st.integers(-6, 6))
-                if v:
-                    entries[i, j] = v
-        A = IntMatrix(m, n, entries)
+        rows = [[0 if i in zero_rows or j in zero_cols else draw(st.integers(-6, 6))
+                 for j in range(n)] for i in range(m)]
+        A = IntMatrix(m, n, [[(j, v) for j, v in enumerate(row) if v] for row in rows])
         if draw(st.booleans()):
             b = A.mat_vec(draw(st.lists(st.integers(-4, 4), min_size=n, max_size=n)))
         else:
@@ -247,8 +238,8 @@ def test_smith_reduction_matches_the_three_matrix_reference():
         A, b = case
         expected = reference_smith_normal_form(A)
         assert smith_normal_form(A) == expected
-        assert smith_diagonal(columns(A.entries, A.cols), A.rows, A.cols) == \
-            reference_smith_diagonal(A.entries, A.rows, A.cols)
+        cols = columns(A.entries, A.cols)
+        assert smith_diagonal(cols, A.rows, A.cols) == reference_smith_diagonal(cols, A.rows, A.cols)
         with mock.patch.object(homology_module, "smith_normal_form", reference_smith_normal_form):
             expected_solve = _snf_solve(A, b)
         assert _snf_solve(A, b) == expected_solve
@@ -260,13 +251,13 @@ def test_smith_reduction_matches_the_three_matrix_reference():
     assert seen["nonunit"] >= 30
 
 
-UNIT_FREE_4x6 = {(i, j): 2 + (i + 3 * j) % 5 for i in range(4) for j in range(6)}
+UNIT_FREE_4x6 = [[2 + (i + 3 * j) % 5 for j in range(6)] for i in range(4)]
 
 
 @pytest.mark.parametrize("cap, refused", [(23, True), (24, False)])
 def test_dense_block_meets_the_cell_cap(monkeypatch, cap, refused):
     # no unit entry: the sparse elimination leaves the whole 4 x 6 block
-    A = IntMatrix(4, 6, UNIT_FREE_4x6)
+    A = int_matrix(UNIT_FREE_4x6)
     monkeypatch.setenv("TVLAB_CELL_CAP", str(cap))
     calls = [lambda: smith_normal_form(A),
              lambda: smith_diagonal(columns(A.entries, 6), 4, 6),
@@ -281,7 +272,7 @@ def test_dense_block_meets_the_cell_cap(monkeypatch, cap, refused):
 
 def test_smith_diagonal_allocates_no_transform():
     # a 4 x 1500 block with no unit entry; transforms would take 1500^2 entries
-    sparse = columns({(i, j): 2 + (i + 3 * j) % 5 for i in range(4) for j in range(1500)}, 1500)
+    sparse = [[(i, 2 + (i + 3 * j) % 5) for i in range(4)] for j in range(1500)]
     tracemalloc.start()
     try:
         diag = smith_diagonal(sparse, 4, 1500)
@@ -302,10 +293,8 @@ def test_rank_mod_p_matches_sympy(p):
         n = rng.randint(1, 20)
         rows = [[rng.choice([0, 0, 0, 1, -1, 2, 3, -5, 10]) for _ in range(n)]
                 for _ in range(m)]
-        sparse = {(i, j): rows[i][j] for i in range(m) for j in range(n)
-                  if rows[i][j]}
         expected = DomainMatrix.from_list(rows, sympy.ZZ).convert_to(sympy.GF(p)).rank()
-        assert _rank_mod_p(columns(sparse, n), p) == expected
+        assert _rank_mod_p(columns(int_matrix(rows).entries, n), p) == expected
 
 
 def sympy_rank(cols, shape, p):
@@ -314,9 +303,10 @@ def sympy_rank(cols, shape, p):
     from sympy.polys.matrices import DomainMatrix
     field = sympy.GF(p)
     rows = {}
-    for (i, j), v in entries(cols).items():
-        if v % p:
-            rows.setdefault(i, {})[j] = field(v)
+    for j, col in enumerate(cols):
+        for i, v in col:
+            if v % p:
+                rows.setdefault(i, {})[j] = field(v)
     return DomainMatrix(rows, shape, field).rank()
 
 
@@ -363,8 +353,7 @@ def simplicial_chain_complex(maximal, rng):
         rng.shuffle(cells)
     index = [{face: i for i, face in enumerate(by_dim[d])} for d in range(len(by_dim))]
     boundaries = [None] + [
-        columns({(index[d - 1][s[:k] + s[k + 1:]], j): (-1) ** k
-                 for s, j in index[d].items() for k in range(len(s))}, len(by_dim[d]))
+        [[(index[d - 1][s[:k] + s[k + 1:]], (-1) ** k) for k in range(len(s))] for s in by_dim[d]]
         for d in range(1, len(by_dim))]
     return boundaries, [len(by_dim[d]) for d in range(len(by_dim))]
 
@@ -485,10 +474,10 @@ def test_relabel_invariance():
         rng.shuffle(p)
     boundaries = [None]
     for d in range(1, dp.dim + 1):
-        boundaries.append(columns({
-            (perms[d - 1][i], perms[d][j]): v
-            for (i, j), v in entries(dp.boundary_matrix(d)).items()
-        }, shapes[d]))
+        relabelled = [None] * shapes[d]
+        for j, col in enumerate(dp.boundary_matrix(d)):
+            relabelled[perms[d][j]] = [(perms[d - 1][i], v) for i, v in col]
+        boundaries.append(relabelled)
     rep2 = homology(boundaries, shapes, "Z")
     assert rep2.ranks == rep.ranks and rep2.torsion == rep.torsion
 
@@ -615,12 +604,11 @@ def test_sparse_solve_matches_dense_solve(monkeypatch):
     def check(case):
         rows, b = case
         A = int_matrix(rows)
-        sparse = {(i, j): v for i, row in enumerate(rows) for j, v in enumerate(row) if v}
         del checked[:]
         x, cert = solve_integer_system(A, b)
         dense_x, _, _ = _snf_solve(A, b)
         assert (x is None) == (dense_x is None)
-        seen["leftover"] += bool(_eliminate(columns(sparse, A.cols))[1])
+        seen["leftover"] += bool(_eliminate(columns(A.entries, A.cols))[1])
         if x is not None:
             seen["solved"] += 1
             assert A.mat_vec(x) == b
@@ -635,7 +623,7 @@ def test_sparse_solve_matches_dense_solve(monkeypatch):
             assert ub % d and all(s % d == 0 for s in uA)
         else:
             assert ub and not any(uA)
-        diag = smith_diagonal(columns(sparse, A.cols), A.rows, A.cols)
+        diag = smith_diagonal(columns(A.entries, A.cols), A.rows, A.cols)
         if cert["kind"] == "divisibility":
             assert diag[cert["index"]] == cert["diagonal"] > 1
         else:

@@ -12,6 +12,7 @@ The obstruction module enumerates its orbits from the base and reads no
 cell list of the deleted product, and the deleted product's boundary
 matrices find their rows by cell keys, not by nested-tuple facets.  One
 separation test, in convexity, serves the Tverberg search and plmaps alike.
+The sparse row layout of IntMatrix is read in homology only.
 """
 
 import ast
@@ -138,3 +139,13 @@ def test_one_separation_test_in_convexity():
     assert [fn.name for fn in ast.walk(trees["plmaps.py"]) if isinstance(fn, ast.FunctionDef)
             and any(isinstance(node, ast.Call) and getattr(node.func, "id", None) in ("min", "max")
                     for node in ast.walk(fn))] == ["default_apexes", "constraint_lift"]
+
+
+def test_row_layout_is_read_in_homology_only():
+    """homology.py is the only module that loads the attribute entries, the
+    rows of an IntMatrix: obstruction.py hands its rows to the IntMatrix
+    constructor and reads nothing back."""
+    loads = {p.name for p in SRC.glob("*.py") for node in ast.walk(ast.parse(p.read_text()))
+             if isinstance(node, ast.Attribute) and node.attr == "entries"
+             and isinstance(node.ctx, ast.Load)}
+    assert loads == {"homology.py"}

@@ -196,17 +196,14 @@ def test_sparse_coboundary_matches_dense_assembly(domain, d, r):
     A, top_reps, facet_reps = coboundary_matrix(dp, twist)
     rows = dense_coboundary(dp, twist)
     assert (A.rows, A.cols) == (len(rows), len(facet_reps)) == (len(top_reps), len(rows[0]))
-    # the nonzeros in the order of the old dense-to-sparse scan: the
-    # elimination breaks pivot ties in this order, so witnesses depend on it
-    nonzeros = {(i, j): v for i, row in enumerate(rows) for j, v in enumerate(row) if v}
-    assert A.entries == nonzeros
-    assert list(A.entries) == sorted(A.entries)
+    # row i holds the nonzeros of row i of the dense assembly, columns ascending
+    assert A.entries == [[(j, v) for j, v in enumerate(row) if v] for row in rows]
 
 
 def test_cocycle_from_table_zero_and_consistency():
     _, dp, _ = k5_setup()
     zero = cocycle_from_table(dp, {})
-    assert not any(zero.values.values())
+    assert zero.values == {}  # every orbit reads 0
     # a table repeating an orbit must match the twisted extension:
     # swapping the two edge factors flips the sign (Koszul sign -1)
     good = {((0, 1), (2, 3)): 5, ((2, 3), (0, 1)): -5}
@@ -214,6 +211,30 @@ def test_cocycle_from_table_zero_and_consistency():
     assert c.values[((0, 1), (2, 3))] == 5
     with pytest.raises(InputError, match=r"table conflicts with the twisted action"):
         cocycle_from_table(dp, {((0, 1), (2, 3)): 5, ((2, 3), (0, 1)): 5})
+
+
+@pytest.mark.parametrize("domain", ["k5", "colored333"])
+def test_a_table_of_its_nonzero_orbits_decides_like_the_full_table(domain):
+    if domain == "k5":
+        f, dp, full = k5_setup()
+        table = intersection_cocycle(f, 2)
+    else:
+        K = base_complex(domain)
+        f = PLMap.build(K, 3, random_rational_points(9, 3, repr(("g", 1))))
+        dp = deleted_product(K, 3)
+        table = intersection_cocycle(f, 3)
+        full = cocycle_from_table(dp, table)
+    partial = cocycle_from_table(dp, {key: v for key, v in table.items() if v})
+    assert 0 < len(partial.values) < len(full.values) == len(table)
+    assert partial.values == {rep: v for rep, v in full.values.items() if v}
+    _, _, facet_reps = coboundary_matrix(dp, full.twist)
+    results = [is_null_cohomologous(v) for v in (full, partial)]
+    assert results[0].trivial == results[1].trivial == (domain == "colored333")
+    assert results[0].infeasibility == results[1].infeasibility
+    if results[0].trivial:
+        certificates = [[res.certificate.values.get(rep, 0) for rep in facet_reps]
+                        for res in results]
+        assert certificates[0] == certificates[1] and any(certificates[0])
 
 
 def test_cochain_extension_signs():
@@ -248,8 +269,9 @@ def test_k5_mod2_invariant():
     _, dp, v = k5_setup()
     A, _, _ = coboundary_matrix(dp)
     column_sums = [0] * A.cols
-    for (_, j), a in A.entries.items():
-        column_sums[j] += a
+    for row in A.entries:
+        for j, a in row:
+            column_sums[j] += a
     assert all(s % 2 == 0 for s in column_sums)
     assert sum(abs(x) for x in v.values.values()) % 2 == 1
 
@@ -313,6 +335,21 @@ def test_delta8_r3_in_r3_trivial_with_certificate():
     assert image == [v.values.get(rep, 0) for rep in top_reps]
 
 
+def test_delta10_r3_coboundary_rows():
+    # the coboundary of the Delta_10^(2) -> R^3, r = 3 decision: it depends
+    # on the domain alone, so no map is built
+    dp = deleted_product(simplex_skeleton(10, 2), 3)
+    A, top_reps, facet_reps = coboundary_matrix(dp)
+    assert (A.rows, A.cols) == (len(top_reps), len(facet_reps)) == (15_400, 46_200)
+    assert len(A.entries) == A.rows
+    assert sum(map(len, A.entries)) == 138_600
+    for row in A.entries:
+        columns = [j for j, _ in row]
+        assert 0 <= columns[0] and columns[-1] < A.cols
+        assert all(a < b for a, b in zip(columns, columns[1:]))
+        assert all(v in (1, -1) for _, v in row)
+
+
 @pytest.mark.parametrize("N,units", [(6, 69), (7, 245)])
 def test_van_kampen_flores_witness_pinned(N, units):
     f = generic_skeleton_map(N, 4, repr(("d%d" % N, 2)))
@@ -326,7 +363,10 @@ def test_van_kampen_flores_witness_pinned(N, units):
     # the index counts the unit invariant factors of the coboundary, and the
     # diagonal is its one Z/2 factor
     A, _, _ = coboundary_matrix(dp, v.twist)
-    columns = [[(i, v) for (i, j), v in A.entries.items() if j == c] for c in range(A.cols)]
+    columns = [[] for _ in range(A.cols)]
+    for i, row in enumerate(A.entries):
+        for j, a in row:
+            columns[j].append((i, a))
     diag = smith_diagonal(columns, A.rows, A.cols)
     assert diag.count(1) == units and [t for t in diag if t > 1] == [2]
 

@@ -45,7 +45,7 @@ def test_tracer_installs_on_every_target_and_uninstalls():
         assert obstruction.solve_integer_system.__wrapped__ is solve
         with tracer.query(0):
             # a block with no unit entry reaches the dense Smith normal form
-            A = IntMatrix(2, 2, {(0, 0): 2, (0, 1): 4, (1, 0): 6, (1, 1): 8})
+            A = IntMatrix(2, 2, [[(0, 2), (1, 4)], [(0, 6), (1, 8)]])
             obstruction.solve_integer_system(A, [2, 6])
         names = [span[0] for span in tracer.spans]
         assert names.count("homology.solve_integer_system") == 1
