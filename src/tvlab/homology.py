@@ -425,7 +425,7 @@ def solve_integer_system(A: IntMatrix, b: list):
         raise InputError("b has length %d, A has %d rows" % (len(b), A.rows))
     carry = A.cols
     columns = [[] for _ in range(carry)]
-    for i, row in enumerate(A.entries):  # each column's rows ascending
+    for i, row in enumerate(A.entries):  # each column's rows ascending, the pivot tie order
         for j, v in row:
             columns[j].append((i, v))
     columns.append([(i, v) for i, v in enumerate(b) if v])
