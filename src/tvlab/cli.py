@@ -168,7 +168,7 @@ def cmd_plmap_cocycle(args):
         for i in range(checked):
             key = keys[i % len(keys)]
             seed = (args.seed, i).__repr__()
-            agreements += plmaps.coned_extension_oracle(f, key, args.r, seed=seed) == table[key]
+            agreements += plmaps.coned_extension_oracle(f, key, seed=seed) == table[key]
         if agreements != checked:
             raise SearchInvariantViolated("the coned-extension oracle agreed in %d of %d checks"
                                           % (agreements, checked))

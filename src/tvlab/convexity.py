@@ -267,11 +267,11 @@ def _directions(d):
                                             for s in (1, -1)]
 
 
-def projections(points, d):
+def projections(points):
     """projections[i][k] = u_k . x_i for the integer points x_i of R^d and
-    the directions u_k of _directions(d); scale rational points to integers
-    first, with linalg.clear_denominators."""
-    U = _directions(d)
+    the directions u_k of _directions(d), with d read off the points; scale
+    rational points to integers first, with linalg.clear_denominators."""
+    U = _directions(len(points[0])) if points else ()
     return [tuple(sum(c * p[a] for a, c in u) for u in U) for p in points]
 
 
@@ -311,7 +311,7 @@ def tverberg_search(points, r) -> TverbergPartition:
     want = (d + 1) * (r - 1) + 1
     if len(pts) != want:
         raise InputError("need (d+1)(r-1)+1 = %d points, got %d" % (want, len(pts)))
-    proj = projections(linalg.clear_denominators(pts)[0], d)
+    proj = projections(linalg.clear_denominators(pts)[0])
     for parts in canonical_partitions(len(pts), r):
         if separated([box(proj, part) for part in parts]):
             continue

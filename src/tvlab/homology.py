@@ -203,9 +203,9 @@ def _leftover_block(left: dict, carry=None):
     return row_ids, col_ids, IntMatrix(len(row_ids), len(col_ids), rows)
 
 
-def smith_diagonal(columns: list, m: int, n: int) -> list:
-    """Diagonal of the Smith normal form of an m x n matrix given by its
-    columns, no transforms.
+def smith_diagonal(columns: list, m: int) -> list:
+    """Diagonal of the Smith normal form of a matrix with m rows, given by
+    its n = len(columns) columns, no transforms.
 
     One 1 per unit pivot of the sparse elimination, then the nonzero
     diagonal of the dense Smith normal form of the block left over (a
@@ -218,7 +218,7 @@ def smith_diagonal(columns: list, m: int, n: int) -> list:
         T = _dense(block)
         _smith(T, block.rows, block.cols)
         diag += [row[t] for t, row in enumerate(T) if t < block.cols and row[t]]
-    return diag + [0] * (min(m, n) - len(diag))
+    return diag + [0] * (min(m, len(columns)) - len(diag))
 
 
 @dataclass
@@ -341,7 +341,7 @@ def homology(boundaries: list, shapes: list, coefficients="Z") -> HomologyReport
     cleared = frozenset()
     for d in range(top, 0, -1):
         if tag == "Z":
-            diag[d] = smith_diagonal(boundaries[d], shapes[d - 1], shapes[d])
+            diag[d] = smith_diagonal(boundaries[d], shapes[d - 1])
         else:
             lows = set()
             diag[d] = [1] * _rank_mod_p(boundaries[d], int(coefficients), cleared, lows)

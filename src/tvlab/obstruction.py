@@ -63,8 +63,10 @@ def locate(group: PermGroup, cell) -> tuple:
 def orbit_reps(dp: DeletedProductComplex, group: PermGroup, degree: int) -> list:
     """Least cell per group orbit of degree-cells, in sorted order: f^-1 . e
     for each sorted tuple e and left coset fG; over Sigma_r, the tuples."""
+    if group.degree != dp.r:
+        raise InputError("group degree %d, but r = %d factors" % (group.degree, dp.r))
     reps = disjoint_tuples(dp.base.simplices, dp.r, degree)
-    cosets = coset_representatives(group, dp.r)
+    cosets = coset_representatives(group)
     if len(cosets) > 1:
         reps = sorted(tuple(map(e.__getitem__, f)) for e in reps for f in cosets)
     return reps
@@ -79,6 +81,10 @@ class EquivariantCochain:
     degree: int
     twist: int
     values: dict  # orbit representative cell -> integer; an orbit not listed reads 0
+
+    def __post_init__(self):
+        if self.group.degree != self.dp.r:
+            raise InputError("group degree %d, but r = %d factors" % (self.group.degree, self.dp.r))
 
     def locate(self, cell):
         """(representative, omega) with omega . representative = cell."""
@@ -181,16 +187,16 @@ def restrict_to_subgroup(c: EquivariantCochain, G: PermGroup) -> EquivariantCoch
     return EquivariantCochain(c.dp, G, c.degree, c.twist, values)
 
 
-def coset_representatives(G: PermGroup, r: int) -> list:
-    """The least element g of each left coset gG, in increasing order: g <= g h
-    for all h in G.  CapExceeded first when r! is over the cell cap."""
-    if symmetric_group(r).order() == G.order():
-        return [identity_perm(r)]
+def coset_representatives(G: PermGroup) -> list:
+    """The least element g of each left coset gG in Sigma_r, r = G.degree, in
+    increasing order: g <= g h for all h in G.  CapExceeded first when r! > cap."""
+    if symmetric_group(G.degree).order() == G.order():
+        return [identity_perm(G.degree)]
     members = G.elements()
-    return [g for g in permutations(range(r)) if all(g <= compose(g, h) for h in members)]
+    return [g for g in permutations(range(G.degree)) if all(g <= compose(g, h) for h in members)]
 
 
-def transfer(x: EquivariantCochain, r: int) -> EquivariantCochain:
+def transfer(x: EquivariantCochain) -> EquivariantCochain:
     """Sum of x over coset translates, landing in a fully equivariant cochain.
 
     For left coset representatives f_1..f_s of x's group,
@@ -198,8 +204,8 @@ def transfer(x: EquivariantCochain, r: int) -> EquivariantCochain:
     restriction multiplies by the index s.  With f_i least in its coset,
     f_i^{-1} e is a representative of x (orbit_reps), read as it is.
     """
-    cosets = coset_representatives(x.group, r)
-    full = symmetric_group(r)
+    cosets = coset_representatives(x.group)
+    full = symmetric_group(x.dp.r)
     values = {}
     for cell in orbit_reps(x.dp, full, x.degree):
         pres = [(f, tuple(map(cell.__getitem__, f))) for f in cosets]  # f^-1 . cell

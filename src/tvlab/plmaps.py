@@ -111,14 +111,14 @@ def split_dimensions(m, d, r):
     return m // (r - 1)
 
 
-def positive_normal_frame(points, d):
+def positive_normal_frame(points):
     """Positively oriented normal frame of the affine span of the points.
 
     points spans an m-plane in R^d; returns d-m rows N with (tangent, N)
     positively oriented.  Raises NotGeneric on a degenerate span.
     """
     base = points[0]
-    tangent = [[p[a] - base[a] for a in range(d)] for p in points[1:]]
+    tangent = [[a - b for a, b in zip(p, base)] for p in points[1:]]
     if linalg.rank(tangent) != len(tangent):
         raise NotGeneric("degenerate simplex image")
     normal = linalg.orthogonal_complement(tangent)
@@ -146,7 +146,7 @@ def _unique_solution(T, degenerate):
     return [T[i][n] for i in range(n)], D, sign
 
 
-def tuple_r_fold_point(f: PLMap, simplices, r):
+def tuple_r_fold_point(f: PLMap, simplices):
     """The strictly interior common image point of one disjoint r-tuple.
 
     Solves the square system equating the r affine images with barycentric
@@ -168,7 +168,7 @@ def tuple_r_fold_point(f: PLMap, simplices, r):
     if any(v < 0 for v in nums):
         return None
     x = [Fraction(v, D) for v in nums]
-    bary = tuple(tuple(x[offsets[i]:offsets[i + 1]]) for i in range(r))
+    bary = tuple(tuple(x[a:b]) for a, b in zip(offsets, offsets[1:]))
     pts = f.image_points(simplices[0])
     ambient = tuple(sum(c * p[a] for c, p in zip(bary[0], pts)) for a in range(d))
     return RFoldPoint(tuple(simplices), bary, ambient, sgn)
@@ -176,7 +176,7 @@ def tuple_r_fold_point(f: PLMap, simplices, r):
 
 def _boxes(f: PLMap, simplices) -> dict:
     """The box of each simplex's images (convexity.box), kept for every tuple."""
-    proj = convexity.projections(f.integer_images, f.ambient_dim)
+    proj = convexity.projections(f.integer_images)
     return {s: tuple(map(tuple, convexity.box(proj, s))) for s in simplices}
 
 
@@ -191,7 +191,7 @@ def _top_r_fold_points(f: PLMap, r: int):
     boxes = _boxes(f, top)
     for combo in tuples:
         apart = convexity.separated([boxes[s] for s in combo])
-        yield combo, None if apart else tuple_r_fold_point(f, combo, r)
+        yield combo, None if apart else tuple_r_fold_point(f, combo)
 
 
 def global_r_fold_points(f: PLMap, r: int) -> list:
@@ -210,7 +210,7 @@ def orientation_pairing_sign(k, r) -> int:
     return -1 if (k * (r - 1) * (r * (r - 1) // 2)) % 2 else 1
 
 
-def default_apexes(f: PLMap, simplices, r, seed=0):
+def default_apexes(f: PLMap, simplices, seed=0):
     """Deterministic generic apex tuple for the coned extension."""
     rng = random.Random((seed, tuple(simplices)).__repr__())
     pts = [p for s in simplices for p in f.image_points(s)]
@@ -224,11 +224,11 @@ def default_apexes(f: PLMap, simplices, r, seed=0):
             center[a] + spread * Fraction(rng.randint(-2**20, 2**20), 2**18)
             for a in range(f.ambient_dim)
         )
-        for _ in range(r)
+        for _ in simplices
     ]
 
 
-def coned_extension_oracle(f: PLMap, simplices, r, seed=0) -> int:
+def coned_extension_oracle(f: PLMap, simplices, seed=0) -> int:
     """Signed diagonal crossings of a generic coned extension over the tuple.
 
     The product of the r simplices is parametrized by the free barycentric
@@ -238,11 +238,12 @@ def coned_extension_oracle(f: PLMap, simplices, r, seed=0) -> int:
     determinant pairing its differential with the diagonal directions.
     """
     d = f.ambient_dim
+    r = len(simplices)
     m = len(simplices[0]) - 1
     k = split_dimensions(m, d, r)
     if k == 0:  # points mapped to R^0: there is no cone to extend over
         raise InputError("the coned extension needs dim = k(r-1) with k >= 1, got k = 0")
-    apex = [x for p in default_apexes(f, simplices, r, seed) for x in p]  # point of (R^d)^r
+    apex = [x for p in default_apexes(f, simplices, seed) for x in p]  # point of (R^d)^r
     n = r * m  # parameter dimension
     rd = r * d
 

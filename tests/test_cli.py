@@ -191,7 +191,7 @@ def test_plmap_cocycle_fuzz_oracle_without_disjoint_tuples(tmp_path, capsys):
 
 
 def test_plmap_cocycle_fuzz_oracle_disagreement_exits_4(tmp_path, capsys, monkeypatch):
-    monkeypatch.setattr(plmaps, "coned_extension_oracle", lambda f, key, r, seed: None)
+    monkeypatch.setattr(plmaps, "coned_extension_oracle", lambda f, key, seed: None)
     code = cli.run(["plmap", "cocycle", "--map", k4_square_map(tmp_path), "--r", "2",
                     "--fuzz-oracle", "3"])
     captured = capsys.readouterr()

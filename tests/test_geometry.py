@@ -273,8 +273,8 @@ def test_directions_and_projections():
                               ((1, 1), (2, -1))]
     # scaled by the lcm 6 of the denominators
     ints = clear_denominators(as_points([(Fraction(1, 2), Fraction(1, 3)), (1, 0)]))[0]
-    assert projections(ints, 2) == [(3, 2, 5, 1), (6, 0, 6, 6)]
-    proj = projections([(0,), (1,), (2,), (2,)], 1)
+    assert projections(ints) == [(3, 2, 5, 1), (6, 0, 6, 6)]
+    proj = projections([(0,), (1,), (2,), (2,)])
 
     def apart(*groups):
         return separated([box(proj, g) for g in groups])
@@ -289,7 +289,7 @@ def test_directions_and_projections():
     # a box kept as tuples answers as the lazy one does
     assert separated([tuple(map(tuple, box(proj, g))) for g in ((0, 1), (2, 3))])
     # R^0 has no direction: nothing is separated
-    assert not separated([box(projections([(), ()], 0), g) for g in ((0,), (1,))])
+    assert not separated([box(projections([(), ()]), g) for g in ((0,), (1,))])
 
 
 def test_rejected_partitions_are_separated():
@@ -300,7 +300,7 @@ def test_rejected_partitions_are_separated():
     skipped = []
     for pts in map(as_points, cases):
         d = len(pts[0])
-        proj = projections(clear_denominators(pts)[0], d)
+        proj = projections(clear_denominators(pts)[0])
         skipped.append(0)
         for parts in canonical_partitions(len(pts), 3):
             groups = [[pts[i] for i in part] for part in parts]

@@ -113,7 +113,7 @@ def test_sparse_diagonal_matches_dense():
         A = int_matrix(rows)
         _, D, _ = smith_normal_form(A)
         dense_diag = [abs(D[t][t]) for t in range(min(m, n))]
-        assert smith_diagonal(columns(A.entries, n), m, n) == dense_diag
+        assert smith_diagonal(columns(A.entries, n), m) == dense_diag
         leftover_blocks += bool(_eliminate(columns(A.entries, n))[1])
     assert leftover_blocks >= 50
 
@@ -239,7 +239,7 @@ def test_smith_reduction_matches_the_three_matrix_reference():
         expected = reference_smith_normal_form(A)
         assert smith_normal_form(A) == expected
         cols = columns(A.entries, A.cols)
-        assert smith_diagonal(cols, A.rows, A.cols) == reference_smith_diagonal(cols, A.rows, A.cols)
+        assert smith_diagonal(cols, A.rows) == reference_smith_diagonal(cols, A.rows, A.cols)
         with mock.patch.object(homology_module, "smith_normal_form", reference_smith_normal_form):
             expected_solve = _snf_solve(A, b)
         assert _snf_solve(A, b) == expected_solve
@@ -260,7 +260,7 @@ def test_dense_block_meets_the_cell_cap(monkeypatch, cap, refused):
     A = int_matrix(UNIT_FREE_4x6)
     monkeypatch.setenv("TVLAB_CELL_CAP", str(cap))
     calls = [lambda: smith_normal_form(A),
-             lambda: smith_diagonal(columns(A.entries, 6), 4, 6),
+             lambda: smith_diagonal(columns(A.entries, 6), 4),
              lambda: solve_integer_system(A, [1, 2, 3, 4])]
     for call in calls:
         if refused:
@@ -275,7 +275,7 @@ def test_smith_diagonal_allocates_no_transform():
     sparse = [[(i, 2 + (i + 3 * j) % 5) for i in range(4)] for j in range(1500)]
     tracemalloc.start()
     try:
-        diag = smith_diagonal(sparse, 4, 1500)
+        diag = smith_diagonal(sparse, 4)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -623,7 +623,7 @@ def test_sparse_solve_matches_dense_solve(monkeypatch):
             assert ub % d and all(s % d == 0 for s in uA)
         else:
             assert ub and not any(uA)
-        diag = smith_diagonal(columns(A.entries, A.cols), A.rows, A.cols)
+        diag = smith_diagonal(columns(A.entries, A.cols), A.rows)
         if cert["kind"] == "divisibility":
             assert diag[cert["index"]] == cert["diagonal"] > 1
         else:

@@ -12,11 +12,14 @@ The obstruction module enumerates its orbits from the base and reads no
 cell list of the deleted product, and the deleted product's boundary
 matrices find their rows by cell keys, not by nested-tuple facets.  One
 separation test, in convexity, serves the Tverberg search and plmaps alike.
-The sparse row layout of IntMatrix is read in homology only.
+The sparse row layout of IntMatrix is read in homology only.  No call takes
+a size that its other arguments fix.
 """
 
 import ast
 import builtins
+import importlib
+import inspect
 from pathlib import Path
 
 import pytest
@@ -149,3 +152,28 @@ def test_row_layout_is_read_in_homology_only():
              if isinstance(node, ast.Attribute) and node.attr == "entries"
              and isinstance(node.ctx, ast.Load)}
     assert loads == {"homology.py"}
+
+
+# Each call reads r, n or d off another argument: an r-tuple's length, a
+# group's degree, a matrix's column count or a point's dimension.  By name
+# alone this is not a lint: disjoint_tuples(simplices, r, dim) takes a pool
+# of simplices, and there r is an input.
+SIZED_BY_THEIR_ARGUMENTS = {
+    "plmaps.tuple_r_fold_point": ["f", "simplices"],
+    "plmaps.default_apexes": ["f", "simplices", "seed"],
+    "plmaps.coned_extension_oracle": ["f", "simplices", "seed"],
+    "plmaps.positive_normal_frame": ["points"],
+    "convexity.projections": ["points"],
+    "homology.smith_diagonal": ["columns", "m"],
+    "obstruction.coset_representatives": ["G"],
+    "obstruction.transfer": ["x"],
+}
+
+
+def test_no_call_takes_a_size_its_arguments_fix():
+    def parameters(call):
+        module, name = call.split(".")
+        return list(inspect.signature(getattr(importlib.import_module("tvlab." + module),
+                                              name)).parameters)
+
+    assert {call: parameters(call) for call in SIZED_BY_THEIR_ARGUMENTS} == SIZED_BY_THEIR_ARGUMENTS

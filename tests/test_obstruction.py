@@ -367,7 +367,7 @@ def test_van_kampen_flores_witness_pinned(N, units):
     for i, row in enumerate(A.entries):
         for j, a in row:
             columns[j].append((i, a))
-    diag = smith_diagonal(columns, A.rows, A.cols)
+    diag = smith_diagonal(columns, A.rows)
     assert diag.count(1) == units and [t for t in diag if t > 1] == [2]
 
 def test_restriction_to_full_group_is_identity():
@@ -387,7 +387,7 @@ def test_restriction_to_trivial_group():
 def test_coset_representatives():
     for r in (2, 3, 4):
         for G in (trivial_group(r), sylow_tree_subgroup(r, 2), symmetric_group(r)):
-            reps = coset_representatives(G, r)
+            reps = coset_representatives(G)
             import math
 
             assert len(reps) * G.order() == math.factorial(r)
@@ -418,7 +418,7 @@ def marked_coset_representatives(G, r):
 @pytest.mark.parametrize("r", [2, 3, 4, 5])
 def test_coset_representatives_match_the_marking_loop(r):
     for G in groups_of(r):
-        assert coset_representatives(G, r) == marked_coset_representatives(G, r)
+        assert coset_representatives(G) == marked_coset_representatives(G, r)
 
 
 def test_coset_representatives_over_the_cap_raise_before_any_element(monkeypatch):
@@ -430,7 +430,7 @@ def test_coset_representatives_over_the_cap_raise_before_any_element(monkeypatch
     monkeypatch.setenv("TVLAB_CELL_CAP", "119")  # 5! = 120
     for G in groups:
         with pytest.raises(CapExceeded):
-            coset_representatives(G, 5)
+            coset_representatives(G)
         assert G._elements is None
 
 
@@ -464,14 +464,30 @@ def test_transfer_restrict_is_index_times_identity():
             for trial in range(10):
                 values = {rep: rng.randint(-9, 9) for rep in reps}
                 x = EquivariantCochain(dp, symmetric_group(r), dp.dim, r, values)
-                back = transfer(restrict_to_subgroup(x, G), r)
+                back = transfer(restrict_to_subgroup(x, G))
                 assert back.values == {k: index * v for k, v in values.items()}
 
 
 def test_transfer_of_sigma_r_cochain_is_identity():
     _, dp, v = k5_setup()
-    back = transfer(restrict_to_subgroup(v, symmetric_group(2)), 2)
+    back = transfer(restrict_to_subgroup(v, symmetric_group(2)))
     assert back.values == v.values
+
+
+def test_a_group_on_other_letters_than_the_factors_raises_input_error():
+    """The group's degree is the r of the transfer and the cosets, so where a
+    group meets a deleted product, in orbit_reps and in a cochain, a group on
+    r - 1 or r + 2 letters is refused, not read until an IndexError."""
+    dp = deleted_product(full_simplex(4), 3)
+    x = cocycle_from_table(dp, {})
+    for G in (trivial_group(2), sylow_tree_subgroup(2, 2), trivial_group(5),
+              sylow_tree_subgroup(5, 2)):
+        with pytest.raises(InputError, match="group degree %d, but r = 3" % G.degree):
+            orbit_reps(dp, G, dp.dim)
+        with pytest.raises(InputError, match="group degree %d, but r = 3" % G.degree):
+            restrict_to_subgroup(x, G)
+        with pytest.raises(InputError, match="group degree %d, but r = 3" % G.degree):
+            EquivariantCochain(dp, G, dp.dim, x.twist, {})
 
 
 def test_ozaydin_r6():
@@ -562,7 +578,7 @@ def test_obstruction_maps_match_the_orbit_tables(monkeypatch):
             out = [v.values, A.entries, top_reps, facet_reps]
             for G in subgroups:
                 down = restrict_to_subgroup(v, G)
-                out += [down.values, transfer(down, r).values]
+                out += [down.values, transfer(down).values]
             return out
 
         with monkeypatch.context() as patch:

@@ -113,7 +113,7 @@ def test_not_generic_boundary_crossing():
     K = Complex.from_maximal(4, [[0, 1], [2, 3]])
     f = PLMap.build(K, 2, [(0, 0), (2, 2), (1, 1), (3, 0)])
     with pytest.raises(NotGeneric):
-        tuple_r_fold_point(f, ((0, 1), (2, 3)), 2)
+        tuple_r_fold_point(f, ((0, 1), (2, 3)))
 
 
 def test_dimension_precondition():
@@ -128,7 +128,7 @@ def test_oracle_matches_cocycle_k4_k5():
         f = complete_graph_map(drawing)
         table = intersection_cocycle(f, 2)
         for key, val in table.items():
-            assert coned_extension_oracle(f, key, 2) == val
+            assert coned_extension_oracle(f, key) == val
 
 
 def test_oracle_matches_on_triple_point():
@@ -139,13 +139,13 @@ def test_oracle_matches_on_triple_point():
     f = PLMap.build(K, 3, imgs)
     table = intersection_cocycle(f, 3)
     for key, val in table.items():
-        assert coned_extension_oracle(f, key, 3) == val
+        assert coned_extension_oracle(f, key) == val
 
 
 def test_oracle_seed_independence():
     f = complete_graph_map(PENTAGON)
     key = ((0, 2), (1, 3))
-    vals = {coned_extension_oracle(f, key, 2, seed=s) for s in range(5)}
+    vals = {coned_extension_oracle(f, key, seed=s) for s in range(5)}
     assert len(vals) == 1
 
 

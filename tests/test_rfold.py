@@ -70,7 +70,7 @@ def reference_r_fold_point(f, simplices, r, branches):
     ambient = tuple(sum(c * p[a] for c, p in zip(bary[0], pts)) for a in range(d))
     frames = []
     for s in simplices:
-        frames.extend(positive_normal_frame(f.image_points(s), d))
+        frames.extend(positive_normal_frame(f.image_points(s)))
     sgn = det_sign(frames)
     if sgn == 0:
         raise NotGeneric("parallel-degenerate image planes")
@@ -125,7 +125,7 @@ def test_rfold_point_matches_fraction_path():
     @given(tuple_maps())
     def check(case):
         f, simplices, r = case
-        got = outcome(tuple_r_fold_point, f, simplices, r)
+        got = outcome(tuple_r_fold_point, f, simplices)
         want = outcome(reference_r_fold_point, f, simplices, r, branches)
         assert got == want
 
@@ -150,7 +150,7 @@ def test_coned_oracle_on_a_negative_pivot_product():
     K = Complex.from_maximal(9, [[0, 1, 2], [3, 4, 5], [6, 7, 8]])
     f = PLMap.build(K, 3, imgs)
     key = ((0, 1, 2), (3, 4, 5), (6, 7, 8))
-    assert coned_extension_oracle(f, key, 3) == tuple_r_fold_point(f, key, 3).sign
+    assert coned_extension_oracle(f, key) == tuple_r_fold_point(f, key).sign
 
 
 def hit_tuple(k, r, rng):
@@ -176,10 +176,10 @@ def test_sign_is_the_determinant_sign_of_the_solve(k, r, count):
     signs = Counter()
     for _ in range(count):
         f, simplices = hit_tuple(k, r, rng)
-        pt = tuple_r_fold_point(f, simplices, r)
+        pt = tuple_r_fold_point(f, simplices)
         assert pt == reference_r_fold_point(f, simplices, r, Counter())
         assert pt.ambient == (0,) * (k * r)
-        assert coned_extension_oracle(f, simplices, r) == pt.sign
+        assert coned_extension_oracle(f, simplices) == pt.sign
         signs[pt.sign] += 1
     assert set(signs) == {-1, 1}, signs
 

@@ -47,7 +47,7 @@ IDS = ["delta5-0", "delta5-1", "delta5-2", "delta6", "colored-3", "colored-0", "
 def plain_points(f, r):
     """(tuple, r-fold point or None) by one solve per disjoint top-simplex tuple."""
     top = f.domain.simplices_of_dim(f.domain.dim)
-    return [(combo, tuple_r_fold_point(f, combo, r)) for combo in disjoint_tuples(top, r)]
+    return [(combo, tuple_r_fold_point(f, combo)) for combo in disjoint_tuples(top, r)]
 
 
 @pytest.mark.parametrize("case", range(len(CASES)), ids=IDS)
@@ -73,7 +73,7 @@ def test_separated_degenerate_segments_count_zero():
     # collinear segments apart along e_1: the solve is under-determined, the filter skips it
     f = PLMap.build(SEGMENTS, 2, [(0, 0), (1, 0), (2, 0), (3, 0)])
     with pytest.raises(NotGeneric):
-        tuple_r_fold_point(f, ((0, 1), (2, 3)), 2)
+        tuple_r_fold_point(f, ((0, 1), (2, 3)))
     assert intersection_cocycle(f, 2) == {((0, 1), (2, 3)): 0}
     assert global_r_fold_points(f, 2) == []
     assert is_almost_r_embedding(f, 2)
@@ -93,9 +93,9 @@ def test_delta10_cocycle_solves_under_a_quarter_of_its_triples(monkeypatch):
     f = generic_map(simplex_skeleton(10, 2), 3, repr(("probe", 10, 0)))
     solved = []
 
-    def counted(f, simplices, r):
+    def counted(f, simplices):
         solved.append(simplices)
-        return tuple_r_fold_point(f, simplices, r)
+        return tuple_r_fold_point(f, simplices)
 
     monkeypatch.setattr(plmaps, "tuple_r_fold_point", counted)
     table = intersection_cocycle(f, 3)

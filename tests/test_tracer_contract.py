@@ -83,7 +83,7 @@ def test_smith_diagonal_records_no_smith_normal_form_span():
     try:
         with tracer.query(0):
             # a block with no unit entry reaches the dense reduction, without transforms
-            diag = homology.smith_diagonal([[(0, 2), (1, 6)], [(0, 4), (1, 8)]], 2, 2)
+            diag = homology.smith_diagonal([[(0, 2), (1, 6)], [(0, 4), (1, 8)]], 2)
     finally:
         tracer.uninstall()
     names = [span[0] for span in tracer.spans]
