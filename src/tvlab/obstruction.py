@@ -164,7 +164,7 @@ def is_null_cohomologous(v: EquivariantCochain) -> NullCohomologyResult:
     dp = v.dp
     if v.degree != dp.dim:
         raise InputError("cochain degree %d is not the top dimension %d" % (v.degree, dp.dim))
-    if (v.group.degree, v.group.order()) != (dp.r, factorial(dp.r)):
+    if v.group.order() != factorial(dp.r):  # its degree is dp.r (EquivariantCochain)
         raise InputError("the decision is over the full symmetric group on %d letters; "
                          "got a group of order %d" % (dp.r, v.group.order()))
     A, top_reps, facet_reps = coboundary_matrix(dp, v.twist)
