@@ -482,11 +482,12 @@ def test_a_group_on_other_letters_than_the_factors_raises_input_error():
     x = cocycle_from_table(dp, {})
     for G in (trivial_group(2), sylow_tree_subgroup(2, 2), trivial_group(5),
               sylow_tree_subgroup(5, 2)):
-        with pytest.raises(InputError, match="group degree %d, but r = 3" % G.degree):
+        refusal = "group degree %d, but r = 3" % G.degree
+        with pytest.raises(InputError, match=refusal):
             orbit_reps(dp, G, dp.dim)
-        with pytest.raises(InputError, match="group degree %d, but r = 3" % G.degree):
+        with pytest.raises(InputError, match=refusal):
             restrict_to_subgroup(x, G)
-        with pytest.raises(InputError, match="group degree %d, but r = 3" % G.degree):
+        with pytest.raises(InputError, match=refusal):
             EquivariantCochain(dp, G, dp.dim, x.twist, {})
 
 
