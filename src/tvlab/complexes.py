@@ -143,6 +143,8 @@ class Complex:
 
 def full_simplex(N: int) -> Complex:
     """The N-dimensional simplex with all its faces."""
+    if N < 0:
+        raise InputError("need N >= 0, got N=%d" % N)
     return simplex_skeleton(N, N)
 
 

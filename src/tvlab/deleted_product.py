@@ -17,6 +17,21 @@ sum (i + 1) * q^v over the vertices v of each factor i, with q the least
 prime above r: the facet's key is its cell's key less (i + 1) * q^v, so no
 facet is built as a tuple.  Dicts over vertex masks key a mask past the int
 hash modulus by its bytes, so a base of more than 61 vertices hashes well.
+
+Homology is reduced on a Morse complex.  Read a cell as the set of pairs
+(v, i), vertex v in factor i; a facet drops one pair.  The element matching
+walks the pairs with i outer and v descending, and at each pair it matches
+every unmatched cell that lacks v to the cell with v added to factor i, if
+that is an unmatched cell: its key is the cell's key plus (i + 1) * q^v.  A
+sequence of element matchings is acyclic (Jonsson 2008, the cluster lemma),
+and each matched pair is a +-1 boundary entry, so the unmatched, critical
+cells carry the homology over Z and every GF(p) (Skoldberg 2006).  On a full
+simplex they are exactly its Betti numbers.  The Morse boundary of a critical
+cell sums the flows of its facets: a critical cell flows to itself, a cell
+matched down to 0, and a cell matched up follows its partner's other facets;
+each flow is found once, on an explicit stack that meets a gradient cycle as
+a cell already on it.  The one facet walk, _facets, serves the boundary
+matrices and the flows.
 """
 
 from __future__ import annotations
@@ -28,7 +43,7 @@ from functools import cached_property
 from math import comb
 
 from .complexes import Complex, check_cap, check_simplex_faces, configured_cell_cap
-from .errors import InputError
+from .errors import InputError, SearchInvariantViolated
 from .symgroup import is_prime, sign
 
 ProductCell = tuple  # tuple of Simplex, pairwise disjoint
@@ -195,6 +210,21 @@ class DeletedProductComplex:
                    for d, cells in self.cells_by_dim.items()}
         return [[label * w for w in powers] for label in range(1, self.r + 1)], indices
 
+    @staticmethod
+    def _facets(drops, rows, cell, key) -> list:
+        """(row, sign) of each facet of the cell with this key, in the order
+        of cell_boundary, rows the {key: position} of the cells one degree
+        down: a facet's key is the cell's key less drops[i][v]."""
+        column, shift = [], 0
+        for drop, s in zip(drops, cell):
+            if len(s) > 1:
+                sign = -1 if shift & 1 else 1
+                for v in s:
+                    column.append((rows[key - drop[v]], sign))
+                    sign = -sign
+                shift += len(s) - 1
+        return column
+
     def boundary_matrix(self, d: int) -> list:
         """Sparse boundary from dimension d to d-1 as columns: column j lists
         (row, sign) for the facets of the j-th d-cell, in the order of
@@ -202,17 +232,135 @@ class DeletedProductComplex:
         sorted cell order; the facets of one cell are distinct cells.
         """
         drops, indices = self._keys
-        rows, out = indices.get(d - 1, {}), []
-        for cell, key in zip(self.cells_by_dim.get(d, ()), indices.get(d, ())):
-            column, shift = [], 0
-            for drop, s in zip(drops, cell):
-                if len(s) > 1:
-                    sign = -1 if shift & 1 else 1
-                    for v in s:
-                        column.append((rows[key - drop[v]], sign))
-                        sign = -sign
-                    shift += len(s) - 1
-            out.append(column)
+        rows, facets = indices.get(d - 1, {}), self._facets
+        return [facets(drops, rows, cell, key)
+                for cell, key in zip(self.cells_by_dim.get(d, ()), indices.get(d, ()))]
+
+    def element_matching(self) -> list:
+        """The element matching, as mate[d][j] for the j-th d-cell: the index
+        of its (d+1)-cell partner when it is matched up, -1 when it is matched
+        down, None when it is critical.  For each pair (v, i), i outer and v
+        descending, every unmatched cell that lacks v is matched to the cell
+        with v added to factor i, when that is an unmatched cell; its key is
+        the cell's key plus drops[i][v].  Each degree's cells are bucketed
+        by the vertices they lack, and a bucket keeps only the cells that
+        have not been matched."""
+        drops, indices = self._keys
+        cells, top, n = self.cells_by_dim, self.dim, self.base.num_vertices
+        mate = [[None] * len(cells[d]) for d in range(top + 1)]
+        keys = [list(indices[d]) for d in range(top)]
+        bit = {s: sum(1 << v for v in s) for s in self.base.simplices}
+        lacking = [[[] for _ in range(top)] for _ in range(n)]  # [v][d]: d-cells without v
+        for d in range(top):
+            groups = {}  # the d-cells of each used vertex mask
+            for j, cell in enumerate(cells[d]):
+                used = sum(map(bit.__getitem__, cell))
+                groups.setdefault(used if used < _HASH_MODULUS else _mask_key(used), []).append(j)
+            for key, js in groups.items():
+                missing = ((1 << n) - 1) & ~_key_mask(key)
+                while missing:
+                    v = missing.bit_length() - 1
+                    lacking[v][d].extend(js)
+                    missing ^= 1 << v
+        for drop in drops:
+            for v in range(n - 1, -1, -1):
+                add = drop[v]
+                for d in range(top):
+                    here, there, upper, at = mate[d], mate[d + 1], indices[d + 1], keys[d]
+                    left = []
+                    for j in lacking[v][d]:
+                        if here[j] is None:
+                            k = upper.get(at[j] + add)
+                            if k is not None and there[k] is None:
+                                here[j], there[k] = k, -1
+                            else:
+                                left.append(j)
+                    lacking[v][d] = left
+        return mate
+
+    def morse_complex(self) -> tuple:
+        """(boundaries, shapes) of the Morse complex of element_matching, in
+        the column format of boundary_matrix: shapes[d] counts the critical
+        d-cells, and boundaries[d] maps them to the critical (d-1)-cells.
+        A matched pair is a +-1 entry of the boundary, so this complex has
+        the homology of the deleted product over Z and over every GF(p).
+        The Morse boundary of a critical cell sums the flows of its facets,
+        each (d-1)-cell's flow found once: a critical cell flows to itself,
+        a cell matched down to 0, and a cell tau matched up with rho to
+        -e * sum c * flow(tau') over the other facets tau' of rho, with
+        e and c their boundary signs in rho.  The flow walks gradient paths
+        on an explicit stack, and a cell met again on its own path is a
+        gradient cycle: SearchInvariantViolated."""
+        if self.dim < 1:  # nothing to match, and no cell is listed
+            return [None], self.f_vector()
+        mate = self.element_matching()
+        critical = [[j for j, m in enumerate(degree) if m is None] for degree in mate]
+        shapes = [len(c) for c in critical]
+        boundaries = [None]
+        for d in range(1, len(shapes)):
+            if shapes[d] and shapes[d - 1]:
+                boundaries.append(self._morse_boundary(d, mate, critical))
+            else:
+                boundaries.append([[] for _ in critical[d]])
+        return boundaries, shapes
+
+    def _morse_boundary(self, d: int, mate: list, critical: list) -> list:
+        """The columns of the Morse boundary from the critical d-cells to the
+        critical (d-1)-cells, by the flows that morse_complex describes.
+        flows[t] is None until the walk reaches t and False while it is on
+        t; a flow that is one other facet's flow times 1 is that dict."""
+        drops, indices = self._keys
+        cells, keys, rows, facets = self.cells_by_dim[d], list(indices[d]), indices[d - 1], self._facets
+        lower = mate[d - 1]
+        flows = [{} if m == -1 else None for m in lower]
+        for row, t in enumerate(critical[d - 1]):
+            flows[t] = {row: 1}
+
+        def partner(t) -> tuple:
+            """t, on the walk, and the facets of the d-cell it is matched with."""
+            flows[t] = False
+            return t, facets(drops, rows, cells[lower[t]], keys[lower[t]])
+
+        def flow(t) -> dict:
+            stack = [partner(t)]
+            while stack:
+                u, column = stack[-1]
+                for u2, _ in column:
+                    f = flows[u2]
+                    if f is None:
+                        stack.append(partner(u2))
+                        break
+                    if f is False and u2 != u:
+                        raise SearchInvariantViolated("gradient cycle through %d-cell %d" % (d - 1, u2))
+                else:
+                    stack.pop()
+                    if len(column) == 2:  # one other facet, times -e * c
+                        (a, ca), (b, cb) = column
+                        f = flows[b if a == u else a]
+                        flows[u] = f if ca != cb else {row: -w for row, w in f.items()}
+                        continue
+                    out, e = {}, next(c for u2, c in column if u2 == u)
+                    for u2, c in column:
+                        if u2 != u:
+                            for row, w in flows[u2].items():
+                                out[row] = out.get(row, 0) - e * c * w
+                    flows[u] = {row: w for row, w in out.items() if w}
+            return flows[t]
+
+        out = []
+        for j in critical[d]:
+            terms = []
+            for t, c in facets(drops, rows, cells[j], keys[j]):
+                f = flows[t]
+                terms.append((flow(t) if f is None else f, c))
+            if len(terms) == 2 and terms[0][0] is terms[1][0] and terms[0][1] != terms[1][1]:
+                out.append([])  # two facets of opposite signs with one flow
+                continue
+            total = {}
+            for f, c in terms:
+                for row, w in f.items():
+                    total[row] = total.get(row, 0) + c * w
+            out.append([(row, w) for row, w in total.items() if w])
         return out
 
 

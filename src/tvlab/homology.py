@@ -20,7 +20,9 @@ it is allocated.  Homology over GF(p) goes through one column reduction,
 the degrees walked from the top down with clearing: the pivot rows of one
 boundary name columns of the next that need no reduction (Chen and Kerber,
 "Persistent homology computation with a twist", 2011; Bauer, Kerber and
-Reininghaus, PHAT, 2014).
+Reininghaus, PHAT, 2014).  The homology of a deleted product is that of the
+Morse complex of its element matching (deleted_product.morse_complex): the
+same homology() reduces its few critical cells, not the full boundaries.
 """
 
 from __future__ import annotations
@@ -355,10 +357,9 @@ def homology(boundaries: list, shapes: list, coefficients="Z") -> HomologyReport
 
 
 def dp_homology(dp, coefficients="Z") -> HomologyReport:
-    """Homology of a deleted product complex; no degrees when it is empty."""
-    shapes = dp.f_vector()  # the cells are first listed by boundary_matrix
-    boundaries = [None] + [dp.boundary_matrix(d) for d in range(1, len(shapes))]
-    return homology(boundaries, shapes, coefficients)
+    """Homology of a deleted product complex, reduced on the Morse complex
+    of its element matching; no degrees when it is empty."""
+    return homology(*dp.morse_complex(), coefficients)
 
 
 def homological_connectivity(dp) -> int:

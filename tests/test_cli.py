@@ -410,6 +410,17 @@ def test_malformed_map_exit_2(tmp_path, capsys):
     assert code == 2
 
 
+@pytest.mark.parametrize("argv", [
+    ["dp", "homology", "--n", "-1", "--r", "2"],
+    ["puzzle", "--n", "-1", "--r", "2", "--from", "[[0],[1]]", "--to", "[[1],[0]]"],
+], ids=["dp-homology", "puzzle"])
+def test_a_negative_n_is_refused_as_n(capsys, argv):
+    code = cli.run(argv)
+    err = capsys.readouterr().err
+    assert code == 2
+    assert json.loads(err) == {"error": "need N >= 0, got N=-1", "kind": "input"}
+
+
 @pytest.mark.parametrize("mod", ["0", "1", "4", "-3"])
 def test_dp_homology_non_prime_mod_exit_2(capsys, mod):
     code = cli.run(["dp", "homology", "--n", "3", "--r", "2", "--mod", mod])

@@ -9,8 +9,8 @@ from unittest import mock
 import pytest
 
 from tvlab import homology as homology_module
-from tvlab.complexes import full_simplex
-from tvlab.deleted_product import deleted_product, full_simplex_cell_count
+from tvlab.complexes import Complex, full_simplex, simplex_skeleton
+from tvlab.deleted_product import deleted_product, full_simplex_cell_count, full_simplex_f_vector
 from tvlab.errors import CapExceeded, InputError, SearchInvariantViolated
 from tvlab.homology import (IntMatrix, _eliminate, _leftover_block, _rank_mod_p, _snf_solve,
                             dp_homology, homological_connectivity, homology,
@@ -500,6 +500,196 @@ def test_connectivity_values():
     empty = deleted_product(full_simplex(1), 3)
     assert homological_connectivity(empty) == -2
     assert dp_homology(empty).ranks == {} and dp_homology(empty, 2).ranks == {}
+
+
+def boundary_path_homology(dp, coefficients):
+    """homology() on every full boundary_matrix of dp: the path that the
+    Morse complex of the element matching replaces."""
+    shapes = dp.f_vector()
+    return homology([None] + [dp.boundary_matrix(d) for d in range(1, len(shapes))],
+                    shapes, coefficients)
+
+
+@pytest.mark.parametrize("coefficients", ["Z", 2, 3])
+def test_morse_homology_matches_the_boundary_path_on_full_simplices(coefficients):
+    for n, r in SMALL_DELETED_PRODUCTS:
+        dp = deleted_product(full_simplex(n), r)
+        assert dp_homology(dp, coefficients) == boundary_path_homology(dp, coefficients), (n, r)
+
+
+COLORED333 = Complex.from_maximal(9, [(a, b, c) for a in range(3)
+                                      for b in range(3, 6) for c in range(6, 9)])
+# the six-vertex real projective plane: its deleted products carry 2-torsion
+RP2 = Complex.from_maximal(6, [(0, 1, 2), (0, 2, 3), (0, 3, 4), (0, 4, 5), (0, 1, 5),
+                               (1, 2, 4), (2, 3, 5), (1, 3, 4), (2, 4, 5), (1, 3, 5)])
+
+
+@pytest.mark.parametrize("K, r, coefficients", [
+    pytest.param(K, r, c, id="%s-r%d-%s" % (name, r, c))
+    for name, K, r, cs in [("delta8_2", simplex_skeleton(8, 2), 2, ("Z", 2, 3)),
+                           ("delta8_2", simplex_skeleton(8, 2), 3, (2, 3)),
+                           ("delta9_3", simplex_skeleton(9, 3), 2, ("Z", 2, 3)),
+                           ("colored333", COLORED333, 3, ("Z", 2, 3)),
+                           ("rp2", RP2, 2, ("Z", 2, 3)),
+                           ("rp2", RP2, 3, ("Z", 2, 3))]
+    for c in cs])
+def test_morse_homology_matches_the_boundary_path_on_other_bases(K, r, coefficients):
+    """Bases with critical cells in adjacent degrees, so Morse boundaries are
+    built; Z on Delta_8^(2) with r = 3 is pinned below, since its boundary
+    path takes seconds."""
+    dp = deleted_product(K, r)
+    assert dp_homology(dp, coefficients) == boundary_path_homology(dp, coefficients)
+
+
+def test_the_morse_path_keeps_torsion():
+    rep = dp_homology(deleted_product(RP2, 2))
+    assert rep.torsion[1] == [2, 2] and dp_homology(deleted_product(RP2, 2), 2).betti(1) == 2
+    boundaries, shapes = deleted_product(RP2, 2).morse_complex()
+    assert all(shapes) and any(any(column) for column in boundaries[2])
+
+
+@pytest.mark.skipif(given is None, reason="needs hypothesis")
+def test_morse_homology_matches_the_boundary_path_on_random_bases():
+    seen = Counter()
+
+    @st.composite
+    def bases(draw):
+        n = draw(st.integers(3, 7))
+        maximal = draw(st.lists(st.sets(st.integers(0, n - 1), min_size=1, max_size=4),
+                                min_size=1, max_size=7))
+        return Complex.from_maximal(n, maximal), draw(st.integers(2, 3))
+
+    @settings(max_examples=80)
+    @given(bases())
+    def check(case):
+        dp = deleted_product(*case)
+        for coefficients in ("Z", 2, 3):
+            assert dp_homology(dp, coefficients) == boundary_path_homology(dp, coefficients)
+        shapes = dp.morse_complex()[1]
+        seen["adjacent critical degrees"] += any(map(min, zip(shapes, shapes[1:])))
+
+    check()
+    assert seen["adjacent critical degrees"] >= 20
+
+
+def full_simplex_critical_counts(n, r):
+    """{0: 1, top: (-1)^top (chi - 1)} as a list, top = n + 1 - r, from the
+    closed-form f-vector: the Betti numbers of the (n - r)-connected
+    r-fold deleted product of the n-simplex."""
+    f = full_simplex_f_vector(n + 1, r)
+    chi = sum((-1) ** k * fk for k, fk in enumerate(f))
+    counts = [0] * len(f)
+    counts[0] += 1
+    counts[-1] += (-1) ** (len(f) - 1) * (chi - 1)
+    return counts
+
+
+def test_the_matching_of_a_full_simplex_leaves_its_betti_numbers():
+    for n, r in SMALL_DELETED_PRODUCTS + [(8, 3)]:
+        shapes = deleted_product(full_simplex(n), r).morse_complex()[1]
+        assert shapes == full_simplex_critical_counts(n, r), (n, r)
+    assert full_simplex_critical_counts(8, 3) == [1, 0, 0, 0, 0, 0, 509]
+
+
+def gradient_cycle(dp):
+    """A directed cycle of the gradient graph of dp's element matching, found
+    by an iterative depth-first search, or None.  Each facet pair is an
+    edge down, turned up when the facet is matched with the cell; each
+    matched pair must be a facet pair with a +-1 entry."""
+    mate = dp.element_matching()
+    succ, up = {}, 0
+    for d in range(1, dp.dim + 1):
+        for rho, column in enumerate(dp.boundary_matrix(d)):
+            for tau, v in column:
+                if mate[d - 1][tau] == rho:
+                    assert v in (1, -1) and mate[d][rho] == -1
+                    succ.setdefault((d - 1, tau), []).append((d, rho))
+                    up += 1
+                else:
+                    succ.setdefault((d, rho), []).append((d - 1, tau))
+    assert up == sum(m is not None and m >= 0 for degree in mate for m in degree)
+    assert up == sum(m == -1 for degree in mate for m in degree)
+    done, on_path = set(), set()
+    for start in succ:
+        if start in done:
+            continue
+        stack = [(start, iter(succ[start]))]
+        on_path.add(start)
+        while stack:
+            node, walk = stack[-1]
+            for nxt in walk:
+                if nxt in on_path:
+                    return [n for n, _ in stack] + [nxt]
+                if nxt not in done:
+                    on_path.add(nxt)
+                    stack.append((nxt, iter(succ.get(nxt, ()))))
+                    break
+            else:
+                stack.pop()
+                on_path.discard(node)
+                done.add(node)
+    return None
+
+
+def test_gradient_cycle_finds_a_planted_cycle():
+    dp = deleted_product(full_simplex(3), 2)
+    mate = planted_hexagon_matching(dp)
+    dp.element_matching = lambda: mate
+    cycle = gradient_cycle(dp)
+    assert cycle is not None and cycle[-1] in cycle[:-1] and len(set(cycle)) == 12
+
+
+@pytest.mark.parametrize("K, r", [pytest.param(full_simplex(n), r, id="delta%d-r%d" % (n, r))
+                                  for n, r in SMALL_DELETED_PRODUCTS] + [
+    pytest.param(simplex_skeleton(8, 2), 2, id="delta8_2-r2"),
+    pytest.param(COLORED333, 3, id="colored333-r3"),
+    pytest.param(RP2, 3, id="rp2-r3")])
+def test_the_element_matching_is_acyclic(K, r):
+    assert gradient_cycle(deleted_product(K, r)) is None
+
+
+HEXAGON_POINTS = [((0,), (1,)), ((0,), (2,)), ((1,), (2,)), ((1,), (0,)), ((2,), (0,)), ((2,), (1,))]
+HEXAGON_EDGES = [((0,), (1, 2)), ((0, 1), (2,)), ((1,), (0, 2)), ((1, 2), (0,)), ((2,), (0, 1)),
+                 ((0, 2), (1,))]
+
+
+def planted_hexagon_matching(dp):
+    """A matching of dp's cells that goes round the hexagon of Delta_2 inside
+    it: each point matched up with the edge to the next point."""
+    cells = dp.cells_by_dim
+    mate = [[None] * len(cells[d]) for d in range(dp.dim + 1)]
+    for point, edge in zip(HEXAGON_POINTS, HEXAGON_EDGES):
+        mate[0][cells[0].index(point)] = cells[1].index(edge)
+        mate[1][cells[1].index(edge)] = -1
+    return mate
+
+
+def test_a_planted_gradient_cycle_raises():
+    dp = deleted_product(full_simplex(3), 2)
+    mate = planted_hexagon_matching(dp)
+    dp.element_matching = lambda: mate
+    with pytest.raises(SearchInvariantViolated, match="gradient cycle through 0-cell"):
+        dp_homology(dp)
+
+
+def test_the_connectivity_of_a_full_simplex_is_n_minus_r():
+    """Barany-Shlosman-Szucs: the r-fold deleted product of the N-simplex is
+    (N - r)-connected, and no more (its homology sits in degree N + 1 - r)."""
+    for n, r in SMALL_DELETED_PRODUCTS + [(8, 3)]:
+        assert homological_connectivity(deleted_product(full_simplex(n), r)) == n - r, (n, r)
+
+
+@pytest.mark.parametrize("K, ranks, critical", [
+    pytest.param(full_simplex(8), {0: 1, 6: 509}, [1, 0, 0, 0, 0, 0, 509], id="delta8-r3"),
+    pytest.param(simplex_skeleton(8, 2), {0: 1, 2: 168, 4: 1269, 5: 10}, [1, 0, 168, 0, 1344, 85, 0],
+                 id="delta8_2-r3")])
+def test_integral_homology_of_delta8_products_is_pinned(K, ranks, critical):
+    """With v outer, the matching kept 4,108 critical cells of Delta_8^(2), against 1,598."""
+    dp = deleted_product(K, 3)
+    rep = dp_homology(dp)
+    assert rep.ranks == {d: ranks.get(d, 0) for d in range(dp.dim + 1)}
+    assert not any(rep.torsion.values())
+    assert dp.morse_complex()[1] == critical
 
 
 def test_mat_vec_and_det_refuse_a_wrong_shape():

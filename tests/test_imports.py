@@ -9,8 +9,8 @@ CapExceeded is raised by the cell-cap gate and the digit gate only, and lcm
 is taken only by the one rational-to-integer scaling.  The error classes
 are one per CLI outcome, and every raise names one of them or a builtin.
 The obstruction module enumerates its orbits from the base and reads no
-cell list of the deleted product, and the deleted product's boundary
-matrices find their rows by cell keys, not by nested-tuple facets.  One
+cell list of the deleted product, and the deleted product's facet walk
+finds its rows by cell keys, not by nested-tuple facets.  One
 separation test, in convexity, serves the Tverberg search and plmaps alike.
 The sparse row layout of IntMatrix is read in homology only.  No call takes
 a size that its other arguments fix.
@@ -116,13 +116,15 @@ def test_obstruction_reads_no_cell_list():
 
 
 def test_boundary_matrix_builds_no_tuple_facet():
-    """DeletedProductComplex.boundary_matrix, and the cell keys it reads,
-    never call cell_boundary: each facet's row comes from its cell's key."""
+    """DeletedProductComplex.boundary_matrix, the facet walk _facets that it
+    shares with the Morse boundary, and the cell keys they read never call
+    cell_boundary: each facet's row comes from its cell's key."""
     tree = ast.parse((SRC / "deleted_product.py").read_text())
     [cls] = [node for node in tree.body
              if isinstance(node, ast.ClassDef) and node.name == "DeletedProductComplex"]
     methods = {node.name: node for node in cls.body if isinstance(node, ast.FunctionDef)}
-    assert [node.lineno for name in ("boundary_matrix", "_keys") for node in ast.walk(methods[name])
+    assert [node.lineno for name in ("boundary_matrix", "_facets", "_keys")
+            for node in ast.walk(methods[name])
             if isinstance(node, ast.Attribute) and node.attr == "cell_boundary"] == []
 
 

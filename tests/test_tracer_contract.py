@@ -92,20 +92,24 @@ def test_smith_diagonal_records_no_smith_normal_form_span():
     assert "homology.smith_normal_form" not in names
 
 
-def test_traced_dp_homology_records_one_boundary_span_per_degree():
+def test_traced_boundary_matrix_records_one_span_per_call_and_dp_homology_none():
     """The tracer's boundary_nnz hook takes len() of each boundary_matrix
-    result, which for a list of columns counts the d-cells."""
+    result, which for a list of columns counts the d-cells.  dp_homology
+    reduces the Morse complex and builds no boundary_matrix."""
     spans = load_spans()
     dp = deleted_product(full_simplex(4), 2)
     tracer = spans.Tracer()
     tracer.install()
     try:
         with tracer.query(0):
+            for d in range(1, dp.dim + 1):
+                dp.boundary_matrix(d)
+        with tracer.query(1):
             homology.dp_homology(dp, "Z")
     finally:
         tracer.uninstall()
-    names = [span[0] for span in tracer.spans]
-    assert dp.dim == 3 and names.count("deleted_product.DeletedProductComplex.boundary_matrix") == dp.dim
+    boundary = "deleted_product.DeletedProductComplex.boundary_matrix"
+    assert dp.dim == 3 and [span[4] for span in tracer.spans if span[0] == boundary] == [0] * dp.dim
     metrics = spans.layer_metrics(tracer.spans, tracer.counts)
     assert set(metrics) == set(spans.LAYER_METRICS)
     assert metrics["deleted_product.boundary_nnz"] == sum(dp.f_vector()[1:])
