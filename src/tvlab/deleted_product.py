@@ -25,13 +25,14 @@ every unmatched cell that lacks v to the cell with v added to factor i, if
 that is an unmatched cell: its key is the cell's key plus (i + 1) * q^v.  A
 sequence of element matchings is acyclic (Jonsson 2008, the cluster lemma),
 and each matched pair is a +-1 boundary entry, so the unmatched, critical
-cells carry the homology over Z and every GF(p) (Skoldberg 2006).  On a full
-simplex they are exactly its Betti numbers.  The Morse boundary of a critical
-cell sums the flows of its facets: a critical cell flows to itself, a cell
-matched down to 0, and a cell matched up follows its partner's other facets;
-each flow is found once, on an explicit stack that meets a gradient cycle as
-a cell already on it.  The one facet walk, _facets, serves the boundary
-matrices and the flows.
+cells carry the homology over Z and every GF(p) (Skoldberg 2006).  On every
+full simplex tried (Delta_N up to N = 7, and Delta_8 with r <= 4) they are
+exactly its Betti numbers.  The Morse boundary of a critical cell sums the
+flows of its facets: a critical cell flows to itself, a cell matched down to
+0, and a cell matched up follows its partner's other facets; each flow is
+found once, on an explicit stack that meets a gradient cycle as a cell
+already on it.  The one facet walk, _facets, serves the boundary matrices and
+the flows.
 """
 
 from __future__ import annotations
@@ -252,15 +253,11 @@ class DeletedProductComplex:
         bit = {s: sum(1 << v for v in s) for s in self.base.simplices}
         lacking = [[[] for _ in range(top)] for _ in range(n)]  # [v][d]: d-cells without v
         for d in range(top):
-            groups = {}  # the d-cells of each used vertex mask
             for j, cell in enumerate(cells[d]):
-                used = sum(map(bit.__getitem__, cell))
-                groups.setdefault(used if used < _HASH_MODULUS else _mask_key(used), []).append(j)
-            for key, js in groups.items():
-                missing = ((1 << n) - 1) & ~_key_mask(key)
+                missing = (1 << n) - 1 - sum(map(bit.__getitem__, cell))
                 while missing:
                     v = missing.bit_length() - 1
-                    lacking[v][d].extend(js)
+                    lacking[v][d].append(j)
                     missing ^= 1 << v
         for drop in drops:
             for v in range(n - 1, -1, -1):
