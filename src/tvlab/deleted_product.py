@@ -307,7 +307,8 @@ class DeletedProductComplex:
         flows[t] is None until the walk reaches t and False while it is on
         t; a flow that is one other facet's flow times 1 is that dict."""
         drops, indices = self._keys
-        cells, keys, rows, facets = self.cells_by_dim[d], list(indices[d]), indices[d - 1], self._facets
+        cells, keys, rows = self.cells_by_dim[d], list(indices[d]), indices[d - 1]
+        facets = self._facets
         lower = mate[d - 1]
         flows = [{} if m == -1 else None for m in lower]
         for row, t in enumerate(critical[d - 1]):
@@ -328,10 +329,11 @@ class DeletedProductComplex:
                         stack.append(partner(u2))
                         break
                     if f is False and u2 != u:
-                        raise SearchInvariantViolated("gradient cycle through %d-cell %d" % (d - 1, u2))
+                        raise SearchInvariantViolated(
+                            "gradient cycle through %d-cell %d" % (d - 1, u2))
                 else:
                     stack.pop()
-                    if len(column) == 2:  # one other facet, times -e * c
+                    if len(column) == 2:  # the other facet's flow times -e * c, shared at +1
                         (a, ca), (b, cb) = column
                         f = flows[b if a == u else a]
                         flows[u] = f if ca != cb else {row: -w for row, w in f.items()}

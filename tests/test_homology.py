@@ -543,9 +543,9 @@ def test_morse_homology_matches_the_boundary_path_on_other_bases(K, r, coefficie
 
 
 def test_the_morse_path_keeps_torsion():
-    rep = dp_homology(deleted_product(RP2, 2))
-    assert rep.torsion[1] == [2, 2] and dp_homology(deleted_product(RP2, 2), 2).betti(1) == 2
-    boundaries, shapes = deleted_product(RP2, 2).morse_complex()
+    dp = deleted_product(RP2, 2)
+    assert dp_homology(dp).torsion[1] == [2, 2] and dp_homology(dp, 2).betti(1) == 2
+    boundaries, shapes = dp.morse_complex()
     assert all(shapes) and any(any(column) for column in boundaries[2])
 
 
