@@ -244,21 +244,31 @@ class DeletedProductComplex:
         descending, every unmatched cell that lacks v is matched to the cell
         with v added to factor i, when that is an unmatched cell; its key is
         the cell's key plus drops[i][v].  Each degree's cells are bucketed
-        by the vertices they lack, and a bucket keeps only the cells that
-        have not been matched."""
+        by the vertices that they lack and that extend one of their factors
+        in the base, so a sparse base with many vertices has few candidates,
+        and a bucket keeps only the cells that have not been matched."""
         drops, indices = self._keys
         cells, top, n = self.cells_by_dim, self.dim, self.base.num_vertices
         mate = [[None] * len(cells[d]) for d in range(top + 1)]
         keys = [list(indices[d]) for d in range(top)]
         bit = {s: sum(1 << v for v in s) for s in self.base.simplices}
-        lacking = [[[] for _ in range(top)] for _ in range(n)]  # [v][d]: d-cells without v
+        reach = dict.fromkeys(self.base.simplices, 0)  # the vertices that extend each simplex
+        for s in self.base.simplices:
+            if len(s) > 1:
+                for k, v in enumerate(s):
+                    reach[s[:k] + s[k + 1:]] |= 1 << v
+        lacking = [[[] for _ in range(top)] for _ in range(n)]  # [v][d]: d-cells v may grow
         for d in range(top):
             for j, cell in enumerate(cells[d]):
-                missing = (1 << n) - 1 - sum(map(bit.__getitem__, cell))
-                while missing:
-                    v = missing.bit_length() - 1
+                used = grow = 0
+                for s in cell:
+                    used |= bit[s]
+                    grow |= reach[s]
+                grow &= ~used
+                while grow:
+                    v = grow.bit_length() - 1
                     lacking[v][d].append(j)
-                    missing ^= 1 << v
+                    grow ^= 1 << v
         for drop in drops:
             for v in range(n - 1, -1, -1):
                 add = drop[v]

@@ -519,6 +519,8 @@ def test_morse_homology_matches_the_boundary_path_on_full_simplices(coefficients
 
 COLORED333 = Complex.from_maximal(9, [(a, b, c) for a in range(3)
                                       for b in range(3, 6) for c in range(6, 9)])
+# a base past 61 vertices, whose gradient paths run through thousands of cells
+CYCLE70 = Complex.from_maximal(70, [(v, (v + 1) % 70) for v in range(70)])
 # the six-vertex real projective plane: its deleted products carry 2-torsion
 RP2 = Complex.from_maximal(6, [(0, 1, 2), (0, 2, 3), (0, 3, 4), (0, 4, 5), (0, 1, 5),
                                (1, 2, 4), (2, 3, 5), (1, 3, 4), (2, 4, 5), (1, 3, 5)])
@@ -531,7 +533,8 @@ RP2 = Complex.from_maximal(6, [(0, 1, 2), (0, 2, 3), (0, 3, 4), (0, 4, 5), (0, 1
                            ("delta9_3", simplex_skeleton(9, 3), 2, ("Z", 2, 3)),
                            ("colored333", COLORED333, 3, ("Z", 2, 3)),
                            ("rp2", RP2, 2, ("Z", 2, 3)),
-                           ("rp2", RP2, 3, ("Z", 2, 3))]
+                           ("rp2", RP2, 3, ("Z", 2, 3)),
+                           ("cycle70", CYCLE70, 2, ("Z", 2, 3))]
     for c in cs])
 def test_morse_homology_matches_the_boundary_path_on_other_bases(K, r, coefficients):
     """Bases whose matching is not perfect.  All but the two skeleta with
@@ -644,7 +647,8 @@ def test_gradient_cycle_finds_a_planted_cycle():
                                   for n, r in SMALL_DELETED_PRODUCTS] + [
     pytest.param(simplex_skeleton(8, 2), 2, id="delta8_2-r2"),
     pytest.param(COLORED333, 3, id="colored333-r3"),
-    pytest.param(RP2, 3, id="rp2-r3")])
+    pytest.param(RP2, 3, id="rp2-r3"),
+    pytest.param(CYCLE70, 2, id="cycle70-r2")])
 def test_the_element_matching_is_acyclic(K, r):
     assert gradient_cycle(deleted_product(K, r)) is None
 
