@@ -1,11 +1,13 @@
 """Command-line interface: JSON reports over the library operations.
 
-A report is the library's objects serialized by jsonable, with the invoked
-configuration (including the seed) embedded; a fixed configuration always
-produces byte-identical output.  The parser checks every multiplicity --r
-(>= 2, except the --r of sylow) and every repetition count (>= 0) before
-any file is read.  Exit codes: 0 success, 2 malformed input, 3 cell cap,
-digit limit or memory exceeded, 4 internal invariant violation.
+A report is the library's objects written by report_text, with the invoked
+configuration (including the seed) embedded; its bytes are those of
+json.dumps(..., sort_keys=True, indent=2) on the converted report, and a
+fixed configuration always produces byte-identical output.  The parser
+checks every multiplicity --r (>= 2, except the --r of sylow) and every
+repetition count (>= 0) before any file is read.  Exit codes: 0 success, 2
+malformed input, 3 cell cap, digit limit or memory exceeded, 4 internal
+invariant violation.
 """
 
 from __future__ import annotations
@@ -15,6 +17,7 @@ import json
 import sys
 from fractions import Fraction
 from functools import cache
+from json.encoder import encode_basestring_ascii as quote
 
 from . import convexity, homology, obstruction, plmaps, symgroup
 from .complexes import Complex, check_cap, configured_cell_cap, full_simplex, integer
@@ -23,30 +26,69 @@ from .deleted_product import (cell_dim, check_full_simplex_cap, deleted_product,
 from .errors import CapExceeded, InputError, SearchInvariantViolated, TvlabError, read_json
 
 SAFE_INT = 2**53
+_KINDS = (Fraction, bool, type(None), str, float, int, dict, list, tuple, frozenset, set)
+_EXACT = frozenset(_KINDS)
+_LISTS = frozenset((list, tuple, frozenset, set))
 
 
-def jsonable(obj):
-    """Recursively convert values to the JSON interchange conventions.  A
-    number too long to print raises CapExceeded (convexity.rational_text)."""
-    if isinstance(obj, Fraction):
-        return convexity.rational_text(obj)
-    if isinstance(obj, bool) or obj is None or isinstance(obj, (str, float)):
-        return obj
-    if isinstance(obj, int):
-        return obj if -SAFE_INT < obj < SAFE_INT else convexity.rational_text(obj)
-    if isinstance(obj, dict):
-        return {str(k): jsonable(v) for k, v in obj.items()}
-    if isinstance(obj, (list, tuple, frozenset, set)):
-        return [jsonable(x) for x in obj]
-    if hasattr(obj, "__dict__"):
-        return jsonable(vars(obj))
-    return str(obj)
+def report_text(obj) -> str:
+    """The JSON text of a report, in one walk that converts as it writes: a
+    Fraction or an int outside +-2^53 as a string (convexity.rational_text,
+    which raises CapExceeded on a number too long to print), dict keys
+    through str, tuples and sets as lists, an object with __dict__ as
+    vars(obj), anything else as str(obj).  The bytes are those of
+    json.dumps(..., sort_keys=True, indent=2) on the converted report."""
+    out = []
+    _write(obj, out, "\n")
+    return "".join(out)
+
+
+def _write(obj, out, pad):
+    """Append the text of obj to out; pad is the newline and indent of its line."""
+    kind = type(obj)
+    if kind not in _EXACT:  # a subclass, such as a namedtuple: the first kind it is
+        kind = next((k for k in _KINDS if isinstance(obj, k)), object)
+    if kind is int and -SAFE_INT < obj < SAFE_INT:
+        out.append(int.__repr__(obj))
+    elif kind in _LISTS:
+        inner = pad + "  "
+        if not obj:
+            out.append("[]")
+        elif all(type(x) is int and -SAFE_INT < x < SAFE_INT for x in obj):  # one join
+            out.append("[" + inner + ("," + inner).join(map(int.__repr__, obj)) + pad + "]")
+        else:
+            sep = "[" + inner
+            for x in obj:
+                out.append(sep)
+                _write(x, out, inner)
+                sep = "," + inner
+            out.append(pad + "]")
+    elif kind is dict:
+        items = {str(k): v for k, v in obj.items()}  # a later duplicate key wins
+        inner = pad + "  "
+        sep = "{" + inner
+        for key in sorted(items):
+            out.append(sep + quote(key) + ": ")
+            _write(items[key], out, inner)
+            sep = "," + inner
+        out.append(pad + "}" if items else "{}")
+    elif kind is str:
+        out.append(quote(obj))
+    elif kind is Fraction or kind is int:
+        out.append(quote(convexity.rational_text(obj)))
+    elif kind is not object:  # bool, None or float: NaN and Infinity as json writes them
+        out.append(json.dumps(obj))
+    elif hasattr(obj, "__dict__"):
+        _write(vars(obj), out, pad)
+    else:
+        out.append(quote(str(obj)))
 
 
 def emit(report, args) -> int:
     """Write the report, with the configuration of args, to args.out or
-    stdout; returns the exit code 0."""
-    text = json.dumps(jsonable({**report, "config": config_of(args)}), sort_keys=True, indent=2)
+    stdout; returns the exit code 0.  The whole text is built first, so a
+    number too long to print leaves no output and no file."""
+    text = report_text({**report, "config": config_of(args)})
     if args.out:
         with open(args.out, "w") as fh:
             fh.write(text + "\n")

@@ -6,17 +6,25 @@ import os
 import subprocess
 import sys
 import time
+from collections import namedtuple
+from dataclasses import dataclass
+from fractions import Fraction
 from itertools import product
 from math import factorial, prod
 from pathlib import Path
 
 import pytest
 
-from tvlab import cli, homology, obstruction, plmaps
+from tvlab import cli, convexity, homology, obstruction, plmaps
 from tvlab import deleted_product as deleted_product_module
 from tvlab.complexes import Complex, simplex_skeleton
 from tvlab.convexity import random_rational_points
 from tvlab.deleted_product import DeletedProductComplex, deleted_product
+
+try:
+    from hypothesis import example, given, settings, strategies as st
+except ImportError:  # hypothesis is a test extra
+    given = None
 
 
 def run_cli(capsys, argv):
@@ -697,25 +705,109 @@ def test_construct_join_checks_the_face_cap(tmp_path, capsys):
 
 
 def test_jsonable_conventions():
-    from fractions import Fraction
+    assert cli.report_text(Fraction(1, 3)) == '"1/3"'
+    assert cli.report_text(2**53 + 1) == '"%d"' % (2**53 + 1)
+    assert cli.report_text(-(2**53) - 1) == '"%d"' % (-(2**53) - 1)
+    assert cli.report_text(2**52) == str(2**52)
+    assert cli.report_text({1: (True, None)}) == '{\n  "1": [\n    true,\n    null\n  ]\n}'
 
-    assert cli.jsonable(Fraction(1, 3)) == "1/3"
-    assert cli.jsonable(2**53 + 1) == str(2**53 + 1)
-    assert cli.jsonable(-(2**53) - 1) == str(-(2**53) - 1)
-    assert cli.jsonable(2**52) == 2**52
-    assert cli.jsonable({1: (True, None)}) == {"1": [True, None]}
+
+def jsonable(obj):
+    """The converter that reports went through before cli.report_text: a
+    copy of the report, which json.dumps(..., sort_keys=True, indent=2)
+    then wrote.  The oracle of the writer's bytes."""
+    if isinstance(obj, Fraction):
+        return convexity.rational_text(obj)
+    if isinstance(obj, bool) or obj is None or isinstance(obj, (str, float)):
+        return obj
+    if isinstance(obj, int):
+        return obj if -cli.SAFE_INT < obj < cli.SAFE_INT else convexity.rational_text(obj)
+    if isinstance(obj, dict):
+        return {str(k): jsonable(v) for k, v in obj.items()}
+    if isinstance(obj, (list, tuple, frozenset, set)):
+        return [jsonable(x) for x in obj]
+    if hasattr(obj, "__dict__"):
+        return jsonable(vars(obj))
+    return str(obj)
+
+
+Pair = namedtuple("Pair", "first second")
+
+
+class Count(int):
+    def __repr__(self):
+        return "Count(%d)" % self
+
+
+class Measure(float):
+    def __repr__(self):
+        return "Measure(%s)" % float.__repr__(self)
+
+
+@dataclass
+class Labelled:
+    label: object
+    value: object
+
+
+if given is not None:
+    HASHABLE = st.one_of(
+        st.fractions(), st.integers(), st.integers(-2**80, 2**80),
+        st.sampled_from([2**53 - 1, 2**53, -(2**53), 2**64]), st.booleans(), st.none(),
+        st.floats(allow_nan=True, allow_infinity=True), st.text(max_size=6),
+        st.sampled_from(["\u00e9", "\u2203x", "\U0001d4b3", "\x00\x1f\n\t\"\\", "\ud800"]),
+        st.builds(Count, st.integers(-2**60, 2**60)), st.builds(Measure, st.floats()),
+        st.complex_numbers(max_magnitude=10))
+    KEYS = st.one_of(st.integers(-2, 2), st.sampled_from(["1", "-1", "0", "True", "None"]),
+                     st.booleans(), st.none(), st.fractions(max_denominator=3),
+                     st.text(max_size=3))
+    VALUES = st.recursive(HASHABLE, lambda inner: st.one_of(
+        st.lists(inner, max_size=4), st.tuples(inner, inner),
+        st.dictionaries(KEYS, inner, max_size=5),
+        st.frozensets(HASHABLE, max_size=4), st.sets(HASHABLE, max_size=4),
+        st.builds(Pair, inner, inner), st.builds(Labelled, inner, inner),
+        st.just([]), st.just(()), st.just({}), st.just(set()), st.just(frozenset())),
+        max_leaves=25)
+
+
+EVERY_KIND = {
+    "floats": [float("nan"), float("inf"), -float("inf"), -0.0, 1e300, Measure(float("nan")),
+               Measure(2.5)],
+    "ints": [[1, 2**53 - 1], [1, 2**53], (-(2**53), 0), [Count(3), Count(2**60)], {5, -(2**64)}],
+    "keys": {1: "int key", "1": "str key", Fraction(1, 2): 0, None: [], False: {}},
+    "objects": [Pair(Fraction(-1, 3), ()), Labelled("\u2203\x00", frozenset()), 1j],
+}
+
+
+@pytest.mark.skipif(given is None, reason="needs hypothesis")
+def test_report_text_is_json_dumps_of_the_converted_report():
+    @settings(max_examples=300)
+    @given(VALUES)
+    @example(EVERY_KIND)
+    def check(obj):
+        assert cli.report_text(obj) == json.dumps(jsonable(obj), sort_keys=True, indent=2)
+
+    check()
+    colliding = {1: "int key", "1": "str key", 2: Fraction(1, 2)}
+    assert json.loads(cli.report_text(colliding)) == {"1": "str key", "2": "1/2"}
 
 
 def test_an_answer_too_long_to_print_exits_3(tmp_path, capsys):
     # valid points whose Radon report holds a numerator past the
-    # int-to-str digit limit: over a limit (3), not bad input (2)
+    # int-to-str digit limit: over a limit (3), not bad input (2); nothing
+    # is printed and no --out file is created
     ones = "1" * 3000
     pts = write_json(tmp_path / "long.json",
                      {"points": [[ones + "/7"], ["-" + ones + "/11"], ["3/" + ones]]})
-    code, rep = run_cli(capsys, ["radon", "--points", pts, "--d", "1"])
-    assert code == 3
-    assert rep == {"error": "a number in the report has more than %d digits"
-                   % sys.get_int_max_str_digits(), "kind": "cap"}
+    out = tmp_path / "report.json"
+    for extra in ([], ["--out", str(out)]):
+        code = cli.run(["radon", "--points", pts, "--d", "1"] + extra)
+        captured = capsys.readouterr()
+        assert code == 3 and captured.out == ""
+        assert json.loads(captured.err) == {
+            "error": "a number in the report has more than %d digits"
+            % sys.get_int_max_str_digits(), "kind": "cap"}
+    assert not out.exists()
 
 
 def test_constraint_lift_too_long_to_print_exits_3(tmp_path, capsys):
@@ -723,10 +815,11 @@ def test_constraint_lift_too_long_to_print_exits_3(tmp_path, capsys):
     edge = {"complex": {"num_vertices": 2, "maximal_simplices": [[0, 1]]}, "d": 1,
             "images": [["1/%d" % (10**4299 - 1)], ["1/%d" % (10**4299 - 3)]]}
     path = write_json(tmp_path / "edge.json", edge)
-    code, rep = run_cli(capsys, ["construct", "constraint", "--map", path, "--skeleton", "0"])
-    assert code == 3
-    assert rep == {"error": "a number in the report has more than %d digits"
-                   % sys.get_int_max_str_digits(), "kind": "cap"}
+    code = cli.run(["construct", "constraint", "--map", path, "--skeleton", "0"])
+    captured = capsys.readouterr()
+    assert code == 3 and captured.out == ""
+    assert json.loads(captured.err) == {"error": "a number in the report has more than %d digits"
+                                        % sys.get_int_max_str_digits(), "kind": "cap"}
 
 
 def exponent_inputs(tmp_path, text):
