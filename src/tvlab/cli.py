@@ -228,8 +228,9 @@ def cmd_plmap_almost(args):
 
 def cmd_vk_obstruction(args):
     f = plmaps.PLMap.from_json_file(args.map)
+    plmaps.split_dimensions(f.domain.dim, f.ambient_dim, args.r)
+    dp = deleted_product(f.domain, args.r)  # counted for the cap before any tuple is solved
     table = plmaps.intersection_cocycle(f, args.r)
-    dp = deleted_product(f.domain, args.r)
     v = obstruction.cocycle_from_table(dp, table)
     res = obstruction.is_null_cohomologous(v)
     report = {"verdict": "trivial" if res.trivial else "nontrivial"}

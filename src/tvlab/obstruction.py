@@ -19,6 +19,12 @@ subgroup (restriction and transfer) the least image.  No table is kept
 base (deleted_product.disjoint_tuples), and tau . e sorts as tau^-1, so the
 least cell of the G-orbit (G tau) . e is f^-1 . e, f least in tau^-1 G.
 
+The coboundary needs no locate: a top rep's facets are read off by sorted
+insertion.  Dropping a vertex of factor i leaves a factor t that the
+facet's rep carries to position bisect_left(others, t) among the other,
+still sorted factors, and chi of that one move is a closed-form sign
+(coboundary_matrix).
+
 The obstruction decision solves delta c = v over the integers on the top
 two degrees: the coboundary, built one top-orbit row at a time, goes to the
 unit-pivot solve of tvlab.homology (a dense Smith normal form only on the
@@ -30,8 +36,9 @@ equations behind it.
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from dataclasses import dataclass
-from itertools import permutations
+from itertools import accumulate, permutations
 from math import factorial, prod
 
 from .complexes import check_cap, check_digits
@@ -127,7 +134,17 @@ def coboundary_matrix(dp: DeletedProductComplex, twist=None):
     Returns (IntMatrix, top_reps, facet_reps); entry (i, j) is the signed
     multiplicity of facet orbit j in the boundary of top representative i,
     with all twisted-equivariance signs folded in; each row is built alone,
-    as the nonzero (j, entry) pairs of its summed facet terms, j ascending.
+    as the nonzero (j, entry) pairs of its facet terms, j ascending.
+
+    A row is written down, not located facet by facet.  Dropping vertex j of
+    factor i of the sorted rep e leaves the factor t among others = e less
+    e[i], still sorted; the facet's orbit rep inserts t at
+    k = bisect_left(others, t), moving it past |i - k| factors.  The entry is
+    the boundary sign (-1)^(s_i + j), s_i the dimensions of e[:i] summed,
+    times chi of that move: sgn^twist (-1)^|i - k| and the Koszul sign
+    (-1)^(dim t * d), d the dimensions of the passed factors summed.  Facets
+    that drop different vertices use different vertex sets, so each facet
+    orbit meets a row once and every entry is +-1.
     """
     if twist is None:
         twist = _default_twist(dp)
@@ -137,13 +154,23 @@ def coboundary_matrix(dp: DeletedProductComplex, twist=None):
     facet_reps = orbit_reps(dp, group, top - 1)
     col = {rep: j for j, rep in enumerate(facet_reps)}
     rows = []
-    for cell in top_reps:
-        row = {}
-        for facet, eps in dp.cell_boundary(cell):
-            rep, omega = locate(group, facet)
-            j = col[rep]
-            row[j] = row.get(j, 0) + eps * chi(omega, rep, twist)
-        rows.append(sorted((j, v) for j, v in row.items() if v))
+    for e in top_reps:
+        dims = [len(s) - 1 for s in e]
+        below = [0, *accumulate(dims)]  # below[i] = s_i
+        row = []
+        for i, s in enumerate(e):
+            if not dims[i]:
+                continue
+            others = e[:i] + e[i + 1:]
+            odd_t = (dims[i] - 1) & 1
+            for j in range(len(s)):
+                t = s[:j] + s[j + 1:]
+                k = bisect_left(others, t)
+                passed = below[k + 1] - below[i + 1] if k >= i else below[i] - below[k]
+                parity = below[i] + j + twist * (k - i) + odd_t * passed
+                row.append((col[others[:k] + (t,) + others[k:]], -1 if parity & 1 else 1))
+        row.sort()
+        rows.append(row)
     return IntMatrix(len(top_reps), len(facet_reps), rows), top_reps, facet_reps
 
 

@@ -10,16 +10,41 @@ square common-point system A x = b in the row order of
 convexity.common_point_system.  A unique solution makes A nonsingular, so
 the image simplices are nondegenerate and their normal frames span R^d.
 
+The solve runs on the affine system: the r sum rows substituted away.
+Group g's unknowns are lambda_{g,0..m}.  Below the R = d(r-1) coordinate
+rows, row R + g (0-based) says that group g's coefficients sum to 1; put
+lambda_{g,0} = 1 - sum_{k>=1} lambda_{g,k}.  The affine system A' y = b'
+keeps the R coordinate rows and the columns (g, k), k >= 1, in order:
+
+    A'[:, (g,k)] = A[:, (g,k)] - A[:, (g,0)],   b' = b - sum_g A[:, (g,0)].
+
+Its solutions and those of A x = b correspond one to one, so the two are
+uniquely solvable, inconsistent or under-determined together.  The column
+operations col(g,k) -= col(g,0) keep det A and leave sum row R + g a
+single 1, in column offsets[g].  The Laplace expansion of det A along the
+r sum rows then has one term: the minor on the columns offsets[0] < ... <
+offsets[r-1] is the identity, and its complement is A'.  In 1-based
+indices the term's sign is (-1) to the power sum_g (R + g + 1) +
+sum_g (offsets[g] + 1) = rR + r(r+1)/2 + r + sum_g offsets[g], so
+
+    det A = eps * det A',   eps = (-1)^(rR + r(r-1)/2 + sum_{g<r} offsets[g]),
+
+and |det A| = |det A'| is the elimination's last pivot D either way.  For
+k-codimensional m-simplices offsets[g] = g(m+1): eps = -1 for segments in
+the plane and for 3-simplices in R^6 (r = 2), +1 for triangles in R^4
+(r = 2) and in R^3 (r = 3).  Points mapped to R^0 (m = d = 0) leave A'
+empty, with determinant 1, and eps = +1.
+
 The intersection cocycle enumerates the disjoint tuples of top simplices
 once, with deleted_product.disjoint_tuples (the enumerator of the sorted
 cells, one per Sigma_r-orbit).  A tuple whose images lie strictly apart
 along an axis or a diagonal (convexity.separated, on one box per simplex)
-counts 0 with no solve.  Every tuple not separated gets its common-point
-system solved on the map's images scaled once to integers (a positive
-uniform scaling changes neither the solution nor the sign of det A).  One
-integer elimination per tuple gives the solution and, from its last pivot,
-det A; Fractions are made only for the tuples whose images meet.  The
-r-fold points and the almost-embedding test skip separated tuples too.
+counts 0 with no solve.  Every tuple not separated gets its affine system
+solved on the map's images scaled once to integers (a positive uniform
+scaling changes neither the solution nor the sign of det A).  One integer
+elimination per tuple gives the solution and, from its last pivot, det A';
+Fractions are made only for the tuples whose images meet.  The r-fold
+points and the almost-embedding test skip separated tuples too.
 
 The coned-extension oracle recomputes the same number independently: it
 extends the r-fold product map over the product polytope by coning from
@@ -128,14 +153,13 @@ def positive_normal_frame(points):
     return normal
 
 
-def _unique_solution(T, degenerate):
-    """The solution of the square integer system T = [A | b], eliminated in place.
+def _unique_solution(T, n, degenerate):
+    """The solution of the integer system T = [A | b] in n unknowns, eliminated in place.
 
-    Returns (numerators, D, sign) with D > 0, x_i = numerators[i] / D and
-    det A = sign * D; None if there is no solution, NotGeneric if there are
-    many.
+    T may have no rows.  Returns (numerators, D, sign) with D > 0,
+    x_i = numerators[i] / D and, for a square A, det A = sign * D; None if
+    there is no solution, NotGeneric if there are many.
     """
-    n = len(T[0]) - 1
     pivots, D, sign = linalg.gauss_jordan(T)
     if n in pivots:
         return None
@@ -146,32 +170,56 @@ def _unique_solution(T, degenerate):
     return [T[i][n] for i in range(n)], D, sign
 
 
+def sum_row_sign(R: int, offsets) -> int:
+    """eps with det A = eps * det A' (module docstring), for the common-point
+    system A with R coordinate rows and these group offsets."""
+    r = len(offsets) - 1
+    return -1 if (r * R + r * (r - 1) // 2 + sum(offsets[:r])) % 2 else 1
+
+
 def tuple_r_fold_point(f: PLMap, simplices):
     """The strictly interior common image point of one disjoint r-tuple.
 
-    Solves the square system equating the r affine images with barycentric
-    unknowns, on the map's integer images, by one integer elimination; the
-    sign of the point is the sign of the system's determinant.  Returns an
-    RFoldPoint, or None if the images miss each other.  Raises NotGeneric
-    on under-determined systems or boundary solutions.
+    Solves the affine system equating the r affine images (the common-point
+    system with lambda_{g,0} substituted away, module docstring), on the
+    map's integer images, by one integer elimination.  The sign of the point
+    is that of the common-point system's determinant: eps times the affine
+    system's.  Returns an RFoldPoint, or None if the images miss each
+    other.  Raises NotGeneric on under-determined systems or boundary
+    solutions.
     """
     d = f.ambient_dim
     ints = f.integer_images
     A, b, offsets = convexity.common_point_system([[ints[v] for v in s] for s in simplices])
-    sol = _unique_solution([row + [bi] for row, bi in zip(A, b)],
+    R = len(A) - len(simplices)
+    spans = list(zip(offsets, offsets[1:]))
+    T = []
+    for row, bi in zip(A[:R], b):
+        out = []
+        for lo, hi in spans:
+            first = row[lo]
+            out.extend(x - first for x in row[lo + 1:hi])
+        out.append(bi - sum(row[lo] for lo, _ in spans))
+        T.append(out)
+    sol = _unique_solution(T, offsets[-1] - len(simplices),
                            "under-determined intersection system")
     if sol is None:
         return None  # inconsistent: the image planes do not meet
-    nums, D, sgn = sol
+    tails, D, sgn = sol
+    nums = []
+    for g, (lo, hi) in enumerate(spans):
+        tail = tails[lo - g:hi - g - 1]  # lambda_{g,1..}, g first coordinates substituted
+        nums.append(D - sum(tail))
+        nums.extend(tail)
     if 0 in nums:
         raise NotGeneric("intersection on a simplex boundary")
     if any(v < 0 for v in nums):
         return None
     x = [Fraction(v, D) for v in nums]
-    bary = tuple(tuple(x[a:b]) for a, b in zip(offsets, offsets[1:]))
+    bary = tuple(tuple(x[a:b]) for a, b in spans)
     pts = f.image_points(simplices[0])
     ambient = tuple(sum(c * p[a] for c, p in zip(bary[0], pts)) for a in range(d))
-    return RFoldPoint(tuple(simplices), bary, ambient, sgn)
+    return RFoldPoint(tuple(simplices), bary, ambient, sum_row_sign(R, offsets) * sgn)
 
 
 def _boxes(f: PLMap, simplices) -> dict:
@@ -293,7 +341,7 @@ def coned_extension_oracle(f: PLMap, simplices, seed=0) -> int:
                           for j in range(n)])
                 b.append(Fconst[(i + 1) * d + a] - Fconst[i * d + a])
         T = linalg.clear_denominators([row + [bi] for row, bi in zip(A, b)])[0]
-        sol = _unique_solution(T, "coned extension meets the diagonal non-transversally")
+        sol = _unique_solution(T, n, "coned extension meets the diagonal non-transversally")
         if sol is None:
             continue  # this piece's affine extension misses the diagonal
         u = [Fraction(v, sol[1]) for v in sol[0]]

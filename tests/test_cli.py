@@ -906,6 +906,24 @@ def test_disjoint_tuples_over_the_cap_exit_3_before_any_solve(tmp_path, capsys, 
         assert (code, rep["kind"]) == (3, "cap"), command
 
 
+def test_vk_obstruction_counts_cells_for_the_cap_before_any_solve(tmp_path, capsys,
+                                                                  monkeypatch):
+    # 70 disjoint pairs of triangles, under the cap, but 1,302 cells
+    def no_solve(*args):
+        raise AssertionError("a tuple was solved before the cells were counted")
+
+    f = plmaps.PLMap.build(simplex_skeleton(6, 2), 4, random_rational_points(7, 4, "delta6"))
+    path = write_json(tmp_path / "delta6-2.json", f.to_json_dict())
+    argv = ["vk", "obstruction", "--map", path, "--r", "2"]
+    monkeypatch.setattr(plmaps, "tuple_r_fold_point", no_solve)
+    monkeypatch.setenv("TVLAB_CELL_CAP", "1301")
+    refusal = "cells of the deleted product, at least: 1302, over the cell cap 1301"
+    assert run_cli(capsys, argv) == (3, {"error": refusal, "kind": "cap"})
+    # a dimension error still comes first, with exit 2
+    code, rep = run_cli(capsys, ["vk", "obstruction", "--map", path, "--r", "3"])
+    assert (code, rep["kind"]) == (2, "input")
+
+
 @pytest.mark.parametrize("command", ["cocycle", "rfold", "almost"])
 def test_plmap_lists_disjoint_tuples_up_to_the_cap(tmp_path, capsys, monkeypatch, command):
     K = simplex_skeleton(7, 2)  # 92 faces; 280 disjoint pairs of triangles, more of all faces

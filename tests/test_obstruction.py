@@ -85,11 +85,11 @@ COLORED333 = [(a, b, c) for a in range(3) for b in range(3, 6) for c in range(6,
 
 
 def base_complex(name):
-    """"deltaN", its 2-skeleton "deltaN/2", or "colored333"."""
+    """"deltaN", its k-skeleton "deltaN/k", or "colored333"."""
     if name == "colored333":
         return Complex.from_maximal(9, COLORED333)
-    N = int(name[len("delta"):].split("/")[0])
-    return simplex_skeleton(N, 2) if name.endswith("/2") else full_simplex(N)
+    N, _, k = name[len("delta"):].partition("/")
+    return simplex_skeleton(int(N), int(k)) if k else full_simplex(int(N))
 
 
 GROUPS_UP_TO_5 = [(r, p) for r in range(2, 6)
@@ -198,6 +198,47 @@ def test_sparse_coboundary_matches_dense_assembly(domain, d, r):
     assert (A.rows, A.cols) == (len(rows), len(facet_reps)) == (len(top_reps), len(rows[0]))
     # row i holds the nonzeros of row i of the dense assembly, columns ascending
     assert A.entries == [[(j, v) for j, v in enumerate(row) if v] for row in rows]
+
+
+def located_coboundary(dp, twist):
+    """(rows, top_reps, facet_reps) as coboundary_matrix built them before
+    its rows were written down: every facet from cell_boundary located in
+    its orbit and signed by chi, the terms summed per column."""
+    group = symmetric_group(dp.r)
+    top_reps = orbit_reps(dp, group, dp.dim)
+    facet_reps = orbit_reps(dp, group, dp.dim - 1)
+    col = {rep: j for j, rep in enumerate(facet_reps)}
+    rows = []
+    for cell in top_reps:
+        row = {}
+        for facet, eps in dp.cell_boundary(cell):
+            rep, omega = locate(group, facet)
+            j = col[rep]
+            row[j] = row.get(j, 0) + eps * chi(omega, rep, twist)
+        rows.append(sorted((j, v) for j, v in row.items() if v))
+    return rows, top_reps, facet_reps
+
+
+def random_2_complex(seed):
+    rng = random.Random(seed)
+    maximal = [rng.sample(range(10), rng.choice([2, 3, 3, 3])) for _ in range(30)]
+    return Complex.from_maximal(10, maximal)
+
+
+@pytest.mark.parametrize("name,r,twist", [
+    ("delta5/2", 2, None), ("delta6/2", 2, None), ("delta7/2", 2, None),
+    ("delta8/2", 3, 2), ("delta8/2", 3, 3), ("delta9/3", 2, None), ("delta9/2", 4, None),
+    ("colored333", 3, None), ("random", 2, None), ("random", 3, None)])
+def test_coboundary_rows_by_insertion_match_the_located_facets(name, r, twist):
+    K = random_2_complex("cob random") if name == "random" else base_complex(name)
+    dp = deleted_product(K, r)
+    if twist is None:
+        twist = cocycle_from_table(dp, {}).twist
+    A, top_reps, facet_reps = coboundary_matrix(dp, twist)
+    rows, want_top, want_facets = located_coboundary(dp, twist)
+    assert rows and any(rows)
+    assert (A.entries, top_reps, facet_reps) == (rows, want_top, want_facets)
+    assert (A.rows, A.cols) == (len(top_reps), len(facet_reps))
 
 
 def test_cocycle_from_table_zero_and_consistency():

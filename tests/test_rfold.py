@@ -1,8 +1,9 @@
 """The r-fold solve on integer images and the mask enumeration of disjoint
-tuples, each against a test-side reference: a plain Fraction elimination
+tuples, each against test-side references: a plain Fraction elimination
 of the common-point system on the original images, with the sign from
-stacked normal frames, and the filtered itertools.combinations
-enumeration."""
+stacked normal frames; the integer elimination of the full barycentric
+system, sum rows included, that the affine system replaced; and the
+filtered itertools.combinations enumeration."""
 
 import random
 from collections import Counter
@@ -18,7 +19,8 @@ from tvlab.deleted_product import cell_dim
 from tvlab.errors import NotGeneric
 from tvlab.linalg import det_sign
 from tvlab.plmaps import (PLMap, RFoldPoint, coned_extension_oracle, disjoint_tuples,
-                          intersection_cocycle, positive_normal_frame, tuple_r_fold_point)
+                          intersection_cocycle, positive_normal_frame, sum_row_sign,
+                          tuple_r_fold_point)
 
 pytest.importorskip("hypothesis")
 from hypothesis import given, settings, strategies as st  # noqa: E402
@@ -133,6 +135,113 @@ def test_rfold_point_matches_fraction_path():
     assert set(branches) == {"inconsistent", "under-determined", "boundary", "outside", "hit"}, \
         branches
     assert min(branches.values()) >= 10, branches
+
+
+def barycentric_r_fold_point(f, simplices):
+    """The r-fold solve on the full barycentric system: one integer
+    elimination of the common-point system, sum rows included, on the
+    integer images, whose last pivot is det A itself; the same checks in
+    the same order as tuple_r_fold_point."""
+    d = f.ambient_dim
+    ints = f.integer_images
+    A, b, offsets = common_point_system([[ints[v] for v in s] for s in simplices])
+    T = [row + [bi] for row, bi in zip(A, b)]
+    n = len(T[0]) - 1
+    pivots, D, sgn = linalg.gauss_jordan(T)
+    if n in pivots:
+        return None
+    if len(pivots) < n:
+        raise NotGeneric("under-determined intersection system")
+    nums = [T[i][n] for i in range(n)]
+    if D < 0:
+        nums, D, sgn = [-v for v in nums], -D, -sgn
+    if 0 in nums:
+        raise NotGeneric("intersection on a simplex boundary")
+    if any(v < 0 for v in nums):
+        return None
+    x = [Fraction(v, D) for v in nums]
+    bary = tuple(tuple(x[a:b]) for a, b in zip(offsets, offsets[1:]))
+    pts = f.image_points(simplices[0])
+    ambient = tuple(sum(c * p[a] for c, p in zip(bary[0], pts)) for a in range(d))
+    return RFoldPoint(tuple(simplices), bary, ambient, sgn)
+
+
+# (m, d, r): the four codimensions of the kernel, and points in R^0
+SHAPES = [(1, 2, 2), (2, 4, 2), (2, 3, 3), (3, 6, 2), (0, 0, 2), (0, 0, 3), (0, 0, 4)]
+
+
+@st.composite
+def shaped_tuple_maps(draw):
+    """r disjoint m-simplices mapped to R^d, (m, d, r) from SHAPES.  The
+    images are free; or every simplex's barycenter is one drawn point; or
+    the point is the barycenter of the facet of the first simplex that
+    misses its vertex 0 (a hit on its boundary); or one vertex image is
+    then a copy of an earlier one (a repeated image point)."""
+    m, d, r = draw(st.sampled_from(SHAPES))
+    nv = r * (m + 1)
+    images = [[Fraction(draw(COORD)) for _ in range(d)] for _ in range(nv)]
+    mode = draw(st.sampled_from(["free", "barycenter", "boundary", "repeated"]))
+    if mode != "free":
+        point = [Fraction(draw(COORD)) for _ in range(d)]
+        for i in range(r):
+            first, last = i * (m + 1), (i + 1) * (m + 1) - 1
+            if i == 0 and mode == "boundary" and m:
+                first += 1
+            images[last] = [(last - first + 1) * point[a]
+                            - sum(images[u][a] for u in range(first, last)) for a in range(d)]
+    if mode == "repeated" and nv > 1:
+        v = draw(st.integers(1, nv - 1))
+        images[v] = list(images[draw(st.integers(0, v - 1))])
+    simplices = tuple(tuple(range(i * (m + 1), (i + 1) * (m + 1))) for i in range(r))
+    K = Complex.from_maximal(nv, simplices)
+    return PLMap.build(K, d, images), simplices
+
+
+def test_affine_system_matches_the_barycentric_solve():
+    kinds = Counter()
+
+    @settings(max_examples=300)
+    @given(shaped_tuple_maps())
+    def check(case):
+        f, simplices = case
+        got = outcome(tuple_r_fold_point, f, simplices)
+        assert got == outcome(barycentric_r_fold_point, f, simplices)
+        kinds["miss" if got is None else "hit" if isinstance(got, RFoldPoint) else got] += 1
+
+    check()
+    assert set(kinds) == {"miss", "hit", "NotGeneric: intersection on a simplex boundary",
+                          "NotGeneric: under-determined intersection system"}, kinds
+    assert min(kinds.values()) >= 10, kinds
+
+
+@pytest.mark.parametrize("m,d,r,eps", [(1, 2, 2, -1), (2, 4, 2, 1), (2, 3, 3, 1), (3, 6, 2, -1),
+                                       (0, 0, 2, 1), (0, 0, 3, 1)])
+def test_sum_row_sign_relates_the_two_determinants(m, d, r, eps):
+    rng = random.Random(repr(("eps", m, d, r)))
+    groups = [[[rng.randint(-9, 9) for _ in range(d)] for _ in range(m + 1)] for _ in range(r)]
+    A, _, offsets = common_point_system(groups)
+    R = len(A) - r
+    reduced = [[row[lo + k] - row[lo] for lo, hi in zip(offsets, offsets[1:])
+                for k in range(1, hi - lo)] for row in A[:R]]
+    assert sum_row_sign(R, offsets) == eps
+    assert linalg.det(A) == eps * (linalg.det(reduced) if reduced else 1) != 0
+
+
+def test_repeated_image_point_and_boundary_hit():
+    segments = Complex.from_maximal(4, [[0, 1], [2, 3]])
+    key = ((0, 1), (2, 3))
+    # vertex 2 lands on the image of vertex 0: the crossing is at a vertex
+    repeated = PLMap.build(segments, 2, [(0, 0), (2, 2), (0, 0), (-1, 1)])
+    # vertex 2 lands inside the image of segment 01: an endpoint hit
+    boundary = PLMap.build(segments, 2, [(0, 0), (2, 2), (1, 1), (2, 0)])
+    for f in (repeated, boundary):
+        with pytest.raises(NotGeneric, match="intersection on a simplex boundary"):
+            tuple_r_fold_point(f, key)
+        assert outcome(barycentric_r_fold_point, f, key) == outcome(tuple_r_fold_point, f, key)
+    crossing = PLMap.build(segments, 2, [(0, 0), (2, 2), (0, 2), (2, 0)])
+    pt = tuple_r_fold_point(crossing, key)
+    assert pt == barycentric_r_fold_point(crossing, key)
+    assert pt.ambient == (1, 1) and pt.barycentric == ((Fraction(1, 2),) * 2,) * 2
 
 
 def test_integer_images_are_one_positive_scaling():
