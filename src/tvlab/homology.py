@@ -1,28 +1,25 @@
 """Exact integer linear algebra and cellular homology.
 
 A boundary matrix is a list of columns, column j the (row, entry) pairs of
-its nonzero entries, each row at most once, as deleted_product builds it
-(the column format that PHAT reduces).  The check that boundaries square to
-zero, both eliminations and the integer solve read columns.  IntMatrix is
-the one sparse row layout: a shape and, per row, the (column, entry) pairs
-of its nonzero entries with the columns ascending.  The coboundary, the
-leftover block and the input of a solve are held in it, and a solve
-transposes its rows into columns once.  Integral homology goes through a sparse
-elimination on unit pivots; the small block left over is the one dense
-array, reduced in place to its Smith normal form with no transforms.
-Integer linear systems run on the same elimination: the right-hand side is
-carried along as a column that is never a pivot, the leftover block is
-solved by its Smith normal form with U and V riding along as columns and
-rows of the same array, and the logged pivot rows are back-substituted; an
+its nonzero entries, each row at most once, as deleted_product builds it.
+The check that boundaries square to zero, the elimination and the integer
+solve read columns.  IntMatrix is the one sparse row layout: a shape and,
+per row, the (column, entry) pairs of its nonzero entries with the columns
+ascending.  The coboundary, the leftover block and the input of a solve
+are held in it, and a solve transposes its rows into columns once.  One
+sparse elimination serves Z and GF(p).  Over Z it pivots on unit entries;
+the small block left over is the one dense array, reduced in place to its
+Smith normal form with no transforms.  Over GF(p) every nonzero entry is a
+unit, so nothing is left over and the pivots are the rank.  Integer linear
+systems run on the same elimination over Z: the right-hand side is carried
+along as a column that is never a pivot, the leftover block is solved by
+its Smith normal form with U and V riding along as columns and rows of the
+same array, and the logged pivot rows are back-substituted; an
 infeasibility certificate is re-verified through the combination of
 equations behind it.  A dense block's m*n entries pass the cell cap before
-it is allocated.  Homology over GF(p) goes through one column reduction,
-the degrees walked from the top down with clearing: the pivot rows of one
-boundary name columns of the next that need no reduction (Chen and Kerber,
-"Persistent homology computation with a twist", 2011; Bauer, Kerber and
-Reininghaus, PHAT, 2014).  The homology of a deleted product is that of the
-Morse complex of its element matching (deleted_product.morse_complex): the
-same homology() reduces its few critical cells, not the full boundaries.
+it is allocated.  The homology of a deleted product is that of the Morse
+complex of its element matching (deleted_product.morse_complex): the same
+homology() reduces its few critical cells, not the full boundaries.
 """
 
 from __future__ import annotations
@@ -134,26 +131,33 @@ def smith_normal_form(M: IntMatrix):
     return [row[n:] for row in T[:m]], [row[:n] for row in T[:m]], T[m:]
 
 
-def _eliminate(columns: list, carry=None, log=None):
-    """Sparse integer elimination on unit pivots, sweeping the columns in order.
+def _eliminate(columns: list, carry=None, log=None, p=None):
+    """Sparse elimination over Z, or over GF(p) for a prime p, sweeping the
+    columns in order.
 
-    In each column the pivot is a +-1 entry in the shortest row that holds
-    one.  Each pivot removes its row and column and leaves the Schur
-    complement, so the Smith normal form of the input is one 1 per pivot
-    followed by that of the rows left.  Returns (number of pivots,
-    {row: {col: entry}} left).
+    In each column the pivot is a unit entry in the shortest row that holds
+    one: +-1 over Z, any nonzero entry over GF(p), where the entries are
+    reduced mod p.  Each pivot removes its row and column and leaves the
+    Schur complement, so over Z the Smith normal form of the input is one 1
+    per pivot followed by that of the rows left.  Over GF(p) every column
+    that is not zero takes a pivot and no row is left, so the number of
+    pivots is the rank.  Returns (number of pivots, {row: {col: entry}}
+    left).
 
     Column ``carry`` (a right-hand side) is eliminated along but never
     chosen as a pivot.  A ``log`` list receives one (row, col, pivot, pivot
     row, [(row, multiplier), ...]) per pivot, in order: the pivot row is
     {col: entry} of its other entries at that step, and each listed row had
-    multiplier times the pivot row subtracted from it.
+    multiplier times the pivot row subtracted from it.  Both are for the
+    integer solve, over Z.
     """
     rows = {}
     cols = {}
     for j, column in enumerate(columns):
         live = set()
         for i, v in column:
+            if p:
+                v %= p
             if v:
                 rows.setdefault(i, {})[j] = v
                 live.add(i)
@@ -163,13 +167,15 @@ def _eliminate(columns: list, carry=None, log=None):
     for j in sorted(cols):
         if j == carry:
             continue
-        units = [i for i in cols[j] if rows[i][j] in (1, -1)]
+        units = cols[j] if p else [i for i in cols[j] if rows[i][j] in (1, -1)]
         if not units:
             continue
         pivots += 1
         pi = min(units, key=lambda i: len(rows[i]))
         prow = rows.pop(pi)
-        pv = prow.pop(j)  # +-1, its own inverse
+        pv = prow.pop(j)  # +-1 over Z, its own inverse
+        if p:
+            pv = pow(pv, -1, p)
         for c in prow:
             cols[c].discard(pi)
         others = cols.pop(j)
@@ -181,6 +187,8 @@ def _eliminate(columns: list, carry=None, log=None):
             f = row.pop(j) * pv
             for c, w in prow.items():
                 nv = row.get(c, 0) - f * w
+                if p:
+                    nv %= p
                 if nv:
                     row[c] = nv
                     cols[c].add(i)
@@ -235,73 +243,10 @@ class HomologyReport:
         return self.ranks.get(d, 0)
 
 
-def _rank_mod_p(columns: list, p: int, cleared=frozenset(), lows=None) -> int:
-    """Rank over GF(p) of a matrix given by its columns, by column reduction.
-
-    The columns are reduced left to right.  A column's pivot is its lowest
-    nonzero row (the largest index); while another column already holds
-    that pivot, that column is added to it, so the pivot row moves up,
-    until the column takes a free pivot or vanishes.  The rank is the
-    number of pivots.  Columns in ``cleared`` are skipped (the caller knows
-    they reduce to zero), and the pivot rows are added to the set ``lows``
-    if one is given.
-
-    A column is an int bitset over the rows for p = 2, so adding a column
-    is one XOR; for odd p it is a {row: v} dict, scaled to pivot entry 1
-    when it takes its pivot.  The reduction loop is the same for both.
-    """
-    if p == 2:
-        def load(column):
-            bits = 0
-            for i, v in column:
-                if v & 1:
-                    bits |= 1 << i
-            return bits
-
-        def low(col):
-            return col.bit_length() - 1
-
-        def add(col, by, i):
-            return col ^ by
-
-        def settle(col, i):
-            return col
-    else:
-        def load(column):
-            return {i: v % p for i, v in column if v % p}
-
-        low = max
-
-        def add(col, by, i):  # by[i] == 1, so this clears row i of col
-            f = p - col[i]
-            for k, w in by.items():
-                v = (col.get(k, 0) + f * w) % p
-                if v:
-                    col[k] = v
-                else:
-                    del col[k]
-            return col
-
-        def settle(col, i):
-            inv = pow(col[i], -1, p)
-            for k, v in col.items():
-                col[k] = v * inv % p
-            return col
-    pivots = {}  # pivot row -> the reduced column that holds it
-    for j, column in enumerate(columns):
-        if j in cleared:
-            continue
-        col = load(column)
-        while col:
-            i = low(col)
-            by = pivots.get(i)
-            if by is None:
-                pivots[i] = settle(col, i)
-                break
-            col = add(col, by, i)
-    if lows is not None:
-        lows.update(pivots)
-    return len(pivots)
+def _rank_mod_p(columns: list, p: int) -> int:
+    """Rank over GF(p) of a matrix given by its columns: the number of
+    pivots of _eliminate over GF(p)."""
+    return _eliminate(columns, p=p)[0]
 
 
 def coefficient_tag(coefficients) -> str:
@@ -335,19 +280,13 @@ def homology(boundaries: list, shapes: list, coefficients="Z") -> HomologyReport
             if any(image.values()):
                 raise InputError("boundary squared is nonzero in dim %d" % d)
 
-    # diag[d]: Smith diagonal of boundary d (over GF(p), one 1 per rank).
-    # Over GF(p) the degrees are walked down with clearing: a pivot row i of
-    # boundary d is a cycle e_i + (lower rows), so column i of boundary d-1
-    # is a sum of the columns left of it and reduces to zero.
+    # diag[d]: Smith diagonal of boundary d (over GF(p), one 1 per rank)
     diag = {0: [], top + 1: []}
-    cleared = frozenset()
     for d in range(top, 0, -1):
         if tag == "Z":
             diag[d] = smith_diagonal(boundaries[d], shapes[d - 1])
         else:
-            lows = set()
-            diag[d] = [1] * _rank_mod_p(boundaries[d], int(coefficients), cleared, lows)
-            cleared = lows
+            diag[d] = [1] * _rank_mod_p(boundaries[d], int(coefficients))
     ranks = {}
     torsion = {}
     for d in range(top + 1):
