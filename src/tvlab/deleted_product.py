@@ -90,11 +90,6 @@ def _mask_key(mask: int):
     return mask if mask < _HASH_MODULUS else mask.to_bytes((mask.bit_length() + 7) // 8, "little")
 
 
-def _key_mask(key) -> int:
-    """The vertex mask of a key made by _mask_key."""
-    return key if type(key) is int else int.from_bytes(key, "little")
-
-
 def _fits(table, n: int, later: int, used: int, least: int = 1) -> list:
     """The entries off the mask used, of size least or more, leaving a vertex per later factor."""
     most = n - later - used.bit_count()
@@ -358,16 +353,10 @@ class DeletedProductComplex:
 
         out = []
         for j in critical[d]:
-            terms = []
+            total = {}
             for t, c in facets(drops, rows, cells[j], keys[j]):
                 f = flows[t]
-                terms.append((flow(t) if f is None else f, c))
-            if len(terms) == 2 and terms[0][0] is terms[1][0] and terms[0][1] != terms[1][1]:
-                out.append([])  # two facets of opposite signs with one flow
-                continue
-            total = {}
-            for f, c in terms:
-                for row, w in f.items():
+                for row, w in (flow(t) if f is None else f).items():
                     total[row] = total.get(row, 0) + c * w
             out.append([(row, w) for row, w in total.items() if w])
         return out
@@ -375,33 +364,36 @@ class DeletedProductComplex:
 
 def deleted_product(K: Complex, r: int) -> DeletedProductComplex:
     """The r-fold deleted product of K, counted and not listed: a full simplex by a closed form,
-    any other base as {used vertex mask: ordered prefixes} over the prefixes _fits keeps, each
-    with cells of its own, so CapExceeded comes as soon as the running count passes the cap."""
+    any other base as {mask key: (used vertex mask, ordered prefixes)} over the prefixes _fits
+    keeps, each with cells of its own, counted by degree at the last factor: CapExceeded comes
+    as soon as the running count passes the cap."""
     if r < 2:
         raise InputError("deleted product needs r >= 2, got %d" % r)
     if K.is_full_simplex():
         check_full_simplex_cap(K.num_vertices - 1, r)
         return DeletedProductComplex(K, r, full_simplex_f_vector(K.num_vertices, r))
-    (table, n), states, cap = _simplex_table(K.simplices), {0: 1}, configured_cell_cap()
+    (table, n), states, cap = _simplex_table(K.simplices), {0: (0, 1)}, configured_cell_cap()
     if r > n:  # r disjoint non-empty simplices need r vertices
         return DeletedProductComplex(K, r, [])
-    for i in range(r):
+    f = {}
+    for later in range(r - 1, -1, -1):
         grown, total = {}, 0
-        for key, ways in states.items():
-            used = key if type(key) is int else _key_mask(key)
-            fit = _fits(table, n, r - 1 - i, used)
-            for s, m, k, t in fit:
-                after = used | m
-                at = after if after < _HASH_MODULUS else _mask_key(after)  # a call per wide mask only
-                grown[at] = grown.get(at, 0) + ways
+        for used, ways in states.values():
+            fit = _fits(table, n, later, used)
+            if later:
+                for s, m, k, t in fit:
+                    after = used | m
+                    at = after if after < _HASH_MODULUS else _mask_key(after)  # wide masks only
+                    old = grown.get(at)
+                    grown[at] = (after, ways) if old is None else (after, old[1] + ways)
+            else:  # the last factor: each cell into the count of its degree
+                low = used.bit_count() - r
+                for s, m, k, t in fit:
+                    f[low + k] = f.get(low + k, 0) + ways
             total += ways * len(fit)
             if total > cap:
                 check_cap(total, "cells of the deleted product, at least")
         states = grown
-    f = {}
-    for key, ways in states.items():
-        used = _key_mask(key)
-        f[used.bit_count() - r] = f.get(used.bit_count() - r, 0) + ways
     return DeletedProductComplex(K, r, [f[d] for d in range(len(f))])  # no degree is skipped
 
 
@@ -433,7 +425,7 @@ def act_on_cell(omega: tuple, cell: ProductCell):
 
 
 def puzzle_reachable(dp: DeletedProductComplex, start: ProductCell, goal: ProductCell):
-    """Walk between 0-cells along edges of the deleted product.
+    """Walk between 0-cells along edges of the deleted product, listing only its 1-cells.
 
     Returns (reachable, path) where path alternates 0-cells and 1-cells;
     path is [] when start == goal.
@@ -444,8 +436,9 @@ def puzzle_reachable(dp: DeletedProductComplex, start: ProductCell, goal: Produc
     if start == goal:
         return True, []
 
-    adjacency = {}
-    for edge in dp.cells_by_dim.get(1, ()):
+    adjacency, edges = {}, []
+    _disjoint(dp.base.simplices, dp.r, 1, True, lambda degree: edges)
+    for edge in edges:
         ends = [facet for facet, _ in dp.cell_boundary(edge)]
         for v in ends:
             adjacency.setdefault(v, []).append((edge, ends))

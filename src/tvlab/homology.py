@@ -264,7 +264,9 @@ def homology(boundaries: list, shapes: list, coefficients="Z") -> HomologyReport
 
     boundaries[d] maps dimension d to d-1 (d >= 1), as its shapes[d]
     columns, each a list of (row, entry) with a row at most once; shapes[d]
-    is the number of d-cells.  coefficients is "Z" or a prime p.
+    is the number of d-cells.  coefficients is "Z" or a prime p.  Over Z
+    the rank and torsion of each boundary are read from its one
+    smith_diagonal; over GF(p) only its rank is kept, from _rank_mod_p.
     """
     tag = coefficient_tag(coefficients)
     top = len(shapes) - 1
@@ -280,19 +282,17 @@ def homology(boundaries: list, shapes: list, coefficients="Z") -> HomologyReport
             if any(image.values()):
                 raise InputError("boundary squared is nonzero in dim %d" % d)
 
-    # diag[d]: Smith diagonal of boundary d (over GF(p), one 1 per rank)
-    diag = {0: [], top + 1: []}
+    # rank[d], and torsion[d - 1]: the rank and the entries past 1 of boundary d's Smith diagonal
+    rank, torsion = [0] * (top + 2), [[] for _ in range(top + 1)]
     for d in range(top, 0, -1):
         if tag == "Z":
-            diag[d] = smith_diagonal(boundaries[d], shapes[d - 1])
+            diag = smith_diagonal(boundaries[d], shapes[d - 1])
+            rank[d] = sum(1 for x in diag if x)
+            torsion[d - 1] = [x for x in diag if x > 1]
         else:
-            diag[d] = [1] * _rank_mod_p(boundaries[d], int(coefficients))
-    ranks = {}
-    torsion = {}
-    for d in range(top + 1):
-        ranks[d] = shapes[d] - sum(1 for x in diag[d] if x) - sum(1 for x in diag[d + 1] if x)
-        torsion[d] = [x for x in diag[d + 1] if x > 1]
-    return HomologyReport(tag, ranks, torsion)
+            rank[d] = _rank_mod_p(boundaries[d], int(coefficients))
+    ranks = {d: shapes[d] - rank[d] - rank[d + 1] for d in range(top + 1)}
+    return HomologyReport(tag, ranks, dict(enumerate(torsion)))
 
 
 def dp_homology(dp, coefficients="Z") -> HomologyReport:
@@ -312,15 +312,7 @@ def homological_connectivity(dp) -> int:
     rep = dp_homology(dp, "Z")
     if rep.betti(0) != 1:
         return -1
-    j = 0
-    while True:
-        d = j + 1
-        if d > dp.dim:
-            return dp.dim  # all reduced homology vanishes through the top
-        if rep.betti(d) == 0 and not rep.torsion.get(d):
-            j += 1
-        else:
-            return j
+    return next((d - 1 for d in range(1, dp.dim + 1) if rep.betti(d) or rep.torsion.get(d)), dp.dim)
 
 
 def _snf_solve(A: IntMatrix, b: list):

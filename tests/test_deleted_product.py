@@ -1,6 +1,7 @@
 """Tests for the r-fold deleted product construction."""
 
 import gc
+import random
 import time
 from collections import Counter
 from math import comb, factorial
@@ -8,7 +9,8 @@ from math import comb, factorial
 import pytest
 
 from tvlab.complexes import Complex, full_simplex, simplex_skeleton
-from tvlab.deleted_product import (act_on_cell, cell_dim,
+from tvlab import deleted_product as deleted_product_module
+from tvlab.deleted_product import (DeletedProductComplex, _disjoint, act_on_cell, cell_dim,
                                    check_full_simplex_cap, deleted_product,
                                    disjoint_tuples, full_simplex_cell_count,
                                    puzzle_reachable)
@@ -358,6 +360,9 @@ COLORED333 = Complex.from_maximal(9, [(a, b, c) for a in range(3)
                                      for b in range(3, 6) for c in range(6, 9)])
 
 
+DISCONNECTED = Complex.from_maximal(7, [[0, 1, 2], [3, 4], [5, 6]])
+
+
 def malformed_cells(K, cell):
     """Near misses of a cell of K's deleted product: a repeated factor, an
     overlapping one, a non-face, an empty factor, one factor fewer, one more
@@ -411,12 +416,11 @@ def test_boundary_matrix_matches_the_tuple_index(K, r):
 def test_vertex_masks_of_a_large_base_hash_apart():
     """The dict keys of the lister and the count: an int mask would hash
     vertex v and v + 61 alike, and 79,800 masks to 1,891 hashes."""
-    from tvlab.deleted_product import _key_mask, _mask_key
+    from tvlab.deleted_product import _mask_key
 
     masks = [1 << a | 1 << b for a in range(400) for b in range(a)]
     keys = list(map(_mask_key, masks))
     assert len(set(map(hash, keys))) == len(keys) == 79_800
-    assert list(map(_key_mask, keys)) == masks
 
 
 def test_cells_come_out_sorted_and_boundaries_are_rebuilt_equal():
@@ -461,6 +465,44 @@ def test_puzzle_unknown_cell():
         puzzle_reachable(dp, ((0,), (0,)), ((1,), (0,)))
     with pytest.raises(InputError, match=r"not a 0-cell of this deleted product"):
         puzzle_reachable(dp, ((0, 1), (2,)), ((1,), (0,)))
+
+
+def reference_puzzle_path(dp, start, goal):
+    """Breadth first over the edges of cells_by_dim[1], in their sorted order."""
+    prev, queue = {start: None}, [start]
+    for v in queue:
+        for edge in dp.cells_by_dim.get(1, ()):
+            ends = [f for f, _ in dp.cell_boundary(edge)]
+            if v in ends:
+                for w in ends:
+                    if w not in prev:
+                        prev[w] = (v, edge)
+                        queue.append(w)
+    if goal not in prev:
+        return False, []
+    path, node = [goal], goal
+    while prev[node] is not None:
+        node, edge = prev[node]
+        path += [edge, node]
+    return True, path[::-1]
+
+
+@pytest.mark.parametrize("K, r", [(full_simplex(4), 3), (full_simplex(5), 2), (COLORED333, 2),
+                                  (COLORED333, 3), (DISCONNECTED, 2), (full_simplex(1), 2)],
+                         ids=["delta4-r3", "delta5-r2", "colored333-r2", "colored333-r3",
+                              "disconnected", "delta1-unreachable"])
+def test_puzzle_lists_only_the_edges_and_walks_the_same_path(monkeypatch, K, r):
+    dp = deleted_product(K, r)
+    zeros = dp.cells_by_dim[0]
+    pairs = [(zeros[0], zeros[-1]), (zeros[-1], zeros[len(zeros) // 2 - 1])]
+    expected = [reference_puzzle_path(dp, *pair) for pair in pairs]
+
+    def cells_by_dim(self):
+        raise AssertionError("puzzle listed the cells of every degree")
+
+    monkeypatch.setattr(DeletedProductComplex, "cells_by_dim", property(cells_by_dim))
+    dp = deleted_product(K, r)
+    assert [puzzle_reachable(dp, *pair) for pair in pairs] == expected
 
 
 def test_disconnected_deleted_product():
@@ -530,7 +572,6 @@ def check_listing(K, r):
 
 
 UNUSED_IDS = Complex.from_maximal(12, [[0, 1, 5], [5, 9], [11], [2, 7]])
-DISCONNECTED = Complex.from_maximal(7, [[0, 1, 2], [3, 4], [5, 6]])
 
 
 @pytest.mark.parametrize("N", range(6))
@@ -560,6 +601,46 @@ def test_listing_matches_the_recursion_on_random_complexes():
         check_listing(Complex.from_maximal(n, [sorted(m) for m in maximal]), r)
 
     check()
+
+
+def ordered_cells_of_degree(K, r, d):
+    out = []
+    _disjoint(K.simplices, r, d, True, lambda degree: out)
+    return out
+
+
+def random_base(seed, n):
+    rng = random.Random(seed)
+    return Complex.from_maximal(n, [rng.sample(range(n), rng.randint(1, 4)) for _ in range(6)])
+
+
+@pytest.mark.parametrize("K, rs", [(full_simplex(N), (2, 3, 4)) for N in range(7)]
+                         + [(COLORED333, (2, 3, 4)), (random_base("one degree", 8), (2, 3))],
+                         ids=["delta%d" % N for N in range(7)] + ["colored333", "random"])
+def test_an_ordered_listing_of_one_degree_is_that_degree_of_cells_by_dim(K, rs):
+    for r in rs:
+        dp = deleted_product(K, r)
+        for d in range(-1, dp.dim + 2):
+            assert ordered_cells_of_degree(K, r, d) == dp.cells_by_dim.get(d, []), (r, d)
+
+
+def test_the_count_keys_wide_masks_of_a_large_base_by_bytes(monkeypatch):
+    """Vertices 61 and up put a middle level's masks past the int hash
+    modulus: the count keys them by bytes and still counts what is listed."""
+    wide = []
+
+    def counted_mask_key(mask):
+        wide.append(mask)
+        return mask_key(mask)
+
+    mask_key = deleted_product_module._mask_key
+    monkeypatch.setattr(deleted_product_module, "_mask_key", counted_mask_key)
+    for K in (Complex.from_maximal(72, [[0, 64, 70], [1, 65], [65, 71], [2, 3], [62, 66, 69]]),
+              random_base("wide", 80)):
+        wide.clear()
+        deleted_product(K, 3)
+        assert wide, "no mask of the count passed the int hash modulus"
+        check_listing(K, 3)  # f_vector() against the listed lengths
 
 
 def test_a_huge_r_is_counted_empty_at_once():

@@ -366,7 +366,7 @@ def test_homology_mod_p_of_random_complexes_matches_sympy():
         n = draw(st.integers(12, 16) if wide else st.integers(1, 11))
         maximal = draw(st.lists(st.sets(st.integers(0, n - 1), min_size=1, max_size=6),
                                 min_size=1, max_size=8))
-        if wide:  # the complete graph: 66 to 120 edges, rows past bit 64
+        if wide:  # the complete graph: 66 to 120 edges, so a boundary of more than 64 rows
             maximal += [(a, b) for a, b in combinations(range(n), 2)]
         return maximal, draw(st.randoms(use_true_random=False))
 
@@ -380,10 +380,10 @@ def test_homology_mod_p_of_random_complexes_matches_sympy():
                 expected[d] = sympy_rank(boundaries[d], (shapes[d - 1], shapes[d]), p)
                 assert _rank_mod_p(boundaries[d], p) == expected[d]
             assert boundary_ranks(homology(boundaries, shapes, p), shapes) == expected
-        seen["past bit 64"] += any(shapes[d - 1] > 64 for d in range(2, len(shapes)))
+        seen["over 64 rows"] += any(shapes[d - 1] > 64 for d in range(2, len(shapes)))
 
     check()
-    assert seen["past bit 64"] >= 40
+    assert seen["over 64 rows"] >= 40
 
 
 def test_delta6_r3_integral_homology():
