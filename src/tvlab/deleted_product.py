@@ -15,8 +15,14 @@ A boundary matrix is a list of columns, column j the (row, sign) pairs of
 the j-th d-cell's facets.  A facet's row is found by an integer cell key,
 sum (i + 1) * q^v over the vertices v of each factor i, with q the least
 prime above r: the facet's key is its cell's key less (i + 1) * q^v, so no
-facet is built as a tuple.  Dicts over vertex masks key a mask past the int
-hash modulus by its bytes, so a base of more than 61 vertices hashes well.
+facet is built as a tuple.  The walk that lists the cells keys each one as
+it goes, and masks its growth, the vertices that it lacks and that extend
+one of its factors in the base: a prefix carries its key and the union of
+its factors' reach, each step found once per mask and level with the
+extension itself, so no cell is read again for its key or its masks.
+disjoint_tuples and puzzle_reachable walk unkeyed.  Dicts over vertex masks
+key a mask past the int hash modulus by its bytes, so a base of more than
+61 vertices hashes well.
 
 Homology is reduced on a Morse complex.  Read a cell as the set of pairs
 (v, i), vertex v in factor i; a facet drops one pair.  The element matching
@@ -31,8 +37,11 @@ exactly its Betti numbers.  The Morse boundary of a critical cell sums the
 flows of its facets: a critical cell flows to itself, a cell matched down to
 0, and a cell matched up follows its partner's other facets; each flow is
 found once, on an explicit stack that meets a gradient cycle as a cell
-already on it.  The one facet walk, _facets, serves the boundary matrices and
-the flows.
+already on it.  Into a lone critical 0-cell no flow is walked: an edge's two
+facets carry opposite signs, so every 0-cell flows to +1 times the critical
+0-cell at the end of its gradient path, and each critical edge's column is
+that cell less itself, 0.  The one facet walk, _facets, serves the boundary
+matrices and the flows.
 """
 
 from __future__ import annotations
@@ -41,6 +50,7 @@ import sys
 from bisect import bisect_left, bisect_right
 from collections import deque
 from functools import cached_property
+from itertools import repeat
 from math import comb
 
 from .complexes import Complex, check_cap, check_simplex_faces, configured_cell_cap
@@ -96,47 +106,80 @@ def _fits(table, n: int, later: int, used: int, least: int = 1) -> list:
     return [e for e in table if not e[1] & used and least <= e[2] <= most]
 
 
-def _disjoint(simplices, r: int, dim, ordered: bool, into) -> None:
+def _disjoint(simplices, r: int, dim, ordered: bool, into, powers=None) -> None:
     """Append each r-tuple of pairwise vertex-disjoint simplices, of total
     dimension dim if given, to the list into(its dimension), in
     lexicographic order: all orderings of the factors if ordered, else the
     increasing ones.  A prefix grows by the _fits of its mask, found once per
     mask and level; an increasing one, by those past its least vertex, after
     its last factor, with a simplex left per later factor.  A dimension
-    target is a budget of dim + r vertices and a least size that reaches it."""
+    target is a budget of dim + r vertices and a least size that reaches it.
+    Given the powers q^v of a prime q above r, into(degree) names a
+    (cells, keys, growth) triple of lists instead, and each prefix also
+    carries its key, sum (i + 1) * q^v over the vertices v of its factor i,
+    and its reach, the vertices that extend one of its factors in the base:
+    each tuple goes into cells, its key into keys, and its reach off its own
+    vertices into growth.  A key's and a reach's step from a prefix to its
+    extension are found with the extension."""
     (table, n), cap = _simplex_table(simplices), configured_cell_cap()
     big = max((e[2] for e in table), default=0)
     if r > n or dim is not None and not 0 <= dim <= min(n - r, r * (big - 1)):
         return  # r factors use r to n vertices, and dim is their sizes less r
     if not r:
         into(0).append(())
+    if powers is not None:  # each entry gains its simplex's key weight, sum q^v, and reach
+        extend = dict.fromkeys(simplices, 0)  # the vertices that extend each simplex
+        for s in simplices:
+            if len(s) > 1:
+                for k, v in enumerate(s):
+                    extend[s[:k] + s[k + 1:]] |= 1 << v
+        table = [e + (sum(powers[v] for v in e[0]), extend[e[0]]) for e in table]
     budget, tuples, masks = n if dim is None else dim + r, [()], [0]
+    keys = reaches = [0]
     for later in range(r - 1, -1, -1):
-        hi = len(table) - later
+        hi, label = len(table) - later, r - later
         what = "%sdisjoint %d-tuples, at least" % ("prefixes of " if later else "", r)
-        extensions, grown, grown_masks, count = {}, [], [], 0
-        for t, used in zip(tuples, masks):
-            key = used if used < _HASH_MODULUS else _mask_key(used)  # a call per wide mask only
-            pairs = extensions.get(key)
-            if pairs is None:  # (tail, its grown mask, or at the last level its list)
+        extensions, grown, grown_masks, grown_keys, grown_reaches, count = {}, [], [], [], [], 0
+        for t, used, key, reach in zip(tuples, masks, keys, reaches):
+            at = used if used < _HASH_MODULUS else _mask_key(used)  # a call per wide mask only
+            pairs = extensions.get(at)
+            if pairs is None:  # (tail, its grown mask, or at the last level its list[, steps])
                 least = 1 if dim is None else budget - used.bit_count() - later * big
                 lo = 0 if ordered else bisect_left(table, (((used & -used).bit_length(),),))
                 fit = _fits(table if ordered else table[lo:hi], budget, later, used, least)
-                pairs = extensions[key] = [(e[3], into((used | e[1]).bit_count() - r)
-                                            if not later else used | e[1]) for e in fit]
+                if powers is None:
+                    pairs = [(e[3], into((used | e[1]).bit_count() - r) if not later
+                              else used | e[1]) for e in fit]
+                else:  # with the key's step, the reach's, and the vertices left free
+                    pairs = [(e[3], into((used | e[1]).bit_count() - r) if not later
+                              else used | e[1], label * e[4], e[5], ~(used | e[1])) for e in fit]
+                extensions[at] = pairs
             if not ordered:  # no tail equals t's last factor, so only tails are compared
                 pairs = pairs[bisect_right(pairs, (t[-1:],)):]
-            if later:
-                for tail, after in pairs:
+            if powers is None:
+                if later:
+                    for tail, after in pairs:
+                        grown.append(t + tail)
+                        grown_masks.append(after)
+                else:  # the last factor: each tuple into its list
+                    for tail, out in pairs:
+                        out.append(t + tail)
+            elif later:
+                for tail, after, add, grow, _ in pairs:
                     grown.append(t + tail)
                     grown_masks.append(after)
-            else:  # the last factor: each tuple into its list
-                for tail, out in pairs:
-                    out.append(t + tail)
+                    grown_keys.append(key + add)
+                    grown_reaches.append(reach | grow)
+            else:  # the last factor: each cell, its key and its growth into its degree
+                for tail, (cells, cell_keys, growth), add, grow, free in pairs:
+                    cells.append(t + tail)
+                    cell_keys.append(key + add)
+                    growth.append((reach | grow) & free)
             count += len(pairs)
             if count > cap:
                 check_cap(count, what)
         tuples, masks = grown, grown_masks
+        keys, reaches = (grown_keys, grown_reaches) if powers is not None else (repeat(0),) * 2
 
 
 class DeletedProductComplex:
@@ -164,10 +207,8 @@ class DeletedProductComplex:
 
     @cached_property
     def cells_by_dim(self) -> dict:
-        """{degree: sorted cells}, listed by _disjoint in every ordering of the factors."""
-        out = {d: [] for d in range(self.dim + 1)}
-        _disjoint(self.base.simplices, self.r, None, True, out.__getitem__)
-        return out
+        """{degree: sorted cells}, listed by the one keyed walk of _keys."""
+        return self._keys[1]
 
     def has_cell(self, cell: ProductCell) -> bool:
         """True iff cell is r pairwise vertex-disjoint simplices of the base."""
@@ -190,21 +231,28 @@ class DeletedProductComplex:
 
     @cached_property
     def _keys(self) -> tuple:
-        """(drops, indices): drops[i][v] is (i + 1) * q^v for the least prime q
-        above r, and indices[d] is {key: position} of the d-cells.  A cell's key
-        writes label i + 1 at each vertex of factor i as a base-q digit, so
-        distinct cells have distinct keys; powers of an odd prime, unlike bit
-        shifts, do not fold vertex v onto v + 61 in CPython's int hash."""
+        """(drops, cells, keys, indices, growth), from one ordered walk of
+        _disjoint in every ordering of the factors: drops[i][v] is (i + 1) *
+        q^v for the least prime q above r, cells[d] the d-cells in sorted
+        order, keys[d] their keys, indices[d] the {key: position} of keys[d],
+        and growth[d] the mask of the vertices that each d-cell lacks and
+        that extend one of its factors in the base.  A cell's key writes
+        label i + 1 at each vertex of factor i as a base-q digit, so distinct
+        cells have distinct keys; powers of an odd prime, unlike bit shifts,
+        do not fold vertex v onto v + 61 in CPython's int hash.  An empty
+        product walks nothing and keys nothing."""
+        if self.is_empty:
+            return [], {}, {}, {}, {}
         q = self.r + 1
         while not is_prime(q):
             q += 1
         powers = [q ** v for v in range(self.base.num_vertices)]
-        weight = {s: sum(powers[v] for v in s) for s in self.base.simplices}
-        by_label = [{s: label * w for s, w in weight.items()} for label in range(1, self.r + 1)]
-        get = dict.__getitem__
-        indices = {d: {sum(map(get, by_label, cell)): j for j, cell in enumerate(cells)}
-                   for d, cells in self.cells_by_dim.items()}
-        return [[label * w for w in powers] for label in range(1, self.r + 1)], indices
+        out = {d: ([], [], []) for d in range(self.dim + 1)}
+        _disjoint(self.base.simplices, self.r, None, True, out.__getitem__, powers)
+        drops = [[label * w for w in powers] for label in range(1, self.r + 1)]
+        cells, keys, growth = ({d: lists[k] for d, lists in out.items()} for k in range(3))
+        indices = {d: dict(zip(column, range(len(column)))) for d, column in keys.items()}
+        return drops, cells, keys, indices, growth
 
     @staticmethod
     def _facets(drops, rows, cell, key) -> list:
@@ -227,10 +275,10 @@ class DeletedProductComplex:
         cell_boundary.  Rows index (d-1)-cells and columns d-cells, both in
         sorted cell order; the facets of one cell are distinct cells.
         """
-        drops, indices = self._keys
+        drops, _, keys, indices, _ = self._keys
         rows, facets = indices.get(d - 1, {}), self._facets
         return [facets(drops, rows, cell, key)
-                for cell, key in zip(self.cells_by_dim.get(d, ()), indices.get(d, ()))]
+                for cell, key in zip(self.cells_by_dim.get(d, ()), keys.get(d, ()))]
 
     def element_matching(self) -> list:
         """The element matching, as mate[d][j] for the j-th d-cell: the index
@@ -239,27 +287,16 @@ class DeletedProductComplex:
         descending, every unmatched cell that lacks v is matched to the cell
         with v added to factor i, when that is an unmatched cell; its key is
         the cell's key plus drops[i][v].  Each degree's cells are bucketed
-        by the vertices that they lack and that extend one of their factors
-        in the base, so a sparse base with many vertices has few candidates,
-        and a bucket keeps only the cells that have not been matched."""
-        drops, indices = self._keys
-        cells, top, n = self.cells_by_dim, self.dim, self.base.num_vertices
-        mate = [[None] * len(cells[d]) for d in range(top + 1)]
-        keys = [list(indices[d]) for d in range(top)]
-        bit = {s: sum(1 << v for v in s) for s in self.base.simplices}
-        reach = dict.fromkeys(self.base.simplices, 0)  # the vertices that extend each simplex
-        for s in self.base.simplices:
-            if len(s) > 1:
-                for k, v in enumerate(s):
-                    reach[s[:k] + s[k + 1:]] |= 1 << v
+        by the vertices of their growth masks, those that they lack and that
+        extend one of their factors in the base, so a sparse base with many
+        vertices has few candidates, and a bucket keeps only the cells that
+        have not been matched."""
+        drops, _, keys, indices, growth = self._keys
+        top, n = self.dim, self.base.num_vertices
+        mate = [[None] * len(keys[d]) for d in range(top + 1)]
         lacking = [[[] for _ in range(top)] for _ in range(n)]  # [v][d]: d-cells v may grow
         for d in range(top):
-            for j, cell in enumerate(cells[d]):
-                used = grow = 0
-                for s in cell:
-                    used |= bit[s]
-                    grow |= reach[s]
-                grow &= ~used
+            for j, grow in enumerate(growth[d]):
                 while grow:
                     v = grow.bit_length() - 1
                     lacking[v][d].append(j)
@@ -292,7 +329,12 @@ class DeletedProductComplex:
         -e * sum c * flow(tau') over the other facets tau' of rho, with
         e and c their boundary signs in rho.  The flow walks gradient paths
         on an explicit stack, and a cell met again on its own path is a
-        gradient cycle: SearchInvariantViolated."""
+        gradient cycle: SearchInvariantViolated.  No boundary is built into
+        a degree or out of one that has no critical cell, nor into a lone
+        critical 0-cell: an edge's two facets carry opposite signs, so each
+        0-cell's flow is +1 times the critical 0-cell its gradient path
+        reaches, and with one critical 0-cell a critical edge's column is
+        the sum of its two facet signs, 0, times that cell."""
         if self.dim < 1:  # nothing to match, and no cell is listed
             return [None], self.f_vector()
         mate = self.element_matching()
@@ -300,7 +342,7 @@ class DeletedProductComplex:
         shapes = [len(c) for c in critical]
         boundaries = [None]
         for d in range(1, len(shapes)):
-            if shapes[d] and shapes[d - 1]:
+            if shapes[d] and shapes[d - 1] > (d == 1):  # a lone critical 0-cell takes none
                 boundaries.append(self._morse_boundary(d, mate, critical))
             else:
                 boundaries.append([[] for _ in critical[d]])
@@ -311,8 +353,8 @@ class DeletedProductComplex:
         critical (d-1)-cells, by the flows that morse_complex describes.
         flows[t] is None until the walk reaches t and False while it is on
         t; a flow that is one other facet's flow times 1 is that dict."""
-        drops, indices = self._keys
-        cells, keys, rows = self.cells_by_dim[d], list(indices[d]), indices[d - 1]
+        drops, cells, keys, indices, _ = self._keys
+        cells, keys, rows = cells[d], keys[d], indices[d - 1]
         facets = self._facets
         lower = mate[d - 1]
         flows = [{} if m == -1 else None for m in lower]
@@ -438,8 +480,10 @@ def puzzle_reachable(dp: DeletedProductComplex, start: ProductCell, goal: Produc
 
     adjacency, edges = {}, []
     _disjoint(dp.base.simplices, dp.r, 1, True, lambda degree: edges)
-    for edge in edges:
-        ends = [facet for facet, _ in dp.cell_boundary(edge)]
+    for edge in edges:  # its ends in cell_boundary order: its one edge factor (a, b) less a, less b
+        i = list(map(len, edge)).index(2)
+        (a, b), head, tail = edge[i], edge[:i], edge[i + 1:]
+        ends = [head + ((b,),) + tail, head + ((a,),) + tail]
         for v in ends:
             adjacency.setdefault(v, []).append((edge, ends))
 

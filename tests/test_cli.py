@@ -652,6 +652,26 @@ def test_cap_refuses_every_base_before_listing(tmp_path, capsys, monkeypatch, na
         assert run_cli(capsys, argv) == (3, refusal), argv
 
 
+@pytest.mark.parametrize("command", ["homology", "connectivity"])
+def test_a_dp_query_walks_the_cells_once(tmp_path, capsys, monkeypatch, command):
+    """The one walk lists the cells with their keys and growth masks, and the
+    matching, the Morse boundaries and the report walk no more."""
+    walks = []
+
+    def counted(*args):
+        walks.append(args)
+        return lister(*args)
+
+    lister = deleted_product_module._disjoint
+    monkeypatch.setattr(deleted_product_module, "_disjoint", counted)
+    complex_path = write_json(tmp_path / "base.json", CAP_BASES["colored333"][0].to_json_dict())
+    for base in (["--n", "5", "--r", "3"], ["--n", "5", "--r", "5"],
+                 ["--complex", complex_path, "--r", "3"]):
+        walks.clear()
+        assert run_cli(capsys, ["dp", command] + base)[0] == 0
+        assert len(walks) == 1, base
+
+
 def test_cap_stops_the_count_of_a_large_base_within_a_few_prefixes(tmp_path, capsys, monkeypatch):
     # all 19,900 edges on 200 vertices: about 2 * 10^8 cells for r = 2, far past the cap,
     # though the 20,100 simplices are within it

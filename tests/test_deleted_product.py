@@ -361,6 +361,10 @@ COLORED333 = Complex.from_maximal(9, [(a, b, c) for a in range(3)
 
 
 DISCONNECTED = Complex.from_maximal(7, [[0, 1, 2], [3, 4], [5, 6]])
+# the six-vertex real projective plane, and a cycle past 61 vertices
+RP2 = Complex.from_maximal(6, [(0, 1, 2), (0, 2, 3), (0, 3, 4), (0, 4, 5), (0, 1, 5),
+                               (1, 2, 4), (2, 3, 5), (1, 3, 4), (2, 4, 5), (1, 3, 5)])
+CYCLE70 = Complex.from_maximal(70, [(v, (v + 1) % 70) for v in range(70)])
 
 
 def malformed_cells(K, cell):
@@ -399,18 +403,42 @@ def reference_boundary_matrix(dp, d):
             for cell in dp.cells_by_dim.get(d, ())]
 
 
+def reference_keys_and_growth(dp, d):
+    """The oracle for the walk's keys and growth masks, recomputed from each
+    d-cell: the key sum (i + 1) * q^v over the vertices v of factor i, q the
+    least prime above r, and the vertices that the cell lacks and that extend
+    one of its factors to a simplex of the base."""
+    q = next(p for p in range(dp.r + 1, 2 * dp.r + 2) if all(p % k for k in range(2, p)))
+    extend = {s: {v for v in range(dp.base.num_vertices)
+                  if tuple(sorted(s + (v,))) in dp.base.simplices} for s in dp.base.simplices}
+    keys, growth = [], []
+    for cell in dp.cells_by_dim.get(d, ()):
+        keys.append(sum((i + 1) * q ** v for i, s in enumerate(cell) for v in s))
+        growth.append(sum(1 << v for v in set().union(*map(extend.get, cell)).difference(*cell)))
+    return keys, growth
+
+
 @pytest.mark.parametrize("K, r", [pytest.param(full_simplex(n), r, id="delta%d-r%d" % (n, r))
                                   for n in range(7) for r in (2, 3, 4)] + [
     pytest.param(COLORED333, 3, id="colored333-r3"),
     pytest.param(simplex_skeleton(6, 2), 2, id="delta6_2-r2"),
+    pytest.param(RP2, 2, id="rp2-r2"),
+    pytest.param(RP2, 3, id="rp2-r3"),
+    pytest.param(CYCLE70, 2, id="cycle70-r2"),
     pytest.param(Complex.from_maximal(200, [(v, (v + 1) % 200) for v in range(200)]), 2,
                  id="cycle200-r2")])
 def test_boundary_matrix_matches_the_tuple_index(K, r):
     """Cell keys find the same rows as the tuple index, entry for entry and in
-    order, also on a base of more than 61 vertices."""
+    order, also on a base of more than 61 vertices; the walk that lists the
+    cells keys each at its position and masks its growth as recomputed from
+    the cell."""
     dp = deleted_product(K, r)
+    _, _, keys, indices, growth = dp._keys
     for d in range(dp.dim + 2):
         assert dp.boundary_matrix(d) == reference_boundary_matrix(dp, d)
+        expected, grows = reference_keys_and_growth(dp, d)
+        assert keys.get(d, []) == expected and growth.get(d, []) == grows
+        assert indices.get(d, {}) == {key: j for j, key in enumerate(expected)}
 
 
 def test_vertex_masks_of_a_large_base_hash_apart():

@@ -10,7 +10,8 @@ import pytest
 
 from tvlab import homology as homology_module
 from tvlab.complexes import Complex, full_simplex, simplex_skeleton
-from tvlab.deleted_product import deleted_product, full_simplex_cell_count, full_simplex_f_vector
+from tvlab.deleted_product import (DeletedProductComplex, deleted_product, full_simplex_cell_count,
+                                   full_simplex_f_vector)
 from tvlab.errors import CapExceeded, InputError, SearchInvariantViolated
 from tvlab.homology import (IntMatrix, _eliminate, _leftover_block, _rank_mod_p, _snf_solve,
                             dp_homology, homological_connectivity, homology,
@@ -548,6 +549,59 @@ def test_the_morse_path_keeps_torsion():
     assert dp_homology(dp).torsion[1] == [2, 2] and dp_homology(dp, 2).betti(1) == 2
     boundaries, shapes = dp.morse_complex()
     assert all(shapes) and any(any(column) for column in boundaries[2])
+
+
+def morse_degrees_walked(monkeypatch) -> list:
+    """The degrees d of every Morse boundary that _morse_boundary walks from now on."""
+    walked, walk = [], DeletedProductComplex._morse_boundary
+
+    def recorded(self, d, *args):
+        walked.append(d)
+        return walk(self, d, *args)
+
+    monkeypatch.setattr(DeletedProductComplex, "_morse_boundary", recorded)
+    return walked
+
+
+@pytest.mark.parametrize("K, r", [
+    pytest.param(full_simplex(3), 3, id="delta3-r3"),
+    pytest.param(full_simplex(5), 5, id="delta5-r5"),
+    pytest.param(simplex_skeleton(4, 1), 2, id="k5-r2"),
+    pytest.param(RP2, 2, id="rp2-r2"),
+    pytest.param(RP2, 3, id="rp2-r3"),
+    pytest.param(CYCLE70, 2, id="cycle70-r2")])
+def test_a_lone_critical_vertex_takes_no_morse_boundary(monkeypatch, K, r):
+    """Each 0-cell flows to +1 times the critical 0-cell that its gradient
+    path reaches, and an edge's two facets carry opposite signs, so with one
+    critical 0-cell every column into it is 0: no flow is walked, the
+    columns are empty, and the homology is the boundary path's."""
+    walked = morse_degrees_walked(monkeypatch)
+    dp = deleted_product(K, r)
+    boundaries, shapes = dp.morse_complex()
+    assert shapes[0] == 1 and shapes[1] and boundaries[1] == [[]] * shapes[1]
+    assert 1 not in walked
+    for coefficients in ("Z", 2, 3):
+        assert dp_homology(dp, coefficients) == boundary_path_homology(dp, coefficients)
+
+
+CYCLE6 = Complex.from_maximal(6, [(v, (v + 1) % 6) for v in range(6)])
+
+
+@pytest.mark.parametrize("K, r, nonzero", [
+    pytest.param(CYCLE6, 3, 2, id="cycle6-r3"),
+    pytest.param(CYCLE6, 4, 11, id="cycle6-r4"),
+    pytest.param(Complex.from_maximal(7, [[0, 1, 2], [3, 4], [5, 6]]), 2, 0,
+                 id="disconnected-r2")])
+def test_two_critical_vertices_walk_their_morse_boundary(monkeypatch, K, r, nonzero):
+    """With two or more critical 0-cells the flows into them are walked: the
+    cycles' critical edges join their critical 0-cells into one component."""
+    walked = morse_degrees_walked(monkeypatch)
+    dp = deleted_product(K, r)
+    boundaries, shapes = dp.morse_complex()
+    assert shapes[0] >= 2 and shapes[1] and 1 in walked
+    assert sum(map(bool, boundaries[1])) == nonzero
+    for coefficients in ("Z", 2, 3):
+        assert dp_homology(dp, coefficients) == boundary_path_homology(dp, coefficients)
 
 
 @pytest.mark.skipif(given is None, reason="needs hypothesis")

@@ -10,7 +10,8 @@ is taken only by the one rational-to-integer scaling.  The error classes
 are one per CLI outcome, and every raise names one of them or a builtin.
 The obstruction module enumerates its orbits from the base and reads no
 cell list of the deleted product, and the deleted product's facet walk
-finds its rows by cell keys, not by nested-tuple facets.  One
+finds its rows by cell keys, not by nested-tuple facets; its matching and
+its keys read no cell, but what the walk that lists them keyed and masked.  One
 separation test, in convexity, serves the Tverberg search and plmaps alike.
 The sparse row layout of IntMatrix is read in homology only.  No call takes
 a size that its other arguments fix.
@@ -126,6 +127,24 @@ def test_boundary_matrix_builds_no_tuple_facet():
     assert [node.lineno for name in ("boundary_matrix", "_facets", "_keys")
             for node in ast.walk(methods[name])
             if isinstance(node, ast.Attribute) and node.attr == "cell_boundary"] == []
+
+
+def test_the_matching_and_the_keys_iterate_no_cell():
+    """The walk that lists the cells keys each one and masks its growth, so
+    DeletedProductComplex.element_matching and _keys never load cells_by_dim,
+    and none of their loops iterates a cell list or a cell's factors."""
+    tree = ast.parse((SRC / "deleted_product.py").read_text())
+    [cls] = [node for node in tree.body
+             if isinstance(node, ast.ClassDef) and node.name == "DeletedProductComplex"]
+    methods = [node for node in cls.body if isinstance(node, ast.FunctionDef)
+               and node.name in ("element_matching", "_keys")]
+    loops = [node.iter for fn in methods for node in ast.walk(fn)
+             if isinstance(node, (ast.For, ast.comprehension))]
+    assert len(methods) == 2 and loops
+    assert [node.lineno for fn in methods for node in ast.walk(fn)
+            if isinstance(node, ast.Attribute) and node.attr == "cells_by_dim"] == []
+    assert [ast.unparse(it) for it in loops for node in ast.walk(it)
+            if getattr(node, "id", None) in ("cells", "cell")] == []
 
 
 def test_one_separation_test_in_convexity():
