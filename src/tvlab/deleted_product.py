@@ -19,8 +19,11 @@ facet is built as a tuple.  The walk that lists the cells keys each one as
 it goes, and masks its growth, the vertices that it lacks and that extend
 one of its factors in the base: a prefix carries its key and the union of
 its factors' reach, each step found once per mask and level with the
-extension itself, so no cell is read again for its key or its masks.
-disjoint_tuples and puzzle_reachable walk unkeyed.  Dicts over vertex masks
+extension itself, so no cell is read again for its key or its masks.  The
+keyed walk lists every ordering of the factors, and the unkeyed one, which
+disjoint_tuples runs, the increasing tuples.  puzzle_reachable lists no
+cell: it steps from each 0-cell it reaches along the base's edges, each
+slot's vertex to a neighbour that the 0-cell lacks.  Dicts over vertex masks
 key a mask past the int hash modulus by its bytes, so a base of more than
 61 vertices hashes well.
 
@@ -28,11 +31,14 @@ Homology is reduced on a Morse complex.  Read a cell as the set of pairs
 (v, i), vertex v in factor i; a facet drops one pair.  The element matching
 walks the pairs with i outer and v descending, and at each pair it matches
 every unmatched cell that lacks v to the cell with v added to factor i, if
-that is an unmatched cell: its key is the cell's key plus (i + 1) * q^v.  A
-sequence of element matchings is acyclic (Jonsson 2008, the cluster lemma),
-and each matched pair is a +-1 boundary entry, so the unmatched, critical
-cells carry the homology over Z and every GF(p) (Skoldberg 2006).  On every
-full simplex tried (Delta_N up to N = 7, and Delta_8 with r <= 4) they are
+that is an unmatched cell: its key is the cell's key plus (i + 1) * q^v.
+Powers, pairs and buckets are built for the vertices that the base uses
+alone, with 0 or None at an unused id below the largest, so a base declared
+on many unused vertex ids costs next to nothing more.  A sequence of
+element matchings is acyclic (Jonsson 2008, the cluster lemma), and each
+matched pair is a +-1 boundary entry, so the unmatched, critical cells
+carry the homology over Z and every GF(p) (Skoldberg 2006).  On every full
+simplex tried (Delta_N up to N = 7, and Delta_8 with r <= 4) they are
 exactly its Betti numbers.  The Morse boundary of a critical cell sums the
 flows of its facets: a critical cell flows to itself, a cell matched down to
 0, and a cell matched up follows its partner's other facets; each flow is
@@ -48,7 +54,6 @@ from __future__ import annotations
 
 import sys
 from bisect import bisect_left, bisect_right
-from collections import deque
 from functools import cached_property
 from itertools import repeat
 from math import comb
@@ -106,21 +111,22 @@ def _fits(table, n: int, later: int, used: int, least: int = 1) -> list:
     return [e for e in table if not e[1] & used and least <= e[2] <= most]
 
 
-def _disjoint(simplices, r: int, dim, ordered: bool, into, powers=None) -> None:
+def _disjoint(simplices, r: int, dim, into, powers=None) -> None:
     """Append each r-tuple of pairwise vertex-disjoint simplices, of total
     dimension dim if given, to the list into(its dimension), in
-    lexicographic order: all orderings of the factors if ordered, else the
-    increasing ones.  A prefix grows by the _fits of its mask, found once per
-    mask and level; an increasing one, by those past its least vertex, after
-    its last factor, with a simplex left per later factor.  A dimension
-    target is a budget of dim + r vertices and a least size that reaches it.
-    Given the powers q^v of a prime q above r, into(degree) names a
-    (cells, keys, growth) triple of lists instead, and each prefix also
-    carries its key, sum (i + 1) * q^v over the vertices v of its factor i,
-    and its reach, the vertices that extend one of its factors in the base:
-    each tuple goes into cells, its key into keys, and its reach off its own
-    vertices into growth.  A key's and a reach's step from a prefix to its
-    extension are found with the extension."""
+    lexicographic order.  Unkeyed, the walk lists the increasing tuples: a
+    prefix grows by the _fits of its mask past its least vertex, found once
+    per mask and level, after its last factor, with a simplex left per later
+    factor.  Keyed, given the powers q^v of a prime q above r, it lists
+    the tuples in every ordering of the factors, a prefix growing by all the
+    _fits of its mask; into(degree) names a (cells, keys, growth) triple of
+    lists instead, and each prefix also carries its key, sum (i + 1) * q^v
+    over the vertices v of its factor i, and its reach, the vertices that
+    extend one of its factors in the base: each tuple goes into cells, its
+    key into keys, and its reach off its own vertices into growth.  A key's
+    and a reach's step from a prefix to its extension are found with the
+    extension.  A dimension target is a budget of dim + r vertices and a
+    least size that reaches it."""
     (table, n), cap = _simplex_table(simplices), configured_cell_cap()
     big = max((e[2] for e in table), default=0)
     if r > n or dim is not None and not 0 <= dim <= min(n - r, r * (big - 1)):
@@ -145,18 +151,18 @@ def _disjoint(simplices, r: int, dim, ordered: bool, into, powers=None) -> None:
             pairs = extensions.get(at)
             if pairs is None:  # (tail, its grown mask, or at the last level its list[, steps])
                 least = 1 if dim is None else budget - used.bit_count() - later * big
-                lo = 0 if ordered else bisect_left(table, (((used & -used).bit_length(),),))
-                fit = _fits(table if ordered else table[lo:hi], budget, later, used, least)
-                if powers is None:
+                if powers is None:  # increasing: past the least vertex of used
+                    lo = bisect_left(table, (((used & -used).bit_length(),),))
+                    fit = _fits(table[lo:hi], budget, later, used, least)
                     pairs = [(e[3], into((used | e[1]).bit_count() - r) if not later
                               else used | e[1]) for e in fit]
                 else:  # with the key's step, the reach's, and the vertices left free
+                    fit = _fits(table, budget, later, used, least)
                     pairs = [(e[3], into((used | e[1]).bit_count() - r) if not later
                               else used | e[1], label * e[4], e[5], ~(used | e[1])) for e in fit]
                 extensions[at] = pairs
-            if not ordered:  # no tail equals t's last factor, so only tails are compared
+            if powers is None:  # no tail equals t's last factor, so only tails are compared
                 pairs = pairs[bisect_right(pairs, (t[-1:],)):]
-            if powers is None:
                 if later:
                     for tail, after in pairs:
                         grown.append(t + tail)
@@ -231,24 +237,28 @@ class DeletedProductComplex:
 
     @cached_property
     def _keys(self) -> tuple:
-        """(drops, cells, keys, indices, growth), from one ordered walk of
-        _disjoint in every ordering of the factors: drops[i][v] is (i + 1) *
-        q^v for the least prime q above r, cells[d] the d-cells in sorted
-        order, keys[d] their keys, indices[d] the {key: position} of keys[d],
-        and growth[d] the mask of the vertices that each d-cell lacks and
-        that extend one of its factors in the base.  A cell's key writes
-        label i + 1 at each vertex of factor i as a base-q digit, so distinct
-        cells have distinct keys; powers of an odd prime, unlike bit shifts,
-        do not fold vertex v onto v + 61 in CPython's int hash.  An empty
-        product walks nothing and keys nothing."""
+        """(drops, cells, keys, indices, growth), from the one keyed walk of
+        _disjoint, in every ordering of the factors: drops[i][v] is (i + 1) *
+        q^v for the least prime q above r at each vertex v of the base, and 0
+        at an unused id, so no power is taken for one, cells[d] the d-cells
+        in sorted order, keys[d] their keys, indices[d] the {key: position}
+        of keys[d], and growth[d] the mask of the vertices that each d-cell
+        lacks and that extend one of its factors in the base.  A cell's key
+        writes label i + 1 at each vertex of factor i as a base-q digit, so
+        distinct cells have distinct keys; powers of an odd prime, unlike bit
+        shifts, do not fold vertex v onto v + 61 in CPython's int hash.  An
+        empty product walks nothing and keys nothing."""
         if self.is_empty:
             return [], {}, {}, {}, {}
         q = self.r + 1
         while not is_prime(q):
             q += 1
-        powers = [q ** v for v in range(self.base.num_vertices)]
+        vertices = [s[0] for s in self.base.simplices if len(s) == 1]
+        powers = [0] * (max(vertices) + 1)  # 0 at an unused id, which no cell holds
+        for v in vertices:
+            powers[v] = q ** v
         out = {d: ([], [], []) for d in range(self.dim + 1)}
-        _disjoint(self.base.simplices, self.r, None, True, out.__getitem__, powers)
+        _disjoint(self.base.simplices, self.r, None, out.__getitem__, powers)
         drops = [[label * w for w in powers] for label in range(1, self.r + 1)]
         cells, keys, growth = ({d: lists[k] for d, lists in out.items()} for k in range(3))
         indices = {d: dict(zip(column, range(len(column)))) for d, column in keys.items()}
@@ -290,11 +300,16 @@ class DeletedProductComplex:
         by the vertices of their growth masks, those that they lack and that
         extend one of their factors in the base, so a sparse base with many
         vertices has few candidates, and a bucket keeps only the cells that
-        have not been matched."""
+        have not been matched.  Only the vertices of the base, those with a
+        nonzero drop, are walked and bucketed, so an unused vertex id costs no
+        bucket."""
         drops, _, keys, indices, growth = self._keys
-        top, n = self.dim, self.base.num_vertices
+        top, n = self.dim, len(drops[0]) if drops else 0
+        vertices = [v for v in range(n - 1, -1, -1) if drops[0][v]]
         mate = [[None] * len(keys[d]) for d in range(top + 1)]
-        lacking = [[[] for _ in range(top)] for _ in range(n)]  # [v][d]: d-cells v may grow
+        lacking = [None] * n  # [v][d]: d-cells v may grow, for each vertex v of the base
+        for v in vertices:
+            lacking[v] = [[] for _ in range(top)]
         for d in range(top):
             for j, grow in enumerate(growth[d]):
                 while grow:
@@ -302,7 +317,7 @@ class DeletedProductComplex:
                     lacking[v][d].append(j)
                     grow ^= 1 << v
         for drop in drops:
-            for v in range(n - 1, -1, -1):
+            for v in vertices:
                 add = drop[v]
                 for d in range(top):
                     here, there, upper, at = mate[d], mate[d + 1], indices[d + 1], keys[d]
@@ -350,9 +365,10 @@ class DeletedProductComplex:
 
     def _morse_boundary(self, d: int, mate: list, critical: list) -> list:
         """The columns of the Morse boundary from the critical d-cells to the
-        critical (d-1)-cells, by the flows that morse_complex describes.
-        flows[t] is None until the walk reaches t and False while it is on
-        t; a flow that is one other facet's flow times 1 is that dict."""
+        critical (d-1)-cells, by the flows that morse_complex describes, one
+        rule for every degree: a matched cell's flow is the sum over its
+        partner's other facets, an edge's one other facet included.  flows[t]
+        is None until the walk reaches t and False while it is on t."""
         drops, cells, keys, indices, _ = self._keys
         cells, keys, rows = cells[d], keys[d], indices[d - 1]
         facets = self._facets
@@ -380,11 +396,6 @@ class DeletedProductComplex:
                             "gradient cycle through %d-cell %d" % (d - 1, u2))
                 else:
                     stack.pop()
-                    if len(column) == 2:  # the other facet's flow times -e * c, shared at +1
-                        (a, ca), (b, cb) = column
-                        f = flows[b if a == u else a]
-                        flows[u] = f if ca != cb else {row: -w for row, w in f.items()}
-                        continue
                     out, e = {}, next(c for u2, c in column if u2 == u)
                     for u2, c in column:
                         if u2 != u:
@@ -444,7 +455,7 @@ def disjoint_tuples(simplices, r, dim=None) -> list:
     dimension dim if given, in the order of itertools.combinations over the
     sorted simplices: the increasing tuples that _disjoint lists."""
     out = []
-    _disjoint(simplices, r, dim, False, lambda degree: out)
+    _disjoint(simplices, r, dim, lambda degree: out)
     return out
 
 
@@ -467,7 +478,13 @@ def act_on_cell(omega: tuple, cell: ProductCell):
 
 
 def puzzle_reachable(dp: DeletedProductComplex, start: ProductCell, goal: ProductCell):
-    """Walk between 0-cells along edges of the deleted product, listing only its 1-cells.
+    """Walk breadth first between 0-cells along edges of the deleted product, listing no cell.
+
+    An edge at a 0-cell v replaces one factor (u,) with a base edge on u and
+    a vertex x that v lacks, and its other end has (x,) in that slot.  Each
+    0-cell's (edge, other end) pairs are visited in sorted order, the order
+    of the sorted 1-cells.  Only 0-cells are kept, and deleted_product has
+    counted them against the cell cap.
 
     Returns (reachable, path) where path alternates 0-cells and 1-cells;
     path is [] when start == goal.
@@ -478,26 +495,21 @@ def puzzle_reachable(dp: DeletedProductComplex, start: ProductCell, goal: Produc
     if start == goal:
         return True, []
 
-    adjacency, edges = {}, []
-    _disjoint(dp.base.simplices, dp.r, 1, True, lambda degree: edges)
-    for edge in edges:  # its ends in cell_boundary order: its one edge factor (a, b) less a, less b
-        i = list(map(len, edge)).index(2)
-        (a, b), head, tail = edge[i], edge[:i], edge[i + 1:]
-        ends = [head + ((b,),) + tail, head + ((a,),) + tail]
-        for v in ends:
-            adjacency.setdefault(v, []).append((edge, ends))
-
-    prev = {start: None}
-    queue = deque([start])
-    while queue:
-        v = queue.popleft()
+    neighbours = {}  # the base's edges, from each end
+    for s in dp.base.simplices:
+        if len(s) == 2:
+            neighbours.setdefault(s[0], []).append(s[1])
+            neighbours.setdefault(s[1], []).append(s[0])
+    prev, queue = {start: None}, [start]
+    for v in queue:
         if v == goal:
             break
-        for edge, ends in adjacency.get(v, ()):
-            for w in ends:
-                if w not in prev:
-                    prev[w] = (v, edge)
-                    queue.append(w)
+        steps = sorted((v[:i] + ((min(u, x), max(u, x)),) + v[i + 1:], v[:i] + ((x,),) + v[i + 1:])
+                       for i, (u,) in enumerate(v) for x in neighbours.get(u, ()) if (x,) not in v)
+        for edge, w in steps:
+            if w not in prev:
+                prev[w] = (v, edge)
+                queue.append(w)
     if goal not in prev:
         return False, []
     path, node = [goal], goal

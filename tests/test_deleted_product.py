@@ -18,7 +18,7 @@ from tvlab.errors import CapExceeded, InputError
 from tvlab.symgroup import compose
 
 try:
-    from hypothesis import given, strategies as st
+    from hypothesis import given, settings, strategies as st
 except ImportError:  # hypothesis is a test extra
     given = None
 needs_hypothesis = pytest.mark.skipif(given is None, reason="needs hypothesis")
@@ -519,7 +519,9 @@ def reference_puzzle_path(dp, start, goal):
                                   (COLORED333, 3), (DISCONNECTED, 2), (full_simplex(1), 2)],
                          ids=["delta4-r3", "delta5-r2", "colored333-r2", "colored333-r3",
                               "disconnected", "delta1-unreachable"])
-def test_puzzle_lists_only_the_edges_and_walks_the_same_path(monkeypatch, K, r):
+def test_puzzle_lists_no_cell_and_walks_the_same_path(monkeypatch, K, r):
+    """puzzle steps along the base's edges: it neither reads cells_by_dim nor
+    calls the lister, and it walks the reference's path."""
     dp = deleted_product(K, r)
     zeros = dp.cells_by_dim[0]
     pairs = [(zeros[0], zeros[-1]), (zeros[-1], zeros[len(zeros) // 2 - 1])]
@@ -528,9 +530,38 @@ def test_puzzle_lists_only_the_edges_and_walks_the_same_path(monkeypatch, K, r):
     def cells_by_dim(self):
         raise AssertionError("puzzle listed the cells of every degree")
 
+    def lister(*args):
+        raise AssertionError("puzzle called the lister")
+
     monkeypatch.setattr(DeletedProductComplex, "cells_by_dim", property(cells_by_dim))
+    monkeypatch.setattr(deleted_product_module, "_disjoint", lister)
     dp = deleted_product(K, r)
     assert [puzzle_reachable(dp, *pair) for pair in pairs] == expected
+
+
+@needs_hypothesis
+def test_puzzle_walks_the_reference_path_on_random_bases():
+    """Random bases of at most 8 vertices, r from 2 to 4, and drawn pairs of
+    0-cells, unreachable ones included."""
+    seen = Counter()
+
+    @settings(max_examples=150)
+    @given(st.integers(1, 8).flatmap(lambda n: st.tuples(
+        st.just(n), st.lists(st.sets(st.integers(0, n - 1), min_size=1, max_size=3),
+                             min_size=1, max_size=6))),
+           st.integers(2, 4), st.integers(0, 10 ** 6), st.integers(0, 10 ** 6))
+    def check(base, r, a, b):
+        n, maximal = base
+        dp = deleted_product(Complex.from_maximal(n, [sorted(m) for m in maximal]), r)
+        zeros = dp.cells_by_dim.get(0, [])
+        if zeros:
+            start, goal = zeros[a % len(zeros)], zeros[b % len(zeros)]
+            expected = reference_puzzle_path(dp, start, goal) if start != goal else (True, [])
+            assert puzzle_reachable(dp, start, goal) == expected
+            seen[expected[0]] += 1
+
+    check()
+    assert seen[True] >= 20 and seen[False] >= 20, seen
 
 
 def test_disconnected_deleted_product():
@@ -632,9 +663,9 @@ def test_listing_matches_the_recursion_on_random_complexes():
 
 
 def ordered_cells_of_degree(K, r, d):
-    out = []
-    _disjoint(K.simplices, r, d, True, lambda degree: out)
-    return out
+    out = ([], [], [])
+    _disjoint(K.simplices, r, d, lambda degree: out, [1] * K.num_vertices)
+    return out[0]
 
 
 def random_base(seed, n):

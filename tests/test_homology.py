@@ -1,6 +1,7 @@
 """Tests for Smith normal form, homology, and integer system solving."""
 
 import random
+import time
 import tracemalloc
 from collections import Counter
 from itertools import combinations
@@ -499,6 +500,22 @@ def test_connectivity_values():
     empty = deleted_product(full_simplex(1), 3)
     assert homological_connectivity(empty) == -2
     assert dp_homology(empty).ranks == {} and dp_homology(empty, 2).ranks == {}
+
+
+@pytest.mark.parametrize("n, low", [(4, 0), (60_000, 0), (60_000, 59_996)],
+                         ids=["4-vertices", "60000-vertices-low-ids", "60000-vertices-high-ids"])
+def test_homology_cost_follows_the_vertices_used_not_those_declared(n, low):
+    """Two disjoint edges give the report of their 4-vertex base, each in
+    under a second, however many vertices are declared and wherever the
+    edges sit: the keys' powers and the matching's buckets cover the used
+    vertices only.  While they covered every declared id, the cost grew as
+    its square: over Z, 2.4 s and a 123 MiB traced peak on 20,000."""
+    small = deleted_product(Complex.from_maximal(4, [[0, 1], [2, 3]]), 2)
+    K = Complex.from_maximal(n, [[low, low + 1], [low + 2, low + 3]])
+    for coefficients in ("Z", 2, 3):
+        start = time.perf_counter()
+        assert dp_homology(deleted_product(K, 2), coefficients) == dp_homology(small, coefficients)
+        assert time.perf_counter() - start < 1.0, coefficients
 
 
 def boundary_path_homology(dp, coefficients):

@@ -11,7 +11,9 @@ are one per CLI outcome, and every raise names one of them or a builtin.
 The obstruction module enumerates its orbits from the base and reads no
 cell list of the deleted product, and the deleted product's facet walk
 finds its rows by cell keys, not by nested-tuple facets; its matching and
-its keys read no cell, but what the walk that lists them keyed and masked.  One
+its keys read no cell, but what the walk that lists them keyed and masked,
+and no declared vertex count, only the vertices that the base uses.  The
+puzzle walk lists no cell: it calls no lister and no cell_boundary.  One
 separation test, in convexity, serves the Tverberg search and plmaps alike.
 The sparse row layout of IntMatrix is read in homology only.  No call takes
 a size that its other arguments fix.
@@ -145,6 +147,36 @@ def test_the_matching_and_the_keys_iterate_no_cell():
             if isinstance(node, ast.Attribute) and node.attr == "cells_by_dim"] == []
     assert [ast.unparse(it) for it in loops for node in ast.walk(it)
             if getattr(node, "id", None) in ("cells", "cell")] == []
+
+
+def deleted_product_functions(*names) -> dict:
+    """{name: node} of the named functions and DeletedProductComplex methods of deleted_product.py."""
+    tree = ast.parse((SRC / "deleted_product.py").read_text())
+    [cls] = [node for node in tree.body
+             if isinstance(node, ast.ClassDef) and node.name == "DeletedProductComplex"]
+    return {node.name: node for node in tree.body + cls.body
+            if isinstance(node, ast.FunctionDef) and node.name in names}
+
+
+def test_puzzle_lists_no_cell():
+    """puzzle_reachable steps from each 0-cell along the base's edges: it
+    calls neither lister nor cell_boundary, and loads no cells_by_dim."""
+    [fn] = deleted_product_functions("puzzle_reachable").values()
+    calls = {getattr(node.func, "id", None) or getattr(node.func, "attr", None)
+             for node in ast.walk(fn) if isinstance(node, ast.Call)}
+    assert calls and calls.isdisjoint({"_disjoint", "disjoint_tuples", "cell_boundary"})
+    assert [node.lineno for node in ast.walk(fn)
+            if isinstance(node, ast.Attribute) and node.attr == "cells_by_dim"] == []
+
+
+def test_the_keys_and_the_matching_read_no_declared_vertex_count():
+    """_keys takes powers of the vertices that the base uses, and
+    element_matching walks and buckets those alone, so neither loads
+    num_vertices: a base declared on many unused ids costs nothing more."""
+    methods = deleted_product_functions("_keys", "element_matching")
+    assert len(methods) == 2
+    assert [(name, node.lineno) for name, fn in methods.items() for node in ast.walk(fn)
+            if isinstance(node, ast.Attribute) and node.attr == "num_vertices"] == []
 
 
 def test_one_separation_test_in_convexity():
