@@ -37,30 +37,40 @@ def report_text(obj) -> str:
     which raises CapExceeded on a number too long to print), dict keys
     through str, tuples and sets as lists, an object with __dict__ as
     vars(obj), anything else as str(obj).  The bytes are those of
-    json.dumps(..., sort_keys=True, indent=2) on the converted report."""
+    json.dumps(..., sort_keys=True, indent=2) on the converted report.  A
+    tuple of ints inside +-2^53 is written once per object and indent: its
+    text is memoized by (id, pad) for the call, the memo holding the tuple
+    so that its id is not reused, and each later visit is one dict probe."""
     out = []
-    _write(obj, out, "\n")
+    _write(obj, out, "\n", {})
     return "".join(out)
 
 
-def _write(obj, out, pad):
-    """Append the text of obj to out; pad is the newline and indent of its line."""
+def _write(obj, out, pad, memo):
+    """Append the text of obj to out; pad is the newline and indent of its
+    line, and memo maps (id, pad) of a tuple of ints to (the tuple, its text)."""
     kind = type(obj)
     if kind not in _EXACT:  # a subclass, such as a namedtuple: the first kind it is
         kind = next((k for k in _KINDS if isinstance(obj, k)), object)
     if kind is int and -SAFE_INT < obj < SAFE_INT:
         out.append(int.__repr__(obj))
     elif kind in _LISTS:
+        seen = memo.get((id(obj), pad)) if kind is tuple else None
         inner = pad + "  "
-        if not obj:
+        if seen is not None:
+            out.append(seen[1])
+        elif not obj:
             out.append("[]")
         elif all(type(x) is int and -SAFE_INT < x < SAFE_INT for x in obj):  # one join
-            out.append("[" + inner + ("," + inner).join(map(int.__repr__, obj)) + pad + "]")
+            text = "[" + inner + ("," + inner).join(map(int.__repr__, obj)) + pad + "]"
+            out.append(text)
+            if kind is tuple:
+                memo[id(obj), pad] = obj, text
         else:
             sep = "[" + inner
             for x in obj:
                 out.append(sep)
-                _write(x, out, inner)
+                _write(x, out, inner, memo)
                 sep = "," + inner
             out.append(pad + "]")
     elif kind is dict:
@@ -69,7 +79,7 @@ def _write(obj, out, pad):
         sep = "{" + inner
         for key in sorted(items):
             out.append(sep + quote(key) + ": ")
-            _write(items[key], out, inner)
+            _write(items[key], out, inner, memo)
             sep = "," + inner
         out.append(pad + "}" if items else "{}")
     elif kind is str:
@@ -79,7 +89,7 @@ def _write(obj, out, pad):
     elif kind is not object:  # bool, None or float: NaN and Infinity as json writes them
         out.append(json.dumps(obj))
     elif hasattr(obj, "__dict__"):
-        _write(vars(obj), out, pad)
+        _write(vars(obj), out, pad, memo)
     else:
         out.append(quote(str(obj)))
 

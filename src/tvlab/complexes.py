@@ -92,16 +92,18 @@ class Complex:
 
     @classmethod
     def from_maximal(cls, num_vertices: int, maximal: Iterable[Iterable[int]]) -> "Complex":
-        """Close the given simplices under faces, within the cell cap."""
-        closed = set()
+        """Close the given simplices under faces, within the cell cap, read once."""
+        closed, cap = set(), configured_cell_cap()
         for m in maximal:
             s = make_simplex(sorted(m))
             if s[-1] >= num_vertices:
                 raise InputError("vertex id %d out of range" % s[-1])
-            check_simplex_faces(len(s) - 1)
+            if 2 ** len(s) - 1 > cap:  # its faces alone pass the cap
+                check_simplex_faces(len(s) - 1)
             for k in range(1, len(s) + 1):
                 closed.update(combinations(s, k))
-            check_cap(len(closed), "faces of the complex")
+            if len(closed) > cap:
+                check_cap(len(closed), "faces of the complex")
         return cls(num_vertices, frozenset(closed))
 
     @property

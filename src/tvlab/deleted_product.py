@@ -3,7 +3,10 @@
 A cell is an ordered r-tuple of pairwise vertex-disjoint non-empty simplices
 of the base complex (has_cell checks just that; no cell index is kept); its
 dimension is the sum of the factor dimensions.  deleted_product counts the
-cells of each degree, checking the cell cap as it counts, for every base.
+cells of each degree, checking the cell cap as it counts, for every base:
+past the middle factors, found by _fits, the last one is counted by popcount
+over bitsets of simplex table positions, one per size and one per vertex,
+the latter built on the vertex's first use.
 The boundary operator carries the Koszul sign (-1)^{d_1+...+d_{i-1}} on the
 i-th factor, and the symmetric group permutes factors with the Koszul sign of
 permuting graded slots: the sign of the permutation restricted to the
@@ -53,6 +56,7 @@ matrices and the flows.
 from __future__ import annotations
 
 import sys
+from array import array
 from bisect import bisect_left, bisect_right
 from functools import cached_property
 from itertools import repeat
@@ -415,11 +419,21 @@ class DeletedProductComplex:
         return out
 
 
+def _bitset(positions, length: int) -> int:
+    """The int with a bit at each of these positions below length, in one linear pass."""
+    bits = bytearray((length + 7) >> 3)
+    for i in positions:
+        bits[i >> 3] |= 1 << (i & 7)
+    return int.from_bytes(bits, "little")
+
+
 def deleted_product(K: Complex, r: int) -> DeletedProductComplex:
     """The r-fold deleted product of K, counted and not listed: a full simplex by a closed form,
     any other base as {mask key: (used vertex mask, ordered prefixes)} over the prefixes _fits
-    keeps, each with cells of its own, counted by degree at the last factor: CapExceeded comes
-    as soon as the running count passes the cap."""
+    keeps at each factor but the last, in table order.  The last factor is counted by popcount
+    over table positions: a state's blocked set is the OR of its used vertices' bitsets, each
+    built on its first use, and the k-simplices off it add ways times their number to the
+    count of their degree.  CapExceeded comes as soon as the running count passes the cap."""
     if r < 2:
         raise InputError("deleted product needs r >= 2, got %d" % r)
     if K.is_full_simplex():
@@ -428,25 +442,48 @@ def deleted_product(K: Complex, r: int) -> DeletedProductComplex:
     (table, n), states, cap = _simplex_table(K.simplices), {0: (0, 1)}, configured_cell_cap()
     if r > n:  # r disjoint non-empty simplices need r vertices
         return DeletedProductComplex(K, r, [])
-    f = {}
-    for later in range(r - 1, -1, -1):
+    what = "cells of the deleted product, at least"
+    for later in range(r - 1, 0, -1):
         grown, total = {}, 0
         for used, ways in states.values():
             fit = _fits(table, n, later, used)
-            if later:
-                for s, m, k, t in fit:
-                    after = used | m
-                    at = after if after < _HASH_MODULUS else _mask_key(after)  # wide masks only
-                    old = grown.get(at)
-                    grown[at] = (after, ways) if old is None else (after, old[1] + ways)
-            else:  # the last factor: each cell into the count of its degree
-                low = used.bit_count() - r
-                for s, m, k, t in fit:
-                    f[low + k] = f.get(low + k, 0) + ways
+            for s, m, k, t in fit:
+                after = used | m
+                at = after if after < _HASH_MODULUS else _mask_key(after)  # wide masks only
+                old = grown.get(at)
+                grown[at] = (after, ways) if old is None else (after, old[1] + ways)
             total += ways * len(fit)
             if total > cap:
-                check_cap(total, "cells of the deleted product, at least")
+                check_cap(total, what)
         states = grown
+    big, length = max(e[2] for e in table), len(table)
+    places = {e[0][0]: array("L") for e in table if e[2] == 1}  # vertex: its table positions
+    sizes = [bytearray((length + 7) >> 3) for _ in range(big + 1)]
+    for i, e in enumerate(table):
+        sizes[e[2]][i >> 3] |= 1 << (i & 7)
+        for v in e[0]:
+            places[v].append(i)
+    sizes = [int.from_bytes(bits, "little") for bits in sizes]  # sizes[k]: the k-simplices
+    f, on, total = {}, {}, 0  # on[v]: the simplices on vertex v, once v is used
+    for used, ways in states.values():
+        blocked, rest = 0, used
+        while rest:
+            v = (rest & -rest).bit_length() - 1
+            bits = on.get(v)
+            if bits is None:
+                bits = on[v] = _bitset(places[v], length)
+            blocked |= bits
+            rest &= rest - 1
+        fits, free, taken = 0, ~blocked, used.bit_count()
+        low = taken - r  # with a k-simplex, a cell of degree low + k
+        for k in range(1, min(big, n - taken) + 1):
+            c = (sizes[k] & free).bit_count()
+            if c:
+                f[low + k] = f.get(low + k, 0) + ways * c
+                fits += c
+        total += ways * fits
+        if total > cap:
+            check_cap(total, what)
     return DeletedProductComplex(K, r, [f[d] for d in range(len(f))])  # no degree is skipped
 
 

@@ -812,6 +812,28 @@ def test_report_text_is_json_dumps_of_the_converted_report():
     assert json.loads(cli.report_text(colliding)) == {"1": "str key", "2": "1/2"}
 
 
+SHARED = (3, 1, 4)
+MEMO_CASES = {
+    "two depths": {"a": SHARED, "b": [SHARED, {"c": SHARED}], "d": [[SHARED]]},
+    "twice in a list": [SHARED, SHARED, (SHARED, SHARED)],
+    "equal, distinct": [tuple([5, 9]), tuple([5, 9]), [tuple([5, 9])]],
+    "namedtuple": [Pair(1, 2), Pair(1, 2), {"p": Pair(1, 2)}, Pair(2 ** 53, True)],
+    "bool": [(1, 1), (True, 1), (1, True), (True, 1), (1.0, 1)],
+    "Count": [(Count(3), 4), (4, Count(3))],
+    "2^53": [(2 ** 53, 1), (1, -(2 ** 53)), (2 ** 53 - 1, -(2 ** 53) + 1)],
+    "list inside": [(1, [2, 3]), ([2, 3], 1), (1, (2, 3))],
+}
+
+
+@pytest.mark.parametrize("name", list(MEMO_CASES))
+def test_a_tuple_written_from_the_memo_reads_as_json_dumps(name):
+    """A tuple of ints met again, at the same or another depth, is written
+    from the memo; a tuple that holds anything else is written in full."""
+    obj = MEMO_CASES[name]
+    for report in (obj, [obj, obj], {"x": obj, "y": [obj]}):
+        assert cli.report_text(report) == json.dumps(jsonable(report), sort_keys=True, indent=2)
+
+
 def test_an_answer_too_long_to_print_exits_3(tmp_path, capsys):
     # valid points whose Radon report holds a numerator past the
     # int-to-str digit limit: over a limit (3), not bad input (2); nothing

@@ -5,6 +5,7 @@ import sys
 
 import pytest
 
+from tvlab import complexes
 from tvlab.complexes import (Complex, check_cap, check_digits, full_simplex, make_simplex,
                              simplex_skeleton)
 from tvlab.errors import CapExceeded, InputError
@@ -128,3 +129,31 @@ def test_face_closure_is_capped(monkeypatch):
     assert len(Complex.from_maximal(8, [[0, 1, 2, 3], [4, 5]]).simplices) == 18
     with pytest.raises(CapExceeded):  # each simplex fits, together they do not
         Complex.from_maximal(8, [[0, 1, 2, 3], [4, 5, 6]])
+
+
+@pytest.mark.parametrize("cap, n, maximal, message", [
+    (14, 4, [range(4)], "faces of the 3-simplex: 15, over the cell cap 14"),
+    (5, 40, [range(40)], "faces of the 39-simplex, at least: 8, over the cell cap 5"),
+    (20, 8, [[0, 1, 2, 3], [4, 5, 6]], "faces of the complex: 22, over the cell cap 20"),
+    (20, 8, [[0, 1], [0, 1, 2, 3, 4]], "faces of the 4-simplex: 31, over the cell cap 20"),
+    (0, 1, [[0]], "faces of the 0-simplex, at least: 1, over the cell cap 0")])
+def test_face_closure_names_what_passed_the_cap(monkeypatch, cap, n, maximal, message):
+    monkeypatch.setenv("TVLAB_CELL_CAP", str(cap))
+    with pytest.raises(CapExceeded) as exc:
+        Complex.from_maximal(n, maximal)
+    assert str(exc.value) == message
+
+
+def test_face_closure_reads_the_cap_once(monkeypatch):
+    reads = []
+
+    def counted_cap():
+        reads.append(1)
+        return cell_cap()
+
+    cell_cap = complexes.configured_cell_cap
+    monkeypatch.setattr(complexes, "configured_cell_cap", counted_cap)
+    monkeypatch.setenv("TVLAB_CELL_CAP", "15")  # the 3-simplex's 15 faces pass
+    assert len(Complex.from_maximal(4, [range(4)]).simplices) == 15
+    assert len(Complex.from_maximal(8, [[0, 1, 2], [2, 3], [4]]).simplices) == 10
+    assert len(reads) == 2

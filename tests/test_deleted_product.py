@@ -497,15 +497,18 @@ def test_puzzle_unknown_cell():
 
 def reference_puzzle_path(dp, start, goal):
     """Breadth first over the edges of cells_by_dim[1], in their sorted order."""
+    incident = {}  # 0-cell: (edge, its two ends) for each 1-cell on it, in sorted order
+    for edge in dp.cells_by_dim.get(1, ()):
+        ends = [f for f, _ in dp.cell_boundary(edge)]
+        for v in ends:
+            incident.setdefault(v, []).append((edge, ends))
     prev, queue = {start: None}, [start]
     for v in queue:
-        for edge in dp.cells_by_dim.get(1, ()):
-            ends = [f for f, _ in dp.cell_boundary(edge)]
-            if v in ends:
-                for w in ends:
-                    if w not in prev:
-                        prev[w] = (v, edge)
-                        queue.append(w)
+        for edge, ends in incident.get(v, ()):
+            for w in ends:
+                if w not in prev:
+                    prev[w] = (v, edge)
+                    queue.append(w)
     if goal not in prev:
         return False, []
     path, node = [goal], goal
@@ -730,3 +733,81 @@ def test_a_level_of_prefixes_meets_the_cap(monkeypatch):
     with pytest.raises(CapExceeded, match=r"^disjoint 2-tuples, at least: 280, "
                                           r"over the cell cap 279$"):
         disjoint_tuples(simplex_skeleton(7, 2).simplices_of_dim(2), 2)
+
+
+def tuple_count_f_vector(K, r):
+    """Cells per degree, one ordered r-tuple of pairwise disjoint simplices
+    at a time: each factor tried against the vertex set of the tuple so far."""
+    simplices, counts = [frozenset(s) for s in K.simplices], Counter()
+
+    def grow(left, used, dim):
+        if not left:
+            counts[dim] += 1
+            return
+        for s in simplices:
+            if not s & used:
+                grow(left - 1, used | s, dim + len(s) - 1)
+
+    grow(r, frozenset(), 0)
+    return [counts[d] for d in range(len(counts))]
+
+
+@needs_hypothesis
+def test_the_count_matches_the_ordered_tuples_on_random_bases():
+    """Bases of at most 8 vertices and r from 2 to 4, empty products (r
+    above the vertex count) included."""
+    seen = Counter()
+
+    @settings(max_examples=150)
+    @given(st.integers(1, 8).flatmap(lambda n: st.tuples(
+        st.just(n), st.lists(st.sets(st.integers(0, n - 1), min_size=1, max_size=4),
+                             min_size=1, max_size=5))),
+           st.integers(2, 4))
+    def check(base, r):
+        n, maximal = base
+        K = Complex.from_maximal(n, [sorted(m) for m in maximal])
+        expected = tuple_count_f_vector(K, r)
+        assert deleted_product(K, r).f_vector() == expected
+        seen[bool(expected)] += 1
+
+    check()
+    assert seen[True] >= 20 and seen[False] >= 5, seen
+
+
+@pytest.mark.parametrize("r", [2, 3, 4])
+def test_the_count_matches_the_ordered_tuples_past_vertex_61(r):
+    K = Complex.from_maximal(72, [[0, 64, 70], [1, 65], [65, 71], [2, 3], [62, 66, 69], [61]])
+    assert deleted_product(K, r).f_vector() == tuple_count_f_vector(K, r)
+
+
+# "cells of the deleted product, at least: N" as each cap passes, the running
+# count at the first state that takes it past the cap
+COUNT_REFUSALS = {
+    (COLORED333, 3): {1: 63, 50: 63, 100: 108, 300: 308, 1000: 1029, 5000: 5134, 10000: 10080},
+    (simplex_skeleton(7, 2), 2): {1: 92, 50: 92, 100: 104, 300: 320, 1000: 1004, 2000: 2011},
+    (simplex_skeleton(7, 2), 3): {1: 92, 100: 104, 500: 511, 5000: 5088, 10000: 10120},
+}
+
+
+@pytest.mark.parametrize("K, r", list(COUNT_REFUSALS),
+                         ids=["colored333-r3", "delta7_2-r2", "delta7_2-r3"])
+def test_the_count_refuses_with_the_running_count(monkeypatch, K, r):
+    for cap, count in COUNT_REFUSALS[K, r].items():
+        monkeypatch.setenv("TVLAB_CELL_CAP", str(cap))
+        with pytest.raises(CapExceeded) as exc:
+            deleted_product(K, r)
+        assert str(exc.value) == ("cells of the deleted product, at least: %d, "
+                                  "over the cell cap %d" % (count, cap))
+
+
+def test_a_long_cycle_refuses_at_once(monkeypatch):
+    """3,000 vertices: the last factor counts each state's fits by popcount,
+    where a scan of the whole simplex table per state made this refusal slow."""
+    monkeypatch.delenv("TVLAB_CELL_CAP", raising=False)
+    K = Complex.from_maximal(3000, [(v, (v + 1) % 3000) for v in range(3000)])
+    start = time.perf_counter()
+    with pytest.raises(CapExceeded) as exc:
+        deleted_product(K, 2)
+    assert time.perf_counter() - start < 5.0
+    assert str(exc.value) == ("cells of the deleted product, at least: 5000664, "
+                              "over the cell cap 5000000")
