@@ -20,7 +20,8 @@ from functools import cache
 from json.encoder import encode_basestring_ascii as quote
 
 from . import convexity, homology, obstruction, plmaps, symgroup
-from .complexes import Complex, check_cap, configured_cell_cap, full_simplex, integer
+from .complexes import (Complex, check_cap, check_simplex_faces, configured_cell_cap, full_simplex,
+                        integer)
 from .deleted_product import (cell_dim, check_full_simplex_cap, deleted_product,
                               puzzle_reachable)
 from .errors import CapExceeded, InputError, SearchInvariantViolated, TvlabError, read_json
@@ -128,8 +129,16 @@ def load_complex(args) -> Complex:
         return Complex.from_json_file(args.complex)
     if args.n is None:
         raise InputError("give the complex as --n or --complex")
-    check_full_simplex_cap(args.n, args.r)  # before the 2^(n+1)-1 faces exist
+    check_simplex_faces(args.n)  # before the 2^(n+1)-1 faces exist
     return full_simplex(args.n)
+
+
+def load_product(args):
+    """The deleted product of the base of load_complex; an --n simplex's is
+    counted against the cap before its faces exist."""
+    if args.n is not None:
+        check_full_simplex_cap(args.n, args.r)
+    return deleted_product(load_complex(args), args.r)
 
 
 def parse_cell(text) -> tuple:
@@ -163,7 +172,7 @@ def config_of(args) -> dict:
 
 
 def cmd_dp_stats(args):
-    dp = deleted_product(load_complex(args), args.r)
+    dp = load_product(args)
     return emit({
         "f_vector": dp.f_vector(),
         "dim": dp.dim,
@@ -176,13 +185,13 @@ def cmd_dp_stats(args):
 def cmd_dp_homology(args):
     coefficients = args.mod if args.mod is not None else "Z"
     homology.coefficient_tag(coefficients)  # reject a bad modulus before any cell is built
-    rep = homology.dp_homology(deleted_product(load_complex(args), args.r), coefficients)
+    rep = homology.dp_homology(load_product(args), coefficients)
     table = {d: {"rank": rep.ranks[d], "torsion": rep.torsion.get(d, [])} for d in rep.ranks}
     return emit({"coefficients": rep.coefficients, "homology": table}, args)
 
 
 def cmd_dp_connectivity(args):
-    dp = deleted_product(load_complex(args), args.r)
+    dp = load_product(args)
     return emit({"homological_connectivity": homology.homological_connectivity(dp)}, args)
 
 
@@ -279,8 +288,7 @@ def cmd_ozaydin(args):
 
 def cmd_puzzle(args):
     start, goal = parse_cell(getattr(args, "from")), parse_cell(args.to)
-    dp = deleted_product(load_complex(args), args.r)
-    ok, path = puzzle_reachable(dp, start, goal)
+    ok, path = puzzle_reachable(load_complex(args), args.r, start, goal)
     return emit({"reachable": ok, "path": path, "path_dims": [cell_dim(c) for c in path]}, args)
 
 

@@ -24,24 +24,25 @@ one of its factors in the base: a prefix carries its key and the union of
 its factors' reach, each step found once per mask and level with the
 extension itself, so no cell is read again for its key or its masks.  The
 keyed walk lists every ordering of the factors, and the unkeyed one, which
-disjoint_tuples runs, the increasing tuples.  puzzle_reachable lists no
-cell: it steps from each 0-cell it reaches along the base's edges, each
-slot's vertex to a neighbour that the 0-cell lacks.  Dicts over vertex masks
-key a mask past the int hash modulus by its bytes, so a base of more than
-61 vertices hashes well.
+disjoint_tuples runs, the increasing tuples.  puzzle_reachable builds no
+deleted product and lists no cell: it steps from each 0-cell it reaches
+along the base's edges, each slot's vertex to a neighbour that the 0-cell
+lacks, and meets the cell cap on the 0-cells it keeps.  _simplex_table ranks
+the vertices that the base uses, once: masks, keys, powers and buckets read
+a vertex by its rank, so they are as wide as the vertex count, whatever the
+ids, and only cells_by_dim names a cell back by its ids.  Dicts over vertex
+masks key a mask past the int hash modulus by its bytes, so a base that
+uses more than 61 vertices hashes well.
 
 Homology is reduced on a Morse complex.  Read a cell as the set of pairs
 (v, i), vertex v in factor i; a facet drops one pair.  The element matching
 walks the pairs with i outer and v descending, and at each pair it matches
 every unmatched cell that lacks v to the cell with v added to factor i, if
-that is an unmatched cell: its key is the cell's key plus (i + 1) * q^v.
-Powers, pairs and buckets are built for the vertices that the base uses
-alone, with 0 or None at an unused id below the largest, so a base declared
-on many unused vertex ids costs next to nothing more.  A sequence of
-element matchings is acyclic (Jonsson 2008, the cluster lemma), and each
-matched pair is a +-1 boundary entry, so the unmatched, critical cells
-carry the homology over Z and every GF(p) (Skoldberg 2006).  On every full
-simplex tried (Delta_N up to N = 7, and Delta_8 with r <= 4) they are
+that is an unmatched cell: its key is the cell's key plus (i + 1) * q^v.  A
+sequence of element matchings is acyclic (Jonsson 2008, the cluster lemma),
+and each matched pair is a +-1 boundary entry, so the unmatched, critical
+cells carry the homology over Z and every GF(p) (Skoldberg 2006).  On every
+full simplex tried (Delta_N up to N = 7, and Delta_8 with r <= 4) they are
 exactly its Betti numbers.  The Morse boundary of a critical cell sums the
 flows of its facets: a critical cell flows to itself, a cell matched down to
 0, and a cell matched up follows its partner's other facets; each flow is
@@ -95,9 +96,15 @@ def check_full_simplex_cap(N: int, r: int) -> None:
 
 
 def _simplex_table(simplices) -> tuple:
-    """Sorted (simplex, vertex mask, size, (simplex,)) entries, and how many vertices they use."""
-    table = [(s, sum(1 << v for v in s), len(s), (s,)) for s in sorted(simplices)]
-    return table, len(set().union(*simplices))
+    """Sorted (ranked simplex, its vertex mask, size, (simplex,)) entries, and
+    how many vertices they use: each vertex is ranked among those, once, and
+    the ranking is monotone, so the ranked simplices sort as the simplices do."""
+    rank = {v: i for i, v in enumerate(sorted(set().union(*simplices)))}
+    table, get, bit = [], rank.__getitem__, (1).__lshift__
+    for s in sorted(simplices):
+        t = tuple(map(get, s))
+        table.append((t, sum(map(bit, t)), len(s), (s,)))
+    return table, len(rank)
 
 
 _HASH_MODULUS = sys.hash_info.modulus  # an int hashes to itself modulo this prime, 2^61 - 1
@@ -122,28 +129,29 @@ def _disjoint(simplices, r: int, dim, into, powers=None) -> None:
     prefix grows by the _fits of its mask past its least vertex, found once
     per mask and level, after its last factor, with a simplex left per later
     factor.  Keyed, given the powers q^v of a prime q above r, it lists
-    the tuples in every ordering of the factors, a prefix growing by all the
-    _fits of its mask; into(degree) names a (cells, keys, growth) triple of
-    lists instead, and each prefix also carries its key, sum (i + 1) * q^v
-    over the vertices v of its factor i, and its reach, the vertices that
-    extend one of its factors in the base: each tuple goes into cells, its
-    key into keys, and its reach off its own vertices into growth.  A key's
-    and a reach's step from a prefix to its extension are found with the
-    extension.  A dimension target is a budget of dim + r vertices and a
-    least size that reaches it."""
+    the ranked tuples, each vertex v its rank among those used, in every
+    ordering of the factors, a prefix growing by all the _fits of its mask;
+    into(degree) names a (cells, keys, growth) triple of lists instead, and
+    each prefix also carries its key, sum (i + 1) * q^v over the vertices v
+    of its factor i, and its reach, the vertices that extend one of its
+    factors in the base: each tuple goes into cells, its key into keys, and
+    its reach off its own vertices into growth.  A key's and a reach's step
+    from a prefix to its extension are found with the extension.  A
+    dimension target is a budget of dim + r vertices and a least size that
+    reaches it."""
     (table, n), cap = _simplex_table(simplices), configured_cell_cap()
     big = max((e[2] for e in table), default=0)
     if r > n or dim is not None and not 0 <= dim <= min(n - r, r * (big - 1)):
         return  # r factors use r to n vertices, and dim is their sizes less r
     if not r:
         into(0).append(())
-    if powers is not None:  # each entry gains its simplex's key weight, sum q^v, and reach
-        extend = dict.fromkeys(simplices, 0)  # the vertices that extend each simplex
-        for s in simplices:
+    if powers is not None:  # each ranked simplex is its own tail, with its key weight and reach
+        extend = {e[0]: 0 for e in table}  # the vertices that extend each simplex
+        for s in extend:
             if len(s) > 1:
                 for k, v in enumerate(s):
                     extend[s[:k] + s[k + 1:]] |= 1 << v
-        table = [e + (sum(powers[v] for v in e[0]), extend[e[0]]) for e in table]
+        table = [(s, m, k, (s,), sum(powers[v] for v in s), extend[s]) for s, m, k, _ in table]
     budget, tuples, masks = n if dim is None else dim + r, [()], [0]
     keys = reaches = [0]
     for later in range(r - 1, -1, -1):
@@ -217,8 +225,11 @@ class DeletedProductComplex:
 
     @cached_property
     def cells_by_dim(self) -> dict:
-        """{degree: sorted cells}, listed by the one keyed walk of _keys."""
-        return self._keys[1]
+        """{degree: sorted cells}, listed ranked by the one keyed walk of
+        _keys and named back by the base's vertex ids."""
+        ids = sorted(set().union(*self.base.simplices))
+        return {d: [tuple(tuple(map(ids.__getitem__, s)) for s in cell) for cell in cells]
+                for d, cells in self._keys[1].items()}
 
     def has_cell(self, cell: ProductCell) -> bool:
         """True iff cell is r pairwise vertex-disjoint simplices of the base."""
@@ -242,25 +253,22 @@ class DeletedProductComplex:
     @cached_property
     def _keys(self) -> tuple:
         """(drops, cells, keys, indices, growth), from the one keyed walk of
-        _disjoint, in every ordering of the factors: drops[i][v] is (i + 1) *
-        q^v for the least prime q above r at each vertex v of the base, and 0
-        at an unused id, so no power is taken for one, cells[d] the d-cells
-        in sorted order, keys[d] their keys, indices[d] the {key: position}
-        of keys[d], and growth[d] the mask of the vertices that each d-cell
-        lacks and that extend one of its factors in the base.  A cell's key
-        writes label i + 1 at each vertex of factor i as a base-q digit, so
-        distinct cells have distinct keys; powers of an odd prime, unlike bit
-        shifts, do not fold vertex v onto v + 61 in CPython's int hash.  An
-        empty product walks nothing and keys nothing."""
+        _disjoint, in every ordering of the factors, each vertex read by its
+        rank v among the n that the base uses: drops[i][v] is (i + 1) * q^v
+        for the least prime q above r and v below n, cells[d] the ranked
+        d-cells in sorted order, keys[d] their keys, indices[d] the {key:
+        position} of keys[d], and growth[d] the mask of the vertices that
+        each d-cell lacks and that extend one of its factors in the base.  A
+        cell's key writes label i + 1 at each vertex of factor i as a base-q
+        digit, so distinct cells have distinct keys; powers of an odd prime,
+        unlike bit shifts, do not fold vertex v onto v + 61 in CPython's int
+        hash.  An empty product walks nothing and keys nothing."""
         if self.is_empty:
             return [], {}, {}, {}, {}
         q = self.r + 1
         while not is_prime(q):
             q += 1
-        vertices = [s[0] for s in self.base.simplices if len(s) == 1]
-        powers = [0] * (max(vertices) + 1)  # 0 at an unused id, which no cell holds
-        for v in vertices:
-            powers[v] = q ** v
+        powers = [q ** v for v in range(sum(len(s) == 1 for s in self.base.simplices))]
         out = {d: ([], [], []) for d in range(self.dim + 1)}
         _disjoint(self.base.simplices, self.r, None, out.__getitem__, powers)
         drops = [[label * w for w in powers] for label in range(1, self.r + 1)]
@@ -289,10 +297,10 @@ class DeletedProductComplex:
         cell_boundary.  Rows index (d-1)-cells and columns d-cells, both in
         sorted cell order; the facets of one cell are distinct cells.
         """
-        drops, _, keys, indices, _ = self._keys
+        drops, cells, keys, indices, _ = self._keys
         rows, facets = indices.get(d - 1, {}), self._facets
         return [facets(drops, rows, cell, key)
-                for cell, key in zip(self.cells_by_dim.get(d, ()), keys.get(d, ()))]
+                for cell, key in zip(cells.get(d, ()), keys.get(d, ()))]
 
     def element_matching(self) -> list:
         """The element matching, as mate[d][j] for the j-th d-cell: the index
@@ -304,16 +312,12 @@ class DeletedProductComplex:
         by the vertices of their growth masks, those that they lack and that
         extend one of their factors in the base, so a sparse base with many
         vertices has few candidates, and a bucket keeps only the cells that
-        have not been matched.  Only the vertices of the base, those with a
-        nonzero drop, are walked and bucketed, so an unused vertex id costs no
-        bucket."""
+        have not been matched.  A vertex is its rank among those that the
+        base uses, so each one walked has a bucket and a drop."""
         drops, _, keys, indices, growth = self._keys
         top, n = self.dim, len(drops[0]) if drops else 0
-        vertices = [v for v in range(n - 1, -1, -1) if drops[0][v]]
         mate = [[None] * len(keys[d]) for d in range(top + 1)]
-        lacking = [None] * n  # [v][d]: d-cells v may grow, for each vertex v of the base
-        for v in vertices:
-            lacking[v] = [[] for _ in range(top)]
+        lacking = [[[] for _ in range(top)] for _ in range(n)]  # [v][d]: d-cells v may grow
         for d in range(top):
             for j, grow in enumerate(growth[d]):
                 while grow:
@@ -321,7 +325,7 @@ class DeletedProductComplex:
                     lacking[v][d].append(j)
                     grow ^= 1 << v
         for drop in drops:
-            for v in vertices:
+            for v in range(n - 1, -1, -1):
                 add = drop[v]
                 for d in range(top):
                     here, there, upper, at = mate[d], mate[d + 1], indices[d + 1], keys[d]
@@ -457,20 +461,20 @@ def deleted_product(K: Complex, r: int) -> DeletedProductComplex:
                 check_cap(total, what)
         states = grown
     big, length = max(e[2] for e in table), len(table)
-    places = {e[0][0]: array("L") for e in table if e[2] == 1}  # vertex: its table positions
+    places = [array("L") for _ in range(n)]  # [v]: the table positions of vertex v's simplices
     sizes = [bytearray((length + 7) >> 3) for _ in range(big + 1)]
     for i, e in enumerate(table):
         sizes[e[2]][i >> 3] |= 1 << (i & 7)
         for v in e[0]:
             places[v].append(i)
     sizes = [int.from_bytes(bits, "little") for bits in sizes]  # sizes[k]: the k-simplices
-    f, on, total = {}, {}, 0  # on[v]: the simplices on vertex v, once v is used
+    f, on, total = {}, [0] * n, 0  # on[v]: the simplices on vertex v, once v is used
     for used, ways in states.values():
         blocked, rest = 0, used
         while rest:
             v = (rest & -rest).bit_length() - 1
-            bits = on.get(v)
-            if bits is None:
+            bits = on[v]
+            if not bits:
                 bits = on[v] = _bitset(places[v], length)
             blocked |= bits
             rest &= rest - 1
@@ -514,30 +518,32 @@ def act_on_cell(omega: tuple, cell: ProductCell):
     return tuple(new), sign(odd)
 
 
-def puzzle_reachable(dp: DeletedProductComplex, start: ProductCell, goal: ProductCell):
-    """Walk breadth first between 0-cells along edges of the deleted product, listing no cell.
+def puzzle_reachable(base: Complex, r: int, start: ProductCell, goal: ProductCell):
+    """Walk breadth first between 0-cells along edges of the r-fold deleted
+    product of base, building no deleted product and listing no cell.
 
-    An edge at a 0-cell v replaces one factor (u,) with a base edge on u and
+    A 0-cell is r distinct vertices of the base, one factor (v,) each.  An
+    edge at a 0-cell v replaces one factor (u,) with a base edge on u and
     a vertex x that v lacks, and its other end has (x,) in that slot.  Each
     0-cell's (edge, other end) pairs are visited in sorted order, the order
-    of the sorted 1-cells.  Only 0-cells are kept, and deleted_product has
-    counted them against the cell cap.
+    of the sorted 1-cells.  Only 0-cells are kept, and their running count
+    meets the cell cap.
 
     Returns (reachable, path) where path alternates 0-cells and 1-cells;
     path is [] when start == goal.
     """
     for c in (start, goal):
-        if cell_dim(c) != 0 or not dp.has_cell(c):
+        if not (len(c) == r == len(set(c)) and all(len(s) == 1 and s in base.simplices for s in c)):
             raise InputError("not a 0-cell of this deleted product: %r" % (c,))
     if start == goal:
         return True, []
 
     neighbours = {}  # the base's edges, from each end
-    for s in dp.base.simplices:
+    for s in base.simplices:
         if len(s) == 2:
             neighbours.setdefault(s[0], []).append(s[1])
             neighbours.setdefault(s[1], []).append(s[0])
-    prev, queue = {start: None}, [start]
+    prev, queue, cap = {start: None}, [start], configured_cell_cap()
     for v in queue:
         if v == goal:
             break
@@ -547,6 +553,8 @@ def puzzle_reachable(dp: DeletedProductComplex, start: ProductCell, goal: Produc
             if w not in prev:
                 prev[w] = (v, edge)
                 queue.append(w)
+        if len(prev) > cap:
+            check_cap(len(prev), "0-cells reached by the puzzle walk, at least")
     if goal not in prev:
         return False, []
     path, node = [goal], goal

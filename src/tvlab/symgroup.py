@@ -15,7 +15,6 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 
 from .complexes import check_cap, configured_cell_cap
-from .convexity import as_points
 from .errors import InputError
 
 
@@ -227,12 +226,3 @@ def invariant_matrix_point(k, r, d) -> MatrixSpherePoint:
     permutation preserving the split {0..k-1} | {k..r-1}."""
     row = tuple([Fraction(k - r)] * k + [Fraction(k)] * (r - k))
     return MatrixSpherePoint(tuple(row for _ in range(d)))
-
-
-def pi_projection(points) -> MatrixSpherePoint:
-    """Columns are the input points minus their mean (unnormalized)."""
-    pts = as_points(points)
-    if all(p == pts[0] for p in pts):
-        raise InputError("all points equal; projection undefined")
-    mean = [sum(coords) / len(pts) for coords in zip(*pts)]
-    return MatrixSpherePoint(tuple(tuple(p[a] - m for p in pts) for a, m in enumerate(mean)))

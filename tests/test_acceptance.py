@@ -1,4 +1,6 @@
-"""Acceptance gate: twelve end-to-end criteria over the whole library.
+"""Acceptance gate: end-to-end criteria 1 to 10 and 12 over the whole library.
+Criterion 11, the equivariance of the pi-projection onto the matrix sphere,
+was retired with symgroup.pi_projection, which no command reached.
 
 Each criterion prints exactly one pass/fail line (visible under pytest -s or
 on failure) and asserts its own wall-clock budget.
@@ -23,9 +25,9 @@ from tvlab.obstruction import (EquivariantCochain, coboundary_matrix,
 from tvlab.plmaps import (PLMap, coned_extension_oracle, constraint_lift,
                           intersection_cocycle, is_almost_r_embedding,
                           join_extension)
-from tvlab.symgroup import (inverse, invariant_block_split,
+from tvlab.symgroup import (invariant_block_split,
                             is_prime, is_transitive, p_order_in_factorial,
-                            pi_projection, sylow_tree_subgroup,
+                            sylow_tree_subgroup,
                             symmetric_group, trivial_group)
 
 PENTAGON = [(0, 2), (2, 1), (1, -2), (-1, -2), (-2, 1)]
@@ -294,18 +296,6 @@ def test_criterion_10_constructions():
                 height = image[-1]
                 assert height >= 0
                 assert (height == 0) == (len(face) - 1 <= s), (n, s, face)
-
-
-def test_criterion_11_pi_projection_equivariance():
-    with criterion(11, 60):
-        for r in (2, 3, 4):
-            for d in (1, 2, 3):
-                for i in range(100):
-                    pts = random_rational_points(r, d, ("pi", r, d, i).__repr__())
-                    base = pi_projection(pts)
-                    for omega in permutations(range(r)):
-                        shuffled = [pts[j] for j in inverse(omega)]
-                        assert pi_projection(shuffled) == base.permuted(omega)
 
 
 def test_criterion_12_ozaydin_report():

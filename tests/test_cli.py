@@ -342,6 +342,33 @@ def test_puzzle_path(capsys):
     assert rep["path_dims"] == [0, 1] * (len(rep["path"]) // 2) + [0]
 
 
+def test_puzzle_answers_past_the_whole_products_cap(capsys, monkeypatch):
+    # the 2-fold deleted product of Delta_14 has 14,283,372 cells, past the
+    # default cap, and the walk keeps at most its 210 0-cells
+    monkeypatch.delenv("TVLAB_CELL_CAP", raising=False)
+    code, rep = run_cli(capsys, ["puzzle", "--n", "14", "--r", "2",
+                                 "--from", "[[0],[1]]", "--to", "[[1],[0]]"])
+    assert code == 0 and rep["reachable"] is True
+    assert rep["path"][0] == [[0], [1]] and rep["path"][-1] == [[1], [0]]
+    assert rep["path_dims"] == [0, 1] * (len(rep["path"]) // 2) + [0]
+
+
+def test_puzzle_meets_the_cap_on_the_zero_cells_it_reaches(tmp_path, capsys, monkeypatch):
+    # the 20-cycle: 40 faces, 380 0-cells and 1,440 cells for r = 2; swapping
+    # two neighbours walks round the cycle through almost every 0-cell
+    cycle = Complex.from_maximal(20, [(v, (v + 1) % 20) for v in range(20)])
+    argv = ["puzzle", "--complex", write_json(tmp_path / "cycle.json", cycle.to_json_dict()),
+            "--r", "2", "--from", "[[0],[1]]", "--to", "[[1],[0]]"]
+    monkeypatch.setenv("TVLAB_CELL_CAP", "380")
+    code, rep = run_cli(capsys, argv)
+    assert code == 0 and rep["reachable"] is True and len(rep["path"]) > 2 * 20
+    monkeypatch.setenv("TVLAB_CELL_CAP", "100")
+    code, rep = run_cli(capsys, argv)
+    assert code == 3 and rep["kind"] == "cap"
+    assert rep["error"].startswith("0-cells reached by the puzzle walk, at least: ")
+    assert rep["error"].endswith(", over the cell cap 100")
+
+
 def test_puzzle_between_the_two_orders_of_an_edge_is_unreachable(capsys):
     # the 2-fold deleted product of an edge is two points and no edge
     code, rep = run_cli(capsys, ["puzzle", "--n", "1", "--r", "2",
@@ -645,11 +672,13 @@ def test_cap_refuses_every_base_before_listing(tmp_path, capsys, monkeypatch, na
     # the running count is a lower bound on the total, so it passes total - 1 only at the total
     refusal = {"error": "cells of the deleted product, at least: %d, over the cell cap %d"
                % (total, total - 1), "kind": "cap"}
-    cell = json.dumps([[v] for v in range(r)])
     for argv in (["dp", "stats"] + base, ["dp", "homology"] + base, ["dp", "connectivity"] + base,
-                 ["puzzle", "--from", cell, "--to", cell] + base,
                  ["vk", "obstruction", "--map", map_path, "--r", str(r)]):
         assert run_cli(capsys, argv) == (3, refusal), argv
+    # puzzle builds no deleted product: it keeps one 0-cell here, within the cap
+    cell = json.dumps([[v] for v in range(r)])
+    code, rep = run_cli(capsys, ["puzzle", "--from", cell, "--to", cell] + base)
+    assert (code, rep["reachable"], rep["path"]) == (0, True, [])
 
 
 @pytest.mark.parametrize("command", ["homology", "connectivity"])

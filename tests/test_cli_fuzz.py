@@ -49,7 +49,6 @@ from tvlab import cli, convexity
 from tvlab.complexes import Complex, simplex_skeleton
 from tvlab.errors import InputError
 from tvlab.plmaps import PLMap
-from tvlab.symgroup import pi_projection
 
 hypothesis = pytest.importorskip("hypothesis")
 st = hypothesis.strategies
@@ -350,7 +349,6 @@ READERS = {
     "hulls_intersect, first group": library(lambda pts: convexity.hulls_intersect([pts, [(0, 0)]])),
     "hulls_intersect, other group": library(lambda pts: convexity.hulls_intersect([[(0, 0)], pts])),
     "PLMap.build": library(lambda pts: PLMap.build(Complex.from_json_dict(TWO_EDGES), 2, pts)),
-    "pi_projection": library(pi_projection),
 }
 
 

@@ -367,6 +367,17 @@ RP2 = Complex.from_maximal(6, [(0, 1, 2), (0, 2, 3), (0, 3, 4), (0, 4, 5), (0, 1
 CYCLE70 = Complex.from_maximal(70, [(v, (v + 1) % 70) for v in range(70)])
 
 
+def relabelled(K, ids):
+    """K with each vertex v renamed ids[v]."""
+    return Complex.from_maximal(max(ids) + 1, [[ids[v] for v in s] for s in K.maximal_simplices()])
+
+
+# RP2 and the 70-cycle on ids with gaps, in order and out of it
+SPARSE_RP2 = relabelled(RP2, [3, 17, 18, 40, 41, 1000])
+SHUFFLED_RP2 = relabelled(RP2, [40, 3, 1000, 18, 41, 17])
+SPARSE_CYCLE70 = relabelled(CYCLE70, [7 * v + v % 3 for v in range(70)])
+
+
 def malformed_cells(K, cell):
     """Near misses of a cell of K's deleted product: a repeated factor, an
     overlapping one, a non-face, an empty factor, one factor fewer, one more
@@ -383,7 +394,7 @@ def malformed_cells(K, cell):
 def test_has_cell_matches_the_cell_lists():
     """Membership by definition against membership in the cell lists, on
     every cell and on near misses of a sample of them."""
-    bases = [full_simplex(n) for n in range(6)] + [simplex_skeleton(6, 2), COLORED333]
+    bases = [full_simplex(n) for n in range(6)] + [simplex_skeleton(6, 2), COLORED333, SPARSE_RP2]
     for K in bases:
         for r in (2, 3, 4):
             dp = deleted_product(K, r)
@@ -403,18 +414,26 @@ def reference_boundary_matrix(dp, d):
             for cell in dp.cells_by_dim.get(d, ())]
 
 
+def vertex_ranks(K):
+    """{vertex id: its rank among the vertices that K uses}."""
+    return {v: i for i, v in enumerate(sorted(set().union(*K.simplices)))}
+
+
 def reference_keys_and_growth(dp, d):
     """The oracle for the walk's keys and growth masks, recomputed from each
-    d-cell: the key sum (i + 1) * q^v over the vertices v of factor i, q the
-    least prime above r, and the vertices that the cell lacks and that extend
-    one of its factors to a simplex of the base."""
+    d-cell with each vertex v read by its rank[v] among the vertices used: the
+    key sum (i + 1) * q^rank[v] over the vertices v of factor i, q the least
+    prime above r, and the ranks of the vertices that the cell lacks and that
+    extend one of its factors to a simplex of the base."""
     q = next(p for p in range(dp.r + 1, 2 * dp.r + 2) if all(p % k for k in range(2, p)))
-    extend = {s: {v for v in range(dp.base.num_vertices)
-                  if tuple(sorted(s + (v,))) in dp.base.simplices} for s in dp.base.simplices}
+    rank = vertex_ranks(dp.base)
+    extend = {s: {v for v in rank if tuple(sorted(s + (v,))) in dp.base.simplices}
+              for s in dp.base.simplices}
     keys, growth = [], []
     for cell in dp.cells_by_dim.get(d, ()):
-        keys.append(sum((i + 1) * q ** v for i, s in enumerate(cell) for v in s))
-        growth.append(sum(1 << v for v in set().union(*map(extend.get, cell)).difference(*cell)))
+        keys.append(sum((i + 1) * q ** rank[v] for i, s in enumerate(cell) for v in s))
+        lacking = set().union(*map(extend.get, cell)).difference(*cell)
+        growth.append(sum(1 << rank[v] for v in lacking))
     return keys, growth
 
 
@@ -426,12 +445,17 @@ def reference_keys_and_growth(dp, d):
     pytest.param(RP2, 3, id="rp2-r3"),
     pytest.param(CYCLE70, 2, id="cycle70-r2"),
     pytest.param(Complex.from_maximal(200, [(v, (v + 1) % 200) for v in range(200)]), 2,
-                 id="cycle200-r2")])
+                 id="cycle200-r2"),
+    pytest.param(SPARSE_RP2, 2, id="sparse-rp2-r2"),
+    pytest.param(SPARSE_RP2, 3, id="sparse-rp2-r3"),
+    pytest.param(SHUFFLED_RP2, 3, id="shuffled-rp2-r3"),
+    pytest.param(relabelled(COLORED333, [2 ** v for v in range(9)]), 3, id="sparse-colored333-r3"),
+    pytest.param(SPARSE_CYCLE70, 2, id="sparse-cycle70-r2")])
 def test_boundary_matrix_matches_the_tuple_index(K, r):
     """Cell keys find the same rows as the tuple index, entry for entry and in
-    order, also on a base of more than 61 vertices; the walk that lists the
-    cells keys each at its position and masks its growth as recomputed from
-    the cell."""
+    order, also on a base of more than 61 vertices and on bases whose ids
+    have gaps; the walk that lists the cells keys each at its position and
+    masks its growth as recomputed from the cell, by vertex rank."""
     dp = deleted_product(K, r)
     _, _, keys, indices, growth = dp._keys
     for d in range(dp.dim + 2):
@@ -465,19 +489,18 @@ def test_cells_come_out_sorted_and_boundaries_are_rebuilt_equal():
 
 
 def test_puzzle_hexagon():
-    dp = deleted_product(full_simplex(2), 2)
-    ok, path = puzzle_reachable(dp, ((0,), (1,)), ((1,), (0,)))
+    ok, path = puzzle_reachable(full_simplex(2), 2, ((0,), (1,)), ((1,), (0,)))
     assert ok
     # opposite corners of the hexagon are three edges apart
     assert sum(1 for c in path if cell_dim(c) == 1) == 3
     assert path[0] == ((0,), (1,)) and path[-1] == ((1,), (0,))
-    ok, path = puzzle_reachable(dp, ((0,), (1,)), ((0,), (1,)))
+    ok, path = puzzle_reachable(full_simplex(2), 2, ((0,), (1,)), ((0,), (1,)))
     assert ok and path == []
 
 
 def test_puzzle_delta3_cubed():
     dp = deleted_product(full_simplex(3), 3)
-    ok, path = puzzle_reachable(dp, ((0,), (1,), (2,)), ((3,), (1,), (0,)))
+    ok, path = puzzle_reachable(dp.base, 3, ((0,), (1,), (2,)), ((3,), (1,), (0,)))
     assert ok
     # verify the path alternates 0-cells and 1-cells and is connected
     for i, cell in enumerate(path):
@@ -488,11 +511,11 @@ def test_puzzle_delta3_cubed():
 
 
 def test_puzzle_unknown_cell():
-    dp = deleted_product(full_simplex(2), 2)
+    K = full_simplex(2)
     with pytest.raises(InputError, match=r"not a 0-cell of this deleted product"):
-        puzzle_reachable(dp, ((0,), (0,)), ((1,), (0,)))
+        puzzle_reachable(K, 2, ((0,), (0,)), ((1,), (0,)))
     with pytest.raises(InputError, match=r"not a 0-cell of this deleted product"):
-        puzzle_reachable(dp, ((0, 1), (2,)), ((1,), (0,)))
+        puzzle_reachable(K, 2, ((0, 1), (2,)), ((1,), (0,)))
 
 
 def reference_puzzle_path(dp, start, goal):
@@ -519,27 +542,27 @@ def reference_puzzle_path(dp, start, goal):
 
 
 @pytest.mark.parametrize("K, r", [(full_simplex(4), 3), (full_simplex(5), 2), (COLORED333, 2),
-                                  (COLORED333, 3), (DISCONNECTED, 2), (full_simplex(1), 2)],
+                                  (COLORED333, 3), (DISCONNECTED, 2), (full_simplex(1), 2),
+                                  (SHUFFLED_RP2, 3)],
                          ids=["delta4-r3", "delta5-r2", "colored333-r2", "colored333-r3",
-                              "disconnected", "delta1-unreachable"])
+                              "disconnected", "delta1-unreachable", "shuffled-rp2-r3"])
 def test_puzzle_lists_no_cell_and_walks_the_same_path(monkeypatch, K, r):
-    """puzzle steps along the base's edges: it neither reads cells_by_dim nor
-    calls the lister, and it walks the reference's path."""
+    """puzzle steps along the base's edges: it builds no deleted product and
+    calls no lister, and it walks the reference's path."""
     dp = deleted_product(K, r)
     zeros = dp.cells_by_dim[0]
     pairs = [(zeros[0], zeros[-1]), (zeros[-1], zeros[len(zeros) // 2 - 1])]
     expected = [reference_puzzle_path(dp, *pair) for pair in pairs]
 
-    def cells_by_dim(self):
-        raise AssertionError("puzzle listed the cells of every degree")
+    def product(*args):
+        raise AssertionError("puzzle built a deleted product")
 
     def lister(*args):
         raise AssertionError("puzzle called the lister")
 
-    monkeypatch.setattr(DeletedProductComplex, "cells_by_dim", property(cells_by_dim))
+    monkeypatch.setattr(DeletedProductComplex, "__init__", product)
     monkeypatch.setattr(deleted_product_module, "_disjoint", lister)
-    dp = deleted_product(K, r)
-    assert [puzzle_reachable(dp, *pair) for pair in pairs] == expected
+    assert [puzzle_reachable(K, r, *pair) for pair in pairs] == expected
 
 
 @needs_hypothesis
@@ -548,7 +571,7 @@ def test_puzzle_walks_the_reference_path_on_random_bases():
     0-cells, unreachable ones included."""
     seen = Counter()
 
-    @settings(max_examples=150)
+    @settings(max_examples=200)
     @given(st.integers(1, 8).flatmap(lambda n: st.tuples(
         st.just(n), st.lists(st.sets(st.integers(0, n - 1), min_size=1, max_size=3),
                              min_size=1, max_size=6))),
@@ -560,7 +583,7 @@ def test_puzzle_walks_the_reference_path_on_random_bases():
         if zeros:
             start, goal = zeros[a % len(zeros)], zeros[b % len(zeros)]
             expected = reference_puzzle_path(dp, start, goal) if start != goal else (True, [])
-            assert puzzle_reachable(dp, start, goal) == expected
+            assert puzzle_reachable(dp.base, r, start, goal) == expected
             seen[expected[0]] += 1
 
     check()
@@ -666,9 +689,11 @@ def test_listing_matches_the_recursion_on_random_complexes():
 
 
 def ordered_cells_of_degree(K, r, d):
+    """The keyed walk's cells of degree d, each ranked vertex named back by its id."""
     out = ([], [], [])
     _disjoint(K.simplices, r, d, lambda degree: out, [1] * K.num_vertices)
-    return out[0]
+    ids = sorted(vertex_ranks(K))
+    return [tuple(tuple(ids[v] for v in s) for s in cell) for cell in out[0]]
 
 
 def random_base(seed, n):
@@ -677,8 +702,10 @@ def random_base(seed, n):
 
 
 @pytest.mark.parametrize("K, rs", [(full_simplex(N), (2, 3, 4)) for N in range(7)]
-                         + [(COLORED333, (2, 3, 4)), (random_base("one degree", 8), (2, 3))],
-                         ids=["delta%d" % N for N in range(7)] + ["colored333", "random"])
+                         + [(COLORED333, (2, 3, 4)), (random_base("one degree", 8), (2, 3)),
+                            (UNUSED_IDS, (2, 3))],
+                         ids=["delta%d" % N for N in range(7)] + ["colored333", "random",
+                                                                  "unused-ids"])
 def test_an_ordered_listing_of_one_degree_is_that_degree_of_cells_by_dim(K, rs):
     for r in rs:
         dp = deleted_product(K, r)
@@ -686,23 +713,40 @@ def test_an_ordered_listing_of_one_degree_is_that_degree_of_cells_by_dim(K, rs):
             assert ordered_cells_of_degree(K, r, d) == dp.cells_by_dim.get(d, []), (r, d)
 
 
+def cycle_f_vector(n, r):
+    """Cells per degree of the r-fold deleted product of the n-cycle: a
+    d-cell picks the d factors that are edges, C(r, d) ways, and places r
+    labelled blocks of r + d vertices on the cycle, n (r - 1)! C(n - d - 1,
+    r - 1) ways: the first block anywhere, then the others in order on the
+    path left, with the n - r - d free vertices between them."""
+    return [comb(r, d) * n * factorial(r - 1) * comb(n - d - 1, r - 1)
+            for d in range(min(r, n - r) + 1)]
+
+
 def test_the_count_keys_wide_masks_of_a_large_base_by_bytes(monkeypatch):
-    """Vertices 61 and up put a middle level's masks past the int hash
-    modulus: the count keys them by bytes and still counts what is listed."""
+    """A base that uses more than 61 vertices puts a middle level's masks past
+    the int hash modulus, whatever its ids: the count keys them by bytes and
+    still counts what the closed form of the cycle gives, and the listing
+    keys them by bytes too."""
     wide = []
 
     def counted_mask_key(mask):
         wide.append(mask)
         return mask_key(mask)
 
+    assert all(cycle_f_vector(n, r) == tuple_count_f_vector(
+        Complex.from_maximal(n, [(v, (v + 1) % n) for v in range(n)]), r)
+        for n in (3, 4, 7, 8) for r in (2, 3, 4))
     mask_key = deleted_product_module._mask_key
     monkeypatch.setattr(deleted_product_module, "_mask_key", counted_mask_key)
-    for K in (Complex.from_maximal(72, [[0, 64, 70], [1, 65], [65, 71], [2, 3], [62, 66, 69]]),
-              random_base("wide", 80)):
+    for K, r in ((CYCLE70, 3), (SPARSE_CYCLE70, 3), (CYCLE70, 2), (SPARSE_CYCLE70, 2)):
         wide.clear()
-        deleted_product(K, 3)
+        assert deleted_product(K, r).f_vector() == cycle_f_vector(70, r)
         assert wide, "no mask of the count passed the int hash modulus"
-        check_listing(K, 3)  # f_vector() against the listed lengths
+        if r == 2:
+            wide.clear()
+            check_listing(K, r)  # f_vector() against the listed lengths
+            assert wide, "no mask of the listing passed the int hash modulus"
 
 
 def test_a_huge_r_is_counted_empty_at_once():

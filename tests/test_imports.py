@@ -13,7 +13,8 @@ cell list of the deleted product, and the deleted product's facet walk
 finds its rows by cell keys, not by nested-tuple facets; its matching and
 its keys read no cell, but what the walk that lists them keyed and masked,
 and no declared vertex count, only the vertices that the base uses.  The
-puzzle walk lists no cell: it calls no lister and no cell_boundary.  One
+puzzle walk lists no cell and builds no deleted product: it calls no lister
+and no cell_boundary, and the puzzle command counts no product.  One
 separation test, in convexity, serves the Tverberg search and plmaps alike.
 The sparse row layout of IntMatrix is read in homology only.  No call takes
 a size that its other arguments fix.
@@ -158,25 +159,38 @@ def deleted_product_functions(*names) -> dict:
             if isinstance(node, ast.FunctionDef) and node.name in names}
 
 
+def called_names(fn) -> set:
+    """The names that fn calls, bare or as an attribute."""
+    return {getattr(node.func, "id", None) or getattr(node.func, "attr", None)
+            for node in ast.walk(fn) if isinstance(node, ast.Call)}
+
+
 def test_puzzle_lists_no_cell():
     """puzzle_reachable steps from each 0-cell along the base's edges: it
-    calls neither lister nor cell_boundary, and loads no cells_by_dim."""
+    calls neither lister nor cell_boundary, and loads no cells_by_dim; the
+    puzzle command builds and counts no deleted product."""
     [fn] = deleted_product_functions("puzzle_reachable").values()
-    calls = {getattr(node.func, "id", None) or getattr(node.func, "attr", None)
-             for node in ast.walk(fn) if isinstance(node, ast.Call)}
+    calls = called_names(fn)
     assert calls and calls.isdisjoint({"_disjoint", "disjoint_tuples", "cell_boundary"})
     assert [node.lineno for node in ast.walk(fn)
             if isinstance(node, ast.Attribute) and node.attr == "cells_by_dim"] == []
+    [cmd] = [node for node in ast.parse((SRC / "cli.py").read_text()).body
+             if isinstance(node, ast.FunctionDef) and node.name == "cmd_puzzle"]
+    assert "puzzle_reachable" in called_names(cmd)
+    assert called_names(cmd).isdisjoint({"deleted_product", "load_product", "DeletedProductComplex",
+                                         "check_full_simplex_cap"})
 
 
 def test_the_keys_and_the_matching_read_no_declared_vertex_count():
-    """_keys takes powers of the vertices that the base uses, and
-    element_matching walks and buckets those alone, so neither loads
-    num_vertices: a base declared on many unused ids costs nothing more."""
+    """_keys takes a power per vertex rank, and element_matching walks and
+    buckets the ranks, so neither loads num_vertices nor takes the largest
+    id: a base declared on many unused ids, or using large ones, costs
+    nothing more."""
     methods = deleted_product_functions("_keys", "element_matching")
     assert len(methods) == 2
     assert [(name, node.lineno) for name, fn in methods.items() for node in ast.walk(fn)
             if isinstance(node, ast.Attribute) and node.attr == "num_vertices"] == []
+    assert [name for name, fn in methods.items() if "max" in called_names(fn)] == []
 
 
 def test_one_separation_test_in_convexity():

@@ -11,7 +11,7 @@ from tvlab.symgroup import (MILLER_RABIN_BOUND, MatrixSpherePoint,
                             compose, identity_perm,
                             invariant_block_split, invariant_matrix_point,
                             inverse, is_prime, is_transitive,
-                            p_order_in_factorial, pi_projection, sign,
+                            p_order_in_factorial, sign,
                             sylow_tree_subgroup, symmetric_group,
                             trivial_group)
 
@@ -169,30 +169,3 @@ def test_matrix_sphere_invariants():
         MatrixSpherePoint(((Fraction(0), Fraction(0)),))
     with pytest.raises(InputError, match=r"row sums must vanish"):
         MatrixSpherePoint(((Fraction(1), Fraction(1)),))
-
-
-def test_pi_projection_examples():
-    pt = pi_projection([(0,), (2,)])
-    assert pt.matrix == ((Fraction(-1), Fraction(1)),)
-    with pytest.raises(InputError, match=r"all points equal; projection undefined"):
-        pi_projection([(1, 1), (1, 1)])
-
-
-def test_pi_projection_gauss_direction():
-    # for r = 2 the first column is (x - y) / 2, a positive multiple of x - y
-    x, y = (3, 5), (1, 1)
-    pt = pi_projection([x, y])
-    col0 = tuple(row[0] for row in pt.matrix)
-    assert col0 == (Fraction(1), Fraction(2))
-
-
-def test_pi_projection_equivariance():
-    from tvlab.convexity import random_rational_points
-
-    for r in (2, 3, 4):
-        for d in (1, 2, 3):
-            pts = random_rational_points(r, d, ("pi", r, d).__repr__())
-            base = pi_projection(pts)
-            for omega in permutations(range(r)):
-                permuted_pts = [pts[i] for i in inverse(omega)]
-                assert pi_projection(permuted_pts) == base.permuted(omega)
